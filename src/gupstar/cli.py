@@ -18,23 +18,34 @@ from .beta_arith import BetaContext
 from .families import resolve_family
 from .formal_cas import ALT, MAIN, ParseError, formal_star, format_poly, parse_poly
 from .sampling import lattice_from_field, lattice_to_csv, synth_grid, torus_to_csv
-from .star_algebra import SymbolObservable, star, star_symbol_left
+from .star_algebra import SymbolObservable, star, star_symbol_left, star_symbol_right
 from .states import ml_phase_state, phase_space_csv, position_eigenvector
 from .verify import RunConfig, run_suites
 
 
-def _add_common(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--beta", type=float, default=1.0, help="deformation parameter (default 1)")
-    ap.add_argument("--hbar", type=float, default=1.0, help="action scale (default 1)")
-    ap.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                    help="ordering parameter in [0, 1] (default 0.5)")
-    ap.add_argument("--grid", dest="grid_n", type=int, default=256,
-                    help="angle grid size, even (default 256)")
-    ap.add_argument("--seed", type=int, default=42, help="seed for randomized checks (default 42)")
-    ap.add_argument("--out", default=".", help="output directory for data files")
-    ap.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0,
-                    help="multiply every tolerance by this factor")
-    ap.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
+# Every flag a subcommand may take; each subcommand registers the ones it reads.
+_FLAGS = {
+    "beta": (("--beta",), dict(type=float, default=1.0, help="deformation parameter (default 1)")),
+    "hbar": (("--hbar",), dict(type=float, default=1.0, help="action scale (default 1)")),
+    "lambda": (("--lambda",), dict(dest="lam", type=float, default=0.5,
+                                   help="ordering parameter in [0, 1] (default 0.5)")),
+    "grid": (("--grid",), dict(dest="grid_n", type=int, default=256,
+                               help="angle grid size, even (default 256)")),
+    "seed": (("--seed",), dict(type=int, default=42,
+                               help="seed for randomized checks (default 42)")),
+    "out": (("--out",), dict(default=".", help="output directory for data files")),
+    "tol-scale": (("--tol-scale",), dict(dest="tol_scale", type=float, default=1.0,
+                                         help="multiply every tolerance by this factor")),
+    "json": (("--json",), dict(action="store_true", help="emit a JSON report on stdout")),
+    "lattice-halfwidth": (("--lattice-halfwidth",), dict(type=int, default=None)),
+}
+_CONTEXT = ("beta", "hbar", "lambda", "grid")
+
+
+def _add_flags(ap: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        flags, kwargs = _FLAGS[name]
+        ap.add_argument(*flags, **kwargs)
 
 
 def _config(args) -> RunConfig:
@@ -75,73 +86,61 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _window(args):
+def cmd_window(args) -> int:
+    """Export the evaluator and Wigner-route grids of a closed-form state.
+
+    ``mlstate`` exports a maximal-localization state, ``eigenstate`` a
+    position eigenvector, both over the same (q, p) window.
+    """
+    ctx = _ctx(args)
     qs = np.linspace(args.qmin, args.qmax, args.samples)
     ps = np.linspace(args.pmin, args.pmax, args.samples)
-    return qs, ps
-
-
-def cmd_mlstate(args) -> int:
-    ctx = _ctx(args)
-    qs, ps = _window(args)
-    state = ml_phase_state(ctx, args.xi, args.grid_n)
-    ev = np.array([state.evaluate(qs, p) for p in ps]).T  # (q, p) layout
+    if args.command == "mlstate":
+        state = ml_phase_state(ctx, args.xi, args.grid_n)
+        evaluate = state.evaluate
+    else:
+        state = position_eigenvector(ctx, args.xi, args.grid_n)
+        evaluate = state.rho_qp
+    ev = np.array([evaluate(qs, p) for p in ps]).T.astype(complex)  # (q, p) layout
     wg = synth_grid(state.rho, qs, ps)
+    files = [f"{args.command}_eval.csv", f"{args.command}_wigner.csv"]
     os.makedirs(args.out, exist_ok=True)
-    phase_space_csv(os.path.join(args.out, "mlstate_eval.csv"), qs, ps, ev)
-    phase_space_csv(os.path.join(args.out, "mlstate_wigner.csv"), qs, ps, wg)
+    for name, vals in zip(files, (ev, wg)):
+        phase_space_csv(os.path.join(args.out, name), qs, ps, vals)
     diff = float(np.abs(ev - wg).max())
-    report = {"xi": args.xi, "lambda": args.lam, "grid_n": args.grid_n,
-              "max_abs_imag_eval": float(np.abs(ev.imag).max()),
-              "max_pointwise_difference": diff,
-              "files": ["mlstate_eval.csv", "mlstate_wigner.csv"]}
+    report = {"xi": args.xi, "max_pointwise_difference": diff, "files": files}
+    if args.command == "mlstate":
+        report.update({"lambda": args.lam, "grid_n": args.grid_n,
+                       "max_abs_imag_eval": float(np.abs(ev.imag).max())})
     print(json.dumps(report, sort_keys=True) if args.json else
-          f"wrote mlstate_eval.csv, mlstate_wigner.csv (max pointwise difference {diff:.3e})")
+          f"wrote {files[0]}, {files[1]} (max pointwise difference {diff:.3e})")
     return 0
 
 
-def cmd_eigenstate(args) -> int:
-    ctx = _ctx(args)
-    qs, ps = _window(args)
-    pe = position_eigenvector(ctx, args.xi, args.grid_n)
-    vals = np.array([pe.rho_qp(qs, p) for p in ps]).T.astype(complex)
+def _export_field(args, f, prefix: str, label: str) -> int:
+    """Write a field and its position-lattice samples as CSV."""
     os.makedirs(args.out, exist_ok=True)
-    phase_space_csv(os.path.join(args.out, "eigenstate_eval.csv"), qs, ps, vals)
-    wg = synth_grid(pe.rho, qs, ps)
-    phase_space_csv(os.path.join(args.out, "eigenstate_wigner.csv"), qs, ps, wg)
-    diff = float(np.abs(vals - wg).max())
-    report = {"xi": args.xi, "max_pointwise_difference": diff,
-              "files": ["eigenstate_eval.csv", "eigenstate_wigner.csv"]}
-    print(json.dumps(report, sort_keys=True) if args.json else
-          f"wrote eigenstate_eval.csv, eigenstate_wigner.csv (max pointwise difference {diff:.3e})")
+    torus_to_csv(f, os.path.join(args.out, f"{prefix}field.csv"))
+    lat = lattice_from_field(f, half_width=args.lattice_halfwidth or 2 * args.grid_n)
+    lattice_to_csv(lat, os.path.join(args.out, f"{prefix}lattice.csv"))
+    print(f"wrote {prefix}field.csv, {prefix}lattice.csv for {label}")
     return 0
 
 
 def cmd_star(args) -> int:
     ctx = _ctx(args)
-    n = args.grid_n
-    try:
-        f = resolve_family(args.f, ctx, n)
-        g = resolve_family(args.g, ctx, n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    f = resolve_family(args.f, ctx, args.grid_n)
+    g = resolve_family(args.g, ctx, args.grid_n)
     if isinstance(f, SymbolObservable) and isinstance(g, SymbolObservable):
         print("error: at most one operand may be an unbounded symbol", file=sys.stderr)
         return 2
     if isinstance(f, SymbolObservable):
         out = star_symbol_left(f, g)
     elif isinstance(g, SymbolObservable):
-        from .star_algebra import star_symbol_right
         out = star_symbol_right(f, g)
     else:
         out = star(f, g)
-    os.makedirs(args.out, exist_ok=True)
-    torus_to_csv(out, os.path.join(args.out, "star_field.csv"))
-    lat = lattice_from_field(out, half_width=args.lattice_halfwidth or 2 * n)
-    lattice_to_csv(lat, os.path.join(args.out, "star_lattice.csv"))
-    print(f"wrote star_field.csv, star_lattice.csv for {args.f} * {args.g}")
-    return 0
+    return _export_field(args, out, "star_", f"{args.f} * {args.g}")
 
 
 def cmd_formal(args) -> int:
@@ -159,21 +158,11 @@ def cmd_formal(args) -> int:
 
 
 def cmd_export(args) -> int:
-    ctx = _ctx(args)
-    try:
-        f = resolve_family(args.family, ctx, args.grid_n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    f = resolve_family(args.family, _ctx(args), args.grid_n)
     if isinstance(f, SymbolObservable):
         print("error: symbols have no field to export", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
-    torus_to_csv(f, os.path.join(args.out, "field.csv"))
-    lat = lattice_from_field(f, half_width=args.lattice_halfwidth or 2 * args.grid_n)
-    lattice_to_csv(lat, os.path.join(args.out, "lattice.csv"))
-    print(f"wrote field.csv, lattice.csv for {args.family}")
-    return 0
+    return _export_field(args, f, "", args.family)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,32 +172,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    _add_common(p)
+    _add_flags(p, *_CONTEXT, "seed", "tol-scale", "json")
     p.add_argument("--suite", action="append",
                    help="restrict to a named suite (repeatable)")
     p.set_defaults(fn=cmd_verify)
 
-    for name, fn, help_text in (("mlstate", cmd_mlstate, "export a maximal-localization state"),
-                                ("eigenstate", cmd_eigenstate, "export a position eigenvector")):
+    for name, help_text in (("mlstate", "export a maximal-localization state"),
+                            ("eigenstate", "export a position eigenvector")):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        _add_flags(p, *_CONTEXT, "out", "json")
         p.add_argument("--xi", type=float, default=0.0, help="position (default 0)")
         p.add_argument("--qmin", type=float, default=-10.0)
         p.add_argument("--qmax", type=float, default=10.0)
         p.add_argument("--pmin", type=float, default=-10.0)
         p.add_argument("--pmax", type=float, default=10.0)
         p.add_argument("--samples", type=int, default=201)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_window)
 
     p = sub.add_parser("star", help="star product of two built-in fields")
-    _add_common(p)
+    _add_flags(p, *_CONTEXT, "out", "lattice-halfwidth")
     p.add_argument("f", help="field family (rho0, rho:<xi>, ml[:<xi>], bump[:<seed>], q, q^<k>)")
     p.add_argument("g", help="field family")
-    p.add_argument("--lattice-halfwidth", type=int, default=None)
     p.set_defaults(fn=cmd_star)
 
     p = sub.add_parser("formal", help="exact truncated star product of polynomials")
-    _add_common(p)
     p.add_argument("--pair", choices=("main", "alt"), default="main",
                    help="derivation pair (default main)")
     p.add_argument("--order", type=int, default=4, help="truncation order (default 4)")
@@ -217,9 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_formal)
 
     p = sub.add_parser("export", help="export a built-in field as CSV")
-    _add_common(p)
+    _add_flags(p, *_CONTEXT, "out", "lattice-halfwidth")
     p.add_argument("family", help="field family name")
-    p.add_argument("--lattice-halfwidth", type=int, default=None)
     p.set_defaults(fn=cmd_export)
     return ap
 

@@ -8,7 +8,8 @@ from .beta_arith import BetaContext
 from .sampling import (
     TorusField,
     Wavefunction,
-    _coeffs_to_vals,
+    _line_coeffs,
+    _line_values,
     angle_nodes,
     field_from_coeffs,
     mode_numbers,
@@ -19,7 +20,6 @@ __all__ = [
     "random_state",
     "random_element",
     "random_qlocalized",
-    "gaussian_bump_state",
     "resolve_family",
 ]
 
@@ -44,27 +44,26 @@ def random_state(ctx: BetaContext, n: int, rng: np.random.Generator,
         c[np.abs(m) > mmax] = 0
         if parity is not None:
             c[np.mod(m, 2) != parity] = 0
-        vals = _coeffs_to_vals(c)
+        vals = _line_values(c)
         center = rng.uniform(-0.1, 0.1)
         prof = np.exp(-((angle_nodes(n) - center) / 0.18) ** 2)
-        vals = vals * prof
         # re-project to the band so spectral shifts stay exact
-        cc = np.fft.fft(vals) / n
-        cc = np.where(np.abs(m) > mmax, 0, cc)
-        vals = np.fft.ifft(cc) * n
+        cc = _line_coeffs(vals * prof)
+        cc[np.abs(m) > mmax] = 0
+        vals = _line_values(cc)
     else:
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c *= np.exp(-(np.abs(m) / max(mmax / 2.0, 2.0)) ** 2)
         c[np.abs(m) > mmax] = 0
         if parity is not None:
             c[np.mod(m, 2) != parity] = 0
-        vals = _coeffs_to_vals(c)
+        vals = _line_values(c)
     return Wavefunction(ctx, vals).normalized()
 
 
 def random_element(ctx: BetaContext, n: int, rng: np.random.Generator,
                    mmax: int | None = None, parity: int | None = None,
-                   localized: bool = False, hermitian: bool = False) -> TorusField:
+                   localized: bool = False) -> TorusField:
     """Random band-limited algebra element built from two Wigner pairs."""
     if mmax is None:
         mmax = n // 4 - 1 if localized else n // 8
@@ -74,45 +73,25 @@ def random_element(ctx: BetaContext, n: int, rng: np.random.Generator,
     d = random_state(ctx, n, rng, mmax, parity, localized)
     w1, w2 = wigner(a, b), wigner(c, d)
     z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    vals = z1 * w1.values + z2 * w2.values
-    if hermitian:
-        vals = (z1 * w1.values + np.conj(z1) * wigner(b, a).values
-                + z2 * w2.values + np.conj(z2) * wigner(d, c).values)
-    return TorusField(ctx, vals)
+    return TorusField(ctx, z1 * w1.values + z2 * w2.values)
 
 
-def random_qlocalized(ctx: BetaContext, n: int, rng: np.random.Generator,
-                      sigma: float = 0.25, bmax: int | None = None,
-                      cmax: int | None = None) -> TorusField:
+def random_qlocalized(ctx: BetaContext, n: int, rng: np.random.Generator) -> TorusField:
     """Random element whose transform decays hard toward the window edge.
 
     Pointwise products of two such elements stay inside the position band
-    (edge leakage below 1e-8 for the default width), which is what the
+    (edge leakage below 1e-8 at the first-slot width 0.25), which is what the
     transform-side convolution identities need.
     """
     m = mode_numbers(n)
-    if bmax is None:
-        bmax = min(4, n // 8)
-    if cmax is None:
-        cmax = min(6, n // 8)
+    bmax, cmax = min(4, n // 8), min(6, n // 8)
     coef = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     coef *= np.exp(-(np.abs(m)[None, :] / 2.5) ** 2)
     coef[:, np.abs(m) > bmax] = 0
     coef[np.abs(m) > cmax, :] = 0
     base = field_from_coeffs(ctx, coef)
-    prof = np.exp(-(angle_nodes(n) / sigma) ** 2)[:, None]
+    prof = np.exp(-(angle_nodes(n) / 0.25) ** 2)[:, None]
     return TorusField(ctx, base.values * prof)
-
-
-def gaussian_bump_state(ctx: BetaContext, n: int, center: float = 0.3,
-                        width: float = 0.3, momentum_mode: int = 0) -> Wavefunction:
-    """Deterministic smooth bump state used by the CLI field families."""
-    a = angle_nodes(n)
-    vals = np.exp(-((a - center) / width) ** 2) * np.exp(2j * momentum_mode * a)
-    m = mode_numbers(n)
-    c = np.fft.fft(vals) / n
-    c[np.abs(m) > n // 4 - 1] = 0
-    return Wavefunction(ctx, np.fft.ifft(c) * n).normalized()
 
 
 def resolve_family(label: str, ctx: BetaContext, n: int):

@@ -2,7 +2,10 @@
 
 Every transformed field corresponds to an integral operator on the circle
 Hilbert space through an index shear of its coefficient grid; the map is a
-bijection of discrete mode lattices, so going back and forth is exact.  All
+bijection of discrete mode lattices, so going back and forth is exact.
+Kernel samples and coefficients convert through the sheared codec of
+:mod:`gupstar.sampling` at lam = 0, which is the plain 2-d expansion of a
+kernel with ``mod = (mu_u, mu_v)``; the codecs live in ``sampling`` only.  All
 operator-level facts (composition, adjoint, trace, Hilbert-Schmidt pairing,
 operator norm) are computed here on kernel sample matrices with the uniform
 invariant-measure weight.
@@ -20,9 +23,11 @@ from .beta_arith import BetaContext
 from .sampling import (
     TorusField,
     Wavefunction,
-    _coeffs_to_vals,
     _frozen,
-    _vals_to_coeffs,
+    _line_coeffs,
+    _line_values,
+    _sheared_coeffs,
+    _sheared_values,
     angle_nodes,
     field_from_coeffs,
     mode_numbers,
@@ -82,18 +87,7 @@ class OperatorKernel:
         return self.weight * self.values
 
     def coeffs(self) -> np.ndarray:
-        mu_u, mu_v = self.mod
-        a = angle_nodes(self.n)
-        strip = np.exp(-2j * (mu_u * a[:, None] + mu_v * a[None, :]))
-        return _vals_to_coeffs(_vals_to_coeffs(self.values * strip, axis=0), axis=1)
-
-
-def _kernel_from_coeffs(ctx, kc, mod):
-    n = kc.shape[0]
-    a = angle_nodes(n)
-    vals = _coeffs_to_vals(_coeffs_to_vals(kc, axis=0), axis=1)
-    vals = vals * np.exp(2j * (mod[0] * a[:, None] + mod[1] * a[None, :]))
-    return OperatorKernel(ctx, vals, mod)
+        return _sheared_coeffs(self.values, 0.0, self.mod)
 
 
 def _shear_indices(n: int):
@@ -115,7 +109,8 @@ def kernel_of(f: TorusField) -> OperatorKernel:
     kc = np.zeros_like(coef)
     kc[iu, iv] = coef
     s0, b0 = f.mod
-    return _kernel_from_coeffs(f.ctx, kc, (b0 + s0, -s0))
+    mod = (b0 + s0, -s0)
+    return OperatorKernel(f.ctx, _sheared_values(kc, 0.0, mod), mod)
 
 
 def element_of(k: OperatorKernel) -> TorusField:
@@ -150,12 +145,9 @@ def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
 
 def trace_op(k: OperatorKernel) -> complex:
     """Operator trace: invariant-measure integral of the kernel diagonal."""
-    n = k.n
-    a = angle_nodes(n)
     mtot = k.mod[0] + k.mod[1]
-    d = np.diagonal(k.values) * np.exp(-2j * mtot * a)
-    dm = _vals_to_coeffs(d)
-    return complex(np.pi / k.ctx.sqrt_beta * (dm * np.sinc(mtot + mode_numbers(n))).sum())
+    dm = _line_coeffs(np.diagonal(k.values), mtot)
+    return complex(np.pi / k.ctx.sqrt_beta * (dm * np.sinc(mtot + mode_numbers(k.n))).sum())
 
 
 def hilbert_schmidt(kf: OperatorKernel, kg: OperatorKernel) -> complex:
@@ -173,21 +165,16 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
     """Transformed field of the rank-one operator psi (phi, . ).
 
     ``W~(a', a) = 2 pi hbar psi(a + lam a') conj phi(a - (1 - lam) a')``;
-    conjugate linear in phi, linear in psi.  Row evaluations use spectral
-    shifts of the sampled states, with modulations handled in closed form.
+    conjugate linear in phi, linear in psi.  Row j evaluates both states at
+    offsets proportional to alpha'_j (spectral shifts, exact on band-limited
+    content, with the modulations handled in closed form).
     """
     if phi.n != psi.n:
         raise ValueError("wavefunction grids differ")
     ctx = psi.ctx
-    n, lam = psi.n, ctx.lam
-    ap = angle_nodes(n)[:, None]
-    a = angle_nodes(n)[None, :]
-    m = mode_numbers(n)[None, :]
-    cps, cph = psi.coeffs()[None, :], phi.coeffs()[None, :]
-    ps = _coeffs_to_vals(cps * np.exp(2j * m * lam * ap), axis=1)
-    ps = ps * np.exp(2j * psi.mod * (a + lam * ap))
-    ph = _coeffs_to_vals(cph * np.exp(-2j * m * (1 - lam) * ap), axis=1)
-    ph = ph * np.exp(2j * phi.mod * (a - (1 - lam) * ap))
+    ap = angle_nodes(psi.n)
+    ps = psi.at_offset(ctx.lam * ap)
+    ph = phi.at_offset(-(1 - ctx.lam) * ap)
     vals = 2 * np.pi * ctx.hbar * ps * np.conj(ph)
     return TorusField(ctx, vals, (phi.mod, psi.mod - phi.mod))
 
@@ -219,11 +206,8 @@ class DensityState:
 
 def marginal_momentum(rho: TorusField) -> np.ndarray:
     """Momentum probability density on the grid: f~(0, alpha)/(2 pi hbar)."""
-    n = rho.n
     col = rho.coeffs().sum(axis=0)  # alpha' = 0 kills every first-slot phase
-    vals = _coeffs_to_vals(col[None, :], axis=1)[0]
-    vals = vals * np.exp(2j * rho.mod[1] * angle_nodes(n))
-    return (vals / (2 * np.pi * rho.ctx.hbar)).real
+    return (_line_values(col, rho.mod[1]) / (2 * np.pi * rho.ctx.hbar)).real
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,14 @@ modulation pair ``mod = (s0, b0)`` contributing the prefactor
 ``phase = exp(2i((lam*b0 + s0) A' + b0 A))``.  The modulation carries exactly
 the non-periodic content of position eigenvectors and shifted localization
 states, keeping every spectral operation exact on band-limited data.
+
+Every conversion between grid samples and mode coefficients in the package
+goes through the two codecs of this module: the 1-d codec
+``_line_coeffs``/``_line_values`` along the last axis (real modulation,
+optional scalar or per-row offset) and the 2-d sheared codec
+``_sheared_coeffs``/``_sheared_values`` parameterised by ``lam`` and ``mod``.
+Operator kernels use the sheared codec at lam = 0, which is exactly their
+plain 2-d expansion with ``mod = (mu_u, mu_v)``.
 """
 
 from __future__ import annotations
@@ -88,9 +96,10 @@ class AngleGrid:
 
 
 # ---------------------------------------------------------------------------
-# spectral helpers on the half-offset grid
+# spectral codecs on the half-offset grid
 # ---------------------------------------------------------------------------
 
+# The FFT pair along one axis; other modules use the codecs built on it.
 def _vals_to_coeffs(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """Coefficients of sum_m c_m e^{2i m alpha} from samples on the grid."""
     n = v.shape[axis]
@@ -107,6 +116,49 @@ def _coeffs_to_vals(c: np.ndarray, axis: int = -1) -> np.ndarray:
     shape = [1] * c.ndim
     shape[axis] = n
     return np.fft.ifft(c * ph.reshape(shape), axis=axis) * n
+
+
+def _line_coeffs(v: np.ndarray, mod: float = 0.0) -> np.ndarray:
+    """Coefficients c_m of ``v(alpha) = e^{2i mod alpha} sum_m c_m e^{2i m alpha}``.
+
+    Transforms along the last axis; ``mod`` is a real frequency offset.
+    """
+    return _vals_to_coeffs(v * np.exp(-2j * mod * angle_nodes(v.shape[-1])))
+
+
+def _line_values(c: np.ndarray, mod: float = 0.0, offset=0.0) -> np.ndarray:
+    """Inverse of :func:`_line_coeffs`, sampled at ``alpha_k + offset``.
+
+    ``offset`` is a scalar or one offset per row; a 1-d ``c`` with per-row
+    offsets gives one row of samples per offset.
+    """
+    n = c.shape[-1]
+    t = np.asarray(offset, dtype=float)[..., None]
+    vals = _coeffs_to_vals(c * np.exp(2j * mode_numbers(n) * t))
+    return vals * np.exp(2j * mod * (angle_nodes(n) + t))
+
+
+def _shear(n: int, lam: float, mod: tuple[float, float]) -> np.ndarray:
+    """alpha'_j times the first-slot frequency offset lam*(b + b0) + s0.
+
+    Shape (n, n) indexed [j, b]; at lam = 0 the offset is s0 alone and the
+    result is an (n, 1) column, so no shear table is built.
+    """
+    s0, b0 = mod
+    off = s0 + lam * (mode_numbers(n) + b0) if lam else s0
+    return angle_nodes(n)[:, None] * off
+
+
+def _sheared_coeffs(v: np.ndarray, lam: float, mod: tuple[float, float]) -> np.ndarray:
+    """Sheared coefficients coef[c, b] of n x n samples, basis as in the module doc."""
+    cb = _line_coeffs(v, mod[1]) * np.exp(-2j * _shear(v.shape[0], lam, mod))
+    return _vals_to_coeffs(cb, axis=0)
+
+
+def _sheared_values(coef: np.ndarray, lam: float, mod: tuple[float, float]) -> np.ndarray:
+    """Inverse of :func:`_sheared_coeffs`."""
+    cb = _coeffs_to_vals(coef, axis=0) * np.exp(2j * _shear(coef.shape[0], lam, mod))
+    return _line_values(cb, mod[1])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -156,14 +208,14 @@ class Wavefunction:
 
     def coeffs(self) -> np.ndarray:
         """Coefficients of the demodulated part, FFT mode ordering."""
-        a = angle_nodes(self.n)
-        return _vals_to_coeffs(self.values * np.exp(-2j * self.mod * a))
+        return _line_coeffs(self.values, self.mod)
 
-    def at_offset(self, t: float) -> np.ndarray:
-        """Samples of psi(alpha_k + t), exact on band-limited content."""
-        c = self.coeffs() * np.exp(2j * mode_numbers(self.n) * t)
-        a = angle_nodes(self.n)
-        return _coeffs_to_vals(c) * np.exp(2j * self.mod * (a + t))
+    def at_offset(self, t) -> np.ndarray:
+        """Samples of psi(alpha_k + t), exact on band-limited content.
+
+        ``t`` is a scalar, or an array of offsets giving one row per offset.
+        """
+        return _line_values(self.coeffs(), self.mod, t)
 
     def alpha_derivative(self) -> np.ndarray:
         """d psi / d alpha: exact samples when attached, else spectral."""
@@ -171,9 +223,7 @@ class Wavefunction:
             return np.asarray(self.deriv)
         m = mode_numbers(self.n).copy()
         m[self.n // 2] = 0.0  # unpaired Nyquist mode carries no odd derivative
-        c = self.coeffs() * 2j * (m + self.mod)
-        a = angle_nodes(self.n)
-        return _coeffs_to_vals(c) * np.exp(2j * self.mod * a)
+        return _line_values(self.coeffs() * 2j * (m + self.mod), self.mod)
 
     def norm(self) -> float:
         return math.sqrt(max(quad_mu(self.ctx, self.grid, np.abs(self.values) ** 2).real, 0.0))
@@ -231,19 +281,9 @@ class TorusField:
     def grid(self) -> AngleGrid:
         return AngleGrid(self.n)
 
-    def modulation_phase(self) -> np.ndarray:
-        s0, b0 = self.mod
-        ap = angle_nodes(self.n)[:, None]
-        a = angle_nodes(self.n)[None, :]
-        return np.exp(2j * ((self.ctx.lam * b0 + s0) * ap + b0 * a))
-
     def coeffs(self) -> np.ndarray:
         """Sheared coefficients coef[c, b] of the demodulated part."""
-        n = self.n
-        g = self.values / self.modulation_phase()
-        cb = _vals_to_coeffs(g, axis=1)  # integer alpha modes b
-        dem = np.exp(-2j * self.ctx.lam * mode_numbers(n)[None, :] * angle_nodes(n)[:, None])
-        return _vals_to_coeffs(cb * dem, axis=0)
+        return _sheared_coeffs(self.values, self.ctx.lam, self.mod)
 
     def freq_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """Effective (alpha'-frequency, alpha-frequency) arrays, shape (n, n)."""
@@ -260,12 +300,7 @@ class TorusField:
 def field_from_coeffs(ctx: BetaContext, coef: np.ndarray,
                       mod: tuple[float, float] = (0.0, 0.0)) -> TorusField:
     """Inverse of :meth:`TorusField.coeffs`."""
-    n = coef.shape[0]
-    cb = _coeffs_to_vals(coef, axis=0)
-    rem = np.exp(2j * ctx.lam * mode_numbers(n)[None, :] * angle_nodes(n)[:, None])
-    vals = _coeffs_to_vals(cb * rem, axis=1)
-    out = TorusField(ctx, vals, mod)
-    return out.with_values(vals * out.modulation_phase())
+    return TorusField(ctx, _sheared_values(coef, ctx.lam, mod), mod)
 
 
 def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha=0.0) -> TorusField:
@@ -275,30 +310,17 @@ def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha=0.0) -> Torus
     ``d_alpha`` may be a scalar or one offset per row; per-row offsets are what
     the operator and Wigner constructions need.  Exact on band-limited fields.
     """
-    n = f.n
-    s0, b0 = f.mod
-    lam = f.ctx.lam
-    a = angle_nodes(n)
-    vals = f.values
-
+    b0 = f.mod[1]
+    out = f
     d_alpha = np.asarray(d_alpha, dtype=float)
     if d_alpha.ndim != 0 or float(d_alpha) != 0.0:
-        offs = np.broadcast_to(d_alpha, (n,)).astype(float)
-        g = vals * np.exp(-2j * b0 * a)[None, :]
-        cb = _vals_to_coeffs(g, axis=1)
-        cb = cb * np.exp(2j * mode_numbers(n)[None, :] * offs[:, None])
-        vals = _coeffs_to_vals(cb, axis=1) * np.exp(2j * b0 * (a[None, :] + offs[:, None]))
+        out = f.with_values(_line_values(_line_coeffs(f.values, b0), b0, d_alpha))
 
     d1 = float(d_alpha_prime)
     if d1 != 0.0:
-        tmp = TorusField(f.ctx, vals, f.mod)
-        coef = tmp.coeffs()
-        nu, _ = tmp.freq_grids()
-        mod_nu = lam * b0 + s0
-        coef = coef * np.exp(2j * (nu - mod_nu) * d1)
-        out = field_from_coeffs(f.ctx, coef, f.mod)
-        vals = out.values * np.exp(2j * mod_nu * d1)
-    return TorusField(f.ctx, vals, f.mod)
+        nu, _ = out.freq_grids()
+        out = field_from_coeffs(f.ctx, out.coeffs() * np.exp(2j * nu * d1), f.mod)
+    return out
 
 
 def deriv_p(f: TorusField) -> TorusField:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .operator_rep import wigner
 from .sampling import (
     TorusField,
     Wavefunction,
-    _vals_to_coeffs,
+    _line_coeffs,
     angle_nodes,
     mode_numbers,
     write_text_atomic,
@@ -33,8 +33,6 @@ __all__ = [
     "ml_phase_state",
     "ml_phase_function",
     "ml_sinc_form",
-    "ml_sinc_form_symmetric",
-    "ml_sinc_form_standard",
     "eigenvector_flags",
     "phase_space_csv",
 ]
@@ -80,22 +78,24 @@ def position_eigenvector(ctx: BetaContext, xi: float, n: int) -> PositionEigenve
     return PositionEigenvector(xi, psi, rho, rho_qp)
 
 
-def eigenvector_flags(ctx: BetaContext, xi: float, sizes: Sequence[int] = (128, 256, 512)) -> dict:
+def eigenvector_flags(ctx: BetaContext, xi: float) -> dict:
     """Evidence that a position eigenvector is not a physical state.
 
     Two complementary observations: the exact carrier gives a position spread
     of zero, strictly below the minimal uncertainty; and the lattice
     regularization (samples re-read as plain periodic data, which is what any
     modulation-blind treatment sees) has a second position moment that grows
-    with resolution for off-lattice positions.  Returns the spread flag and
-    the log-log growth slope of that divergent moment.
+    with resolution for off-lattice positions (grids of 128, 256 and 512
+    nodes).  Returns the spread flag and the log-log growth slope of that
+    divergent moment.
     """
+    sizes = (128, 256, 512)
     on_lattice = abs(xi / ctx.q_lattice_step - round(xi / ctx.q_lattice_step)) < 1e-12
     moments = []
     for n in sizes:
         a = angle_nodes(n)
         v = np.exp(2j * _mod_freq(ctx, xi) * a)  # plain periodic reading
-        c = _vals_to_coeffs(v)
+        c = _line_coeffs(v)
         m = mode_numbers(n)
         w = np.pi / (n * ctx.sqrt_beta)
         norm = w * np.vdot(v, v).real
@@ -212,26 +212,6 @@ def ml_sinc_form(ctx: BetaContext, xi: float, q, p):
     t2 = 0.5 * (np.sinc(0.5 - u) + np.sinc(0.5 + u))
     t3 = 1j * ctx.sqrt_beta * p / (1 + bp2) * (np.sinc(0.5 - lam - u) - np.sinc(0.5 - lam + u))
     return t1 + t2 + t3
-
-
-def ml_sinc_form_symmetric(ctx: BetaContext, xi: float, q, p):
-    """Specialized sinc form for the symmetric ordering (lam = 1/2)."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    u = (q - xi) / (2.0 * ctx.hbar * ctx.sqrt_beta)
-    bp2 = ctx.beta * p ** 2
-    return (1 - bp2) / (1 + bp2) * np.sinc(u) + 0.5 * (np.sinc(0.5 - u) + np.sinc(0.5 + u))
-
-
-def ml_sinc_form_standard(ctx: BetaContext, xi: float, q, p):
-    """Specialized sinc form for the standard ordering (lam = 0)."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    u = (q - xi) / (2.0 * ctx.hbar * ctx.sqrt_beta)
-    bp2 = ctx.beta * p ** 2
-    even = np.sinc(0.5 - u) + np.sinc(0.5 + u)
-    odd = np.sinc(0.5 - u) - np.sinc(0.5 + u)
-    return even / (1 + bp2) + 1j * ctx.sqrt_beta * p / (1 + bp2) * odd
 
 
 @dataclass(frozen=True)

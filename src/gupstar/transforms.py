@@ -15,8 +15,8 @@ import numpy as np
 
 from .sampling import (
     TorusField,
-    _coeffs_to_vals,
-    _vals_to_coeffs,
+    _line_coeffs,
+    _line_values,
     angle_nodes,
     deriv_pprime,
     mode_numbers,
@@ -77,22 +77,17 @@ def conv_unit(ctx, n: int) -> TorusField:
     values matter for convolution; the carrier's sheared decoding does not
     apply to this special element.
     """
-    row = _coeffs_to_vals(np.full(n, ctx.sqrt_beta / np.pi, dtype=complex))
+    row = _line_values(np.full(n, ctx.sqrt_beta / np.pi, dtype=complex))
     return TorusField(ctx, np.tile(row, (n, 1)))
 
 
 def _row_convolution(f: TorusField, g: TorusField) -> np.ndarray:
     """Per-row invariant-measure convolution along the alpha axis."""
-    n = f.n
     if f.mod[1] != g.mod[1]:
         raise ValueError("generalized convolution needs matching alpha modulations")
-    a = angle_nodes(n)
     b0 = f.mod[1]
-    strip = np.exp(-2j * b0 * a)[None, :]
-    cf = _vals_to_coeffs(f.values * strip, axis=1)
-    cg = _vals_to_coeffs(g.values * strip, axis=1)
-    vals = _coeffs_to_vals(np.pi / f.ctx.sqrt_beta * cf * cg, axis=1)
-    return vals * np.exp(2j * b0 * a)[None, :]
+    cf, cg = _line_coeffs(f.values, b0), _line_coeffs(g.values, b0)
+    return _line_values(np.pi / f.ctx.sqrt_beta * cf * cg, b0)
 
 
 def conv_generalized(x, y):
@@ -180,7 +175,7 @@ def twisted_conv(u: SymplecticPair, v: SymplecticPair) -> SymplecticPair:
     UL = np.empty((n, n), dtype=complex)
     VC = np.empty((n, n), dtype=complex)
     for i, mp in enumerate(m):
-        UL[i] = _coeffs_to_vals(fc[:, (-mp) % n]) * np.exp(-2j * lam * mp * ap) / (2 * hs)
+        UL[i] = _line_values(fc[:, (-mp) % n], -lam * mp) / (2 * hs)
         VC[i] = gc[:, (-mp) % n] / (2 * hs)
 
     idx = {mp: i for i, mp in enumerate(m)}

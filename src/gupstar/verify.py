@@ -24,7 +24,7 @@ from .operator_rep import (adjoint_kernel, apply_operator, compose_kernels,
                            element_of, hilbert_schmidt, kernel_of, lambda_ordered_operator,
                            marginal_momentum, operator_norm, phat_apply, qhat_apply,
                            state_check, trace_op, uncertainty, wigner)
-from .sampling import (AngleGrid, TorusField, Wavefunction, _coeffs_to_vals,
+from .sampling import (AngleGrid, TorusField, Wavefunction, _line_values,
                        analyze, angle_nodes, deriv_p, deriv_pprime, field_from_coeffs,
                        lattice_from_field, mode_numbers, quad_mu, seminorm, shift_field,
                        synth, synth_columns, synth_grid, wf_inner)
@@ -146,7 +146,7 @@ def suite_arithmetic(cfg: RunConfig) -> List[CheckResult]:
     worst = 0.0
     for _ in range(2000):
         x, y = rand_ext(), rand_ext()
-        worst = max(worst, _angle_gap_sum(ctx, x, y))
+        worst = max(worst, _angle_gap(ctx, ba.oplus(ctx, x, y), x, y))
     s.check("arith.homomorphism_mod_pi", worst, 1e-12)
 
     worst_d1 = worst_d2 = 0.0
@@ -189,21 +189,10 @@ def _mag(x):
     return 0.0 if ba.is_infinite(x) else abs(float(x))
 
 
-def _angle_gap(ctx, a, b) -> float:
-    aa, bb = ba.angle_of(ctx, a), ba.angle_of(ctx, b)
-    d = math.fmod(aa - bb, math.pi)
-    if d < 0:
-        d += math.pi
-    return min(d, math.pi - d)
-
-
-def _angle_gap_sum(ctx, x, y) -> float:
-    aa = ba.angle_of(ctx, x) + ba.angle_of(ctx, y)
-    bb = ba.angle_of(ctx, ba.oplus(ctx, x, y))
-    d = math.fmod(aa - bb, math.pi)
-    if d < 0:
-        d += math.pi
-    return min(d, math.pi - d)
+def _angle_gap(ctx, x, y, z=0.0) -> float:
+    """Distance modulo pi between the angle of x and the angle sum of y and z."""
+    d = ba.angle_of(ctx, x) - ba.angle_of(ctx, y) - ba.angle_of(ctx, z)
+    return abs(ba.canon_angle(d))
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +270,10 @@ def _pair_lattice(pair: SymplecticPair, ms: np.ndarray) -> np.ndarray:
     n = F.n
     fc = F.coeffs()
     lam = F.ctx.lam
-    a = angle_nodes(n)
     out = np.empty((ms.size, n), dtype=complex)
     for i, m in enumerate(ms):
         col = fc[:, int(-m) % n] if abs(m) <= n // 2 else np.zeros(n, complex)
-        out[i] = _coeffs_to_vals(col) * np.exp(-2j * lam * m * a) / (2 * F.ctx.hbar * F.ctx.sqrt_beta)
+        out[i] = _line_values(col, -lam * m) / (2 * F.ctx.hbar * F.ctx.sqrt_beta)
     return out
 
 
@@ -919,26 +907,15 @@ def _truncation_slope(cfg: RunConfig, order: int = 2) -> float:
         def colmult(vals, x):
             return x.with_values(x.values * vals[None, :])
 
+        # the symbol on the right mirrors the left series: -lam <-> 1 - lam
+        w, w_mirror = (1 - lam, -lam) if use_right else (-lam, 1 - lam)
         series = None
         for k in range(order + 1):
             coef = (1j * ctx.hbar) ** k / math.factorial(k)
-            term = np.zeros((n, n), dtype=complex)
-            if not use_right:
-                # symbol on the left: l counts position derivatives on it
-                gk = dq_field(g, k)
-                term = term + (-lam) ** k * mult_by_q(colmult(phi_vals[k], gk)).values
-                if k >= 1:
-                    gk1 = deriv_p(dq_field(g, k - 1))
-                    term = term + (k * (1 - lam) * (-lam) ** (k - 1)
-                                   * colmult(phi_vals[k - 1], gk1).values)
-            else:
-                # symbol on the right
-                gk = dq_field(g, k)
-                term = term + (1 - lam) ** k * mult_by_q(colmult(phi_vals[k], gk)).values
-                if k >= 1:
-                    gk1 = deriv_p(dq_field(g, k - 1))
-                    term = term + (k * (-lam) * (1 - lam) ** (k - 1)
-                                   * colmult(phi_vals[k - 1], gk1).values)
+            term = w ** k * mult_by_q(colmult(phi_vals[k], dq_field(g, k))).values
+            if k >= 1:
+                gk1 = deriv_p(dq_field(g, k - 1))
+                term = term + k * w_mirror * w ** (k - 1) * colmult(phi_vals[k - 1], gk1).values
             series = coef * term if series is None else series + coef * term
 
         sym = SymbolObservable(1, Wavefunction(ctx, phi_vals[0].astype(complex)))

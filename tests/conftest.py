@@ -12,8 +12,3 @@ def ctx():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-def pytest_addoption(parser):
-    parser.addoption("--heavy", action="store_true", default=False,
-                     help="run the large-grid acceptance checks")

@@ -145,6 +145,15 @@ def test_usage_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_unread_flags_are_usage_errors(capsys, tmp_path):
+    # each subcommand accepts only the flags it reads
+    assert run(["formal", "--grid", "64", "q", "p"]) == 2
+    capsys.readouterr()
+    assert run(["star", "rho0", "rho0", "--seed", "3", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    assert not (tmp_path / "star_field.csv").exists()
+
+
 def test_eigenstate_export(tmp_path, capsys):
     rc = run(["eigenstate", "--grid", "32", "--samples", "21", "--xi", "2.0",
               "--out", str(tmp_path), "--json"])

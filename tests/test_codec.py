@@ -1,0 +1,61 @@
+"""The spectral codecs of ``sampling`` and the rule that they are the only ones."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gupstar.beta_arith import BetaContext
+from gupstar.sampling import (Wavefunction, _line_coeffs, _line_values, _sheared_coeffs,
+                              _sheared_values)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+sizes = st.integers(1, 32).map(lambda k: 2 * k)
+mods = st.floats(-40.0, 40.0)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+def _samples(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@PROPERTY
+@given(n=sizes, mod=mods, rows=st.integers(1, 4), seed=seeds)
+def test_line_codec_round_trip(n, mod, rows, seed):
+    v = _samples(seed, (rows, n))
+    assert _rel(_line_values(_line_coeffs(v, mod), mod), v) <= 1e-12
+    assert _rel(_line_coeffs(_line_values(v, mod), mod), v) <= 1e-12
+
+
+@PROPERTY
+@given(n=sizes, lam=st.floats(0.0, 1.0), s0=mods, b0=mods, seed=seeds)
+def test_sheared_codec_round_trip(n, lam, s0, b0, seed):
+    v = _samples(seed, (n, n))
+    for lam_ in (lam, 0.0):  # kernels use the codec at lam = 0
+        assert _rel(_sheared_values(_sheared_coeffs(v, lam_, (s0, b0)), lam_, (s0, b0)), v) <= 1e-12
+        assert _rel(_sheared_coeffs(_sheared_values(v, lam_, (s0, b0)), lam_, (s0, b0)), v) <= 1e-12
+
+
+@PROPERTY
+@given(n=sizes, mod=mods, seed=seeds, offsets=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6))
+def test_at_offset_per_row_matches_scalar_calls(n, mod, seed, offsets):
+    psi = Wavefunction(BetaContext(1.0, 1.0, 0.5), _samples(seed, n), mod)
+    rows = psi.at_offset(np.array(offsets))
+    assert rows.shape == (len(offsets), n)
+    for t, row in zip(offsets, rows):
+        assert _rel(row, psi.at_offset(t)) <= 1e-12
+
+
+def test_codecs_live_in_sampling_only():
+    forbidden = re.compile(r"\bnp\.fft\b|\bnumpy\.fft\b|\b_vals_to_coeffs\b|\b_coeffs_to_vals\b")
+    src = Path(__file__).resolve().parent.parent / "src" / "gupstar"
+    offenders = [f"{path.name}:{i}" for path in sorted(src.glob("*.py")) if path.name != "sampling.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1) if forbidden.search(line)]
+    assert not offenders, offenders

@@ -6,12 +6,11 @@ import pytest
 from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element, random_state
 from gupstar.operator_rep import wigner
-from gupstar.sampling import TorusField, angle_nodes, deriv_p, deriv_pprime, seminorm, synth_columns, wf_inner
+from gupstar.sampling import TorusField, angle_nodes, deriv_p, deriv_pprime, seminorm, wf_inner
 from gupstar.star_algebra import (SymbolObservable, cstar_norm_estimate, expectation, inner,
                                   involution, norm2, pointwise_trace, s_operator, star,
                                   star_direct, star_symbol_left, star_symbol_right, trace)
 from gupstar.states import ml_phase_state, position_eigenvector
-from gupstar.verify import brute_star_7b
 
 
 def test_projector_idempotence(ctx):
@@ -19,16 +18,6 @@ def test_projector_idempotence(ctx):
     assert np.abs(star(rho0, rho0).values - rho0.values).max() < 1e-12
     assert trace(rho0) == pytest.approx(1.0, abs=1e-13)
     assert inner(rho0, rho0) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_star_vs_brute_oracle_8x8(rng):
-    ctx = BetaContext(1.0, 1.0, 0.5)
-    f = random_element(ctx, 8, rng, mmax=1, parity=1)
-    g = random_element(ctx, 8, rng, mmax=1, parity=1)
-    ms = np.arange(-4, 5)
-    brute = brute_star_7b(f, g, ms)
-    prod = synth_columns(star(f, g), ms * ctx.q_lattice_step)
-    assert np.abs(prod - brute).max() / np.abs(brute).max() < 1e-8
 
 
 def test_star_vs_direct_route(ctx, rng):

@@ -8,8 +8,7 @@ from gupstar.operator_rep import qhat_apply, uncertainty, wigner
 from gupstar.sampling import angle_nodes, synth_grid
 from gupstar.star_algebra import SymbolObservable, inner, star, star_symbol_left, star_symbol_right
 from gupstar.states import (eigenvector_flags, ml_phase_function, ml_phase_state,
-                            ml_sinc_form, ml_sinc_form_standard, ml_sinc_form_symmetric,
-                            ml_wavefunction, position_eigenvector)
+                            ml_sinc_form, ml_wavefunction, position_eigenvector)
 
 
 def ml_defining_integral(ctx, xi, q, p, nquad=20001):
@@ -109,15 +108,6 @@ def test_ml_sinc_form_on_strip(ctx, rng):
         q = rng.uniform(-8, 8)
         p = rng.uniform(-0.99, 0.99)  # |p| < 1 at the symmetric ordering
         assert abs(ev(q, p) - ml_sinc_form(ctx, 0.0, q, p)) < 1e-12
-    # and the specialized forms match the general expression pointwise
-    for _ in range(50):
-        q, p = rng.uniform(-8, 8), rng.uniform(-50, 50)
-        c0 = BetaContext(1.0, 1.0, 0.0)
-        assert abs(ml_sinc_form(c0, 0.3, q, p)
-                   - ml_sinc_form_standard(c0, 0.3, q, p)) < 1e-12
-        ch = BetaContext(1.0, 1.0, 0.5)
-        assert abs(ml_sinc_form(ch, 0.3, q, p)
-                   - ml_sinc_form_symmetric(ch, 0.3, q, p)) < 1e-12
 
 
 def test_ml_reality_and_parity(ctx):
