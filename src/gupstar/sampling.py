@@ -36,12 +36,13 @@ plain 2-d expansion with ``mod = (mu_u, mu_v)``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .beta_arith import BetaContext
+from .beta_arith import BetaContext, angle_of
 
 __all__ = [
     "AngleGrid",
@@ -167,6 +168,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """Frozen carrier samples; NaN or infinite samples are rejected."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} samples must be finite")
+    return _frozen(a)
+
+
 # ---------------------------------------------------------------------------
 # wavefunctions
 # ---------------------------------------------------------------------------
@@ -191,12 +199,12 @@ class Wavefunction:
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 1 or v.size % 2 != 0:
             raise ValueError("wavefunction needs a 1-d sample array of even length")
-        object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "values", _finite(v, "wavefunction"))
         if self.deriv is not None:
             d = np.asarray(self.deriv, dtype=complex)
             if d.shape != v.shape:
                 raise ValueError("derivative samples must match the value samples")
-            object.__setattr__(self, "deriv", _frozen(d))
+            object.__setattr__(self, "deriv", _finite(d, "wavefunction derivative"))
 
     @property
     def n(self) -> int:
@@ -270,7 +278,7 @@ class TorusField:
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2 != 0:
             raise ValueError("field needs a square sample array of even size")
-        object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "values", _finite(v, "field"))
         object.__setattr__(self, "mod", (float(self.mod[0]), float(self.mod[1])))
 
     @property
@@ -347,6 +355,21 @@ def seminorm(f: TorusField, n_idx: int, m_idx: int) -> float:
     return float(np.abs(g.values).max())
 
 
+def _sinc_sums(f: TorusField, qs: np.ndarray) -> np.ndarray:
+    """Per-mode window integrals: out[iq, b] = sum_c coef[c, b] sinc(nu[c, b] + w_iq).
+
+    ``w = q/(2 hbar sqrt(beta))``; shape (len(qs), n).  Every synthesis route
+    goes through this loop.
+    """
+    coef = f.coeffs()
+    nu, _ = f.freq_grids()
+    w = qs / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta)
+    out = np.empty((qs.size, f.n), dtype=complex)
+    for iq, wv in enumerate(w):
+        out[iq] = (coef * np.sinc(nu + wv)).sum(axis=0)
+    return out
+
+
 def synth_columns(f: TorusField, qs: np.ndarray) -> np.ndarray:
     """f(q, p) on the angle grid columns for an array of positions q.
 
@@ -356,17 +379,8 @@ def synth_columns(f: TorusField, qs: np.ndarray) -> np.ndarray:
     Returns an array of shape (len(qs), n).
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
-    n = f.n
-    coef = f.coeffs()
-    nu, _ = f.freq_grids()
-    w = qs / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta)
-    # inner[iq, b] = sum_c coef[c, b] sinc(nu[c, b] + w[iq])
-    inner = np.empty((qs.size, n), dtype=complex)
-    for iq, wv in enumerate(w):
-        inner[iq] = (coef * np.sinc(nu + wv)).sum(axis=0)
-    vals = _coeffs_to_vals(inner, axis=1)
-    a = angle_nodes(n)[None, :]
-    vals = vals * np.exp(2j * f.mod[1] * a)
+    vals = _coeffs_to_vals(_sinc_sums(f, qs), axis=1)
+    vals = vals * np.exp(2j * f.mod[1] * angle_nodes(f.n))[None, :]
     return vals / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta)
 
 
@@ -374,33 +388,19 @@ def synth_grid(f: TorusField, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """f(q, p) on an arbitrary rectangular (q, p) window, shape (len(qs), len(ps))."""
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
-    n = f.n
-    coef = f.coeffs()
-    nu, _ = f.freq_grids()
-    b = mode_numbers(n) + f.mod[1]
-    alphas = np.arctan(f.ctx.sqrt_beta * ps)
-    eb = np.exp(2j * np.outer(b, alphas))  # (n, len(ps))
-    w = qs / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta)
+    b = mode_numbers(f.n) + f.mod[1]
+    eb = np.exp(2j * np.outer(b, np.arctan(f.ctx.sqrt_beta * ps)))  # (n, len(ps))
     out = np.empty((qs.size, ps.size), dtype=complex)
-    for iq, wv in enumerate(w):
-        inner = (coef * np.sinc(nu + wv)).sum(axis=0)  # (n,) over b
-        out[iq] = inner @ eb
+    for iq, row in enumerate(_sinc_sums(f, qs)):
+        out[iq] = row @ eb  # per q: one matrix product would round differently
     return out / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta)
 
 
 def synth(f: TorusField, q: float, p) -> complex:
     """Point evaluation of f(q, p); p may be the INFINITY sentinel."""
-    from .beta_arith import is_infinite
-    if is_infinite(p):
-        n = f.n
-        coef = f.coeffs()
-        nu, _ = f.freq_grids()
-        w = q / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta)
-        b = mode_numbers(n) + f.mod[1]
-        inner = (coef * np.sinc(nu + w)).sum(axis=0)
-        val = (inner * np.exp(2j * b * (-np.pi / 2))).sum()
-        return complex(val / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta))
-    return complex(synth_grid(f, np.array([q]), np.array([float(p)]))[0, 0])
+    b = mode_numbers(f.n) + f.mod[1]
+    val = _sinc_sums(f, np.array([float(q)]))[0] @ np.exp(2j * b * angle_of(f.ctx, p))
+    return complex(val / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta))
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +459,10 @@ def analyze(ctx: BetaContext, lattice: LatticeField) -> TorusField:
 # ---------------------------------------------------------------------------
 
 def write_text_atomic(path, text: str) -> None:
-    import os
-    import tempfile
-    path = str(path)
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    """Write through a temporary file and a rename; the mode follows the umask."""
+    path = os.path.abspath(path)
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -473,25 +472,23 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+def _write_csv(path, header: str, xs: np.ndarray, ys: np.ndarray, vals: np.ndarray) -> None:
+    """Rows `x,y,re,im` of vals[i, k] at (xs[i], ys[k]), row-major, full precision."""
+    lines = [header]
+    for i, x in enumerate(xs):
+        for k, y in enumerate(ys):
+            v = vals[i, k]
+            lines.append(f"{x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g}")
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
 def torus_to_csv(f: TorusField, path) -> None:
     """Rows `alpha_prime,alpha,re,im`, row-major in (j, k)."""
     ap = angle_nodes(f.n)
-    lines = ["alpha_prime,alpha,re,im"]
-    for j in range(f.n):
-        for k in range(f.n):
-            v = f.values[j, k]
-            lines.append(f"{ap[j]:.17g},{ap[k]:.17g},{v.real:.17g},{v.imag:.17g}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    _write_csv(path, "alpha_prime,alpha,re,im", ap, ap, f.values)
 
 
 def lattice_to_csv(lat: LatticeField, path) -> None:
     """Rows `q,p,re,im`, row-major in (m, k)."""
-    a = angle_nodes(lat.n)
-    ps = np.tan(a) / lat.ctx.sqrt_beta
-    qs = lat.qs
-    lines = ["q,p,re,im"]
-    for i in range(lat.ms.size):
-        for k in range(lat.n):
-            v = lat.values[i, k]
-            lines.append(f"{qs[i]:.17g},{ps[k]:.17g},{v.real:.17g},{v.imag:.17g}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    ps = np.tan(angle_nodes(lat.n)) / lat.ctx.sqrt_beta
+    _write_csv(path, "q,p,re,im", lat.qs, ps, lat.values)

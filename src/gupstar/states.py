@@ -20,9 +20,9 @@ from .sampling import (
     TorusField,
     Wavefunction,
     _line_coeffs,
+    _write_csv,
     angle_nodes,
     mode_numbers,
-    write_text_atomic,
 )
 
 __all__ = [
@@ -241,9 +241,4 @@ def ml_phase_state(ctx: BetaContext, xi: float, n: int) -> MaxLocalizationState:
 
 def phase_space_csv(path, qs: np.ndarray, ps: np.ndarray, vals: np.ndarray) -> None:
     """Write a (q, p) window of complex values as `q,p,re,im` rows."""
-    lines = ["q,p,re,im"]
-    for i, q in enumerate(qs):
-        for k, p in enumerate(ps):
-            v = vals[i, k]
-            lines.append(f"{q:.17g},{p:.17g},{v.real:.17g},{v.imag:.17g}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    _write_csv(path, "q,p,re,im", qs, ps, vals)

@@ -5,6 +5,9 @@ another resolution.  Tolerances are stated inline and never loosened at run
 time; the one expected failure (the quoted second-order coefficient of the
 alternative product) is asserted verbatim and marked as such, with the derived
 coefficient pinned right below it.
+
+A criterion that a `verify` check already states is read from one run of the
+battery at the CLI defaults: ``BATTERY`` maps its label to those check names.
 """
 
 import json
@@ -17,16 +20,14 @@ import pytest
 from gupstar.beta_arith import BetaContext
 from gupstar.cli import main as cli_main
 from gupstar.families import random_element, random_state
-from gupstar.formal_cas import ALT, MAIN, FormalPoly, classical_limit, formal_commutator, formal_star
+from gupstar.formal_cas import ALT, FormalPoly, formal_star
 from gupstar.operator_rep import (adjoint_kernel, apply_operator, compose_kernels,
                                   hilbert_schmidt, kernel_of, marginal_momentum,
-                                  qhat_apply, trace_op, uncertainty, wigner)
-from gupstar.sampling import angle_nodes, synth_columns, synth_grid, wf_inner
-from gupstar.star_algebra import (SymbolObservable, cstar_norm_estimate, inner, involution,
-                                  norm2, pointwise_trace, star, star_symbol_left,
-                                  star_symbol_right, trace)
-from gupstar.states import ml_phase_state, ml_wavefunction, position_eigenvector
-from gupstar.verify import RunConfig, _truncation_slope, brute_star_7b
+                                  trace_op, uncertainty, wigner)
+from gupstar.sampling import angle_nodes, synth_grid, wf_inner
+from gupstar.star_algebra import inner, involution, norm2, pointwise_trace, star, trace
+from gupstar.states import ml_phase_state, ml_wavefunction
+from gupstar.verify import SUITES, RunConfig
 
 CTX = BetaContext(1.0, 1.0, 0.5)
 
@@ -37,6 +38,39 @@ def report(name: str, measured: float, tol: float) -> None:
     assert ok, f"{name}: {measured:.3e} exceeds {tol:.1e}"
 
 
+BATTERY = {
+    "criterion 1: exact algebra oracle (main family)": (
+        "formal.position_momentum_commutator", "formal.position_square",
+        "formal.momentum_square", "formal.classical_bracket"),
+    "criterion 1: alternative family (derived second order)": (
+        "formal.alt_position_square_derived", "formal.alt_momentum_square",
+        "formal.alt_commutator"),
+    "criterion 2a: star vs brute-force double quadrature (8x8)": (
+        "star.vs_brute_double_quadrature",),
+    "criterion 5: C*-property |f* f| = |f|^2": ("star.cstar_property",),
+    "criterion 7a: star eigenvalue relations, both sides": (
+        "states.position_eigen_left", "states.position_eigen_right"),
+    "criterion 7b: operator eigenvalue relation": ("states.position_eigen_operator",),
+    "criterion 8g: origin value 1 + 2/pi": ("states.ml_origin_value",),
+    "criterion 10: truncation error slope 3 +/- 0.3": ("formal.truncation_slope",),
+}
+
+
+@pytest.fixture(scope="module")
+def battery(suite_results):
+    """Every check of the verify battery at the CLI defaults, by name."""
+    return {c.name: c for suite in SUITES for c in suite_results(RunConfig(), suite)}
+
+
+def report_battery(battery, label: str) -> None:
+    """Report each check of one BATTERY row; a name missing from the battery fails."""
+    for name in BATTERY[label]:
+        if name not in battery:
+            report(f"{label} [{name} is not in the battery]", math.inf, 0.0)
+        c = battery[name]
+        report(f"{label} [{name}]", c.measured, c.tolerance)
+
+
 Q = FormalPoly.var("q")
 P = FormalPoly.var("p")
 LAM = FormalPoly.var("lam")
@@ -45,24 +79,12 @@ BETA = FormalPoly.var("beta")
 ONE = FormalPoly.const(1)
 
 
-def test_criterion_1_exact_algebra_oracle():
-    comm = formal_commutator(MAIN, Q, P, 1)
-    ok = comm.poly == (HBAR + HBAR * BETA * P * P).scale(0, 1) and comm.terminated
-    ok &= formal_star(MAIN, Q, Q, 4).poly == Q * Q
-    ok &= formal_star(MAIN, P, P, 4).poly == P * P
-    ok &= classical_limit(MAIN, Q, P) == ONE + BETA * P * P
-    report("criterion 1: exact algebra oracle (main family)", 0.0 if ok else 1.0, 0.0)
+def test_criterion_1_exact_algebra_oracle(battery):
+    report_battery(battery, "criterion 1: exact algebra oracle (main family)")
 
 
-def test_criterion_1_alt_product_derived_coefficient():
-    derived = (Q * Q + (HBAR * BETA * Q * P * (LAM.scale(2) - ONE)).scale(0, 1)
-               + HBAR * HBAR * BETA * BETA * P * P * LAM * (ONE - LAM))
-    r = formal_star(ALT, Q, Q, 2)
-    ok = r.poly == derived and r.terminated
-    ok &= formal_star(ALT, P, P, 3).poly == P * P
-    ok &= (formal_commutator(ALT, Q, P, 3).poly
-           == (HBAR + HBAR * BETA * P * P).scale(0, 1))
-    report("criterion 1: alternative family (derived second order)", 0.0 if ok else 1.0, 0.0)
+def test_criterion_1_alt_product_derived_coefficient(battery):
+    report_battery(battery, "criterion 1: alternative family (derived second order)")
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -78,14 +100,8 @@ def test_criterion_1_alt_product_as_stated():
     assert r.poly == stated
 
 
-def test_criterion_2_star_correctness(rng):
-    f = random_element(CTX, 8, rng, mmax=1, parity=1)
-    g = random_element(CTX, 8, rng, mmax=1, parity=1)
-    ms = np.arange(-4, 5)
-    brute = brute_star_7b(f, g, ms)
-    prod = synth_columns(star(f, g), ms * CTX.q_lattice_step)
-    report("criterion 2a: star vs brute-force double quadrature (8x8)",
-           float(np.abs(prod - brute).max() / np.abs(brute).max()), 1e-8)
+def test_criterion_2_star_correctness(battery, rng):
+    report_battery(battery, "criterion 2a: star vs brute-force double quadrature (8x8)")
 
     worst = 0.0
     for _ in range(20):
@@ -145,7 +161,7 @@ def _algebra_side_norm(f, iters=60):
     return est
 
 
-def test_criterion_5_representation_faithfulness(rng):
+def test_criterion_5_representation_faithfulness(battery, rng):
     n = 64
     worst = {"composition": 0.0, "adjoint": 0.0, "trace": 0.0, "hs": 0.0, "norm": 0.0}
     for _ in range(20):
@@ -170,11 +186,7 @@ def test_criterion_5_representation_faithfulness(rng):
     for key, tol in (("composition", 1e-7), ("adjoint", 1e-7), ("trace", 1e-7),
                      ("hs", 1e-7), ("norm", 1e-7)):
         report(f"criterion 5: {key} intertwiner (20 elements)", worst[key], tol)
-
-    f = random_element(CTX, n, rng)
-    nf = cstar_norm_estimate(f)
-    report("criterion 5: C*-property |f* f| = |f|^2",
-           abs(cstar_norm_estimate(star(involution(f), f)) - nf ** 2) / nf ** 2, 1e-6)
+    report_battery(battery, "criterion 5: C*-property |f* f| = |f|^2")
 
 
 def test_criterion_6_wigner_calculus(rng):
@@ -201,23 +213,9 @@ def test_criterion_6_wigner_calculus(rng):
            float(np.abs(m - np.abs(a.values) ** 2).max()), 1e-8)
 
 
-def test_criterion_7_position_eigenvectors():
-    n = 256
-    worst_star = 0.0
-    worst_op = 0.0
-    for xi in (0.0, 1.0, 2.0, 3.7):
-        pe = position_eigenvector(CTX, xi, n)
-        qsym = SymbolObservable.position_power(CTX, n, 1)
-        scale = np.abs(pe.rho.values).max()
-        worst_star = max(worst_star,
-                         float(np.abs(star_symbol_left(qsym, pe.rho).values
-                                      - xi * pe.rho.values).max() / scale),
-                         float(np.abs(star_symbol_right(pe.rho, qsym).values
-                                      - xi * pe.rho.values).max() / scale))
-        worst_op = max(worst_op, float(np.abs(qhat_apply(pe.psi).values
-                                              - xi * pe.psi.values).max()))
-    report("criterion 7a: star eigenvalue relations, both sides", worst_star, 1e-9)
-    report("criterion 7b: operator eigenvalue relation", worst_op, 1e-10)
+def test_criterion_7_position_eigenvectors(battery):
+    report_battery(battery, "criterion 7a: star eigenvalue relations, both sides")
+    report_battery(battery, "criterion 7b: operator eigenvalue relation")
 
 
 def _ml_window_error(n):
@@ -230,7 +228,7 @@ def _ml_window_error(n):
     return float(np.abs(grid - ref).max())
 
 
-def test_criterion_8_maximal_localization():
+def test_criterion_8_maximal_localization(battery):
     e512 = _ml_window_error(512)
     report("criterion 8a: sampled Wigner vs closed form (n=512)", e512, 1e-4)
     e2048 = _ml_window_error(2048)
@@ -244,9 +242,7 @@ def test_criterion_8_maximal_localization():
         report("criterion 8e: minimal position spread",
                abs(u.dq - CTX.min_dq) / CTX.min_dq, 1e-6)
         report("criterion 8f: uncertainty bound saturated", abs(u.gup_slack), 1e-6)
-    ml = ml_phase_state(CTX, 0.0, 64)
-    report("criterion 8g: origin value 1 + 2/pi",
-           abs(ml.evaluate(0.0, 0.0) - (1 + 2 / math.pi)), 1e-10)
+    report_battery(battery, "criterion 8g: origin value 1 + 2/pi")
 
 
 def test_criterion_9_uncertainty_inequality():
@@ -260,9 +256,8 @@ def test_criterion_9_uncertainty_inequality():
            max(0.0, -worst), 1e-9)
 
 
-def test_criterion_10_asymptotic_consistency():
-    slope = _truncation_slope(RunConfig())
-    report("criterion 10: truncation error slope 3 +/- 0.3", abs(slope - 3.0), 0.3)
+def test_criterion_10_asymptotic_consistency(battery):
+    report_battery(battery, "criterion 10: truncation error slope 3 +/- 0.3")
 
 
 def test_criterion_11_figure_data(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -171,3 +173,25 @@ def test_export_command(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "field.csv").exists()
     assert (tmp_path / "lattice.csv").exists()
+
+
+@pytest.mark.parametrize("args", [["mlstate", "--xi", "nan"], ["eigenstate", "--xi", "inf"],
+                                  ["export", "rho:inf"], ["star", "rho:nan", "rho0"]],
+                         ids=["mlstate-nan", "eigenstate-inf", "export-inf", "star-nan"])
+def test_non_finite_input_is_a_usage_error(tmp_path, capsys, args):
+    assert run(args + ["--grid", "16", "--out", str(tmp_path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exported_files_follow_the_umask(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        rc = run(["export", "rho0", "--grid", "16", "--out", str(tmp_path),
+                  "--lattice-halfwidth", "2"])
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert rc == 0
+    for name in ("field.csv", "lattice.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640

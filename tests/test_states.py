@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from gupstar.beta_arith import BetaContext
-from gupstar.operator_rep import qhat_apply, uncertainty, wigner
-from gupstar.sampling import angle_nodes, synth_grid
-from gupstar.star_algebra import SymbolObservable, inner, star, star_symbol_left, star_symbol_right
-from gupstar.states import (eigenvector_flags, ml_phase_function, ml_phase_state,
-                            ml_sinc_form, ml_wavefunction, position_eigenvector)
+from gupstar.operator_rep import uncertainty, wigner
+from gupstar.states import (eigenvector_flags, ml_phase_function, ml_sinc_form,
+                            ml_wavefunction, position_eigenvector)
 
 
 def ml_defining_integral(ctx, xi, q, p, nquad=20001):
@@ -38,17 +36,6 @@ def test_eigenvector_profile(ctx):
     # transformed profile is a pure first-slot phase of fixed modulus
     assert np.abs(np.abs(pe.rho.values) - 2.0).max() < 1e-12
     assert np.abs(wigner(pe.psi, pe.psi).values - pe.rho.values).max() < 1e-12
-
-
-@pytest.mark.parametrize("xi", [0.0, 1.0, 2.0, 3.7])
-def test_eigenvector_star_relations(ctx, xi):
-    n = 64
-    pe = position_eigenvector(ctx, xi, n)
-    qsym = SymbolObservable.position_power(ctx, n, 1)
-    scale = np.abs(pe.rho.values).max()
-    assert np.abs(star_symbol_left(qsym, pe.rho).values - xi * pe.rho.values).max() < 1e-9 * scale
-    assert np.abs(star_symbol_right(pe.rho, qsym).values - xi * pe.rho.values).max() < 1e-9 * scale
-    assert np.abs(qhat_apply(pe.psi).values - xi * pe.psi.values).max() < 1e-10
 
 
 def test_eigenvector_not_a_state(ctx):
@@ -118,25 +105,6 @@ def test_ml_reality_and_parity(ctx):
     ev0 = ml_phase_function(c0, 0.0)
     for q, p in ((0.3, 2.7), (-4.1, 5.0)):
         assert abs(ev0(q, p) - np.conj(ev0(q, -p))) < 1e-13  # Im odd in p
-
-
-def test_ml_wigner_matches_evaluator(ctx):
-    n = 256
-    ml = ml_phase_state(ctx, 0.0, n)
-    qs = np.linspace(-6, 6, 13)
-    ks = np.arange(0, n, 8)
-    ps = np.tan(angle_nodes(n)[ks])
-    grid = synth_grid(ml.rho, qs, ps)
-    ref = np.array([[ml.evaluate(q, p) for p in ps] for q in qs])
-    assert np.abs(grid - ref).max() < 4e-4  # kink-limited at this resolution
-
-
-def test_ml_idempotent(ctx):
-    n = 256
-    ml = ml_phase_state(ctx, 0.0, n)
-    rr = star(ml.rho, ml.rho)
-    d = rr.with_values(rr.values - ml.rho.values)
-    assert math.sqrt(inner(d, d).real) < 4e-6
 
 
 def test_ml_lattice_shift_covariance(ctx):

@@ -4,8 +4,7 @@ import pytest
 from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element, random_qlocalized, random_state
 from gupstar.operator_rep import wigner
-from gupstar.sampling import (TorusField, angle_nodes, deriv_p, lattice_from_field,
-                              mode_numbers, synth_grid)
+from gupstar.sampling import TorusField, angle_nodes, deriv_p, mode_numbers, synth_grid
 from gupstar.star_algebra import inner, star
 from gupstar.states import position_eigenvector
 from gupstar.transforms import (SymplecticPair, conv_generalized, conv_unit, mult_by_atan_p,
@@ -29,24 +28,6 @@ def test_symmetric_fixed_point(ctx, rng):
     f = random_element(ctx, 32, rng)
     sym = TorusField(ctx, 0.5 * (f.values + f.values.T))
     assert np.abs(symplectic_fourier(sym).values - sym.values).max() < 1e-14
-
-
-def test_fourier_brute_quadrature_crosscheck(ctx, rng):
-    """Independent double quadrature of the defining transform integral."""
-    n = 32
-    f = random_element(ctx, n, rng, parity=0)
-    ms = np.arange(-n // 2, n // 2 + 1)
-    lat = lattice_from_field(f, half_width=n // 2)
-    a = angle_nodes(n)
-    E = np.exp(-2j * np.outer(a, ms))
-    qtr = ctx.q_lattice_step * (E @ lat.values)         # position transform
-    w = (np.pi / n) / ctx.sqrt_beta
-    brute = np.empty((ms.size, n), dtype=complex)
-    for i, m in enumerate(ms):
-        brute[i] = w * (qtr * np.exp(2j * m * a)[None, :]).sum(axis=1) / (2 * np.pi * ctx.hbar)
-    ref = _pair_lattice(symplectic_fourier(f), ms)
-    scale = np.abs(ref).max()
-    assert np.abs(brute - ref).max() / scale < 1e-8
 
 
 def test_conv_unit_and_commutativity(ctx, rng):

@@ -1,12 +1,24 @@
+import pytest
+
 from gupstar.verify import SUITES, RunConfig, run_suites
 
+# the CLI defaults (`gupstar verify`: grid 256, seed 42) and a second grid and seed
+CONFIGS = {"defaults": RunConfig(), "n96-seed7": RunConfig(grid_n=96, seed=7)}
 
-def test_default_battery_passes():
-    res = run_suites(RunConfig(grid_n=96, seed=7))
-    assert set(res) == set(SUITES)
-    for checks in res.values():
-        for c in checks:
-            assert c.passed, f"{c.name}: {c.measured} > {c.tolerance}"
+
+@pytest.mark.parametrize("suite", list(SUITES))
+@pytest.mark.parametrize("config", list(CONFIGS))
+def test_suite_passes(suite_results, config, suite):
+    failed = [f"{c.name}: measured {c.measured:.3e} > tolerance {c.tolerance:.1e}"
+              for c in suite_results(CONFIGS[config], suite) if not c.passed]
+    assert not failed, "failed checks:\n" + "\n".join(failed)
+
+
+def test_check_names_are_unique(suite_results):
+    # the acceptance table looks checks up by name
+    for cfg in CONFIGS.values():
+        names = [c.name for suite in SUITES for c in suite_results(cfg, suite)]
+        assert len(names) == len(set(names))
 
 
 def test_insufficient_resolution_skips():
