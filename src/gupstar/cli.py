@@ -37,7 +37,8 @@ _FLAGS = {
     "tol-scale": (("--tol-scale",), dict(dest="tol_scale", type=float, default=1.0,
                                          help="multiply every tolerance by this factor")),
     "json": (("--json",), dict(action="store_true", help="emit a JSON report on stdout")),
-    "lattice-halfwidth": (("--lattice-halfwidth",), dict(type=int, default=None)),
+    "lattice-halfwidth": (("--lattice-halfwidth",), dict(
+        type=int, default=None, help="position-lattice half width M >= 0 (default 2*grid)")),
 }
 _CONTEXT = ("beta", "hbar", "lambda", "grid")
 
@@ -92,6 +93,11 @@ def cmd_window(args) -> int:
     ``mlstate`` exports a maximal-localization state, ``eigenstate`` a
     position eigenvector, both over the same (q, p) window.
     """
+    bounds = (args.qmin, args.qmax, args.pmin, args.pmax)
+    if not all(np.isfinite(bounds)):
+        raise ValueError("--qmin/--qmax/--pmin/--pmax must be finite")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     ctx = _ctx(args)
     qs = np.linspace(args.qmin, args.qmax, args.samples)
     ps = np.linspace(args.pmin, args.pmax, args.samples)
@@ -119,9 +125,10 @@ def cmd_window(args) -> int:
 
 def _export_field(args, f, prefix: str, label: str) -> int:
     """Write a field and its position-lattice samples as CSV."""
+    M = 2 * args.grid_n if args.lattice_halfwidth is None else args.lattice_halfwidth
+    lat = lattice_from_field(f, half_width=M)
     os.makedirs(args.out, exist_ok=True)
     torus_to_csv(f, os.path.join(args.out, f"{prefix}field.csv"))
-    lat = lattice_from_field(f, half_width=args.lattice_halfwidth or 2 * args.grid_n)
     lattice_to_csv(lat, os.path.join(args.out, f"{prefix}lattice.csv"))
     print(f"wrote {prefix}field.csv, {prefix}lattice.csv for {label}")
     return 0

@@ -55,7 +55,6 @@ __all__ = [
     "shift_field",
     "synth",
     "synth_grid",
-    "synth_columns",
     "analyze",
     "seminorm",
     "deriv_p",
@@ -358,8 +357,8 @@ def seminorm(f: TorusField, n_idx: int, m_idx: int) -> float:
 def _sinc_sums(f: TorusField, qs: np.ndarray) -> np.ndarray:
     """Per-mode window integrals: out[iq, b] = sum_c coef[c, b] sinc(nu[c, b] + w_iq).
 
-    ``w = q/(2 hbar sqrt(beta))``; shape (len(qs), n).  Every synthesis route
-    goes through this loop.
+    ``w = q/(2 hbar sqrt(beta))``; shape (len(qs), n).  The off-lattice
+    synthesis routes go through this loop; the lattice has its own.
     """
     coef = f.coeffs()
     nu, _ = f.freq_grids()
@@ -368,20 +367,6 @@ def _sinc_sums(f: TorusField, qs: np.ndarray) -> np.ndarray:
     for iq, wv in enumerate(w):
         out[iq] = (coef * np.sinc(nu + wv)).sum(axis=0)
     return out
-
-
-def synth_columns(f: TorusField, qs: np.ndarray) -> np.ndarray:
-    """f(q, p) on the angle grid columns for an array of positions q.
-
-    Implements the inverse position transform
-    ``f(q,p) = (1/(2 pi hbar sqrt(beta))) Int F(a', alpha(p)) e^{i q a'/(hbar sqrt(beta))} da'``
-    through per-mode window integrals, exact for the carried frequency content.
-    Returns an array of shape (len(qs), n).
-    """
-    qs = np.atleast_1d(np.asarray(qs, dtype=float))
-    vals = _coeffs_to_vals(_sinc_sums(f, qs), axis=1)
-    vals = vals * np.exp(2j * f.mod[1] * angle_nodes(f.n))[None, :]
-    return vals / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta)
 
 
 def synth_grid(f: TorusField, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -433,18 +418,39 @@ class LatticeField:
 
 
 def lattice_from_field(f: TorusField, half_width: Optional[int] = None) -> LatticeField:
-    """Sample a field on the position lattice m in [-M, M]; default M = 4n."""
-    M = 4 * f.n if half_width is None else int(half_width)
+    """Sample a field on the position lattice m in [-M, M]; default M = 4n.
+
+    Implements the inverse position transform
+    ``f(q,p) = (1/(2 pi hbar sqrt(beta))) Int F(a', alpha(p)) e^{i q a'/(hbar sqrt(beta))} da'``
+    at ``q = m * q_lattice_step``, exact for the carried frequency content.
+    There ``w = q/(2 hbar sqrt(beta))`` is the integer m, so the window
+    integral of alpha mode b is the correlation
+    ``sum_c coef[c, b] sinc(d_b + c + m)`` with ``d_b = lam*(b + b0) + s0``:
+    one table of ``sinc(d_b + k)`` and one batched FFT correlate it with
+    every coefficient column.
+    """
+    n = f.n
+    M = 4 * n if half_width is None else int(half_width)
+    if M < 0:
+        raise ValueError(f"lattice half width must be nonnegative, got {M}")
+    s0, b0 = f.mod
+    d = f.ctx.lam * (mode_numbers(n) + b0) + s0
+    k = np.arange(-(n // 2) - M, n // 2 + M)
+    table = np.sinc(d[:, None] + k)  # [b, c + m + n/2 + M]
+    rev = np.fft.fftshift(f.coeffs(), axes=0)[::-1].T  # [b, n/2 - 1 - c]
+    size = 2 * M + 2 * n
+    corr = np.fft.ifft(np.fft.fft(table, size) * np.fft.fft(rev, size))
+    sums = corr[:, n - 1:n + 2 * M].T  # [m + M, b]
+    vals = _coeffs_to_vals(sums, axis=1) * np.exp(2j * b0 * angle_nodes(n))
     ms = np.arange(-M, M + 1)
-    vals = synth_columns(f, ms * f.ctx.q_lattice_step)
-    return LatticeField(f.ctx, ms, vals)
+    return LatticeField(f.ctx, ms, vals / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta))
 
 
 def analyze(ctx: BetaContext, lattice: LatticeField) -> TorusField:
     """Position transform of lattice samples onto the torus.
 
     ``f~(a', a) = q_lattice_step * sum_m f(q_m, a) e^{-2 i m a'}``; inverse of
-    the lattice sampling of :func:`synth_columns` for data whose lattice modes
+    the lattice sampling of :func:`lattice_from_field` for data whose lattice modes
     fit below the Nyquist index n/2.
     """
     n = lattice.n
@@ -473,13 +479,16 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def _write_csv(path, header: str, xs: np.ndarray, ys: np.ndarray, vals: np.ndarray) -> None:
-    """Rows `x,y,re,im` of vals[i, k] at (xs[i], ys[k]), row-major, full precision."""
-    lines = [header]
-    for i, x in enumerate(xs):
-        for k, y in enumerate(ys):
-            v = vals[i, k]
-            lines.append(f"{x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    """Rows `x,y,re,im` of vals[i, k] at (xs[i], ys[k]), row-major, full precision.
+
+    Each y is formatted once into a row template; a row of values then costs
+    one ``%`` call over its real and imaginary parts.
+    """
+    template = "".join(f"\0,{y:.17g},%.17g,%.17g\n" for y in ys)
+    parts = np.ascontiguousarray(vals, dtype=complex).view(float)
+    rows = [template.replace("\0", f"{x:.17g}") % tuple(row.tolist())
+            for x, row in zip(xs, parts)]
+    write_text_atomic(path, "".join([header + "\n", *rows]))
 
 
 def torus_to_csv(f: TorusField, path) -> None:

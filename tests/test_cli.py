@@ -195,3 +195,31 @@ def test_exported_files_follow_the_umask(tmp_path, capsys):
     assert rc == 0
     for name in ("field.csv", "lattice.csv"):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("args", [["--qmin", "nan"], ["--qmax", "inf"], ["--pmin", "-inf"],
+                                  ["--pmax", "nan"], ["--samples", "0"], ["--samples", "-2"]],
+                         ids=["qmin-nan", "qmax-inf", "pmin-inf", "pmax-nan", "samples-0",
+                              "samples-neg"])
+@pytest.mark.parametrize("command", ["mlstate", "eigenstate"])
+def test_window_arguments_are_validated(tmp_path, capsys, command, args):
+    out = tmp_path / "out"
+    assert run([command, "--grid", "16", "--samples", "5", *args, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lattice_halfwidth(tmp_path, capsys):
+    out = tmp_path / "neg"
+    assert run(["star", "rho0", "rho0", "--grid", "16", "--out", str(out),
+                "--lattice-halfwidth", "-3"]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+    rc = run(["export", "bump", "--grid", "16", "--out", str(tmp_path),
+              "--lattice-halfwidth", "0"])
+    capsys.readouterr()
+    assert rc == 0
+    rows = (tmp_path / "lattice.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 16
+    assert {float(r.split(",")[0]) for r in rows} == {0.0}

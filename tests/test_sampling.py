@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gupstar.beta_arith import INFINITY
-from gupstar.families import random_element, random_state
-from gupstar.sampling import (AngleGrid, LatticeField, TorusField, Wavefunction, analyze,
-                              angle_nodes, lattice_from_field,
+from gupstar.beta_arith import INFINITY, BetaContext
+from gupstar.families import random_element, random_state, resolve_family
+from gupstar.sampling import (AngleGrid, LatticeField, TorusField, Wavefunction, _write_csv,
+                              analyze, angle_nodes, field_from_coeffs, lattice_from_field,
                               lattice_to_csv, quad_mu, seminorm, shift_field,
-                              synth, synth_columns, synth_grid, torus_to_csv)
+                              synth, synth_grid, torus_to_csv)
 from gupstar.states import position_eigenvector
 
 
@@ -150,12 +150,62 @@ def test_csv_exports(tmp_path, ctx, rng):
     assert len(llines) == 1 + 7 * n
 
 
+def test_write_csv_matches_the_row_loop(tmp_path):
+    def row_loop(header, xs, ys, vals):
+        lines = [header]
+        for i, x in enumerate(xs):
+            for k, y in enumerate(ys):
+                v = vals[i, k]
+                lines.append(f"{x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g}")
+        return "\n".join(lines) + "\n"
+
+    edge = np.array([-0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e17, 1e300, -1e300, 3.0, -7.0,
+                     0.1, 2.0 / 3.0])
+    xs = np.concatenate([edge, [0.0, 1.0]])
+    ys = edge[::-1]
+    re = np.resize(edge, (ys.size, xs.size))
+    vals = (re + 1j * np.roll(re, 5, axis=1)).T  # non-contiguous, as cmd_window passes it
+    assert not vals.flags.c_contiguous
+    cases = [(xs, ys, vals), (np.arange(-3, 4), ys[:2], np.ones((7, 2), complex)),
+             (xs[:0], ys, vals[:0]), (xs, ys[:0], vals[:, :0])]
+    for i, (x, y, v) in enumerate(cases):
+        path = tmp_path / f"{i}.csv"
+        _write_csv(path, "q,p,re,im", x, y, v)
+        assert path.read_text() == row_loop("q,p,re,im", x, y, v)
+
+
+@pytest.mark.parametrize("family", ["bump:5", "rho:-0.916955", "ml:-0.916955", "modulated"])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [8, 32, 96])
+def test_lattice_matches_the_per_q_route(n, lam, family):
+    ctx = BetaContext(2.0, 0.7, lam)
+    if family == "modulated":  # both modulation offsets nonzero
+        rng = np.random.default_rng(n)
+        coef = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        f = field_from_coeffs(ctx, coef, (0.21, 0.37))
+    else:
+        f = resolve_family(family, ctx, n)
+    ps = np.tan(angle_nodes(n)) / ctx.sqrt_beta
+    for M in (0, 1, 3, 2 * n):
+        lat = lattice_from_field(f, M)
+        assert np.array_equal(lat.ms, np.arange(-M, M + 1))
+        ref = synth_grid(f, lat.qs, ps)
+        assert np.abs(lat.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_lattice_half_width_must_be_nonnegative(ctx, rng):
+    f = random_element(ctx, 8, rng)
+    with pytest.raises(ValueError, match="nonnegative"):
+        lattice_from_field(f, -1)
+    assert lattice_from_field(f, 0).values.shape == (1, 8)
+
+
 def test_synth_band_limited_sinc_resampling(ctx, rng):
     """Position profiles are determined by their lattice samples."""
     n = 64
     f = random_element(ctx, n, rng, parity=0)
     ms = np.arange(-n // 2, n // 2 + 1)
-    lat = synth_columns(f, ms * ctx.q_lattice_step)
+    lat = lattice_from_field(f, n // 2).values
     k = 11  # fixed momentum column
     for q in (-3.3, 0.7, 1.9, 5.01):
         direct = synth_grid(f, np.array([q]), np.array([np.tan(angle_nodes(n)[k])]))[0, 0]
