@@ -34,8 +34,6 @@ _FLAGS = {
     "seed": (("--seed",), dict(type=int, default=42,
                                help="seed for randomized checks (default 42)")),
     "out": (("--out",), dict(default=".", help="output directory for data files")),
-    "tol-scale": (("--tol-scale",), dict(dest="tol_scale", type=float, default=1.0,
-                                         help="multiply every tolerance by this factor")),
     "json": (("--json",), dict(action="store_true", help="emit a JSON report on stdout")),
     "lattice-halfwidth": (("--lattice-halfwidth",), dict(
         type=int, default=None, help="position-lattice half width M >= 0 (default 2*grid)")),
@@ -51,7 +49,7 @@ def _add_flags(ap: argparse.ArgumentParser, *names: str) -> None:
 
 def _config(args) -> RunConfig:
     return RunConfig(beta=args.beta, hbar=args.hbar, lam=args.lam,
-                     grid_n=args.grid_n, seed=args.seed, tol_scale=args.tol_scale)
+                     grid_n=args.grid_n, seed=args.seed)
 
 
 def _ctx(args) -> BetaContext:
@@ -62,8 +60,7 @@ def cmd_verify(args) -> int:
     cfg = _config(args)
     suites = run_suites(cfg, names=args.suite or None)
     report = {"config": {"beta": cfg.beta, "hbar": cfg.hbar, "lambda": cfg.lam,
-                         "grid_n": cfg.grid_n, "seed": cfg.seed,
-                         "tol_scale": cfg.tol_scale},
+                         "grid_n": cfg.grid_n, "seed": cfg.seed},
               "suites": {k: [c.as_dict() for c in v] for k, v in suites.items()}}
     failed = 0
     for name, checks in suites.items():
@@ -179,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    _add_flags(p, *_CONTEXT, "seed", "tol-scale", "json")
+    _add_flags(p, *_CONTEXT, "seed", "json")
     p.add_argument("--suite", action="append",
                    help="restrict to a named suite (repeatable)")
     p.set_defaults(fn=cmd_verify)

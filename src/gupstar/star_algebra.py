@@ -27,6 +27,7 @@ from .operator_rep import (
 from .sampling import (
     TorusField,
     Wavefunction,
+    _line_values,
     angle_nodes,
     field_from_coeffs,
     mode_numbers,
@@ -53,11 +54,11 @@ __all__ = [
 AlgebraElement = TorusField
 
 
-def _check_pair(f: TorusField, g: TorusField) -> None:
+def _check_pair(f, g, what: str = "algebra elements") -> None:
     if f.ctx != g.ctx:
-        raise ValueError("algebra elements live in different contexts")
+        raise ValueError(f"{what} live in different contexts")
     if f.n != g.n:
-        raise ValueError("algebra elements live on different grids")
+        raise ValueError(f"{what} live on different grids")
 
 
 def star(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
@@ -224,47 +225,49 @@ class SymbolObservable:
         return cls(power, Wavefunction(ctx, np.asarray(fn(p), dtype=complex)))
 
 
-def _symbol_coef_sum(sym: SymbolObservable, g: AlgebraElement, side: str) -> AlgebraElement:
-    ctx, n = g.ctx, g.n
-    lam, hs = ctx.lam, ctx.hbar * ctx.sqrt_beta
-    gc = g.coeffs()
-    s0, b0 = g.mod
-    m = mode_numbers(n)
-    c, b = np.meshgrid(m, m, indexing="ij")
-    phic = sym.phi.coeffs()
-    mu0 = sym.phi.mod
-    out = np.zeros_like(gc)
-    for i_mu, amp in enumerate(phic):
-        if amp == 0.0:
-            continue
-        mu_t = mu0 + m[i_mu]
-        if side == "left":
-            mult = (-2.0 * hs * (lam * mu_t + (b0 + b) + (s0 + c))) ** sym.power
-            out += amp * np.roll(mult * gc, int(m[i_mu]), axis=1)
-        else:
-            mult = (2.0 * hs * ((1 - lam) * mu_t - (s0 + c))) ** sym.power
-            out += amp * np.roll(np.roll(mult * gc, int(m[i_mu]), axis=1), -int(m[i_mu]), axis=0)
-    if side == "left":
-        mod = (s0, b0 + mu0)
-    else:
-        mod = (s0 - mu0, b0 + mu0)
-    return field_from_coeffs(ctx, out, mod)
+def _symbol_product(sym: SymbolObservable, g: AlgebraElement, t, a, z) -> AlgebraElement:
+    """Sampled ``sum_k C(P, k) phi_k(alpha + t alpha') g_{P-k}(alpha', alpha)``, P = sym.power.
+
+    phi_k has phi's coefficients times ``(a mu)^k`` with ``mu = phi.mod + mode``;
+    g_j has g's sheared coefficients times ``z^j``.  The binomial sum is the
+    multiplier ``(a mu + z)^P`` of every (phi mode, g mode) pair, so the cost
+    is one batched shift of phi and P inverse codecs of g, whatever phi's band.
+    """
+    _check_pair(sym.phi, g, "symbol and field")
+    ctx, n, power, phi = g.ctx, g.n, sym.power, sym.phi
+    k = np.arange(power + 1)[:, None, None]
+    amp = phi.coeffs() * (a * (phi.mod + mode_numbers(n))) ** k
+    rows = _line_values(amp, phi.mod, t * angle_nodes(n))  # [k, j, alpha]
+    out = rows[power] * g.values
+    gc = g.coeffs() if power else None
+    for j in range(1, power + 1):
+        gj = field_from_coeffs(ctx, gc * z ** j, g.mod).values
+        out = out + math.comb(power, j) * rows[power - j] * gj
+    return TorusField(ctx, out, (g.mod[0] + (t - ctx.lam) * phi.mod, g.mod[1] + phi.mod))
 
 
 def star_symbol_left(sym: SymbolObservable, g: AlgebraElement) -> AlgebraElement:
-    """Star product (q^n phi) star g for a field g.
+    """Star product (q^n phi) star g for a field g on the symbol's grid and context.
 
-    For n = 0 this multiplies the transform rows by phi at the composed
-    momentum argument; for n >= 1 the improper position integral is realized
-    as a spectral derivative of the inner bracket at the origin, acting as an
-    exact per-mode multiplier.  Requires g band-limited for n >= 1.
+    Row j multiplies g by phi at ``alpha + lam alpha'_j``; the position power
+    weights each (phi mode mu, g mode (nu, b)) pair by the multiplier
+    ``(-2 hbar sqrt(beta) (lam mu + nu + (1 - lam) b))^n``.  Exact when the
+    product of phi and g stays inside the grid's band.
     """
-    return _symbol_coef_sum(sym, g, "left")
+    lam, hs = g.ctx.lam, g.ctx.hbar * g.ctx.sqrt_beta
+    nu, bt = g.freq_grids()
+    return _symbol_product(sym, g, lam, -2.0 * hs * lam, -2.0 * hs * (nu + (1 - lam) * bt))
 
 
 def star_symbol_right(g: AlgebraElement, sym: SymbolObservable) -> AlgebraElement:
-    """Star product g star (q^n phi); mirror of :func:`star_symbol_left`."""
-    return _symbol_coef_sum(sym, g, "right")
+    """Star product g star (q^n phi); mirror of :func:`star_symbol_left`.
+
+    phi is taken at ``alpha - (1 - lam) alpha'_j``; the multiplier is
+    ``(2 hbar sqrt(beta) ((1 - lam) mu - nu + lam b))^n``.
+    """
+    lam, hs = g.ctx.lam, g.ctx.hbar * g.ctx.sqrt_beta
+    nu, bt = g.freq_grids()
+    return _symbol_product(sym, g, lam - 1.0, 2.0 * hs * (1 - lam), -2.0 * hs * (nu - lam * bt))
 
 
 def expectation(obs: Union[SymbolObservable, AlgebraElement],

@@ -40,6 +40,8 @@ __all__ = [
 
 def _mod_freq(ctx: BetaContext, xi: float) -> float:
     # e^{-i (xi, p)/hbar} = e^{2i mu alpha} with mu = -xi/(2 hbar sqrt(beta))
+    if not math.isfinite(xi):
+        raise ValueError(f"position xi must be finite, got {xi}")
     return -xi / (2.0 * ctx.hbar * ctx.sqrt_beta)
 
 

@@ -46,7 +46,6 @@ class RunConfig:
     lam: float = 0.5
     grid_n: int = 256
     seed: int = 42
-    tol_scale: float = 1.0
 
     def ctx(self) -> BetaContext:
         return BetaContext(self.beta, self.hbar, self.lam)
@@ -74,12 +73,10 @@ class CheckResult:
 
 class _Suite:
     def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
         self.out: List[CheckResult] = []
 
     def check(self, name: str, measured: float, tol: float, note: str = "") -> None:
-        tol = tol * self.cfg.tol_scale
         m = float(measured)
         self.out.append(CheckResult(name, m, tol, bool(m <= tol), note=note))
 
@@ -554,7 +551,7 @@ def suite_star_algebra(cfg: RunConfig) -> List[CheckResult]:
             _rel(lcomm, 1j * ctx.hbar * deriv_p(gl).values), 1e-8)
 
     rho_ml = ml_phase_state(ctx, 1.5, na).rho
-    e_q = expectation(qsym, rho_ml)
+    e_q = expectation(SymbolObservable.position_power(ctx, na, 1), rho_ml)
     s.check("star.expectation_position_on_localized", abs(e_q - 1.5),
             _kink_tol(na, 3e-3), note="grid-limited localization state")
     s.check("star.expectation_unit", abs(expectation(one, rho_ml) - 1.0), 1e-8)

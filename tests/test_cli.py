@@ -180,7 +180,8 @@ def test_export_command(tmp_path, capsys):
                          ids=["mlstate-nan", "eigenstate-inf", "export-inf", "star-nan"])
 def test_non_finite_input_is_a_usage_error(tmp_path, capsys, args):
     assert run(args + ["--grid", "16", "--out", str(tmp_path)]) == 2
-    assert "must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "must be finite" in err[0]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from gupstar.beta_arith import BetaContext
-from gupstar.families import random_element, random_state
+from gupstar.families import random_element, random_state, resolve_family
 from gupstar.operator_rep import wigner
-from gupstar.sampling import TorusField, angle_nodes, deriv_p, seminorm, wf_inner
+from gupstar.sampling import (TorusField, Wavefunction, _line_values, angle_nodes, deriv_p,
+                              field_from_coeffs, mode_numbers, seminorm, wf_inner)
 from gupstar.star_algebra import (SymbolObservable, cstar_norm_estimate, expectation, inner,
                                   involution, norm2, pointwise_trace, s_operator, star,
                                   star_symbol_left, star_symbol_right, trace)
@@ -137,6 +138,62 @@ def test_symbol_operations(ctx, rng):
 
     with pytest.raises(ValueError):
         SymbolObservable(-1, one.phi)
+
+
+def _per_mode_symbol_product(sym, g, side):
+    """Reference: one rolled multiplier pass over g's coefficients per phi mode."""
+    ctx, n = g.ctx, g.n
+    lam, hs = ctx.lam, ctx.hbar * ctx.sqrt_beta
+    gc, (s0, b0), mu0 = g.coeffs(), g.mod, sym.phi.mod
+    m = mode_numbers(n)
+    c, b = np.meshgrid(m, m, indexing="ij")
+    out = np.zeros_like(gc)
+    for mi, amp in zip(m.astype(int), sym.phi.coeffs()):
+        if side == "left":
+            mult = (-2.0 * hs * (lam * (mu0 + mi) + (b0 + b) + (s0 + c))) ** sym.power
+            out += amp * np.roll(mult * gc, mi, axis=1)
+        else:
+            mult = (2.0 * hs * ((1 - lam) * (mu0 + mi) - (s0 + c))) ** sym.power
+            out += amp * np.roll(mult * gc, (-mi, mi), axis=(0, 1))
+    mod = (s0, b0 + mu0) if side == "left" else (s0 - mu0, b0 + mu0)
+    return field_from_coeffs(ctx, out, mod)
+
+
+@pytest.mark.parametrize("beta,hbar", [(1.0, 1.0), (2.0, 0.7)])
+@pytest.mark.parametrize("lam", [0.0, 0.31, 0.5, 1.0])
+def test_symbol_products_match_the_per_mode_sum(beta, hbar, lam):
+    ctx, n = BetaContext(beta, hbar, lam), 48
+    rng = np.random.default_rng(11)
+    # bump fills alpha modes up to n/2 - 2, so phi keeps |mode| <= 1 and every
+    # product stays in band; beyond it the two routes alias differently
+    m = mode_numbers(n)
+    phi_c = np.where(np.abs(m) <= 1, rng.standard_normal(n) + 1j * rng.standard_normal(n), 0)
+    phis = [SymbolObservable.position_power(ctx, n, 0).phi,
+            SymbolObservable.from_momentum_function(
+                ctx, n, lambda p: 1.0 / (1.0 + beta * p ** 2)).phi,
+            Wavefunction(ctx, _line_values(phi_c, 0.43), 0.43)]
+    gs = [resolve_family("bump", ctx, n), resolve_family("rho:3.7", ctx, n),
+          field_from_coeffs(ctx, random_element(ctx, n, rng).coeffs(), (0.21, 0.37))]
+    for phi in phis:
+        for g in gs:
+            for power in range(4):
+                sym = SymbolObservable(power, phi)
+                for side, out in (("left", star_symbol_left(sym, g)),
+                                  ("right", star_symbol_right(g, sym))):
+                    ref = _per_mode_symbol_product(sym, g, side)
+                    assert out.mod == pytest.approx(ref.mod, abs=1e-15)
+                    err = np.abs(out.values - ref.values).max()
+                    assert err <= 1e-11 * np.abs(ref.values).max(), (side, power, phi.mod, g.mod)
+
+
+def test_symbol_on_another_grid_or_context_raises(ctx, rng):
+    g = random_element(ctx, 32, rng)
+    for sym in (SymbolObservable.position_power(ctx, 64, 1),
+                SymbolObservable.position_power(BetaContext(2.0, 1.0, 0.5), 32, 1)):
+        with pytest.raises(ValueError):
+            star_symbol_left(sym, g)
+        with pytest.raises(ValueError):
+            star_symbol_right(g, sym)
 
 
 def test_symbol_left_equals_row_multiplication(ctx, rng):

@@ -27,10 +27,3 @@ def test_insufficient_resolution_skips():
     assert skipped and all("insufficient" in c.note or "empty" in c.note for c in skipped)
     assert all(c.passed for cs in res.values() for c in cs)
 
-
-def test_tolerance_scaling():
-    base = run_suites(RunConfig(grid_n=64), names=["sampling"])["sampling"]
-    wide = run_suites(RunConfig(grid_n=64, tol_scale=10.0), names=["sampling"])["sampling"]
-    for b, w in zip(base, wide):
-        if not b.skipped and b.tolerance > 0:
-            assert w.tolerance == 10.0 * b.tolerance
