@@ -28,7 +28,6 @@ __all__ = [
     "formal_star",
     "formal_commutator",
     "classical_limit",
-    "eval_on_grid",
     "format_poly",
     "parse_poly",
 ]
@@ -389,16 +388,6 @@ def formal_eval(f: FormalPoly, ctx, q, p, lam: Optional[float] = None) -> np.nda
         val = (complex(cr) + 1j * complex(ci)) * ctx.beta ** eb * ctx.hbar ** eh * lam_v ** el
         out = out + val * q ** eq * p ** ep * s ** es / (1.0 + ctx.beta * p ** 2) ** d
     return out
-
-
-def eval_on_grid(f: FormalPoly, ctx, ms, n: int, lam: Optional[float] = None):
-    """Sample on the position lattice times the n-point angle grid."""
-    from .sampling import LatticeField, angle_nodes
-    ms = np.asarray(ms, dtype=int)
-    qs = ms * ctx.q_lattice_step
-    ps = np.tan(angle_nodes(n)) / ctx.sqrt_beta
-    vals = formal_eval(f, ctx, qs[:, None], ps[None, :], lam=lam)
-    return LatticeField(ctx, ms, vals)
 
 
 # ---------------------------------------------------------------------------

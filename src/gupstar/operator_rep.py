@@ -3,12 +3,14 @@
 Every transformed field corresponds to an integral operator on the circle
 Hilbert space through an index shear of its coefficient grid; the map is a
 bijection of discrete mode lattices, so going back and forth is exact.
-Kernel samples and coefficients convert through the sheared codec of
-:mod:`gupstar.sampling` at lam = 0, which is the plain 2-d expansion of a
-kernel with ``mod = (mu_u, mu_v)``; the codecs live in ``sampling`` only.  All
-operator-level facts (composition, adjoint, trace, Hilbert-Schmidt pairing,
-operator norm) are computed here on kernel sample matrices with the uniform
-invariant-measure weight.
+An :class:`OperatorKernel` holds the coefficients of its plain 2-d expansion
+with ``mod = (mu_u, mu_v)``; field -> kernel, kernel -> field, the algebra
+involution and the kernel adjoint are each one unimodular relabeling of that
+lattice (:func:`_relabel`).  Composition samples only the contracted slot and
+contracts it by the invariant-measure midpoint rule.  Kernel samples are
+derived on demand through the sheared codec of :mod:`gupstar.sampling` at
+lam = 0, for the consumers that act on sample vectors (operator action,
+trace, Hilbert-Schmidt pairing, operator norm, state checks).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .sampling import (
     _frozen,
     _line_coeffs,
     _line_values,
-    _sheared_coeffs,
     _sheared_values,
     angle_nodes,
     field_from_coeffs,
@@ -36,7 +37,6 @@ from .sampling import (
 
 __all__ = [
     "OperatorKernel",
-    "DensityState",
     "StateReport",
     "UncertaintyReport",
     "kernel_of",
@@ -56,26 +56,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorKernel:
-    """Samples K[a, b] of an integral kernel, second slot paired with d mu.
+    """Integral kernel held by its coefficients, second slot paired with d mu.
 
-    ``mod = (mu_u, mu_v)`` are real frequency offsets of the two slots, the
-    kernel-side image of a field modulation.
+    ``K(a, b) = exp(2i(mu_u a + mu_v b)) sum_{u,v} coef[u, v] exp(2i(u a + v b))``
+    with ``mod = (mu_u, mu_v)``, the kernel-side image of a field modulation.
     """
 
     ctx: BetaContext
-    values: np.ndarray
+    coef: np.ndarray
     mod: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2 != 0:
-            raise ValueError("kernel needs a square sample array of even size")
-        object.__setattr__(self, "values", _frozen(v))
+        c = np.asarray(self.coef, dtype=complex)
+        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2 != 0:
+            raise ValueError("kernel needs a square coefficient array of even size")
+        object.__setattr__(self, "coef", _frozen(c))
         object.__setattr__(self, "mod", (float(self.mod[0]), float(self.mod[1])))
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.coef.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """Samples K[a, b] on the angle grid (derived, not stored)."""
+        return _sheared_values(self.coef, 0.0, self.mod)
 
     @property
     def weight(self) -> float:
@@ -86,52 +91,53 @@ class OperatorKernel:
         """Weighted matrix acting on plain sample vectors."""
         return self.weight * self.values
 
-    def coeffs(self) -> np.ndarray:
-        return _sheared_coeffs(self.values, 0.0, self.mod)
 
+def _relabel(coef: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
+    """``out[i, j] = coef[(a i + b j) mod n, (c i + d j) mod n]``.
 
-def _shear_indices(n: int):
-    m = mode_numbers(n).astype(int)
-    c, b = np.meshgrid(m, m, indexing="ij")
-    return np.mod(b + c, n), np.mod(-c, n)
+    A unimodular relabeling of the n-periodic mode lattice (FFT index i stands
+    for every mode congruent to i), so it is a permutation and exact.
+    """
+    n = coef.shape[0]
+    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+    return coef[(a * i + b * j) % n, (c * i + d * j) % n]
 
 
 def kernel_of(f: TorusField) -> OperatorKernel:
     """Integral kernel of the operator represented by a field.
 
     In coefficient space the map is the unimodular index shear
-    (b, c) -> (b + c, -c) together with the 1/(2 pi hbar) normalization; being
+    (c, b) -> (b + c, -c) together with the 1/(2 pi hbar) normalization; being
     a permutation of the discrete mode lattice it is exactly invertible.
     """
-    n = f.n
-    coef = f.coeffs() / (2 * np.pi * f.ctx.hbar)
-    iu, iv = _shear_indices(n)
-    kc = np.zeros_like(coef)
-    kc[iu, iv] = coef
     s0, b0 = f.mod
-    mod = (b0 + s0, -s0)
-    return OperatorKernel(f.ctx, _sheared_values(kc, 0.0, mod), mod)
+    kc = _relabel(f.coeffs(), 0, -1, 1, 1) / (2 * np.pi * f.ctx.hbar)
+    return OperatorKernel(f.ctx, kc, (b0 + s0, -s0))
 
 
 def element_of(k: OperatorKernel) -> TorusField:
     """Inverse of :func:`kernel_of`."""
-    n = k.n
-    kc = k.coeffs() * (2 * np.pi * k.ctx.hbar)
-    iu, iv = _shear_indices(n)
-    coef = kc[iu, iv]
     mu_u, mu_v = k.mod
+    coef = _relabel(k.coef, 1, 1, -1, 0) * (2 * np.pi * k.ctx.hbar)
     return field_from_coeffs(k.ctx, coef, (-mu_v, mu_u + mu_v))
 
 
 def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
+    """Kernel of the product: midpoint quadrature over the contracted slot.
+
+    Only that slot is sampled; the outer slots keep their coefficients.  Exact
+    when the contracted modulations differ by an integer.
+    """
     if kf.n != kg.n:
         raise ValueError("kernel grids differ")
-    vals = kf.weight * (kf.values @ kg.values)
-    return OperatorKernel(kf.ctx, vals, (kf.mod[0], kg.mod[1]))
+    left = _line_values(kf.coef, kf.mod[1])        # [u, b]
+    right = _line_values(kg.coef.T, kg.mod[0])     # [v, b]
+    return OperatorKernel(kf.ctx, kf.weight * (left @ right.T), (kf.mod[0], kg.mod[1]))
 
 
 def adjoint_kernel(k: OperatorKernel) -> OperatorKernel:
-    return OperatorKernel(k.ctx, k.values.conj().T, (-k.mod[1], -k.mod[0]))
+    """Kernel of the adjoint operator: conj K(b, a) as the mode relabeling (u, v) -> (-v, -u)."""
+    return OperatorKernel(k.ctx, np.conj(_relabel(k.coef, 0, -1, -1, 0)), (-k.mod[1], -k.mod[0]))
 
 
 def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
@@ -177,31 +183,6 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
     ph = phi.at_offset(-(1 - ctx.lam) * ap)
     vals = 2 * np.pi * ctx.hbar * ps * np.conj(ph)
     return TorusField(ctx, vals, (phi.mod, psi.mod - phi.mod))
-
-
-@dataclass(frozen=True)
-class DensityState:
-    """Convex mixture of normalized states."""
-
-    weights: tuple
-    states: tuple
-
-    def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
-        if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to one")
-        for s in self.states:
-            if abs(s.norm() - 1.0) > 1e-9:
-                raise ValueError("mixture components must be normalized")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states", tuple(self.states))
-
-    def field(self) -> TorusField:
-        acc = None
-        for w, s in zip(self.weights, self.states):
-            t = wigner(s, s)
-            acc = t.with_values(w * t.values) if acc is None else acc.with_values(acc.values + w * t.values)
-        return acc
 
 
 def marginal_momentum(rho: TorusField) -> np.ndarray:
@@ -306,13 +287,13 @@ class StateReport:
 
 
 def state_check(rho: TorusField, herm_tol: float = 1e-8,
-                trace_tol: float = 1e-8, eig_tol: float = -1e-9) -> StateReport:
+                eig_tol: float = -1e-9) -> StateReport:
     """Verify the three state conditions on a candidate density field.
 
     Hermiticity is the kernel-level self-adjointness K = K^dagger, positivity
     the spectrum of the weighted kernel matrix; the smallest eigenvalue must
     stay above ``eig_tol`` (slightly negative to absorb roundoff on exact
-    rank-deficient states).
+    rank-deficient states).  The trace must be one to within 1e-8.
     """
     k = kernel_of(rho)
     M = k.matrix()
@@ -325,7 +306,7 @@ def state_check(rho: TorusField, herm_tol: float = 1e-8,
         min_eig = float(eigs.min())
     else:
         min_eig = float("nan")
-    passed = hermitian and abs(tr - 1.0) <= trace_tol and (hermitian and min_eig >= eig_tol)
+    passed = hermitian and abs(tr - 1.0) <= 1e-8 and min_eig >= eig_tol
     return StateReport(hermitian, tr, min_eig, herm_res, passed)
 
 
@@ -342,13 +323,13 @@ class UncertaintyReport:
                 "dq": self.dq, "dp": self.dp, "gup_slack": self.gup_slack}
 
 
-def uncertainty(psi: Wavefunction, norm_tol: float = 1e-8) -> UncertaintyReport:
+def uncertainty(psi: Wavefunction) -> UncertaintyReport:
     """Means and spreads of position and momentum, plus the uncertainty slack.
 
     ``gup_slack = dq*dp - (hbar/2)(1 + beta*dp^2 + beta*<p>^2)`` is nonnegative
     for physical states and zero exactly on maximal-localization states.
     """
-    if abs(psi.norm() - 1.0) > norm_tol:
+    if abs(psi.norm() - 1.0) > 1e-8:
         raise ValueError("uncertainty requires a normalized wavefunction")
     ctx = psi.ctx
     qpsi = qhat_apply(psi)

@@ -417,8 +417,8 @@ class LatticeField:
         return self.ms * self.ctx.q_lattice_step
 
 
-def lattice_from_field(f: TorusField, half_width: Optional[int] = None) -> LatticeField:
-    """Sample a field on the position lattice m in [-M, M]; default M = 4n.
+def lattice_from_field(f: TorusField, half_width: int) -> LatticeField:
+    """Sample a field on the position lattice m in [-M, M], M = ``half_width``.
 
     Implements the inverse position transform
     ``f(q,p) = (1/(2 pi hbar sqrt(beta))) Int F(a', alpha(p)) e^{i q a'/(hbar sqrt(beta))} da'``
@@ -430,7 +430,7 @@ def lattice_from_field(f: TorusField, half_width: Optional[int] = None) -> Latti
     every coefficient column.
     """
     n = f.n
-    M = 4 * n if half_width is None else int(half_width)
+    M = int(half_width)
     if M < 0:
         raise ValueError(f"lattice half width must be nonnegative, got {M}")
     s0, b0 = f.mod

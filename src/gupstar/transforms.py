@@ -29,7 +29,6 @@ __all__ = [
     "conv_unit",
     "twisted_conv",
     "mult_by_q",
-    "mult_by_atan_p",
 ]
 
 
@@ -206,9 +205,3 @@ def mult_by_q(f: TorusField) -> TorusField:
     """
     g = deriv_pprime(f)
     return g.with_values(1j * f.ctx.hbar * g.values)
-
-
-def mult_by_atan_p(f: TorusField) -> TorusField:
-    """Pointwise multiplication by arctan(sqrt(beta) p)/sqrt(beta), canonical branch."""
-    a = angle_nodes(f.n)[None, :]
-    return f.with_values(f.values * (a / f.ctx.sqrt_beta))

@@ -353,7 +353,7 @@ def suite_transforms(cfg: RunConfig) -> List[CheckResult]:
     rhs = _pair_lattice(symplectic_fourier(deriv_p(fl)), ms2) * (1j * ctx.hbar)
     s.check("transforms.position_mult_exchanges_momentum_derivative",
             _rel(lhs, rhs), 1e-8)
-    atan = np.arctan(ctx.sqrt_beta * np.tan(angle_nodes(nf))) / ctx.sqrt_beta
+    atan = angle_nodes(nf) / ctx.sqrt_beta  # arctan(sqrt(beta) p)/sqrt(beta)
     lhs2 = _pair_lattice(symplectic_fourier(fl), ms2) * atan[None, :]
     dq = fl.with_values(fl.values * (1j / (ctx.hbar * ctx.sqrt_beta)) * angle_nodes(nf)[:, None])
     rhs2 = _pair_lattice(symplectic_fourier(dq), ms2) * (-1j * ctx.hbar)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gupstar.formal_cas import (ALT, MAIN, FormalPoly, ParseError, classical_limit,
-                                eval_on_grid, formal_commutator, formal_eval, formal_star,
+                                formal_commutator, formal_eval, formal_star,
                                 format_poly, parse_poly)
+from gupstar.sampling import angle_nodes
 
 Q = FormalPoly.var("q")
 P = FormalPoly.var("p")
@@ -56,10 +57,10 @@ def test_formal_eval_and_grid(ctx):
     inv = FormalPoly({(0, 0, 1, 0, 0, 0, 1): (Fraction(1), Fraction(0))})  # s/(1+b p^2)
     v = formal_eval(inv, ctx, 0.0, 1.0)
     assert v == pytest.approx(np.sqrt(2.0) / 2.0)
-    lat = eval_on_grid(FormalPoly.const(3), ctx, np.arange(-2, 3), 16)
-    assert np.abs(lat.values - 3.0).max() < 1e-15
-    lat2 = eval_on_grid(Q, ctx, np.arange(-2, 3), 16)
-    assert np.allclose(lat2.values[:, 0], np.arange(-2, 3) * ctx.q_lattice_step)
+    qs = np.arange(-2, 3)[:, None] * ctx.q_lattice_step
+    ps = np.tan(angle_nodes(16))[None, :] / ctx.sqrt_beta
+    assert np.abs(formal_eval(FormalPoly.const(3), ctx, qs, ps) - 3.0).max() < 1e-15
+    assert np.allclose(formal_eval(Q, ctx, qs, ps)[:, 0], qs[:, 0])
 
 
 def test_format_poly():

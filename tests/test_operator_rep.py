@@ -1,15 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element, random_state
-from gupstar.operator_rep import (DensityState, apply_operator,
+from gupstar.families import resolve_family
+from gupstar.operator_rep import (_relabel, adjoint_kernel, apply_operator, compose_kernels,
                                   element_of, hilbert_schmidt, kernel_of, lambda_ordered_operator,
                                   marginal_momentum, operator_norm, phat_apply, qhat_apply,
                                   state_check, trace_op, uncertainty, wigner)
-from gupstar.sampling import AngleGrid, TorusField, Wavefunction, angle_nodes, quad_mu, wf_inner
+from gupstar.sampling import (AngleGrid, TorusField, Wavefunction, angle_nodes, field_from_coeffs,
+                              mode_numbers, quad_mu, wf_inner)
 from gupstar.star_algebra import SymbolObservable, inner, involution, star, star_symbol_left, trace
 from gupstar.states import ml_phase_state, position_eigenvector
 
@@ -37,6 +40,74 @@ def test_kernel_standard_ordering_alignment(rng):
     w = wigner(a, b)
     k = kernel_of(w)
     assert np.abs(k.values - np.outer(b.values, np.conj(a.values))).max() < 1e-10
+
+
+# kernel_of / element_of, the involution and the kernel adjoint as lattice maps
+RELABEL_INVERSE_PAIRS = [((0, -1, 1, 1), (1, 1, -1, 0)),
+                         ((1, 1, 0, -1), (1, 1, 0, -1)),
+                         ((0, -1, -1, 0), (0, -1, -1, 0))]
+
+
+@pytest.mark.parametrize("fwd,back", RELABEL_INVERSE_PAIRS)
+def test_relabel_inverse_pairs_are_exact(rng, fwd, back):
+    for n in (8, 24):
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert np.array_equal(_relabel(_relabel(x, *fwd), *back), x)
+        assert np.array_equal(_relabel(_relabel(x, *back), *fwd), x)
+
+
+def test_kernel_maps_need_no_sample_tables():
+    # samples of a kernel are built only by OperatorKernel.values
+    src = Path(__file__).resolve().parent.parent / "src" / "gupstar"
+    op = (src / "operator_rep.py").read_text()
+    assert op.count("_sheared_values(") == 1 and "_sheared_coeffs" not in op
+    for name in ("operator_rep.py", "star_algebra.py"):
+        assert "meshgrid" not in (src / name).read_text()
+
+
+def _modulated_element(ctx, n, rng, mod):
+    m = np.abs(mode_numbers(n))
+    coef = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    coef[m > n // 8, :] = 0
+    coef[:, m > n // 8] = 0
+    return field_from_coeffs(ctx, coef, mod)
+
+
+def _kernel_pairs():
+    out = []
+    for lam in (0.0, 0.3, 1.0):
+        ctx = BetaContext(2.0, 0.7, lam)
+        rng = np.random.default_rng(31)
+        f, g = (random_element(ctx, 48, rng) for _ in range(2))
+        out.append(pytest.param(f, g, id=f"lam{lam}"))
+    ctx = BetaContext(2.0, 0.7, 0.3)
+    out.append(pytest.param(resolve_family("rho:0.3", ctx, 48), resolve_family("rho:1.0", ctx, 48),
+                            id="rho:0.3*rho:1.0"))
+    rng = np.random.default_rng(32)
+    h = _modulated_element(ctx, 48, rng, (0.21, 0.37))
+    out.append(pytest.param(h, random_element(ctx, 48, rng), id="mod(0.21,0.37)"))
+    out.append(pytest.param(h, h, id="mod(0.21,0.37)^2"))
+    return out
+
+
+@pytest.mark.parametrize("f,g", _kernel_pairs())
+def test_compose_kernels_matches_sample_route(f, g):
+    kf, kg = kernel_of(f), kernel_of(g)
+    old = kf.weight * kf.values @ kg.values
+    new = compose_kernels(kf, kg)
+    assert new.mod == (kf.mod[0], kg.mod[1])
+    assert np.abs(new.values - old).max() <= 1e-12 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("f,g", _kernel_pairs())
+def test_kernel_maps_commute_with_involution(f, g):
+    # K(f*) = K(f)^dagger holds as one lattice identity, so only the codec rounds
+    for h in (f, g):
+        lhs, rhs = kernel_of(involution(h)), adjoint_kernel(kernel_of(h))
+        assert lhs.mod == pytest.approx(rhs.mod, abs=1e-15)
+        assert np.abs(lhs.coef - rhs.coef).max() <= 1e-13 * np.abs(rhs.coef).max()
+        sampled = kernel_of(h).values.conj().T
+        assert np.abs(rhs.values - sampled).max() <= 1e-12 * np.abs(sampled).max()
 
 
 def test_apply_operator(ctx, rng):
@@ -167,16 +238,6 @@ def test_state_check(ctx, rng):
     assert rep2.passed and rep2.min_eig > -1e-5
     d = rep.as_dict()
     assert set(d) >= {"hermitian", "trace", "min_eig", "passed"}
-
-
-def test_density_state_mixture(ctx, rng):
-    n = 64
-    a, b = random_state(ctx, n, rng), random_state(ctx, n, rng)
-    ds = DensityState((0.25, 0.75), (a, b))
-    rho = ds.field()
-    assert state_check(rho).passed
-    with pytest.raises(ValueError):
-        DensityState((0.4, 0.4), (a, b))
 
 
 def test_uncertainty(ctx, rng):

@@ -4,10 +4,10 @@ import pytest
 from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element, random_qlocalized, random_state
 from gupstar.operator_rep import wigner
-from gupstar.sampling import TorusField, angle_nodes, deriv_p, mode_numbers, synth_grid
+from gupstar.sampling import TorusField, deriv_p, mode_numbers, synth_grid
 from gupstar.star_algebra import inner, star
 from gupstar.states import position_eigenvector
-from gupstar.transforms import (SymplecticPair, conv_generalized, conv_unit, mult_by_atan_p,
+from gupstar.transforms import (SymplecticPair, conv_generalized, conv_unit,
                                 mult_by_q, symplectic_fourier, twisted_conv)
 from gupstar.verify import _pair_lattice
 
@@ -136,14 +136,6 @@ def test_mult_by_q(ctx, rng):
     lhs = _pair_lattice(symplectic_fourier(f), ms) * (ms * ctx.q_lattice_step)[:, None]
     rhs = 1j * ctx.hbar * _pair_lattice(symplectic_fourier(deriv_p(f)), ms)
     assert np.abs(lhs - rhs).max() / np.abs(rhs).max() < 1e-8
-
-
-def test_mult_by_atan_p(ctx, rng):
-    n = 32
-    f = random_element(ctx, n, rng)
-    out = mult_by_atan_p(f)
-    a = angle_nodes(n)
-    assert np.abs(out.values - f.values * a[None, :]).max() < 1e-14
 
 
 def test_parseval(ctx, rng):
