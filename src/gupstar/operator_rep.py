@@ -15,6 +15,7 @@ trace, Hilbert-Schmidt pairing, operator norm, state checks).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -92,15 +93,21 @@ class OperatorKernel:
         return self.weight * self.values
 
 
+@functools.lru_cache(maxsize=16)
+def _relabel_index(n: int, a: int, b: int, c: int, d: int) -> np.ndarray:
+    """Read-only flat index ``((a i + b j) mod n) * n + (c i + d j) mod n``, shape (n, n)."""
+    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+    return _frozen(((a * i + b * j) % n) * n + (c * i + d * j) % n)
+
+
 def _relabel(coef: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
     """``out[i, j] = coef[(a i + b j) mod n, (c i + d j) mod n]``.
 
     A unimodular relabeling of the n-periodic mode lattice (FFT index i stands
-    for every mode congruent to i), so it is a permutation and exact.
+    for every mode congruent to i), so it is a permutation and exact.  One
+    gather through an index built once per (n, a, b, c, d).
     """
-    n = coef.shape[0]
-    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
-    return coef[(a * i + b * j) % n, (c * i + d * j) % n]
+    return np.take(coef.ravel(), _relabel_index(coef.shape[0], a, b, c, d))
 
 
 def kernel_of(f: TorusField) -> OperatorKernel:

@@ -9,11 +9,13 @@ which never touches the point at infinity.  The invariant measure is
 ``d mu = d alpha / sqrt(beta)``, so the midpoint rule is the natural (and for
 trigonometric polynomials exact) quadrature.
 
-A :class:`TorusField` holds samples ``F[j, k]`` of the position-transformed
-function f~(p', p) at (alpha'_j, alpha_k).  Transformed fields of algebra
-elements are not plainly pi-periodic in alpha': they obey the glide periodicity
-F(A' + pi, A - lam*pi) = F(A', A).  The carrier therefore expands fields in the
-sheared basis
+A :class:`TorusField` carries the position-transformed function f~(p', p),
+either as samples ``F[j, k]`` at (alpha'_j, alpha_k) or as the sheared
+coefficients below, whichever its producer made; the other side is derived
+on demand and never cached.  Transformed fields of algebra elements are not
+plainly pi-periodic in alpha': they obey the glide periodicity
+F(A' + pi, A - lam*pi) = F(A', A).  The carrier therefore expands fields in
+the sheared basis
 
     F(A', A) = phase(A', A) * sum_{b,c} coef[c, b]
                * exp(2i((lam*b + c) A' + b A)),
@@ -168,10 +170,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _finite(a: np.ndarray, what: str) -> np.ndarray:
-    """Frozen carrier samples; NaN or infinite samples are rejected."""
+    """Frozen carrier data; NaN or infinite entries are rejected."""
     if not np.isfinite(a).all():
-        raise ValueError(f"{what} samples must be finite")
+        raise ValueError(f"{what} must be finite")
     return _frozen(a)
+
+
+def _field_array(a, what: str) -> np.ndarray:
+    """A frozen, finite, complex square array of even size, as torus fields hold."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
+        raise ValueError(f"{what} must form a square array of even size")
+    return _finite(a, what)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +208,12 @@ class Wavefunction:
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 1 or v.size % 2 != 0:
             raise ValueError("wavefunction needs a 1-d sample array of even length")
-        object.__setattr__(self, "values", _finite(v, "wavefunction"))
+        object.__setattr__(self, "values", _finite(v, "wavefunction samples"))
         if self.deriv is not None:
             d = np.asarray(self.deriv, dtype=complex)
             if d.shape != v.shape:
                 raise ValueError("derivative samples must match the value samples")
-            object.__setattr__(self, "deriv", _finite(d, "wavefunction derivative"))
+            object.__setattr__(self, "deriv", _finite(d, "wavefunction derivative samples"))
 
     @property
     def n(self) -> int:
@@ -265,24 +275,46 @@ def wf_inner(phi: Wavefunction, psi: Wavefunction) -> complex:
 # torus fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TorusField:
-    """n x n samples F[j, k] = f~(alpha'_j, alpha_k) with sheared-basis layout."""
+    """An n x n field f~(alpha'_j, alpha_k) with sheared-basis layout.
 
-    ctx: BetaContext
-    values: np.ndarray
-    mod: tuple[float, float] = (0.0, 0.0)  # (s0, b0)
+    The carrier keeps the one representation its producer made: samples
+    ``F[j, k]`` for ``TorusField(ctx, values, mod)``, sheared coefficients
+    ``coef[c, b]`` for :func:`field_from_coeffs`.  ``values`` and
+    :meth:`coeffs` return the held array or derive the other one through the
+    sheared codec on every call; nothing is cached, so a field never changes
+    after construction.  Both arrays are read-only.
+    """
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2 != 0:
-            raise ValueError("field needs a square sample array of even size")
-        object.__setattr__(self, "values", _finite(v, "field"))
-        object.__setattr__(self, "mod", (float(self.mod[0]), float(self.mod[1])))
+    __slots__ = ("ctx", "mod", "_values", "_coef", "__weakref__")
+
+    def __init__(self, ctx: BetaContext, values: np.ndarray,
+                 mod: tuple[float, float] = (0.0, 0.0)):
+        self._hold(ctx, mod, values=_field_array(values, "field samples"))
+
+    def _hold(self, ctx, mod, values=None, coef=None) -> None:
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "mod", (float(mod[0]), float(mod[1])))
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_coef", coef)
+
+    def __setattr__(self, *_):
+        raise AttributeError("TorusField is immutable")
+
+    def __repr__(self) -> str:
+        held = "values" if self._coef is None else "coefficients"
+        return f"TorusField(ctx={self.ctx!r}, n={self.n}, mod={self.mod}, holds {held})"
+
+    @property
+    def values(self) -> np.ndarray:
+        """Samples F[j, k] at (alpha'_j, alpha_k)."""
+        if self._coef is None:
+            return self._values
+        return _frozen(_sheared_values(self._coef, self.ctx.lam, self.mod))
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return (self._values if self._coef is None else self._coef).shape[0]
 
     @property
     def grid(self) -> AngleGrid:
@@ -290,7 +322,9 @@ class TorusField:
 
     def coeffs(self) -> np.ndarray:
         """Sheared coefficients coef[c, b] of the demodulated part."""
-        return _sheared_coeffs(self.values, self.ctx.lam, self.mod)
+        if self._coef is not None:
+            return self._coef
+        return _frozen(_sheared_coeffs(self._values, self.ctx.lam, self.mod))
 
     def freq_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """Effective (alpha'-frequency, alpha-frequency) arrays, shape (n, n)."""
@@ -306,8 +340,10 @@ class TorusField:
 
 def field_from_coeffs(ctx: BetaContext, coef: np.ndarray,
                       mod: tuple[float, float] = (0.0, 0.0)) -> TorusField:
-    """Inverse of :meth:`TorusField.coeffs`."""
-    return TorusField(ctx, _sheared_values(coef, ctx.lam, mod), mod)
+    """The field holding sheared coefficients ``coef[c, b]``; inverse of :meth:`TorusField.coeffs`."""
+    f = object.__new__(TorusField)
+    f._hold(ctx, mod, coef=_field_array(coef, "field coefficients"))
+    return f
 
 
 def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha=0.0) -> TorusField:

@@ -1,10 +1,12 @@
 """The non-formal star product and its algebraic structure.
 
-Algebra elements are carried as :class:`~gupstar.sampling.TorusField` samples
-of their position transform.  The product is computed through the operator
-picture: field -> integral kernel (an exact relabeling of the coefficient
-lattice), kernel composition by invariant-measure quadrature over the
-contracted slot, kernel -> field back.  On band-limited
+Algebra elements are :class:`~gupstar.sampling.TorusField` carriers of their
+position transform.  The product is computed through the operator picture:
+field -> integral kernel (an exact relabeling of the coefficient lattice),
+kernel composition by invariant-measure quadrature over the contracted slot,
+kernel -> field back.  Products, the involution and ``s_operator`` return
+fields that hold coefficients, so nested products, ``trace`` and the kernel
+maps read them without a sample round trip.  On band-limited
 carriers this equals the direct discretization of the defining twisted
 convolution; a slow direct evaluation is kept as :func:`star_direct` so the
 two routes can check each other.
@@ -146,11 +148,13 @@ def s_operator(f: AlgebraElement) -> AlgebraElement:
 
 
 def trace(f: AlgebraElement) -> complex:
-    """Normalized phase-space integral tr(f) = Int f dq dmu / (2 pi hbar)."""
-    coef = f.coeffs()
-    n = f.n
-    b = mode_numbers(n) + f.mod[1]
-    colsum = coef.sum(axis=0)
+    """Normalized phase-space integral tr(f) = Int f dq dmu / (2 pi hbar).
+
+    A column sum of the sheared coefficients: free of any transform when f
+    holds coefficients (products, involutions).
+    """
+    b = mode_numbers(f.n) + f.mod[1]
+    colsum = f.coeffs().sum(axis=0)
     return complex((colsum * np.sinc(b)).sum() / (2 * f.ctx.hbar * f.ctx.sqrt_beta))
 
 
@@ -164,7 +168,8 @@ def inner(f: AlgebraElement, g: AlgebraElement) -> complex:
     _check_pair(f, g)
     n = f.n
     pref = (np.pi / n) ** 2 / (4 * np.pi ** 2 * f.ctx.hbar ** 2 * f.ctx.beta)
-    return complex(pref * np.vdot(f.values, g.values))
+    fv = f.values
+    return complex(pref * np.vdot(fv, fv if g is f else g.values))
 
 
 def norm2(f: AlgebraElement) -> float:
@@ -182,7 +187,8 @@ def pointwise_trace(f: AlgebraElement, g: AlgebraElement) -> complex:
     _check_pair(f, g)
     n = f.n
     pref = (np.pi / n) ** 2 / (4 * np.pi ** 2 * f.ctx.hbar ** 2 * f.ctx.beta)
-    return complex(pref * (f.values * g.values[::-1, :]).sum())
+    fv = f.values
+    return complex(pref * (fv * (fv if g is f else g.values)[::-1, :]).sum())
 
 
 def cstar_norm_estimate(f: AlgebraElement) -> float:

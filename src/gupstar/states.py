@@ -229,8 +229,12 @@ def ml_phase_state(ctx: BetaContext, xi: float, n: int) -> MaxLocalizationState:
 
     The field is built from the sampled wavefunction through the Wigner
     construction, so it carries the kink-limited interpolation error of the
-    grid; the evaluator is exact, and the two converge algebraically as the
-    grid is refined.
+    grid; the evaluator is exact.  At lattice positions ``xi = m * 2 hbar
+    sqrt(beta)`` the two agree to O(n^-2) (max difference 5.8e-4, 1.3e-4,
+    3.2e-5 at n = 64, 128, 256 for xi = 0).  At off-lattice positions they do
+    not converge: the evaluator's wrap phases and the field's quasi-periodic
+    continuation encode different objects, and the gap stays at 0.684 at every
+    grid for xi = -0.916955 (ROADMAP item 1, unresolved).
     """
     psi = ml_wavefunction(ctx, xi, n)
     rho = wigner(psi, psi)

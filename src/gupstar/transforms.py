@@ -137,9 +137,10 @@ def _pair_convolution(F: TorusField, G: TorusField) -> np.ndarray:
         M[i] = (gc * np.exp(2j * nug * x)).sum(axis=0)
     GT = M @ np.exp(2j * np.outer(bt, ap))  # (2n-1, n) values G(<x_d>, a'_r)
     w = (np.pi / n) / F.ctx.sqrt_beta
+    fv = F.values
     out = np.empty((n, n), dtype=complex)
     for r in range(n):
-        full = np.convolve(F.values[:, r], GT[:, r])
+        full = np.convolve(fv[:, r], GT[:, r])
         out[r] = w * full[n - 1:2 * n - 1]
     return out
 

@@ -95,10 +95,11 @@ def _rel(a, b, scale=None) -> float:
 
 
 def _field_err(f: TorusField, g: TorusField, rel: bool = True) -> float:
-    num = np.abs(f.values - g.values).max()
+    gv = g.values
+    num = np.abs(f.values - gv).max()
     if not rel:
         return float(num)
-    return float(num / max(np.abs(g.values).max(), 1e-300))
+    return float(num / max(np.abs(gv).max(), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -772,9 +773,8 @@ def suite_states(cfg: RunConfig) -> List[CheckResult]:
         s.skip("states.ml_sinc_form_on_strip", "strip empty for this ordering")
 
     rr = star(ml.rho, ml.rho)
-    s.check("states.ml_idempotent",
-            math.sqrt(max(inner(rr.with_values(rr.values - ml.rho.values),
-                                rr.with_values(rr.values - ml.rho.values)).real, 0.0)),
+    gap = rr.with_values(rr.values - ml.rho.values)
+    s.check("states.ml_idempotent", math.sqrt(max(inner(gap, gap).real, 0.0)),
             _kink_tol(n, 1e-6), note="purity of the localization state")
 
     marg = marginal_momentum(ml.rho)

@@ -7,7 +7,7 @@ import pytest
 from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element, random_state
 from gupstar.families import resolve_family
-from gupstar.operator_rep import (_relabel, adjoint_kernel, apply_operator, compose_kernels,
+from gupstar.operator_rep import (_relabel, _relabel_index, adjoint_kernel, apply_operator, compose_kernels,
                                   element_of, hilbert_schmidt, kernel_of, lambda_ordered_operator,
                                   marginal_momentum, operator_norm, phat_apply, qhat_apply,
                                   state_check, trace_op, uncertainty, wigner)
@@ -54,6 +54,11 @@ def test_relabel_inverse_pairs_are_exact(rng, fwd, back):
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         assert np.array_equal(_relabel(_relabel(x, *fwd), *back), x)
         assert np.array_equal(_relabel(_relabel(x, *back), *fwd), x)
+        i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+        for a, b, c, d in (fwd, back):
+            assert np.array_equal(_relabel(x, a, b, c, d), x[(a * i + b * j) % n, (c * i + d * j) % n])
+            # the cached gather index is shared by every call, so it must be read-only
+            assert not _relabel_index(n, a, b, c, d).flags.writeable
 
 
 def test_kernel_maps_need_no_sample_tables():

@@ -5,8 +5,9 @@ import pytest
 
 from gupstar.beta_arith import INFINITY, BetaContext
 from gupstar.families import random_element, random_state, resolve_family
-from gupstar.sampling import (AngleGrid, LatticeField, TorusField, Wavefunction, _write_csv,
-                              analyze, angle_nodes, field_from_coeffs, lattice_from_field,
+from gupstar.sampling import (AngleGrid, LatticeField, TorusField, Wavefunction, _sheared_coeffs,
+                              _sheared_values, _write_csv, analyze, angle_nodes,
+                              field_from_coeffs, lattice_from_field,
                               lattice_to_csv, quad_mu, seminorm, shift_field,
                               synth, synth_grid, torus_to_csv)
 from gupstar.states import position_eigenvector
@@ -212,3 +213,32 @@ def test_synth_band_limited_sinc_resampling(ctx, rng):
         resampled = (lat[:, k] * np.sinc((q - ms * ctx.q_lattice_step)
                                          / ctx.q_lattice_step)).sum()
         assert abs(direct - resampled) < 1e-9
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
+def test_fields_keep_the_representation_they_were_built_from(lam):
+    ctx, mod, n = BetaContext(2.0, 0.7, lam), (0.21, 0.37), 16
+    rng = np.random.default_rng(17)
+    v, c = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+    f, g = TorusField(ctx, v.copy(), mod), field_from_coeffs(ctx, c.copy(), mod)
+    assert np.array_equal(f.values, v)
+    assert np.array_equal(f.coeffs(), _sheared_coeffs(v, lam, mod))
+    assert np.array_equal(g.coeffs(), c)
+    assert np.array_equal(g.values, _sheared_values(c, lam, mod))
+    for h in (f, g):
+        assert h.n == n and h.mod == mod
+        assert not (h.values.flags.writeable or h.coeffs().flags.writeable)
+        with pytest.raises(AttributeError):
+            h.mod = (0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_data_must_be_finite(ctx, bad):
+    a = np.ones((8, 8), complex)
+    a[2, 5] = bad
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        field_from_coeffs(ctx, a)
+    with pytest.raises(ValueError, match="samples must be finite"):
+        TorusField(ctx, a)
+    with pytest.raises(ValueError, match="square array of even size"):
+        field_from_coeffs(ctx, np.ones((8, 6), complex))

@@ -5,7 +5,8 @@ import pytest
 
 from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element, random_state, resolve_family
-from gupstar.operator_rep import wigner
+from gupstar import operator_rep, sampling
+from gupstar.operator_rep import compose_kernels, element_of, kernel_of, wigner
 from gupstar.sampling import (TorusField, Wavefunction, _line_values, angle_nodes, deriv_p,
                               field_from_coeffs, mode_numbers, seminorm, wf_inner)
 from gupstar.star_algebra import (SymbolObservable, cstar_norm_estimate, expectation, inner,
@@ -236,3 +237,32 @@ def test_context_mismatch_raises(ctx, rng):
     h = random_element(ctx, 32, rng)
     with pytest.raises(ValueError):
         inner(f, h)
+
+
+def test_algebra_path_runs_no_sheared_codec(monkeypatch):
+    # products, involutions and traces of coefficient-held fields stay in coefficients
+    ctx, n = BetaContext(2.0, 0.7, 0.3), 32
+    rng = np.random.default_rng(41)
+    m = np.abs(mode_numbers(n))
+    band = (m[:, None] <= n // 8) & (m[None, :] <= n // 8)
+    f, g, h = (field_from_coeffs(ctx, band * (rng.standard_normal((n, n))
+                                              + 1j * rng.standard_normal((n, n))), mod)
+               for mod in ((0.0, 0.0), (0.0, 0.0), (0.25, -0.5)))
+
+    def forbidden(*_):
+        raise AssertionError("sheared codec called on the algebra path")
+
+    for module in (sampling, operator_rep):
+        monkeypatch.setattr(module, "_sheared_values", forbidden)
+    monkeypatch.setattr(sampling, "_sheared_coeffs", forbidden)
+    fgh = star(star(f, g), h)
+    fi = involution(f)
+    tr = trace(star(fi, g))
+    sf = s_operator(f)
+    back = element_of(compose_kernels(kernel_of(f), kernel_of(g)))
+    monkeypatch.undo()
+    lv = fgh.values
+    assert np.abs(lv - star(f, star(g, h)).values).max() <= 1e-12 * np.abs(lv).max()
+    assert abs(tr - inner(f, g)) <= 1e-12 * norm2(f) * norm2(g)
+    assert np.array_equal(sf.coeffs(), f.coeffs()) and sf.ctx.lam == pytest.approx(0.7)
+    assert np.array_equal(back.coeffs(), star(f, g).coeffs())
