@@ -123,20 +123,24 @@ def oplus(ctx: BetaContext, x: ExtReal, y: ExtReal) -> ExtReal:
     Finite inputs with ``beta*x*y != 1`` give ``(x + y)/(1 - beta*x*y)``; the
     remaining cases follow the group closure: ``x (+) 1/(beta x) = INFINITY``,
     ``x (+) INFINITY = -1/(beta x)``, ``0 (+) INFINITY = INFINITY`` and
-    ``INFINITY (+) INFINITY = 0``.
+    ``INFINITY (+) INFINITY = 0``.  Where a formula leaves the float range
+    (huge or subnormal arguments), the result is the sum of the two angles
+    instead, and a value beyond the largest float is INFINITY.
     """
     if is_infinite(x) and is_infinite(y):
         return 0.0
     if is_infinite(x) or is_infinite(y):
-        fin = _as_finite(y if is_infinite(x) else x)
-        if fin == 0.0:
-            return INFINITY
-        return -1.0 / (ctx.beta * fin)
+        d = ctx.beta * _as_finite(y if is_infinite(x) else x)
+        out = -1.0 / d if d != 0.0 else math.inf
+        return out if math.isfinite(out) else INFINITY
     xf, yf = _as_finite(x), _as_finite(y)
-    denom = 1.0 - ctx.beta * xf * yf
-    if denom == 0.0:
+    prod = ctx.beta * xf * yf
+    if prod == 1.0:
         return INFINITY
-    return (xf + yf) / denom
+    out = (xf + yf) / (1.0 - prod)
+    if math.isfinite(prod) and math.isfinite(out):
+        return out
+    return momentum_of(ctx, angle_of(ctx, xf) + angle_of(ctx, yf))
 
 
 def negate(x: ExtReal) -> ExtReal:

@@ -8,10 +8,11 @@ from .beta_arith import BetaContext
 from .sampling import (
     TorusField,
     Wavefunction,
+    _field,
     _line_coeffs,
     _line_values,
+    _wave,
     angle_nodes,
-    field_from_coeffs,
     mode_numbers,
 )
 from .operator_rep import wigner
@@ -29,8 +30,10 @@ def random_state(ctx: BetaContext, n: int, rng: np.random.Generator,
                  localized: bool = False) -> Wavefunction:
     """Random band-limited state on the momentum circle, unit norm.
 
-    ``mmax`` caps the mode numbers (default n/4 - 1, which keeps every Wigner
-    pair of two such states exactly representable).  ``parity`` restricts to
+    The state holds its masked mode coefficients.  ``mmax`` caps the mode
+    numbers (default n/4 - 1: two such states fit the band together, so
+    :func:`~gupstar.operator_rep.wigner` builds their pair as a coefficient
+    outer product).  ``parity`` restricts to
     even or odd modes; ``localized`` draws a smooth bump well separated from
     the point at infinity (its samples near the seam are below 1e-12), which
     matters for checks involving the position multiplication sawtooth.
@@ -48,23 +51,24 @@ def random_state(ctx: BetaContext, n: int, rng: np.random.Generator,
         center = rng.uniform(-0.1, 0.1)
         prof = np.exp(-((angle_nodes(n) - center) / 0.18) ** 2)
         # re-project to the band so spectral shifts stay exact
-        cc = _line_coeffs(vals * prof)
-        cc[np.abs(m) > mmax] = 0
-        vals = _line_values(cc)
+        c = _line_coeffs(vals * prof)
+        c[np.abs(m) > mmax] = 0
     else:
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c *= np.exp(-(np.abs(m) / max(mmax / 2.0, 2.0)) ** 2)
         c[np.abs(m) > mmax] = 0
         if parity is not None:
             c[np.mod(m, 2) != parity] = 0
-        vals = _line_values(c)
-    return Wavefunction(ctx, vals).normalized()
+    return _wave(ctx, 0.0, coef=c).normalized()
 
 
 def random_element(ctx: BetaContext, n: int, rng: np.random.Generator,
                    mmax: int | None = None, parity: int | None = None,
                    localized: bool = False) -> TorusField:
-    """Random band-limited algebra element built from two Wigner pairs."""
+    """Random band-limited algebra element built from two Wigner pairs.
+
+    The element holds coefficients: the sum of the two pairs' coefficients.
+    """
     if mmax is None:
         mmax = n // 4 - 1 if localized else n // 8
     a = random_state(ctx, n, rng, mmax, parity, localized)
@@ -73,7 +77,7 @@ def random_element(ctx: BetaContext, n: int, rng: np.random.Generator,
     d = random_state(ctx, n, rng, mmax, parity, localized)
     w1, w2 = wigner(a, b), wigner(c, d)
     z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return TorusField(ctx, z1 * w1.values + z2 * w2.values)
+    return _field(ctx, (0.0, 0.0), coef=z1 * w1.coeffs() + z2 * w2.coeffs())
 
 
 def random_qlocalized(ctx: BetaContext, n: int, rng: np.random.Generator) -> TorusField:
@@ -89,9 +93,9 @@ def random_qlocalized(ctx: BetaContext, n: int, rng: np.random.Generator) -> Tor
     coef *= np.exp(-(np.abs(m)[None, :] / 2.5) ** 2)
     coef[:, np.abs(m) > bmax] = 0
     coef[np.abs(m) > cmax, :] = 0
-    base = field_from_coeffs(ctx, coef)
+    base = _field(ctx, (0.0, 0.0), coef=coef)
     prof = np.exp(-(angle_nodes(n) / 0.25) ** 2)[:, None]
-    return TorusField(ctx, base.values * prof)
+    return _field(ctx, (0.0, 0.0), values=base.values * prof)
 
 
 def resolve_family(label: str, ctx: BetaContext, n: int):

@@ -26,12 +26,13 @@ from .beta_arith import BetaContext
 from .sampling import (
     TorusField,
     Wavefunction,
+    _field,
     _frozen,
     _line_coeffs,
     _line_values,
     _sheared_values,
+    _wave,
     angle_nodes,
-    field_from_coeffs,
     mode_numbers,
     wf_inner,
 )
@@ -61,6 +62,7 @@ class OperatorKernel:
 
     ``K(a, b) = exp(2i(mu_u a + mu_v b)) sum_{u,v} coef[u, v] exp(2i(u a + v b))``
     with ``mod = (mu_u, mu_v)``, the kernel-side image of a field modulation.
+    ``coef`` is a read-only copy of the constructor's input.
     """
 
     ctx: BetaContext
@@ -68,11 +70,14 @@ class OperatorKernel:
     mod: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        c = np.asarray(self.coef, dtype=complex)
+        # a copy: the kernel never shares memory with the caller's array
+        self._hold(np.array(self.coef, dtype=complex), self.mod)
+
+    def _hold(self, c: np.ndarray, mod) -> None:
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2 != 0:
             raise ValueError("kernel needs a square coefficient array of even size")
         object.__setattr__(self, "coef", _frozen(c))
-        object.__setattr__(self, "mod", (float(self.mod[0]), float(self.mod[1])))
+        object.__setattr__(self, "mod", (float(mod[0]), float(mod[1])))
 
     @property
     def n(self) -> int:
@@ -91,6 +96,14 @@ class OperatorKernel:
     def matrix(self) -> np.ndarray:
         """Weighted matrix acting on plain sample vectors."""
         return self.weight * self.values
+
+
+def _kernel(ctx: BetaContext, coef: np.ndarray, mod) -> OperatorKernel:
+    """A kernel adopting coefficients the library just built: checked and frozen, not copied."""
+    k = object.__new__(OperatorKernel)
+    object.__setattr__(k, "ctx", ctx)
+    k._hold(coef, mod)
+    return k
 
 
 @functools.lru_cache(maxsize=16)
@@ -119,14 +132,14 @@ def kernel_of(f: TorusField) -> OperatorKernel:
     """
     s0, b0 = f.mod
     kc = _relabel(f.coeffs(), 0, -1, 1, 1) / (2 * np.pi * f.ctx.hbar)
-    return OperatorKernel(f.ctx, kc, (b0 + s0, -s0))
+    return _kernel(f.ctx, kc, (b0 + s0, -s0))
 
 
 def element_of(k: OperatorKernel) -> TorusField:
     """Inverse of :func:`kernel_of`."""
     mu_u, mu_v = k.mod
     coef = _relabel(k.coef, 1, 1, -1, 0) * (2 * np.pi * k.ctx.hbar)
-    return field_from_coeffs(k.ctx, coef, (-mu_v, mu_u + mu_v))
+    return _field(k.ctx, (-mu_v, mu_u + mu_v), coef=coef)
 
 
 def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
@@ -139,12 +152,12 @@ def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
         raise ValueError("kernel grids differ")
     left = _line_values(kf.coef, kf.mod[1])        # [u, b]
     right = _line_values(kg.coef.T, kg.mod[0])     # [v, b]
-    return OperatorKernel(kf.ctx, kf.weight * (left @ right.T), (kf.mod[0], kg.mod[1]))
+    return _kernel(kf.ctx, kf.weight * (left @ right.T), (kf.mod[0], kg.mod[1]))
 
 
 def adjoint_kernel(k: OperatorKernel) -> OperatorKernel:
     """Kernel of the adjoint operator: conj K(b, a) as the mode relabeling (u, v) -> (-v, -u)."""
-    return OperatorKernel(k.ctx, np.conj(_relabel(k.coef, 0, -1, -1, 0)), (-k.mod[1], -k.mod[0]))
+    return _kernel(k.ctx, np.conj(_relabel(k.coef, 0, -1, -1, 0)), (-k.mod[1], -k.mod[0]))
 
 
 def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
@@ -152,8 +165,7 @@ def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
     if f.n != psi.n:
         raise ValueError("field and wavefunction grids differ")
     k = kernel_of(f)
-    out = k.matrix() @ psi.values
-    return Wavefunction(psi.ctx, out, mod=k.mod[0])
+    return _wave(psi.ctx, k.mod[0], values=k.matrix() @ psi.values)
 
 
 def trace_op(k: OperatorKernel) -> complex:
@@ -174,22 +186,40 @@ def hilbert_schmidt(kf: OperatorKernel, kg: OperatorKernel) -> complex:
 # Wigner transform and density matrices
 # ---------------------------------------------------------------------------
 
+def _band_reach(c: np.ndarray) -> int:
+    """Largest |mode| with a nonzero coefficient (exact zeros only), 0 if none."""
+    k = np.flatnonzero(c)  # FFT index k is mode k or k - n, whichever is smaller in size
+    return int(np.minimum(k, c.size - k).max()) if k.size else 0
+
+
 def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
     """Transformed field of the rank-one operator psi (phi, . ).
 
     ``W~(a', a) = 2 pi hbar psi(a + lam a') conj phi(a - (1 - lam) a')``;
-    conjugate linear in phi, linear in psi.  Row j evaluates both states at
-    offsets proportional to alpha'_j (spectral shifts, exact on band-limited
-    content, with the modulations handled in closed form).
+    conjugate linear in phi, linear in psi.  Its kernel is
+    ``psi(a) conj phi(b)``, whose coefficients are the outer product of psi's
+    coefficients with ``conj c_phi[-v]``.  When the nonzero modes of the pair
+    fit the band, ``max|m|(psi) + max|m|(phi) <= n/2 - 1`` (exact zeros, no
+    tolerance), the field is that kernel relabeled by :func:`element_of`: it
+    holds coefficients and is built with no FFT and no n x n table.  Every
+    other pair (kinked states that fill the band, sampled data with FFT
+    noise) is sampled: row j evaluates both states at offsets proportional to
+    alpha'_j (spectral shifts, exact on band-limited content, with the
+    modulations handled in closed form).
     """
-    if phi.n != psi.n:
+    n = psi.n
+    if phi.n != n:
         raise ValueError("wavefunction grids differ")
     ctx = psi.ctx
-    ap = angle_nodes(psi.n)
-    ps = psi.at_offset(ctx.lam * ap)
-    ph = phi.at_offset(-(1 - ctx.lam) * ap)
+    cpsi, cphi = psi.coeffs(), phi.coeffs()
+    if _band_reach(cpsi) + _band_reach(cphi) <= n // 2 - 1:
+        outer = np.outer(cpsi, np.conj(cphi[-np.arange(n)]))
+        return element_of(_kernel(ctx, outer, (psi.mod, -phi.mod)))
+    ap = angle_nodes(n)
+    ps = _line_values(cpsi, psi.mod, ctx.lam * ap)
+    ph = _line_values(cphi, phi.mod, -(1 - ctx.lam) * ap)
     vals = 2 * np.pi * ctx.hbar * ps * np.conj(ph)
-    return TorusField(ctx, vals, (phi.mod, psi.mod - phi.mod))
+    return _field(ctx, (phi.mod, psi.mod - phi.mod), values=vals)
 
 
 def marginal_momentum(rho: TorusField) -> np.ndarray:
@@ -205,13 +235,13 @@ def marginal_momentum(rho: TorusField) -> np.ndarray:
 def qhat_apply(psi: Wavefunction) -> Wavefunction:
     """Position operator i hbar sqrt(beta) d/d alpha."""
     out = 1j * psi.ctx.hbar * psi.ctx.sqrt_beta * psi.alpha_derivative()
-    return Wavefunction(psi.ctx, out, mod=psi.mod)
+    return _wave(psi.ctx, psi.mod, values=out)
 
 
 def phat_apply(psi: Wavefunction) -> Wavefunction:
     """Momentum operator: multiplication by tan(alpha)/sqrt(beta)."""
     p = np.tan(angle_nodes(psi.n)) / psi.ctx.sqrt_beta
-    return Wavefunction(psi.ctx, p * psi.values, mod=psi.mod)
+    return _wave(psi.ctx, psi.mod, values=p * psi.values)
 
 
 def lambda_ordered_operator(sym) -> Callable[[Wavefunction], Wavefunction]:
@@ -233,7 +263,7 @@ def lambda_ordered_operator(sym) -> Callable[[Wavefunction], Wavefunction]:
             cur = psi
             for _ in range(npow - l):
                 cur = qhat_apply(cur)
-            cur = Wavefunction(psi.ctx, phi.values * cur.values, mod=phi.mod + cur.mod)
+            cur = _wave(psi.ctx, phi.mod + cur.mod, values=phi.values * cur.values)
             for _ in range(l):
                 cur = qhat_apply(cur)
             if acc is None:
@@ -241,7 +271,7 @@ def lambda_ordered_operator(sym) -> Callable[[Wavefunction], Wavefunction]:
                 mod = cur.mod
             else:
                 acc = acc + w * cur.values
-        return Wavefunction(psi.ctx, acc, mod=mod)
+        return _wave(psi.ctx, mod, values=acc)
 
     return op
 

@@ -12,7 +12,9 @@ trigonometric polynomials exact) quadrature.
 A :class:`TorusField` carries the position-transformed function f~(p', p),
 either as samples ``F[j, k]`` at (alpha'_j, alpha_k) or as the sheared
 coefficients below, whichever its producer made; the other side is derived
-on demand and never cached.  Transformed fields of algebra elements are not
+on demand and never cached.  A :class:`Wavefunction` likewise holds samples
+or line coefficients.  Public constructors copy their input; the library's
+producers hand their fresh arrays to private ones (``_field``, ``_wave``).  Transformed fields of algebra elements are not
 plainly pi-periodic in alpha': they obey the glide periodicity
 F(A' + pi, A - lam*pi) = F(A', A).  The carrier therefore expands fields in
 the sheared basis
@@ -164,6 +166,12 @@ def _sheared_values(coef: np.ndarray, lam: float, mod: tuple[float, float]) -> n
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself made read-only (contiguous first): only for arrays nobody else holds.
+
+    Public carrier constructors copy their input before they freeze it, so a
+    carrier never shares memory with its caller; the library's own producers
+    hand over the fresh arrays they just built through private constructors.
+    """
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
@@ -188,44 +196,78 @@ def _field_array(a, what: str) -> np.ndarray:
 # wavefunctions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Wavefunction:
-    """Momentum-representation state: n complex samples on the angle grid.
+    """Momentum-representation state on the n-point angle grid.
 
-    ``mod`` is a real frequency offset: the represented function is
-    ``psi(alpha) = exp(2i*mod*alpha) * (trigonometric polynomial)``.  Closed
-    form constructors may attach ``deriv``, exact samples of d psi/d alpha
-    (modulation included), which spectral differentiation then uses verbatim;
-    this matters for states that are continuous but kinked at infinity.
+    ``psi(alpha) = exp(2i*mod*alpha) * sum_m c_m exp(2i m alpha)`` with a real
+    frequency offset ``mod``.  Like :class:`TorusField`, a state keeps the one
+    representation its producer made: samples for
+    ``Wavefunction(ctx, values, mod, deriv)``, the coefficients c_m (FFT mode
+    ordering) for :func:`wavefunction_from_coeffs`.  ``values`` and
+    :meth:`coeffs` return the held array or derive the other one through the
+    line codec on every call.  Random states and position eigenvectors hold
+    coefficients, so :func:`~gupstar.operator_rep.wigner` builds their pairs
+    without sampling.  Sampled closed-form states may attach ``deriv``, exact
+    samples of d psi/d alpha (modulation included), which spectral
+    differentiation then uses verbatim; this matters for states that are
+    continuous but kinked at infinity.  Every held array is read-only.
     """
 
-    ctx: BetaContext
-    values: np.ndarray
-    mod: float = 0.0
-    deriv: Optional[np.ndarray] = None
+    __slots__ = ("ctx", "mod", "deriv", "_values", "_coef", "__weakref__")
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 1 or v.size % 2 != 0:
-            raise ValueError("wavefunction needs a 1-d sample array of even length")
-        object.__setattr__(self, "values", _finite(v, "wavefunction samples"))
-        if self.deriv is not None:
-            d = np.asarray(self.deriv, dtype=complex)
-            if d.shape != v.shape:
+    def __init__(self, ctx: BetaContext, values: np.ndarray, mod: float = 0.0,
+                 deriv: Optional[np.ndarray] = None):
+        # copies: the state never shares memory with the caller's arrays
+        self._hold(ctx, mod, values=np.array(values, dtype=complex),
+                   deriv=None if deriv is None else np.array(deriv, dtype=complex))
+
+    def _hold(self, ctx, mod, values=None, coef=None, deriv=None) -> None:
+        what = "sample" if coef is None else "coefficient"
+        held = np.asarray(values if coef is None else coef, dtype=complex)
+        if held.ndim != 1 or held.size % 2 != 0:
+            raise ValueError(f"wavefunction needs a 1-d {what} array of even length")
+        held = _finite(held, f"wavefunction {what}s")
+        if deriv is not None:
+            deriv = np.asarray(deriv, dtype=complex)
+            if deriv.shape != held.shape:
                 raise ValueError("derivative samples must match the value samples")
-            object.__setattr__(self, "deriv", _finite(d, "wavefunction derivative samples"))
+            deriv = _finite(deriv, "wavefunction derivative samples")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "mod", float(mod))
+        object.__setattr__(self, "deriv", deriv)
+        object.__setattr__(self, "_values", held if coef is None else None)
+        object.__setattr__(self, "_coef", None if coef is None else held)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Wavefunction is immutable")
+
+    def __reduce__(self):  # pickle and copy rebuild through the checking constructor
+        return _wave, (self.ctx, self.mod, self._values, self._coef, self.deriv)
+
+    def __repr__(self) -> str:
+        held = "values" if self._coef is None else "coefficients"
+        return f"Wavefunction(ctx={self.ctx!r}, n={self.n}, mod={self.mod}, holds {held})"
+
+    @property
+    def values(self) -> np.ndarray:
+        """Samples psi(alpha_k) on the angle grid."""
+        if self._coef is None:
+            return self._values
+        return _frozen(_line_values(self._coef, self.mod))
 
     @property
     def n(self) -> int:
-        return self.values.size
+        return (self._values if self._coef is None else self._coef).size
 
     @property
     def grid(self) -> AngleGrid:
-        return AngleGrid(self.values.size)
+        return AngleGrid(self.n)
 
     def coeffs(self) -> np.ndarray:
         """Coefficients of the demodulated part, FFT mode ordering."""
-        return _line_coeffs(self.values, self.mod)
+        if self._coef is not None:
+            return self._coef
+        return _frozen(_line_coeffs(self._values, self.mod))
 
     def at_offset(self, t) -> np.ndarray:
         """Samples of psi(alpha_k + t), exact on band-limited content.
@@ -246,11 +288,26 @@ class Wavefunction:
         return math.sqrt(max(quad_mu(self.ctx, self.grid, np.abs(self.values) ** 2).real, 0.0))
 
     def normalized(self) -> "Wavefunction":
+        """The state divided by its norm, held in the same representation."""
         nv = self.norm()
         if nv == 0.0:
             raise ValueError("cannot normalize the zero wavefunction")
+        if self._coef is not None:
+            return _wave(self.ctx, self.mod, coef=self._coef / nv)
         d = None if self.deriv is None else self.deriv / nv
-        return Wavefunction(self.ctx, self.values / nv, self.mod, d)
+        return _wave(self.ctx, self.mod, values=self._values / nv, deriv=d)
+
+
+def _wave(ctx: BetaContext, mod: float, values=None, coef=None, deriv=None) -> Wavefunction:
+    """A state adopting arrays the library just built: checked and frozen, not copied."""
+    psi = object.__new__(Wavefunction)
+    psi._hold(ctx, mod, values, coef, deriv)
+    return psi
+
+
+def wavefunction_from_coeffs(ctx: BetaContext, coef: np.ndarray, mod: float = 0.0) -> Wavefunction:
+    """The state holding a copy of the coefficients ``coef``; inverse of :meth:`Wavefunction.coeffs`."""
+    return _wave(ctx, mod, coef=np.array(coef, dtype=complex))
 
 
 def quad_mu(ctx: BetaContext, grid: AngleGrid, samples: np.ndarray) -> complex:
@@ -283,23 +340,31 @@ class TorusField:
     ``coef[c, b]`` for :func:`field_from_coeffs`.  ``values`` and
     :meth:`coeffs` return the held array or derive the other one through the
     sheared codec on every call; nothing is cached, so a field never changes
-    after construction.  Both arrays are read-only.
+    after construction.  Both arrays are read-only, and the held one is a
+    copy of the constructor's input (the library's own producers hand over
+    fresh arrays without a copy).
     """
 
     __slots__ = ("ctx", "mod", "_values", "_coef", "__weakref__")
 
     def __init__(self, ctx: BetaContext, values: np.ndarray,
                  mod: tuple[float, float] = (0.0, 0.0)):
-        self._hold(ctx, mod, values=_field_array(values, "field samples"))
+        # a copy: the field never shares memory with the caller's array
+        self._hold(ctx, mod, values=np.array(values, dtype=complex))
 
     def _hold(self, ctx, mod, values=None, coef=None) -> None:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "mod", (float(mod[0]), float(mod[1])))
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_coef", coef)
+        object.__setattr__(self, "_values",
+                           None if values is None else _field_array(values, "field samples"))
+        object.__setattr__(self, "_coef",
+                           None if coef is None else _field_array(coef, "field coefficients"))
 
     def __setattr__(self, *_):
         raise AttributeError("TorusField is immutable")
+
+    def __reduce__(self):  # pickle and copy rebuild through the checking constructor
+        return _field, (self.ctx, self.mod, self._values, self._coef)
 
     def __repr__(self) -> str:
         held = "values" if self._coef is None else "coefficients"
@@ -338,12 +403,20 @@ class TorusField:
         return TorusField(self.ctx, values, self.mod if mod is None else mod)
 
 
+def _field(ctx: BetaContext, mod, values=None, coef=None) -> TorusField:
+    """A field adopting an array the library just built: checked and frozen, not copied."""
+    f = object.__new__(TorusField)
+    f._hold(ctx, mod, values, coef)
+    return f
+
+
 def field_from_coeffs(ctx: BetaContext, coef: np.ndarray,
                       mod: tuple[float, float] = (0.0, 0.0)) -> TorusField:
-    """The field holding sheared coefficients ``coef[c, b]``; inverse of :meth:`TorusField.coeffs`."""
-    f = object.__new__(TorusField)
-    f._hold(ctx, mod, coef=_field_array(coef, "field coefficients"))
-    return f
+    """The field holding a copy of sheared coefficients ``coef[c, b]``.
+
+    Inverse of :meth:`TorusField.coeffs`.
+    """
+    return _field(ctx, mod, coef=np.array(coef, dtype=complex))
 
 
 def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha=0.0) -> TorusField:
@@ -357,27 +430,25 @@ def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha=0.0) -> Torus
     out = f
     d_alpha = np.asarray(d_alpha, dtype=float)
     if d_alpha.ndim != 0 or float(d_alpha) != 0.0:
-        out = f.with_values(_line_values(_line_coeffs(f.values, b0), b0, d_alpha))
+        out = _field(f.ctx, f.mod, values=_line_values(_line_coeffs(f.values, b0), b0, d_alpha))
 
     d1 = float(d_alpha_prime)
     if d1 != 0.0:
         nu, _ = out.freq_grids()
-        out = field_from_coeffs(f.ctx, out.coeffs() * np.exp(2j * nu * d1), f.mod)
+        out = _field(f.ctx, f.mod, coef=out.coeffs() * np.exp(2j * nu * d1))
     return out
 
 
 def deriv_p(f: TorusField) -> TorusField:
     """Translation generator in the second slot: sqrt(beta) d/d alpha."""
     _, bt = f.freq_grids()
-    coef = f.coeffs() * (2j * f.ctx.sqrt_beta * bt)
-    return field_from_coeffs(f.ctx, coef, f.mod)
+    return _field(f.ctx, f.mod, coef=f.coeffs() * (2j * f.ctx.sqrt_beta * bt))
 
 
 def deriv_pprime(f: TorusField) -> TorusField:
     """Translation generator in the first slot: sqrt(beta) d/d alpha'."""
     nu, _ = f.freq_grids()
-    coef = f.coeffs() * (2j * f.ctx.sqrt_beta * nu)
-    return field_from_coeffs(f.ctx, coef, f.mod)
+    return _field(f.ctx, f.mod, coef=f.coeffs() * (2j * f.ctx.sqrt_beta * nu))
 
 
 def seminorm(f: TorusField, n_idx: int, m_idx: int) -> float:
@@ -386,7 +457,7 @@ def seminorm(f: TorusField, n_idx: int, m_idx: int) -> float:
         raise ValueError("seminorm orders must be nonnegative")
     nu, bt = f.freq_grids()
     mult = (2j * f.ctx.sqrt_beta * nu) ** n_idx * (2j * f.ctx.sqrt_beta * bt) ** m_idx
-    g = field_from_coeffs(f.ctx, f.coeffs() * mult, f.mod)
+    g = _field(f.ctx, f.mod, coef=f.coeffs() * mult)
     return float(np.abs(g.values).max())
 
 
@@ -437,9 +508,11 @@ class LatticeField:
     values: np.ndarray
 
     def __post_init__(self):
-        ms = np.asarray(self.ms, dtype=int)
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (ms.size, v.shape[1]) or v.shape[1] % 2 != 0:
+        # copies: the field never shares memory with the caller's arrays
+        self._hold(np.array(self.ms, dtype=int), np.array(self.values, dtype=complex))
+
+    def _hold(self, ms: np.ndarray, v: np.ndarray) -> None:
+        if v.ndim != 2 or v.shape[0] != ms.size or v.shape[1] % 2 != 0:
             raise ValueError("lattice field shape must be (len(ms), n) with even n")
         object.__setattr__(self, "ms", _frozen(ms))
         object.__setattr__(self, "values", _frozen(v))
@@ -478,8 +551,10 @@ def lattice_from_field(f: TorusField, half_width: int) -> LatticeField:
     corr = np.fft.ifft(np.fft.fft(table, size) * np.fft.fft(rev, size))
     sums = corr[:, n - 1:n + 2 * M].T  # [m + M, b]
     vals = _coeffs_to_vals(sums, axis=1) * np.exp(2j * b0 * angle_nodes(n))
-    ms = np.arange(-M, M + 1)
-    return LatticeField(f.ctx, ms, vals / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta))
+    lat = object.__new__(LatticeField)  # fresh arrays: adopted without a copy
+    object.__setattr__(lat, "ctx", f.ctx)
+    lat._hold(np.arange(-M, M + 1), vals / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta))
+    return lat
 
 
 def analyze(ctx: BetaContext, lattice: LatticeField) -> TorusField:
@@ -492,8 +567,7 @@ def analyze(ctx: BetaContext, lattice: LatticeField) -> TorusField:
     n = lattice.n
     ap = angle_nodes(n)[:, None]
     E = np.exp(-2j * ap * lattice.ms[None, :])
-    vals = ctx.q_lattice_step * (E @ lattice.values)
-    return TorusField(ctx, vals)
+    return _field(ctx, (0.0, 0.0), values=ctx.q_lattice_step * (E @ lattice.values))
 
 
 # ---------------------------------------------------------------------------

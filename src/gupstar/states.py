@@ -1,9 +1,10 @@
 """Closed-form position eigenvectors and maximal-localization states.
 
-Both families are built from exact evaluators; their sampled carriers attach
-the known modulation (position off the sampling lattice shows up as a real
-frequency offset) and, for the localization states, the exact derivative at
-the kink the momentum profile has at infinity.
+Both families are built from exact evaluators; their carriers attach the
+known modulation (position off the sampling lattice shows up as a real
+frequency offset).  A position eigenvector is one coefficient, so its Wigner
+field is an exact relabeling; a localization state is sampled and carries the
+exact derivative at the kink its momentum profile has at infinity.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .sampling import (
     TorusField,
     Wavefunction,
     _line_coeffs,
+    _wave,
     _write_csv,
     angle_nodes,
     mode_numbers,
@@ -62,13 +64,15 @@ def position_eigenvector(ctx: BetaContext, xi: float, n: int) -> PositionEigenve
 
     The phase-space profile is sinc((q - xi)/lattice_step); it is an exact
     eigenvector but not a physical state (its formal position spread sits
-    below the minimal uncertainty).
+    below the minimal uncertainty).  psi holds one coefficient, the constant
+    amplitude at mode 0 with modulation mu = -xi/(2 hbar sqrt(beta)), so its
+    spectral derivative is exact and ``rho`` is the one-mode Wigner field
+    built without sampling.
     """
     mu = _mod_freq(ctx, xi)
-    a = angle_nodes(n)
-    amp = math.sqrt(ctx.sqrt_beta / math.pi)
-    vals = amp * np.exp(2j * mu * a)
-    psi = Wavefunction(ctx, vals, mod=mu, deriv=2j * mu * vals)
+    coef = np.zeros(n, dtype=complex)
+    coef[0] = math.sqrt(ctx.sqrt_beta / math.pi)
+    psi = _wave(ctx, mu, coef=coef)
     rho = wigner(psi, psi)
     step = ctx.q_lattice_step
 
@@ -136,7 +140,7 @@ def ml_wavefunction(ctx: BetaContext, xi: float, n: int) -> Wavefunction:
     vals = amp * g * phase
     dg = -np.sin(a) * np.sign(np.cos(a))
     deriv = amp * phase * (2j * mu * g + dg)
-    return Wavefunction(ctx, vals, mod=mu, deriv=deriv)
+    return _wave(ctx, mu, values=vals, deriv=deriv)
 
 
 def _segment_integral(a_coef: float, b_coef: float, u, lo: float, hi: float):

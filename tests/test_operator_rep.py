@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gupstar.beta_arith import BetaContext
+from gupstar import operator_rep
 from gupstar.families import random_element, random_state
 from gupstar.families import resolve_family
 from gupstar.operator_rep import (_relabel, _relabel_index, adjoint_kernel, apply_operator, compose_kernels,
@@ -12,7 +13,7 @@ from gupstar.operator_rep import (_relabel, _relabel_index, adjoint_kernel, appl
                                   marginal_momentum, operator_norm, phat_apply, qhat_apply,
                                   state_check, trace_op, uncertainty, wigner)
 from gupstar.sampling import (AngleGrid, TorusField, Wavefunction, angle_nodes, field_from_coeffs,
-                              mode_numbers, quad_mu, wf_inner)
+                              mode_numbers, quad_mu, wavefunction_from_coeffs, wf_inner)
 from gupstar.star_algebra import SymbolObservable, inner, involution, star, star_symbol_left, trace
 from gupstar.states import ml_phase_state, position_eigenvector
 
@@ -184,6 +185,50 @@ def test_wigner_theorems(ctx, rng):
                   - wigner(a, apply_operator(f, b)).values).max() < 1e-10
     assert np.abs(star(wigner(a, b), f).values
                   - wigner(apply_operator(involution(f), a), b).values).max() < 1e-10
+
+
+def _sampled_wigner(phi, psi):
+    """Reference: the sampled construction, both states shifted row by row."""
+    ctx, ap = psi.ctx, angle_nodes(psi.n)
+    ps, ph = psi.at_offset(ctx.lam * ap), phi.at_offset(-(1 - ctx.lam) * ap)
+    return TorusField(ctx, 2 * np.pi * ctx.hbar * ps * np.conj(ph), (phi.mod, psi.mod - phi.mod))
+
+
+def _band_state(ctx, n, rng, reach, mod):
+    """Coefficient-held state whose nonzero modes reach |m| = reach exactly."""
+    m = np.abs(mode_numbers(n))
+    c = np.where(m <= reach, rng.standard_normal(n) + 1j * rng.standard_normal(n), 0)
+    return wavefunction_from_coeffs(ctx, c, mod)
+
+
+@pytest.mark.parametrize("beta,hbar", [(1.0, 1.0), (2.0, 0.7)])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+def test_wigner_relabels_pairs_that_fit_the_band(monkeypatch, beta, hbar, lam):
+    ctx, n = BetaContext(beta, hbar, lam), 48
+    rng = np.random.default_rng(23)
+    psi = _band_state(ctx, n, rng, 13, 0.37)
+    phi = _band_state(ctx, n, rng, n // 2 - 1 - 13, -0.21)  # the pair reaches n/2 - 1
+    past = _band_state(ctx, n, rng, n // 2 - 13, -0.21)     # one mode further
+    pe = position_eigenvector(ctx, 0.83, n).psi
+    fits = [(phi, psi), (psi, phi), (pe, psi), (pe, pe)]
+
+    def forbidden(*_):
+        raise AssertionError("wigner sampled a pair that fits the band")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(operator_rep, "_line_values", forbidden)
+        fields = [wigner(a, b) for a, b in fits]
+    for (a, b), w in zip(fits, fields):
+        ref = _sampled_wigner(a, b)
+        assert w.mod == ref.mod
+        assert np.abs(w.values - ref.values).max() <= 1e-13 * np.abs(ref.values).max()
+        outer = np.outer(b.values, np.conj(a.values))
+        assert np.abs(kernel_of(w).values - outer).max() <= 1e-13 * np.abs(outer).max()
+    # past the band edge, and for the kinked localization states, wigner samples
+    ml = ml_phase_state(ctx, 0.37, n)
+    for a, b, w in ((past, psi, wigner(past, psi)), (ml.psi, ml.psi, ml.rho)):
+        ref = _sampled_wigner(a, b)
+        assert w.mod == ref.mod and np.array_equal(w.values, ref.values)
 
 
 def test_marginal(ctx, rng):

@@ -1,15 +1,18 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from gupstar.beta_arith import INFINITY, BetaContext
 from gupstar.families import random_element, random_state, resolve_family
-from gupstar.sampling import (AngleGrid, LatticeField, TorusField, Wavefunction, _sheared_coeffs,
-                              _sheared_values, _write_csv, analyze, angle_nodes,
-                              field_from_coeffs, lattice_from_field,
+from gupstar.operator_rep import OperatorKernel
+from gupstar.sampling import (AngleGrid, LatticeField, TorusField, Wavefunction, _line_coeffs,
+                              _line_values, _sheared_coeffs, _sheared_values, _write_csv, analyze,
+                              angle_nodes, field_from_coeffs, lattice_from_field,
                               lattice_to_csv, quad_mu, seminorm, shift_field,
-                              synth, synth_grid, torus_to_csv)
+                              synth, synth_grid, torus_to_csv, wavefunction_from_coeffs)
 from gupstar.states import position_eigenvector
 
 
@@ -232,6 +235,62 @@ def test_fields_keep_the_representation_they_were_built_from(lam):
             h.mod = (0.0, 0.0)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
+def test_wavefunctions_keep_the_representation_they_were_built_from(lam):
+    ctx, mod, n = BetaContext(2.0, 0.7, lam), 0.37, 16
+    rng = np.random.default_rng(19)
+    v, c = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+    psi, chi = Wavefunction(ctx, v.copy(), mod), wavefunction_from_coeffs(ctx, c.copy(), mod)
+    assert np.array_equal(psi.values, v)
+    assert np.array_equal(psi.coeffs(), _line_coeffs(v, mod))
+    assert np.array_equal(chi.coeffs(), c)
+    assert np.array_equal(chi.values, _line_values(c, mod))
+    for h in (psi, chi):
+        assert h.n == n and h.mod == mod
+        assert not (h.values.flags.writeable or h.coeffs().flags.writeable)
+        with pytest.raises(AttributeError):
+            h.mod = 0.0
+    # normalizing scales the held array and keeps the representation
+    nv = chi.norm()
+    assert np.array_equal(chi.normalized().coeffs(), c / nv)
+    assert np.array_equal(psi.normalized().values, v / psi.norm())
+
+
+def test_carriers_survive_pickle_and_copy(ctx):
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    carriers = [TorusField(ctx, v, (0.21, 0.37)), field_from_coeffs(ctx, v, (0.21, 0.37)),
+                Wavefunction(ctx, v[0], 0.37, v[1]), wavefunction_from_coeffs(ctx, v[0], 0.37)]
+    for x in carriers:
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(y) is type(x) and y.mod == x.mod and repr(y) == repr(x)
+            assert np.array_equal(y.coeffs(), x.coeffs()) and not y.coeffs().flags.writeable
+            assert np.array_equal(y.values, x.values)
+    assert np.array_equal(copy.deepcopy(carriers[2]).deriv, v[1])
+
+
+def _alias_cases(ctx):
+    """(constructor taking one caller array, reader of the carrier's copy) pairs."""
+    return [
+        (lambda a: TorusField(ctx, a.reshape(4, 4)), lambda f: f.values),
+        (lambda a: field_from_coeffs(ctx, a.reshape(4, 4)), lambda f: f.coeffs()),
+        (lambda a: OperatorKernel(ctx, a.reshape(4, 4)), lambda k: k.coef),
+        (lambda a: LatticeField(ctx, np.arange(-1, 1), a.reshape(2, 8)), lambda lat: lat.values),
+        (lambda a: Wavefunction(ctx, a), lambda psi: psi.values),
+        (lambda a: Wavefunction(ctx, np.ones(16), 0.0, a), lambda psi: psi.deriv),
+        (lambda a: wavefunction_from_coeffs(ctx, a), lambda psi: psi.coeffs()),
+    ]
+
+
+def test_carriers_do_not_alias_their_input(ctx):
+    for build, held in _alias_cases(ctx):
+        base = np.zeros(16, complex)
+        carrier = build(base)
+        base[0] = 7  # the caller's array stays writeable ...
+        assert held(carrier).flat[0] == 0  # ... and the carrier does not see the write
+        assert not held(carrier).flags.writeable
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_field_data_must_be_finite(ctx, bad):
     a = np.ones((8, 8), complex)
@@ -240,5 +299,9 @@ def test_field_data_must_be_finite(ctx, bad):
         field_from_coeffs(ctx, a)
     with pytest.raises(ValueError, match="samples must be finite"):
         TorusField(ctx, a)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        wavefunction_from_coeffs(ctx, a[2])
+    with pytest.raises(ValueError, match="samples must be finite"):
+        Wavefunction(ctx, a[2])
     with pytest.raises(ValueError, match="square array of even size"):
         field_from_coeffs(ctx, np.ones((8, 6), complex))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element, random_state, resolve_family
@@ -260,9 +262,45 @@ def test_algebra_path_runs_no_sheared_codec(monkeypatch):
     tr = trace(star(fi, g))
     sf = s_operator(f)
     back = element_of(compose_kernels(kernel_of(f), kernel_of(g)))
+    # band-limited families are Wigner fields built as coefficient outer products
+    bump, rho = resolve_family("bump:5", ctx, n), resolve_family("rho:0.37", ctx, n)
+    rho2, bump_rho, rho_i = star(rho, rho), star(bump, rho), involution(rho)
+    tr_rho, tr_bb = trace(rho), trace(star(involution(bump), bump))
     monkeypatch.undo()
     lv = fgh.values
     assert np.abs(lv - star(f, star(g, h)).values).max() <= 1e-12 * np.abs(lv).max()
     assert abs(tr - inner(f, g)) <= 1e-12 * norm2(f) * norm2(g)
     assert np.array_equal(sf.coeffs(), f.coeffs()) and sf.ctx.lam == pytest.approx(0.7)
     assert np.array_equal(back.coeffs(), star(f, g).coeffs())
+    assert abs(tr_rho - 1.0) <= 1e-13
+    assert np.abs(rho2.values - rho.values).max() <= 1e-12 * np.abs(rho.values).max()
+    assert np.abs(rho_i.values - rho.values).max() <= 1e-12 * np.abs(rho.values).max()
+    assert abs(tr_bb - inner(bump, bump)) <= 1e-12 * norm2(bump) ** 2
+    assert np.isfinite(bump_rho.coeffs()).all()
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+contexts = st.builds(BetaContext, st.sampled_from([1.0, 2.0]), st.sampled_from([1.0, 0.7]),
+                     st.floats(0.0, 1.0))
+sizes = st.sampled_from([16, 32, 64])
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@PROPERTY
+@given(ctx=contexts, n=sizes, seed=seeds, localized=st.booleans())
+def test_star_is_associative_on_band_limited_triples(ctx, n, seed, localized):
+    rng = np.random.default_rng(seed)
+    f, g, h = (random_element(ctx, n, rng, localized=localized) for _ in range(3))
+    left, right = star(star(f, g), h), star(f, star(g, h))
+    assert left.mod == right.mod
+    assert np.abs(left.values - right.values).max() < 1e-10 * norm2(f) * norm2(g) * norm2(h)
+
+
+@PROPERTY
+@given(ctx=contexts, n=sizes, seed=seeds, localized=st.booleans())
+def test_involution_is_an_anti_automorphism(ctx, n, seed, localized):
+    rng = np.random.default_rng(seed)
+    f, g = (random_element(ctx, n, rng, localized=localized) for _ in range(2))
+    lhs, rhs = involution(star(f, g)), star(involution(g), involution(f))
+    assert lhs.mod == rhs.mod
+    assert np.abs(lhs.values - rhs.values).max() <= 1e-9 * np.abs(rhs.values).max()
