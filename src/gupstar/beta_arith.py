@@ -134,7 +134,7 @@ def oplus(ctx: BetaContext, x: ExtReal, y: ExtReal) -> ExtReal:
         out = -1.0 / d if d != 0.0 else math.inf
         return out if math.isfinite(out) else INFINITY
     xf, yf = _as_finite(x), _as_finite(y)
-    prod = ctx.beta * xf * yf
+    prod = ctx.beta * (xf * yf)  # exactly commutative; a finite x*y is never NaN
     if prod == 1.0:
         return INFINITY
     out = (xf + yf) / (1.0 - prod)

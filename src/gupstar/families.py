@@ -8,12 +8,12 @@ from .beta_arith import BetaContext
 from .sampling import (
     TorusField,
     Wavefunction,
-    _field,
     _line_coeffs,
     _line_values,
-    _wave,
     angle_nodes,
+    field_from_coeffs,
     mode_numbers,
+    wavefunction_from_coeffs,
 )
 from .operator_rep import wigner
 
@@ -59,7 +59,7 @@ def random_state(ctx: BetaContext, n: int, rng: np.random.Generator,
         c[np.abs(m) > mmax] = 0
         if parity is not None:
             c[np.mod(m, 2) != parity] = 0
-    return _wave(ctx, 0.0, coef=c).normalized()
+    return wavefunction_from_coeffs(ctx, c).normalized()
 
 
 def random_element(ctx: BetaContext, n: int, rng: np.random.Generator,
@@ -77,7 +77,7 @@ def random_element(ctx: BetaContext, n: int, rng: np.random.Generator,
     d = random_state(ctx, n, rng, mmax, parity, localized)
     w1, w2 = wigner(a, b), wigner(c, d)
     z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return _field(ctx, (0.0, 0.0), coef=z1 * w1.coeffs() + z2 * w2.coeffs())
+    return field_from_coeffs(ctx, z1 * w1.coeffs() + z2 * w2.coeffs())
 
 
 def random_qlocalized(ctx: BetaContext, n: int, rng: np.random.Generator) -> TorusField:
@@ -93,9 +93,9 @@ def random_qlocalized(ctx: BetaContext, n: int, rng: np.random.Generator) -> Tor
     coef *= np.exp(-(np.abs(m)[None, :] / 2.5) ** 2)
     coef[:, np.abs(m) > bmax] = 0
     coef[np.abs(m) > cmax, :] = 0
-    base = _field(ctx, (0.0, 0.0), coef=coef)
+    base = field_from_coeffs(ctx, coef)
     prof = np.exp(-(angle_nodes(n) / 0.25) ** 2)[:, None]
-    return _field(ctx, (0.0, 0.0), values=base.values * prof)
+    return TorusField(ctx, base.values * prof)
 
 
 def resolve_family(label: str, ctx: BetaContext, n: int):

@@ -26,13 +26,12 @@ from .beta_arith import BetaContext
 from .sampling import (
     TorusField,
     Wavefunction,
-    _field,
     _frozen,
     _line_coeffs,
     _line_values,
     _sheared_values,
-    _wave,
     angle_nodes,
+    field_from_coeffs,
     mode_numbers,
     wf_inner,
 )
@@ -70,14 +69,11 @@ class OperatorKernel:
     mod: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        # a copy: the kernel never shares memory with the caller's array
-        self._hold(np.array(self.coef, dtype=complex), self.mod)
-
-    def _hold(self, c: np.ndarray, mod) -> None:
+        c = np.array(self.coef, dtype=complex)  # a copy: no memory shared with the caller
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2 != 0:
             raise ValueError("kernel needs a square coefficient array of even size")
         object.__setattr__(self, "coef", _frozen(c))
-        object.__setattr__(self, "mod", (float(mod[0]), float(mod[1])))
+        object.__setattr__(self, "mod", (float(self.mod[0]), float(self.mod[1])))
 
     @property
     def n(self) -> int:
@@ -96,14 +92,6 @@ class OperatorKernel:
     def matrix(self) -> np.ndarray:
         """Weighted matrix acting on plain sample vectors."""
         return self.weight * self.values
-
-
-def _kernel(ctx: BetaContext, coef: np.ndarray, mod) -> OperatorKernel:
-    """A kernel adopting coefficients the library just built: checked and frozen, not copied."""
-    k = object.__new__(OperatorKernel)
-    object.__setattr__(k, "ctx", ctx)
-    k._hold(coef, mod)
-    return k
 
 
 @functools.lru_cache(maxsize=16)
@@ -132,14 +120,14 @@ def kernel_of(f: TorusField) -> OperatorKernel:
     """
     s0, b0 = f.mod
     kc = _relabel(f.coeffs(), 0, -1, 1, 1) / (2 * np.pi * f.ctx.hbar)
-    return _kernel(f.ctx, kc, (b0 + s0, -s0))
+    return OperatorKernel(f.ctx, kc, (b0 + s0, -s0))
 
 
 def element_of(k: OperatorKernel) -> TorusField:
     """Inverse of :func:`kernel_of`."""
     mu_u, mu_v = k.mod
     coef = _relabel(k.coef, 1, 1, -1, 0) * (2 * np.pi * k.ctx.hbar)
-    return _field(k.ctx, (-mu_v, mu_u + mu_v), coef=coef)
+    return field_from_coeffs(k.ctx, coef, (-mu_v, mu_u + mu_v))
 
 
 def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
@@ -152,12 +140,12 @@ def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
         raise ValueError("kernel grids differ")
     left = _line_values(kf.coef, kf.mod[1])        # [u, b]
     right = _line_values(kg.coef.T, kg.mod[0])     # [v, b]
-    return _kernel(kf.ctx, kf.weight * (left @ right.T), (kf.mod[0], kg.mod[1]))
+    return OperatorKernel(kf.ctx, kf.weight * (left @ right.T), (kf.mod[0], kg.mod[1]))
 
 
 def adjoint_kernel(k: OperatorKernel) -> OperatorKernel:
     """Kernel of the adjoint operator: conj K(b, a) as the mode relabeling (u, v) -> (-v, -u)."""
-    return _kernel(k.ctx, np.conj(_relabel(k.coef, 0, -1, -1, 0)), (-k.mod[1], -k.mod[0]))
+    return OperatorKernel(k.ctx, np.conj(_relabel(k.coef, 0, -1, -1, 0)), (-k.mod[1], -k.mod[0]))
 
 
 def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
@@ -165,7 +153,8 @@ def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
     if f.n != psi.n:
         raise ValueError("field and wavefunction grids differ")
     k = kernel_of(f)
-    return _wave(psi.ctx, k.mod[0], values=k.matrix() @ psi.values)
+    out = k.matrix() @ psi.values
+    return Wavefunction(psi.ctx, out, mod=k.mod[0])
 
 
 def trace_op(k: OperatorKernel) -> complex:
@@ -214,12 +203,12 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
     cpsi, cphi = psi.coeffs(), phi.coeffs()
     if _band_reach(cpsi) + _band_reach(cphi) <= n // 2 - 1:
         outer = np.outer(cpsi, np.conj(cphi[-np.arange(n)]))
-        return element_of(_kernel(ctx, outer, (psi.mod, -phi.mod)))
+        return element_of(OperatorKernel(ctx, outer, (psi.mod, -phi.mod)))
     ap = angle_nodes(n)
     ps = _line_values(cpsi, psi.mod, ctx.lam * ap)
     ph = _line_values(cphi, phi.mod, -(1 - ctx.lam) * ap)
     vals = 2 * np.pi * ctx.hbar * ps * np.conj(ph)
-    return _field(ctx, (phi.mod, psi.mod - phi.mod), values=vals)
+    return TorusField(ctx, vals, (phi.mod, psi.mod - phi.mod))
 
 
 def marginal_momentum(rho: TorusField) -> np.ndarray:
@@ -235,13 +224,13 @@ def marginal_momentum(rho: TorusField) -> np.ndarray:
 def qhat_apply(psi: Wavefunction) -> Wavefunction:
     """Position operator i hbar sqrt(beta) d/d alpha."""
     out = 1j * psi.ctx.hbar * psi.ctx.sqrt_beta * psi.alpha_derivative()
-    return _wave(psi.ctx, psi.mod, values=out)
+    return Wavefunction(psi.ctx, out, mod=psi.mod)
 
 
 def phat_apply(psi: Wavefunction) -> Wavefunction:
     """Momentum operator: multiplication by tan(alpha)/sqrt(beta)."""
     p = np.tan(angle_nodes(psi.n)) / psi.ctx.sqrt_beta
-    return _wave(psi.ctx, psi.mod, values=p * psi.values)
+    return Wavefunction(psi.ctx, p * psi.values, mod=psi.mod)
 
 
 def lambda_ordered_operator(sym) -> Callable[[Wavefunction], Wavefunction]:
@@ -263,7 +252,7 @@ def lambda_ordered_operator(sym) -> Callable[[Wavefunction], Wavefunction]:
             cur = psi
             for _ in range(npow - l):
                 cur = qhat_apply(cur)
-            cur = _wave(psi.ctx, phi.mod + cur.mod, values=phi.values * cur.values)
+            cur = Wavefunction(psi.ctx, phi.values * cur.values, mod=phi.mod + cur.mod)
             for _ in range(l):
                 cur = qhat_apply(cur)
             if acc is None:
@@ -271,7 +260,7 @@ def lambda_ordered_operator(sym) -> Callable[[Wavefunction], Wavefunction]:
                 mod = cur.mod
             else:
                 acc = acc + w * cur.values
-        return _wave(psi.ctx, mod, values=acc)
+        return Wavefunction(psi.ctx, acc, mod=mod)
 
     return op
 

@@ -13,9 +13,9 @@ A :class:`TorusField` carries the position-transformed function f~(p', p),
 either as samples ``F[j, k]`` at (alpha'_j, alpha_k) or as the sheared
 coefficients below, whichever its producer made; the other side is derived
 on demand and never cached.  A :class:`Wavefunction` likewise holds samples
-or line coefficients.  Public constructors copy their input; the library's
-producers hand their fresh arrays to private ones (``_field``, ``_wave``).  Transformed fields of algebra elements are not
-plainly pi-periodic in alpha': they obey the glide periodicity
+or line coefficients.  Every carrier constructor copies its input, so a
+carrier never shares memory with its caller.  Transformed fields of algebra
+elements are not plainly pi-periodic in alpha': they obey the glide periodicity
 F(A' + pi, A - lam*pi) = F(A', A).  The carrier therefore expands fields in
 the sheared basis
 
@@ -166,12 +166,6 @@ def _sheared_values(coef: np.ndarray, lam: float, mod: tuple[float, float]) -> n
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` itself made read-only (contiguous first): only for arrays nobody else holds.
-
-    Public carrier constructors copy their input before they freeze it, so a
-    carrier never shares memory with its caller; the library's own producers
-    hand over the fresh arrays they just built through private constructors.
-    """
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
@@ -241,8 +235,10 @@ class Wavefunction:
     def __setattr__(self, *_):
         raise AttributeError("Wavefunction is immutable")
 
-    def __reduce__(self):  # pickle and copy rebuild through the checking constructor
-        return _wave, (self.ctx, self.mod, self._values, self._coef, self.deriv)
+    def __reduce__(self):  # pickle and copy rebuild through the public constructors
+        if self._coef is None:
+            return Wavefunction, (self.ctx, self._values, self.mod, self.deriv)
+        return wavefunction_from_coeffs, (self.ctx, self._coef, self.mod)
 
     def __repr__(self) -> str:
         held = "values" if self._coef is None else "coefficients"
@@ -293,21 +289,16 @@ class Wavefunction:
         if nv == 0.0:
             raise ValueError("cannot normalize the zero wavefunction")
         if self._coef is not None:
-            return _wave(self.ctx, self.mod, coef=self._coef / nv)
+            return wavefunction_from_coeffs(self.ctx, self._coef / nv, self.mod)
         d = None if self.deriv is None else self.deriv / nv
-        return _wave(self.ctx, self.mod, values=self._values / nv, deriv=d)
-
-
-def _wave(ctx: BetaContext, mod: float, values=None, coef=None, deriv=None) -> Wavefunction:
-    """A state adopting arrays the library just built: checked and frozen, not copied."""
-    psi = object.__new__(Wavefunction)
-    psi._hold(ctx, mod, values, coef, deriv)
-    return psi
+        return Wavefunction(self.ctx, self._values / nv, self.mod, d)
 
 
 def wavefunction_from_coeffs(ctx: BetaContext, coef: np.ndarray, mod: float = 0.0) -> Wavefunction:
     """The state holding a copy of the coefficients ``coef``; inverse of :meth:`Wavefunction.coeffs`."""
-    return _wave(ctx, mod, coef=np.array(coef, dtype=complex))
+    psi = object.__new__(Wavefunction)
+    psi._hold(ctx, mod, coef=np.array(coef, dtype=complex))
+    return psi
 
 
 def quad_mu(ctx: BetaContext, grid: AngleGrid, samples: np.ndarray) -> complex:
@@ -341,8 +332,7 @@ class TorusField:
     :meth:`coeffs` return the held array or derive the other one through the
     sheared codec on every call; nothing is cached, so a field never changes
     after construction.  Both arrays are read-only, and the held one is a
-    copy of the constructor's input (the library's own producers hand over
-    fresh arrays without a copy).
+    copy of the constructor's input.
     """
 
     __slots__ = ("ctx", "mod", "_values", "_coef", "__weakref__")
@@ -350,21 +340,21 @@ class TorusField:
     def __init__(self, ctx: BetaContext, values: np.ndarray,
                  mod: tuple[float, float] = (0.0, 0.0)):
         # a copy: the field never shares memory with the caller's array
-        self._hold(ctx, mod, values=np.array(values, dtype=complex))
+        self._hold(ctx, mod, values=_field_array(np.array(values, dtype=complex), "field samples"))
 
     def _hold(self, ctx, mod, values=None, coef=None) -> None:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "mod", (float(mod[0]), float(mod[1])))
-        object.__setattr__(self, "_values",
-                           None if values is None else _field_array(values, "field samples"))
-        object.__setattr__(self, "_coef",
-                           None if coef is None else _field_array(coef, "field coefficients"))
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_coef", coef)
 
     def __setattr__(self, *_):
         raise AttributeError("TorusField is immutable")
 
-    def __reduce__(self):  # pickle and copy rebuild through the checking constructor
-        return _field, (self.ctx, self.mod, self._values, self._coef)
+    def __reduce__(self):  # pickle and copy rebuild through the public constructors
+        if self._coef is None:
+            return TorusField, (self.ctx, self._values, self.mod)
+        return field_from_coeffs, (self.ctx, self._coef, self.mod)
 
     def __repr__(self) -> str:
         held = "values" if self._coef is None else "coefficients"
@@ -403,20 +393,15 @@ class TorusField:
         return TorusField(self.ctx, values, self.mod if mod is None else mod)
 
 
-def _field(ctx: BetaContext, mod, values=None, coef=None) -> TorusField:
-    """A field adopting an array the library just built: checked and frozen, not copied."""
-    f = object.__new__(TorusField)
-    f._hold(ctx, mod, values, coef)
-    return f
-
-
 def field_from_coeffs(ctx: BetaContext, coef: np.ndarray,
                       mod: tuple[float, float] = (0.0, 0.0)) -> TorusField:
     """The field holding a copy of sheared coefficients ``coef[c, b]``.
 
     Inverse of :meth:`TorusField.coeffs`.
     """
-    return _field(ctx, mod, coef=np.array(coef, dtype=complex))
+    f = object.__new__(TorusField)
+    f._hold(ctx, mod, coef=_field_array(np.array(coef, dtype=complex), "field coefficients"))
+    return f
 
 
 def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha=0.0) -> TorusField:
@@ -430,25 +415,27 @@ def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha=0.0) -> Torus
     out = f
     d_alpha = np.asarray(d_alpha, dtype=float)
     if d_alpha.ndim != 0 or float(d_alpha) != 0.0:
-        out = _field(f.ctx, f.mod, values=_line_values(_line_coeffs(f.values, b0), b0, d_alpha))
+        out = f.with_values(_line_values(_line_coeffs(f.values, b0), b0, d_alpha))
 
     d1 = float(d_alpha_prime)
     if d1 != 0.0:
         nu, _ = out.freq_grids()
-        out = _field(f.ctx, f.mod, coef=out.coeffs() * np.exp(2j * nu * d1))
+        out = field_from_coeffs(f.ctx, out.coeffs() * np.exp(2j * nu * d1), f.mod)
     return out
 
 
 def deriv_p(f: TorusField) -> TorusField:
     """Translation generator in the second slot: sqrt(beta) d/d alpha."""
     _, bt = f.freq_grids()
-    return _field(f.ctx, f.mod, coef=f.coeffs() * (2j * f.ctx.sqrt_beta * bt))
+    coef = f.coeffs() * (2j * f.ctx.sqrt_beta * bt)
+    return field_from_coeffs(f.ctx, coef, f.mod)
 
 
 def deriv_pprime(f: TorusField) -> TorusField:
     """Translation generator in the first slot: sqrt(beta) d/d alpha'."""
     nu, _ = f.freq_grids()
-    return _field(f.ctx, f.mod, coef=f.coeffs() * (2j * f.ctx.sqrt_beta * nu))
+    coef = f.coeffs() * (2j * f.ctx.sqrt_beta * nu)
+    return field_from_coeffs(f.ctx, coef, f.mod)
 
 
 def seminorm(f: TorusField, n_idx: int, m_idx: int) -> float:
@@ -457,7 +444,7 @@ def seminorm(f: TorusField, n_idx: int, m_idx: int) -> float:
         raise ValueError("seminorm orders must be nonnegative")
     nu, bt = f.freq_grids()
     mult = (2j * f.ctx.sqrt_beta * nu) ** n_idx * (2j * f.ctx.sqrt_beta * bt) ** m_idx
-    g = _field(f.ctx, f.mod, coef=f.coeffs() * mult)
+    g = field_from_coeffs(f.ctx, f.coeffs() * mult, f.mod)
     return float(np.abs(g.values).max())
 
 
@@ -508,10 +495,8 @@ class LatticeField:
     values: np.ndarray
 
     def __post_init__(self):
-        # copies: the field never shares memory with the caller's arrays
-        self._hold(np.array(self.ms, dtype=int), np.array(self.values, dtype=complex))
-
-    def _hold(self, ms: np.ndarray, v: np.ndarray) -> None:
+        ms = np.array(self.ms, dtype=int)  # copies: no memory shared with the caller
+        v = np.array(self.values, dtype=complex)
         if v.ndim != 2 or v.shape[0] != ms.size or v.shape[1] % 2 != 0:
             raise ValueError("lattice field shape must be (len(ms), n) with even n")
         object.__setattr__(self, "ms", _frozen(ms))
@@ -551,10 +536,8 @@ def lattice_from_field(f: TorusField, half_width: int) -> LatticeField:
     corr = np.fft.ifft(np.fft.fft(table, size) * np.fft.fft(rev, size))
     sums = corr[:, n - 1:n + 2 * M].T  # [m + M, b]
     vals = _coeffs_to_vals(sums, axis=1) * np.exp(2j * b0 * angle_nodes(n))
-    lat = object.__new__(LatticeField)  # fresh arrays: adopted without a copy
-    object.__setattr__(lat, "ctx", f.ctx)
-    lat._hold(np.arange(-M, M + 1), vals / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta))
-    return lat
+    ms = np.arange(-M, M + 1)
+    return LatticeField(f.ctx, ms, vals / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta))
 
 
 def analyze(ctx: BetaContext, lattice: LatticeField) -> TorusField:
@@ -567,7 +550,8 @@ def analyze(ctx: BetaContext, lattice: LatticeField) -> TorusField:
     n = lattice.n
     ap = angle_nodes(n)[:, None]
     E = np.exp(-2j * ap * lattice.ms[None, :])
-    return _field(ctx, (0.0, 0.0), values=ctx.q_lattice_step * (E @ lattice.values))
+    vals = ctx.q_lattice_step * (E @ lattice.values)
+    return TorusField(ctx, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ from .operator_rep import (
 from .sampling import (
     TorusField,
     Wavefunction,
-    _field,
     _line_values,
     angle_nodes,
+    field_from_coeffs,
     mode_numbers,
 )
 
@@ -122,7 +122,7 @@ def star_direct(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
         out += w * Fv * Gv
     s0f, b0f = f.mod
     s0g, b0g = g.mod
-    return _field(ctx, (s0g, b0f + s0f - s0g), values=out)
+    return TorusField(ctx, out, (s0g, b0f + s0f - s0g))
 
 
 def involution(f: AlgebraElement) -> AlgebraElement:
@@ -133,7 +133,7 @@ def involution(f: AlgebraElement) -> AlgebraElement:
     conjugation of f(q, p).
     """
     s0, b0 = f.mod
-    return _field(f.ctx, (s0 + b0, -b0), coef=_relabel(np.conj(f.coeffs()), 1, 1, 0, -1))
+    return field_from_coeffs(f.ctx, _relabel(np.conj(f.coeffs()), 1, 1, 0, -1), (s0 + b0, -b0))
 
 
 def s_operator(f: AlgebraElement) -> AlgebraElement:
@@ -144,7 +144,7 @@ def s_operator(f: AlgebraElement) -> AlgebraElement:
     symmetric ordering S is the identity.
     """
     ctx2 = f.ctx.with_lam(1.0 - f.ctx.lam)
-    return _field(ctx2, f.mod, coef=f.coeffs())  # both fields are immutable, so they share it
+    return field_from_coeffs(ctx2, f.coeffs(), f.mod)
 
 
 def trace(f: AlgebraElement) -> complex:
@@ -245,9 +245,9 @@ def _symbol_product(sym: SymbolObservable, g: AlgebraElement, t, a, z) -> Algebr
     out = rows[power] * g.values
     gc = g.coeffs() if power else None
     for j in range(1, power + 1):
-        gj = _field(ctx, g.mod, coef=gc * z ** j).values
+        gj = field_from_coeffs(ctx, gc * z ** j, g.mod).values
         out = out + math.comb(power, j) * rows[power - j] * gj
-    return _field(ctx, (g.mod[0] + (t - ctx.lam) * phi.mod, g.mod[1] + phi.mod), values=out)
+    return TorusField(ctx, out, (g.mod[0] + (t - ctx.lam) * phi.mod, g.mod[1] + phi.mod))
 
 
 def star_symbol_left(sym: SymbolObservable, g: AlgebraElement) -> AlgebraElement:

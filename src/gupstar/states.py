@@ -21,10 +21,10 @@ from .sampling import (
     TorusField,
     Wavefunction,
     _line_coeffs,
-    _wave,
     _write_csv,
     angle_nodes,
     mode_numbers,
+    wavefunction_from_coeffs,
 )
 
 __all__ = [
@@ -72,7 +72,7 @@ def position_eigenvector(ctx: BetaContext, xi: float, n: int) -> PositionEigenve
     mu = _mod_freq(ctx, xi)
     coef = np.zeros(n, dtype=complex)
     coef[0] = math.sqrt(ctx.sqrt_beta / math.pi)
-    psi = _wave(ctx, mu, coef=coef)
+    psi = wavefunction_from_coeffs(ctx, coef, mu)
     rho = wigner(psi, psi)
     step = ctx.q_lattice_step
 
@@ -140,7 +140,7 @@ def ml_wavefunction(ctx: BetaContext, xi: float, n: int) -> Wavefunction:
     vals = amp * g * phase
     dg = -np.sin(a) * np.sign(np.cos(a))
     deriv = amp * phase * (2j * mu * g + dg)
-    return _wave(ctx, mu, values=vals, deriv=deriv)
+    return Wavefunction(ctx, vals, mod=mu, deriv=deriv)
 
 
 def _segment_integral(a_coef: float, b_coef: float, u, lo: float, hi: float):

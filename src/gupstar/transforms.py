@@ -15,7 +15,6 @@ import numpy as np
 
 from .sampling import (
     TorusField,
-    _field,
     _line_coeffs,
     _line_values,
     angle_nodes,
@@ -78,7 +77,7 @@ def conv_unit(ctx, n: int) -> TorusField:
     apply to this special element.
     """
     row = _line_values(np.full(n, ctx.sqrt_beta / np.pi, dtype=complex))
-    return _field(ctx, (0.0, 0.0), values=np.tile(row, (n, 1)))
+    return TorusField(ctx, np.tile(row, (n, 1)))
 
 
 def _row_convolution(f: TorusField, g: TorusField) -> np.ndarray:
@@ -104,7 +103,7 @@ def conv_generalized(x, y):
     if isinstance(x, TorusField) and isinstance(y, TorusField):
         if x.ctx != y.ctx or x.n != y.n:
             raise ValueError("convolution operands live on different grids")
-        return _field(x.ctx, (x.mod[0] + y.mod[0], x.mod[1]), values=_row_convolution(x, y))
+        return TorusField(x.ctx, _row_convolution(x, y), (x.mod[0] + y.mod[0], x.mod[1]))
     if isinstance(x, SymplecticPair) and isinstance(y, SymplecticPair):
         if not (x.transformed and y.transformed):
             raise ValueError("pair convolution expects both operands transformed")
@@ -112,7 +111,7 @@ def conv_generalized(x, y):
         if F.ctx != G.ctx or F.n != G.n:
             raise ValueError("convolution operands live on different grids")
         out = _pair_convolution(F, G)
-        return SymplecticPair(_field(F.ctx, (0.0, 0.0), values=out.T), transformed=True)
+        return SymplecticPair(TorusField(F.ctx, out.T), transformed=True)
     raise TypeError("conv_generalized expects two fields or two transformed pairs")
 
 
@@ -194,7 +193,7 @@ def twisted_conv(u: SymplecticPair, v: SymplecticPair) -> SymplecticPair:
         T = (np.exp(-2j * np.outer(ap, freq)) * Mje).sum(axis=0)
         O[i2] = (2 * np.pi * ctx.hbar / n) * (np.exp(2j * np.outer(ap, freq)) @ T)
     tagged = 2 * hs * (np.exp(-2j * np.outer(ap, m)) @ O)
-    return SymplecticPair(_field(ctx, (0.0, 0.0), values=tagged.T), transformed=True)
+    return SymplecticPair(TorusField(ctx, tagged.T), transformed=True)
 
 
 def mult_by_q(f: TorusField) -> TorusField:
@@ -206,4 +205,4 @@ def mult_by_q(f: TorusField) -> TorusField:
     eigenvalue.
     """
     g = deriv_pprime(f)
-    return _field(g.ctx, g.mod, values=1j * f.ctx.hbar * g.values)
+    return g.with_values(1j * f.ctx.hbar * g.values)

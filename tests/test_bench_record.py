@@ -27,7 +27,7 @@ def _write(directory, seed, wall, commit, trace=0, counts=None):
     (directory / f"algebra-seed{seed}-trace{trace}.json").write_text(json.dumps(rec))
 
 
-def test_record_matches_the_compare_verdicts(tmp_path):
+def test_record_matches_the_compare_verdicts(tmp_path, capsys):
     tool = _load_tool()
     parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "BENCH.json"
     for seed in range(1, 11):
@@ -47,3 +47,13 @@ def test_record_matches_the_compare_verdicts(tmp_path):
     assert rec["change"]["attempted/failed"]["algebra"]["3"] == "18/0"
     assert rec["count_differences"] == [{"workload": "algebra", "seed": 31, "count": "star_algebra.star.calls",
                                          "parent": 45, "change": 46}]
+    assert capsys.readouterr().err == ""
+
+
+def test_record_warns_when_a_side_has_no_commit(tmp_path, capsys):
+    tool = _load_tool()
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "BENCH.json"
+    _write(parent, 1, 2.0, "p")
+    _write(change, 1, 1.0, None)
+    assert tool.main([str(parent), str(change), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "warning: change runs record no git commit\n"

@@ -130,17 +130,20 @@ points = st.one_of(st.just(INFINITY), st.floats(allow_nan=False, allow_infinity=
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(beta=st.sampled_from([0.3, 1.0, 2.0]), x=points, y=points, z=points)
 # formulas that leave the float range: an overflowing product, a quotient
-# beyond the largest float, a product that underflows to zero
+# beyond the largest float, a product that underflows to zero, huge times
+# zero or tiny
 @example(beta=0.3, x=INFINITY, y=2.2250738585072014e-308, z=5.0)
 @example(beta=0.3, x=INFINITY, y=1.1125369292536007e-308, z=INFINITY)
 @example(beta=0.3, x=INFINITY, y=5e-324, z=1.0)
 @example(beta=1.0, x=1e200, y=1e200, z=-3.0)
+@example(beta=2.0, x=1e308, y=0.0, z=0.0)
+@example(beta=2.0, x=1e308, y=1e-300, z=0.0)
 def test_oplus_group_law(beta, x, y, z):
     ctx = BetaContext(beta, 1.0, 0.5)
     same = lambda a, b, tol: angles_equal_mod_pi(angle_of(ctx, a), angle_of(ctx, b), tol)  # noqa: E731
     assert oplus(ctx, x, 0.0) == x and oplus(ctx, 0.0, x) == x  # identity
     assert ominus(ctx, x, x) == 0.0                             # inverse
     xy = oplus(ctx, x, y)
-    assert same(xy, oplus(ctx, y, x), 1e-12)                    # commutativity
+    assert xy == oplus(ctx, y, x)                               # commutativity
     assert same(ominus(ctx, xy, y), x, 1e-11)
     assert same(oplus(ctx, xy, z), oplus(ctx, x, oplus(ctx, y, z)), 1e-11)  # associativity

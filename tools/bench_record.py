@@ -10,7 +10,10 @@ each side's failure counts per workload, and, for every workload and metric
 that ``compare`` prints, the pair count, both sides' quartiles, the bound and
 the verdict; traced runs add the computed counts that differ between the
 sides.  Pairing, quartiles and verdicts come from ``perfbench/compare.py``
-itself, so the file says what ``compare`` said.
+itself, so the file says what ``compare`` said.  A side whose runs record no
+git commit (a tree without ``.git``, such as a ``git archive`` export) cannot
+be traced to a tree, so the tool warns; run the benchmark from ``git clone``
+checkouts instead.
 """
 
 from __future__ import annotations
@@ -84,6 +87,9 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
     rec = record(load(args.parent), load(args.change))
+    for name in ("parent", "change"):
+        if any(env.get("git_commit") is None for env in rec[name]["environments"]):
+            print(f"warning: {name} runs record no git commit", file=sys.stderr)
     Path(args.out).write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
     return 0
 
