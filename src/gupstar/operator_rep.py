@@ -6,11 +6,16 @@ bijection of discrete mode lattices, so going back and forth is exact.
 An :class:`OperatorKernel` holds the coefficients of its plain 2-d expansion
 with ``mod = (mu_u, mu_v)``; field -> kernel, kernel -> field, the algebra
 involution and the kernel adjoint are each one unimodular relabeling of that
-lattice (:func:`_relabel`).  Composition samples only the contracted slot and
-contracts it by the invariant-measure midpoint rule.  Kernel samples are
-derived on demand through the sheared codec of :mod:`gupstar.sampling` at
-lam = 0, for the consumers that act on sample vectors (operator action,
-trace, Hilbert-Schmidt pairing, operator norm, state checks).
+lattice (:func:`_relabel`).  Composition contracts the inner slot by the
+invariant-measure midpoint rule.  When the contracted modulations differ by
+an integer that rule is exactly a signed pairing of modes
+(:func:`_contraction`), so the product is one gather and one matrix product
+of coefficient arrays; otherwise the contracted slot is sampled.  The trace
+reads the kernel diagonal's line coefficients from the same signed pairing.
+Kernel samples are derived on demand through the sheared codec of
+:mod:`gupstar.sampling` at lam = 0, for the consumers that act on sample
+vectors (operator action, Hilbert-Schmidt pairing, operator norm, state
+checks).
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .sampling import (
     TorusField,
     Wavefunction,
     _frozen,
-    _line_coeffs,
     _line_values,
     _sheared_values,
     angle_nodes,
@@ -111,6 +115,23 @@ def _relabel(coef: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
     return np.take(coef.ravel(), _relabel_index(coef.shape[0], a, b, c, d))
 
 
+@functools.lru_cache(maxsize=16)
+def _contraction(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(perm, sign)`` of the midpoint rule at integer modulation offset d.
+
+    On the half-offset grid ``sum_b exp(2i M alpha_b)`` is ``(-1)^(M/n) n`` for
+    ``M = 0 (mod n)`` and 0 otherwise, so mode v of one slot pairs with the
+    one mode ``perm[v] = -v - d (mod n)`` of the other, with the wrap sign
+    ``sign[v] = (-1)^k`` where ``v + perm[v] + d = k n`` (mode numbers, not
+    FFT indices).
+    """
+    q, r = divmod(d, n)  # a huge d only flips the sign by the parity of q
+    v = np.arange(n)
+    x = (-v - r) % n
+    k = (np.where(v < n // 2, v, v - n) + np.where(x < n // 2, x, x - n) + r) // n + q
+    return _frozen(x), _frozen(1.0 - 2.0 * (k % 2))
+
+
 def kernel_of(f: TorusField) -> OperatorKernel:
     """Integral kernel of the operator represented by a field.
 
@@ -133,14 +154,24 @@ def element_of(k: OperatorKernel) -> TorusField:
 def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
     """Kernel of the product: midpoint quadrature over the contracted slot.
 
-    Only that slot is sampled; the outer slots keep their coefficients.  Exact
-    when the contracted modulations differ by an integer.
+    The outer slots keep their coefficients.  When the contracted modulations
+    differ by an integer ``d = kf.mod[1] + kg.mod[0]``, the rule is exactly
+    the signed mode pairing of :func:`_contraction`: one gather of kg's rows,
+    one scale of kf's columns and one matrix product, with no transform.  For
+    any other ``d`` the contracted slot is sampled (one 1-d codec call per
+    kernel) and summed; that quadrature only converges, it is not exact.
     """
     if kf.n != kg.n:
         raise ValueError("kernel grids differ")
+    mod = (kf.mod[0], kg.mod[1])
+    d = kf.mod[1] + kg.mod[0]
+    if d.is_integer():
+        perm, sign = _contraction(kf.n, int(d))
+        scale = (np.pi / kf.ctx.sqrt_beta) * sign  # n times the weight: the pair sum is n
+        return OperatorKernel(kf.ctx, (kf.coef * scale) @ kg.coef[perm], mod)
     left = _line_values(kf.coef, kf.mod[1])        # [u, b]
     right = _line_values(kg.coef.T, kg.mod[0])     # [v, b]
-    return OperatorKernel(kf.ctx, kf.weight * (left @ right.T), (kf.mod[0], kg.mod[1]))
+    return OperatorKernel(kf.ctx, kf.weight * (left @ right.T), mod)
 
 
 def adjoint_kernel(k: OperatorKernel) -> OperatorKernel:
@@ -158,10 +189,20 @@ def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
 
 
 def trace_op(k: OperatorKernel) -> complex:
-    """Operator trace: invariant-measure integral of the kernel diagonal."""
+    """Operator trace: invariant-measure integral of the kernel diagonal.
+
+    The diagonal's line coefficient at mode r is the signed sum of the
+    anti-diagonal ``u + v = r (mod n)`` of ``k.coef``, with the wrap sign of
+    :func:`_contraction` (mode ``r + n`` samples as ``-1`` times mode r), so
+    no sample of the kernel is built.
+    """
     mtot = k.mod[0] + k.mod[1]
-    dm = _line_coeffs(np.diagonal(k.values), mtot)
-    return complex(np.pi / k.ctx.sqrt_beta * (dm * np.sinc(mtot + mode_numbers(k.n))).sum())
+    n = k.n
+    m = mode_numbers(n)
+    pair = m[:, None] + m[(np.arange(n) - np.arange(n)[:, None]) % n]  # m(u) + m(v), v = r - u
+    sign = np.where(np.abs(pair + 0.5) < n / 2, 1.0, -1.0)  # -1 where the sum leaves the band
+    dm = (_relabel(k.coef, 1, 0, -1, 1) * sign).sum(axis=0)
+    return complex(np.pi / k.ctx.sqrt_beta * (dm * np.sinc(mtot + m)).sum())
 
 
 def hilbert_schmidt(kf: OperatorKernel, kg: OperatorKernel) -> complex:

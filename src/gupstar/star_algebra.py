@@ -3,10 +3,12 @@
 Algebra elements are :class:`~gupstar.sampling.TorusField` carriers of their
 position transform.  The product is computed through the operator picture:
 field -> integral kernel (an exact relabeling of the coefficient lattice),
-kernel composition by invariant-measure quadrature over the contracted slot,
-kernel -> field back.  Products, the involution and ``s_operator`` return
-fields that hold coefficients, so nested products, ``trace`` and the kernel
-maps read them without a sample round trip.  On band-limited
+kernel composition by invariant-measure quadrature over the contracted slot
+(a signed mode pairing and one matrix product when the contracted
+modulations differ by an integer), kernel -> field back.  Products, the
+involution and ``s_operator`` return fields that hold coefficients, so nested
+products, ``trace``, ``inner`` and the kernel maps read them without a sample
+round trip.  On band-limited
 carriers this equals the direct discretization of the defining twisted
 convolution; a slow direct evaluation is kept as :func:`star_direct` so the
 two routes can check each other.
@@ -69,10 +71,13 @@ def star(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """Star product of two elements.
 
     Kernel-composition route: both kernels are index relabelings of the
-    coefficient grids, only the contracted slot is sampled, and the product
-    kernel is relabeled back.  Exact for band-limited fields whenever the
-    contracted modulations differ by an integer (same-position eigenvector
-    products, Wigner pairs of a common state family, unmodulated fields).
+    coefficient grids, composed by :func:`~gupstar.operator_rep.compose_kernels`,
+    and the product kernel is relabeled back.  When the contracted modulations
+    differ by an integer (same-position eigenvector products, Wigner pairs of a
+    common state family, unmodulated fields) the composition is a signed mode
+    pairing and one matrix product, exact for band-limited fields, and a
+    product of coefficient-held fields runs no transform.  Otherwise the
+    contracted slot is sampled and the midpoint rule only converges.
     """
     _check_pair(f, g)
     return element_of(compose_kernels(kernel_of(f), kernel_of(g)))
@@ -161,13 +166,24 @@ def trace(f: AlgebraElement) -> complex:
 def inner(f: AlgebraElement, g: AlgebraElement) -> complex:
     """Hilbert-algebra scalar product (f, g) = tr(f* star g).
 
-    Evaluates the equivalent sample sum with the discrete normalization
-    1/(4 pi^2 hbar^2 beta) (pi/n)^2; derived from the transform conventions
-    and pinned by the position-eigenvector golden tests.
+    The equivalent sample sum with the discrete normalization
+    1/(4 pi^2 hbar^2 beta) (pi/n)^2, derived from the transform conventions
+    and pinned by the position-eigenvector golden tests.  When both fields
+    hold coefficients and share ``b0``, the alpha sum is exactly
+    n times the coefficient sum over each alpha mode, and so is the alpha' sum
+    when ``s0`` is shared too (Parseval, no transform); with different ``s0``
+    only the alpha' slot is sampled, one 1-d codec call per field, with the
+    phase ``exp(2i (s0_g - s0_f) alpha'_j)``.  Every other pair sums samples.
     """
     _check_pair(f, g)
     n = f.n
     pref = (np.pi / n) ** 2 / (4 * np.pi ** 2 * f.ctx.hbar ** 2 * f.ctx.beta)
+    if f._coef is not None and g._coef is not None and f.mod[1] == g.mod[1]:
+        if f.mod[0] == g.mod[0]:
+            return complex(pref * n * n * np.vdot(f._coef, g._coef))
+        fl = _line_values(f._coef.T)                      # [b, j]
+        gl = _line_values(g._coef.T, g.mod[0] - f.mod[0])
+        return complex(pref * n * np.vdot(fl, gl))
     fv = f.values
     return complex(pref * np.vdot(fv, fv if g is f else g.values))
 

@@ -2,6 +2,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +227,14 @@ def test_lattice_halfwidth(tmp_path, capsys):
     rows = (tmp_path / "lattice.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == 16
     assert {float(r.split(",")[0]) for r in rows} == {0.0}
+
+
+def test_package_runs_as_a_module():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-m", "gupstar", "formal", "--pair", "main", "q", "p",
+                           "--order", "1"], cwd=root, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("i*hbar - i*hbar*lam + i*p^2*beta*hbar - i*p^2*beta*hbar*lam + q*p\n"
+                           "terminated: yes (through order 1)\n")

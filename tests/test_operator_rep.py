@@ -8,10 +8,11 @@ from gupstar.beta_arith import BetaContext
 from gupstar import operator_rep
 from gupstar.families import random_element, random_state
 from gupstar.families import resolve_family
-from gupstar.operator_rep import (_relabel, _relabel_index, adjoint_kernel, apply_operator, compose_kernels,
-                                  element_of, hilbert_schmidt, kernel_of, lambda_ordered_operator,
-                                  marginal_momentum, operator_norm, phat_apply, qhat_apply,
-                                  state_check, trace_op, uncertainty, wigner)
+from gupstar.operator_rep import (OperatorKernel, _relabel, _relabel_index, adjoint_kernel,
+                                  apply_operator, compose_kernels, element_of, hilbert_schmidt,
+                                  kernel_of, lambda_ordered_operator, marginal_momentum,
+                                  operator_norm, phat_apply, qhat_apply, state_check, trace_op,
+                                  uncertainty, wigner)
 from gupstar.sampling import (AngleGrid, TorusField, Wavefunction, angle_nodes, field_from_coeffs,
                               mode_numbers, quad_mu, wavefunction_from_coeffs, wf_inner)
 from gupstar.star_algebra import SymbolObservable, inner, involution, star, star_symbol_left, trace
@@ -103,6 +104,36 @@ def test_compose_kernels_matches_sample_route(f, g):
     new = compose_kernels(kf, kg)
     assert new.mod == (kf.mod[0], kg.mod[1])
     assert np.abs(new.values - old).max() <= 1e-12 * np.abs(old).max()
+
+
+def _quadrature(kf, kg):
+    """The midpoint rule over the sampled contracted slot, written out."""
+    left = operator_rep._line_values(kf.coef, kf.mod[1])
+    right = operator_rep._line_values(kg.coef.T, kg.mod[0])
+    return kf.weight * (left @ right.T)
+
+
+@pytest.mark.parametrize("beta,hbar,lam", [(1.0, 1.0, 0.5), (2.0, 0.7, 0.3)])
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_compose_kernels_matches_the_quadrature(beta, hbar, lam, n):
+    ctx = BetaContext(beta, hbar, lam)
+    rng = np.random.default_rng(n)
+
+    def kernel(mod):  # full band, Nyquist row and column included
+        return OperatorKernel(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), mod)
+
+    # integer contracted difference d: the signed mode pairing, equal up to rounding
+    for d in (-3, 0, 1, 2):
+        kf, kg = kernel((0.3, 0.375)), kernel((d - 0.375, -0.2))
+        assert kf.mod[1] + kg.mod[0] == d
+        ref, out = _quadrature(kf, kg), compose_kernels(kf, kg)
+        assert out.mod == (kf.mod[0], kg.mod[1])
+        assert np.abs(out.coef - ref).max() <= 1e-13 * np.abs(ref).max()
+    # any other d samples the contracted slot, bit for bit
+    for mu in (0.625, np.nextafter(1.0, 2.0)):
+        kf, kg = kernel((0.3, 0.0)), kernel((mu, -0.2))
+        assert not float(kf.mod[1] + kg.mod[0]).is_integer()
+        assert np.array_equal(compose_kernels(kf, kg).coef, _quadrature(kf, kg))
 
 
 @pytest.mark.parametrize("f,g", _kernel_pairs())

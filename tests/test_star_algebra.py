@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element, random_state, resolve_family
-from gupstar import operator_rep, sampling
-from gupstar.operator_rep import compose_kernels, element_of, kernel_of, wigner
+from gupstar import operator_rep, sampling, star_algebra
+from gupstar.operator_rep import compose_kernels, element_of, kernel_of, trace_op, wigner
 from gupstar.sampling import (TorusField, Wavefunction, _line_values, angle_nodes, deriv_p,
                               field_from_coeffs, mode_numbers, seminorm, wf_inner)
 from gupstar.star_algebra import (SymbolObservable, cstar_norm_estimate, expectation, inner,
@@ -242,7 +242,9 @@ def test_context_mismatch_raises(ctx, rng):
 
 
 def test_algebra_path_runs_no_sheared_codec(monkeypatch):
-    # products, involutions and traces of coefficient-held fields stay in coefficients
+    # products, involutions and traces of coefficient-held fields stay in coefficients;
+    # at integer contracted modulation differences, and in inner products of fields with
+    # equal modulations, no 1-d codec runs either: those routes run no FFT at all
     ctx, n = BetaContext(2.0, 0.7, 0.3), 32
     rng = np.random.default_rng(41)
     m = np.abs(mode_numbers(n))
@@ -252,31 +254,65 @@ def test_algebra_path_runs_no_sheared_codec(monkeypatch):
                for mod in ((0.0, 0.0), (0.0, 0.0), (0.25, -0.5)))
 
     def forbidden(*_):
-        raise AssertionError("sheared codec called on the algebra path")
+        raise AssertionError("codec called on the algebra path")
 
     for module in (sampling, operator_rep):
         monkeypatch.setattr(module, "_sheared_values", forbidden)
     monkeypatch.setattr(sampling, "_sheared_coeffs", forbidden)
-    fgh = star(star(f, g), h)
+    # band-limited families are Wigner fields built as coefficient outer products
+    bump, rho = resolve_family("bump:5", ctx, n), resolve_family("rho:0.37", ctx, n)
+    # the contracted slot of these products has a non-integer modulation difference
+    fgh, bump_rho = star(star(f, g), h), star(bump, rho)
+    for module in (operator_rep, star_algebra):
+        monkeypatch.setattr(module, "_line_values", forbidden)
     fi = involution(f)
     tr = trace(star(fi, g))
     sf = s_operator(f)
     back = element_of(compose_kernels(kernel_of(f), kernel_of(g)))
-    # band-limited families are Wigner fields built as coefficient outer products
-    bump, rho = resolve_family("bump:5", ctx, n), resolve_family("rho:0.37", ctx, n)
-    rho2, bump_rho, rho_i = star(rho, rho), star(bump, rho), involution(rho)
+    rho2, rho_i = star(rho, rho), involution(rho)
     tr_rho, tr_bb = trace(rho), trace(star(involution(bump), bump))
+    tr_op = trace_op(kernel_of(rho))
+    fg_in, bb_norm = inner(f, g), norm2(bump)
     monkeypatch.undo()
     lv = fgh.values
     assert np.abs(lv - star(f, star(g, h)).values).max() <= 1e-12 * np.abs(lv).max()
     assert abs(tr - inner(f, g)) <= 1e-12 * norm2(f) * norm2(g)
     assert np.array_equal(sf.coeffs(), f.coeffs()) and sf.ctx.lam == pytest.approx(0.7)
     assert np.array_equal(back.coeffs(), star(f, g).coeffs())
-    assert abs(tr_rho - 1.0) <= 1e-13
+    assert abs(tr_rho - 1.0) <= 1e-13 and abs(tr_op - 1.0) <= 1e-13
     assert np.abs(rho2.values - rho.values).max() <= 1e-12 * np.abs(rho.values).max()
     assert np.abs(rho_i.values - rho.values).max() <= 1e-12 * np.abs(rho.values).max()
-    assert abs(tr_bb - inner(bump, bump)) <= 1e-12 * norm2(bump) ** 2
+    assert abs(tr_bb - inner(bump, bump)) <= 1e-12 * norm2(bump) ** 2 and bb_norm == norm2(bump)
+    assert abs(fg_in - _sample_inner(f, g)) <= 1e-13 * norm2(f) * norm2(g)
     assert np.isfinite(bump_rho.coeffs()).all()
+
+
+def _sample_inner(f, g):
+    """The sample sum that ``inner`` evaluates, written out."""
+    n = f.n
+    pref = (np.pi / n) ** 2 / (4 * np.pi ** 2 * f.ctx.hbar ** 2 * f.ctx.beta)
+    return complex(pref * np.vdot(f.values, g.values))
+
+
+@pytest.mark.parametrize("beta,hbar,lam", [(1.0, 1.0, 0.5), (2.0, 0.7, 0.3)])
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_inner_routes_match_the_sample_sum(beta, hbar, lam, n):
+    ctx = BetaContext(beta, hbar, lam)
+    rng = np.random.default_rng(n)
+
+    def field(mod, held="coefficients"):  # full band, Nyquist row and column included
+        coef = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        fc = field_from_coeffs(ctx, coef, mod)
+        return fc if held == "coefficients" else TorusField(ctx, fc.values, mod)
+
+    f = field((0.3, 0.375))
+    # coefficient routes: Parseval at equal mods, one 1-d codec each at a shared b0
+    for g in (field((0.3, 0.375)), f, field((-1.2, 0.375)), field((2.0, 0.375))):
+        assert abs(inner(f, g) - _sample_inner(f, g)) <= 1e-13 * norm2(f) * norm2(g)
+    # sample sum, bit for bit: a different b0, or an operand that holds samples
+    for a, b in ((f, field((0.3, -0.625))), (f, field((0.3, 0.375), "values")),
+                 (field((0.3, 0.375), "values"), f)):
+        assert inner(a, b) == _sample_inner(a, b)
 
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
