@@ -120,10 +120,10 @@ def _contraction(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``(perm, sign)`` of the midpoint rule at integer modulation offset d.
 
     On the half-offset grid ``sum_b exp(2i M alpha_b)`` is ``(-1)^(M/n) n`` for
-    ``M = 0 (mod n)`` and 0 otherwise, so mode v of one slot pairs with the
-    one mode ``perm[v] = -v - d (mod n)`` of the other, with the wrap sign
-    ``sign[v] = (-1)^k`` where ``v + perm[v] + d = k n`` (mode numbers, not
-    FFT indices).
+    ``M = 0 (mod n)`` and 0 otherwise.  So mode v of one slot pairs with the
+    one mode ``x = -v - d (mod n)`` of the other, whose FFT index is
+    ``perm[v]``, with the wrap sign ``sign[v] = (-1)^k`` where ``v + x + d = k n``
+    in mode numbers.
     """
     q, r = divmod(d, n)  # a huge d only flips the sign by the parity of q
     v = np.arange(n)
@@ -199,9 +199,8 @@ def trace_op(k: OperatorKernel) -> complex:
     mtot = k.mod[0] + k.mod[1]
     n = k.n
     m = mode_numbers(n)
-    pair = m[:, None] + m[(np.arange(n) - np.arange(n)[:, None]) % n]  # m(u) + m(v), v = r - u
-    sign = np.where(np.abs(pair + 0.5) < n / 2, 1.0, -1.0)  # -1 where the sum leaves the band
-    dm = (_relabel(k.coef, 1, 0, -1, 1) * sign).sum(axis=0)
+    sign = np.where(np.abs(m[:, None] + m + 0.5) < n / 2, 1.0, -1.0)  # -1: u + v leaves the band
+    dm = _relabel(k.coef * sign, 1, 0, -1, 1).sum(axis=0)  # column r: u + v = r (mod n)
     return complex(np.pi / k.ctx.sqrt_beta * (dm * np.sinc(mtot + m)).sum())
 
 

@@ -13,8 +13,9 @@ from gupstar.operator_rep import (OperatorKernel, _relabel, _relabel_index, adjo
                                   kernel_of, lambda_ordered_operator, marginal_momentum,
                                   operator_norm, phat_apply, qhat_apply, state_check, trace_op,
                                   uncertainty, wigner)
-from gupstar.sampling import (AngleGrid, TorusField, Wavefunction, angle_nodes, field_from_coeffs,
-                              mode_numbers, quad_mu, wavefunction_from_coeffs, wf_inner)
+from gupstar.sampling import (AngleGrid, TorusField, Wavefunction, _line_coeffs, angle_nodes,
+                              field_from_coeffs, mode_numbers, quad_mu, wavefunction_from_coeffs,
+                              wf_inner)
 from gupstar.star_algebra import SymbolObservable, inner, involution, star, star_symbol_left, trace
 from gupstar.states import ml_phase_state, position_eigenvector
 
@@ -188,6 +189,13 @@ def test_trace_op(ctx, rng):
     assert trace_op(kernel_of(pe.rho)) == pytest.approx(1.0, abs=1e-12)
     g = random_element(ctx, n, rng)
     assert abs(hilbert_schmidt(kernel_of(f), kernel_of(g)) - inner(f, g)) < 1e-10
+    # full band: diagonal modes u + v leave the band and wrap with the half-offset sign
+    for mod in ((0.3, 0.375), (0.25, -0.25), (-1.0, 3.0)):
+        k = OperatorKernel(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), mod)
+        mtot = k.mod[0] + k.mod[1]
+        dm = _line_coeffs(np.diagonal(k.values), mtot)  # the sampled diagonal's coefficients
+        terms = np.pi / ctx.sqrt_beta * dm * np.sinc(mtot + mode_numbers(n))
+        assert abs(trace_op(k) - terms.sum()) <= 1e-13 * np.abs(terms).sum()
 
 
 def test_operator_norm(ctx, rng):
