@@ -65,10 +65,10 @@ class BetaContext:
     lam: float = 0.5
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
+        if not 0 < self.hbar < math.inf:
+            raise ValueError(f"hbar must be finite and positive, got {self.hbar}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
 

@@ -17,10 +17,18 @@ import numpy as np
 from .beta_arith import BetaContext
 from .families import resolve_family
 from .formal_cas import ALT, MAIN, ParseError, formal_star, format_poly, parse_poly
-from .sampling import lattice_from_field, lattice_to_csv, synth_grid, torus_to_csv
+from .sampling import AngleGrid, lattice_from_field, lattice_to_csv, synth_grid, torus_to_csv
 from .star_algebra import SymbolObservable, star, star_symbol_left, star_symbol_right
 from .states import ml_phase_state, phase_space_csv, position_eigenvector
 from .verify import RunConfig, run_suites
+
+
+def _grid_size(text: str) -> int:
+    """argparse type of ``--grid``: a positive even integer, as :class:`AngleGrid` takes."""
+    try:
+        return AngleGrid(int(text)).n
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive even integer, got {text!r}") from None
 
 
 # Every flag a subcommand may take; each subcommand registers the ones it reads.
@@ -29,7 +37,7 @@ _FLAGS = {
     "hbar": (("--hbar",), dict(type=float, default=1.0, help="action scale (default 1)")),
     "lambda": (("--lambda",), dict(dest="lam", type=float, default=0.5,
                                    help="ordering parameter in [0, 1] (default 0.5)")),
-    "grid": (("--grid",), dict(dest="grid_n", type=int, default=256,
+    "grid": (("--grid",), dict(dest="grid_n", type=_grid_size, default=256,
                                help="angle grid size, even (default 256)")),
     "seed": (("--seed",), dict(type=int, default=42,
                                help="seed for randomized checks (default 42)")),

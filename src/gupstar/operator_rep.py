@@ -31,6 +31,8 @@ from .beta_arith import BetaContext
 from .sampling import (
     TorusField,
     Wavefunction,
+    _finite,
+    _finite_mod,
     _frozen,
     _line_values,
     _sheared_values,
@@ -65,7 +67,8 @@ class OperatorKernel:
 
     ``K(a, b) = exp(2i(mu_u a + mu_v b)) sum_{u,v} coef[u, v] exp(2i(u a + v b))``
     with ``mod = (mu_u, mu_v)``, the kernel-side image of a field modulation.
-    ``coef`` is a read-only copy of the constructor's input.
+    ``coef`` is a read-only copy of the constructor's input; NaN or infinite
+    coefficients or modulations are rejected.
     """
 
     ctx: BetaContext
@@ -74,10 +77,8 @@ class OperatorKernel:
 
     def __post_init__(self):
         c = np.array(self.coef, dtype=complex)  # a copy: no memory shared with the caller
-        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2 != 0:
-            raise ValueError("kernel needs a square coefficient array of even size")
-        object.__setattr__(self, "coef", _frozen(c))
-        object.__setattr__(self, "mod", (float(self.mod[0]), float(self.mod[1])))
+        object.__setattr__(self, "coef", _frozen(_finite(c, "kernel coefficients", 2)))
+        object.__setattr__(self, "mod", _finite_mod(self.mod, "kernel"))
 
     @property
     def n(self) -> int:
@@ -229,12 +230,12 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
     ``psi(a) conj phi(b)``, whose coefficients are the outer product of psi's
     coefficients with ``conj c_phi[-v]``.  When the nonzero modes of the pair
     fit the band, ``max|m|(psi) + max|m|(phi) <= n/2 - 1`` (exact zeros, no
-    tolerance), the field is that kernel relabeled by :func:`element_of`: it
-    holds coefficients and is built with no FFT and no n x n table.  Every
-    other pair (kinked states that fill the band, sampled data with FFT
-    noise) is sampled: row j evaluates both states at offsets proportional to
-    alpha'_j (spectral shifts, exact on band-limited content, with the
-    modulations handled in closed form).
+    tolerance), the field is that kernel relabeled by :func:`element_of`,
+    built with no FFT and no n x n table.  Every other pair (kinked states
+    that fill the band, sampled data with FFT noise) is sampled: row j
+    evaluates both states at offsets proportional to alpha'_j (spectral
+    shifts, exact on band-limited content, with the modulations handled in
+    closed form), and the field encodes those samples once.
     """
     n = psi.n
     if phi.n != n:

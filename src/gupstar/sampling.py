@@ -9,11 +9,12 @@ which never touches the point at infinity.  The invariant measure is
 ``d mu = d alpha / sqrt(beta)``, so the midpoint rule is the natural (and for
 trigonometric polynomials exact) quadrature.
 
-A :class:`TorusField` carries the position-transformed function f~(p', p),
-either as samples ``F[j, k]`` at (alpha'_j, alpha_k) or as the sheared
-coefficients below, whichever its producer made; the other side is derived
-on demand and never cached.  A :class:`Wavefunction` likewise holds samples
-or line coefficients.  Every carrier constructor copies its input, so a
+A :class:`TorusField` carries the position-transformed function f~(p', p)
+as the sheared coefficients below, and a :class:`Wavefunction` a state as
+line coefficients.  Samples (``F[j, k]`` at (alpha'_j, alpha_k)) are derived
+on demand and never cached; a carrier built from samples encodes them once,
+and since each codec is an invertible map on grid arrays its samples come
+back to rounding.  Every carrier constructor copies its input, so a
 carrier never shares memory with its caller.  Transformed fields of algebra
 elements are not plainly pi-periodic in alpha': they obey the glide periodicity
 F(A' + pi, A - lam*pi) = F(A', A).  The carrier therefore expands fields in
@@ -171,19 +172,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _finite(a: np.ndarray, what: str) -> np.ndarray:
-    """Frozen carrier data; NaN or infinite entries are rejected."""
+def _finite(a, what: str, ndim: int) -> np.ndarray:
+    """Carrier data: a finite, C-ordered complex array of even size, square when 2-d."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    if a.ndim != ndim or a.shape != a.shape[:1] * ndim or a.shape[0] % 2:
+        raise ValueError(f"{what} must form a {('1-d', 'square')[ndim - 1]} array of even size")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
-    return _frozen(a)
+    return a
 
 
-def _field_array(a, what: str) -> np.ndarray:
-    """A frozen, finite, complex square array of even size, as torus fields hold."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
-        raise ValueError(f"{what} must form a square array of even size")
-    return _finite(a, what)
+def _finite_mod(mod, what: str):
+    """A real modulation, one float or a pair; NaN or infinite parts are rejected."""
+    m = float(mod) if np.ndim(mod) == 0 else (float(mod[0]), float(mod[1]))
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} modulation mod must be finite, got {m}")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -194,66 +198,54 @@ class Wavefunction:
     """Momentum-representation state on the n-point angle grid.
 
     ``psi(alpha) = exp(2i*mod*alpha) * sum_m c_m exp(2i m alpha)`` with a real
-    frequency offset ``mod``.  Like :class:`TorusField`, a state keeps the one
-    representation its producer made: samples for
-    ``Wavefunction(ctx, values, mod, deriv)``, the coefficients c_m (FFT mode
-    ordering) for :func:`wavefunction_from_coeffs`.  ``values`` and
-    :meth:`coeffs` return the held array or derive the other one through the
-    line codec on every call.  Random states and position eigenvectors hold
-    coefficients, so :func:`~gupstar.operator_rep.wigner` builds their pairs
-    without sampling.  Sampled closed-form states may attach ``deriv``, exact
-    samples of d psi/d alpha (modulation included), which spectral
-    differentiation then uses verbatim; this matters for states that are
-    continuous but kinked at infinity.  Every held array is read-only.
+    frequency offset ``mod``.  A state holds the coefficients c_m (FFT mode
+    ordering): ``Wavefunction(ctx, values, mod, deriv)`` encodes its samples
+    once through the line codec, :func:`wavefunction_from_coeffs` copies
+    coefficients as given, and ``values`` decodes them on every call.
+    Sampled closed-form states may attach ``deriv``, exact samples of
+    d psi/d alpha (modulation included), kept as samples and used verbatim by
+    spectral differentiation; this matters for states that are continuous but
+    kinked at infinity.  Every held array is read-only.
     """
 
-    __slots__ = ("ctx", "mod", "deriv", "_values", "_coef", "__weakref__")
+    __slots__ = ("ctx", "mod", "deriv", "_coef", "__weakref__")
 
     def __init__(self, ctx: BetaContext, values: np.ndarray, mod: float = 0.0,
                  deriv: Optional[np.ndarray] = None):
-        # copies: the state never shares memory with the caller's arrays
-        self._hold(ctx, mod, values=np.array(values, dtype=complex),
-                   deriv=None if deriv is None else np.array(deriv, dtype=complex))
+        mod = _finite_mod(mod, "wavefunction")
+        coef = _line_coeffs(_finite(values, "wavefunction samples", 1), mod)
+        # a copy: the state never shares memory with the caller's arrays
+        self._hold(ctx, coef, mod, None if deriv is None else np.array(deriv, dtype=complex))
 
-    def _hold(self, ctx, mod, values=None, coef=None, deriv=None) -> None:
-        what = "sample" if coef is None else "coefficient"
-        held = np.asarray(values if coef is None else coef, dtype=complex)
-        if held.ndim != 1 or held.size % 2 != 0:
-            raise ValueError(f"wavefunction needs a 1-d {what} array of even length")
-        held = _finite(held, f"wavefunction {what}s")
+    def _hold(self, ctx, coef, mod, deriv=None) -> None:
+        """Check and freeze ``coef`` and ``deriv``, arrays the state now owns."""
+        coef = _finite(coef, "wavefunction coefficients", 1)
         if deriv is not None:
-            deriv = np.asarray(deriv, dtype=complex)
-            if deriv.shape != held.shape:
+            deriv = _frozen(_finite(deriv, "wavefunction derivative samples", 1))
+            if deriv.shape != coef.shape:
                 raise ValueError("derivative samples must match the value samples")
-            deriv = _finite(deriv, "wavefunction derivative samples")
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "mod", float(mod))
+        object.__setattr__(self, "mod", _finite_mod(mod, "wavefunction"))
         object.__setattr__(self, "deriv", deriv)
-        object.__setattr__(self, "_values", held if coef is None else None)
-        object.__setattr__(self, "_coef", None if coef is None else held)
+        object.__setattr__(self, "_coef", _frozen(coef))
 
     def __setattr__(self, *_):
         raise AttributeError("Wavefunction is immutable")
 
-    def __reduce__(self):  # pickle and copy rebuild through the public constructors
-        if self._coef is None:
-            return Wavefunction, (self.ctx, self._values, self.mod, self.deriv)
-        return wavefunction_from_coeffs, (self.ctx, self._coef, self.mod)
+    def __reduce__(self):  # pickle and copy rebuild from the held arrays
+        return _state, (self.ctx, self._coef, self.mod, self.deriv)
 
     def __repr__(self) -> str:
-        held = "values" if self._coef is None else "coefficients"
-        return f"Wavefunction(ctx={self.ctx!r}, n={self.n}, mod={self.mod}, holds {held})"
+        return f"Wavefunction(ctx={self.ctx!r}, n={self.n}, mod={self.mod})"
 
     @property
     def values(self) -> np.ndarray:
         """Samples psi(alpha_k) on the angle grid."""
-        if self._coef is None:
-            return self._values
         return _frozen(_line_values(self._coef, self.mod))
 
     @property
     def n(self) -> int:
-        return (self._values if self._coef is None else self._coef).size
+        return self._coef.size
 
     @property
     def grid(self) -> AngleGrid:
@@ -261,9 +253,7 @@ class Wavefunction:
 
     def coeffs(self) -> np.ndarray:
         """Coefficients of the demodulated part, FFT mode ordering."""
-        if self._coef is not None:
-            return self._coef
-        return _frozen(_line_coeffs(self._values, self.mod))
+        return self._coef
 
     def at_offset(self, t) -> np.ndarray:
         """Samples of psi(alpha_k + t), exact on band-limited content.
@@ -284,21 +274,24 @@ class Wavefunction:
         return math.sqrt(max(quad_mu(self.ctx, self.grid, np.abs(self.values) ** 2).real, 0.0))
 
     def normalized(self) -> "Wavefunction":
-        """The state divided by its norm, held in the same representation."""
+        """The state divided by its norm, attached derivative included."""
         nv = self.norm()
         if nv == 0.0:
             raise ValueError("cannot normalize the zero wavefunction")
-        if self._coef is not None:
-            return wavefunction_from_coeffs(self.ctx, self._coef / nv, self.mod)
-        d = None if self.deriv is None else self.deriv / nv
-        return Wavefunction(self.ctx, self._values / nv, self.mod, d)
+        return _state(self.ctx, self._coef / nv, self.mod,
+                      None if self.deriv is None else self.deriv / nv)
+
+
+def _state(ctx: BetaContext, coef: np.ndarray, mod: float, deriv=None) -> Wavefunction:
+    """The state holding ``coef`` and ``deriv`` themselves, which the caller gives up."""
+    psi = object.__new__(Wavefunction)
+    psi._hold(ctx, coef, mod, deriv)
+    return psi
 
 
 def wavefunction_from_coeffs(ctx: BetaContext, coef: np.ndarray, mod: float = 0.0) -> Wavefunction:
     """The state holding a copy of the coefficients ``coef``; inverse of :meth:`Wavefunction.coeffs`."""
-    psi = object.__new__(Wavefunction)
-    psi._hold(ctx, mod, coef=np.array(coef, dtype=complex))
-    return psi
+    return _state(ctx, np.array(coef, dtype=complex), mod)
 
 
 def quad_mu(ctx: BetaContext, grid: AngleGrid, samples: np.ndarray) -> complex:
@@ -324,52 +317,45 @@ def wf_inner(phi: Wavefunction, psi: Wavefunction) -> complex:
 # ---------------------------------------------------------------------------
 
 class TorusField:
-    """An n x n field f~(alpha'_j, alpha_k) with sheared-basis layout.
+    """An n x n field f~(alpha'_j, alpha_k) held by its sheared coefficients.
 
-    The carrier keeps the one representation its producer made: samples
-    ``F[j, k]`` for ``TorusField(ctx, values, mod)``, sheared coefficients
-    ``coef[c, b]`` for :func:`field_from_coeffs`.  ``values`` and
-    :meth:`coeffs` return the held array or derive the other one through the
-    sheared codec on every call; nothing is cached, so a field never changes
-    after construction.  Both arrays are read-only, and the held one is a
-    copy of the constructor's input.
+    ``TorusField(ctx, values, mod)`` encodes samples ``F[j, k]`` once through
+    the sheared codec; :func:`field_from_coeffs` copies coefficients
+    ``coef[c, b]`` as given.  ``values`` decodes the samples on every call and
+    nothing is cached, so a field never changes after construction.  The held
+    coefficients and the derived samples are read-only.
     """
 
-    __slots__ = ("ctx", "mod", "_values", "_coef", "__weakref__")
+    __slots__ = ("ctx", "mod", "_coef", "__weakref__")
 
     def __init__(self, ctx: BetaContext, values: np.ndarray,
                  mod: tuple[float, float] = (0.0, 0.0)):
-        # a copy: the field never shares memory with the caller's array
-        self._hold(ctx, mod, values=_field_array(np.array(values, dtype=complex), "field samples"))
+        mod = _finite_mod(mod, "field")
+        self._hold(ctx, _sheared_coeffs(_finite(values, "field samples", 2), ctx.lam, mod), mod)
 
-    def _hold(self, ctx, mod, values=None, coef=None) -> None:
+    def _hold(self, ctx, coef, mod) -> None:
+        """Check and freeze ``coef``, an array the field now owns."""
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "mod", (float(mod[0]), float(mod[1])))
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_coef", coef)
+        object.__setattr__(self, "mod", _finite_mod(mod, "field"))
+        object.__setattr__(self, "_coef", _frozen(_finite(coef, "field coefficients", 2)))
 
     def __setattr__(self, *_):
         raise AttributeError("TorusField is immutable")
 
-    def __reduce__(self):  # pickle and copy rebuild through the public constructors
-        if self._coef is None:
-            return TorusField, (self.ctx, self._values, self.mod)
+    def __reduce__(self):  # pickle and copy rebuild from the coefficients
         return field_from_coeffs, (self.ctx, self._coef, self.mod)
 
     def __repr__(self) -> str:
-        held = "values" if self._coef is None else "coefficients"
-        return f"TorusField(ctx={self.ctx!r}, n={self.n}, mod={self.mod}, holds {held})"
+        return f"TorusField(ctx={self.ctx!r}, n={self.n}, mod={self.mod})"
 
     @property
     def values(self) -> np.ndarray:
         """Samples F[j, k] at (alpha'_j, alpha_k)."""
-        if self._coef is None:
-            return self._values
         return _frozen(_sheared_values(self._coef, self.ctx.lam, self.mod))
 
     @property
     def n(self) -> int:
-        return (self._values if self._coef is None else self._coef).shape[0]
+        return self._coef.shape[0]
 
     @property
     def grid(self) -> AngleGrid:
@@ -377,9 +363,7 @@ class TorusField:
 
     def coeffs(self) -> np.ndarray:
         """Sheared coefficients coef[c, b] of the demodulated part."""
-        if self._coef is not None:
-            return self._coef
-        return _frozen(_sheared_coeffs(self._values, self.ctx.lam, self.mod))
+        return self._coef
 
     def freq_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """Effective (alpha'-frequency, alpha-frequency) arrays, shape (n, n)."""
@@ -400,7 +384,7 @@ def field_from_coeffs(ctx: BetaContext, coef: np.ndarray,
     Inverse of :meth:`TorusField.coeffs`.
     """
     f = object.__new__(TorusField)
-    f._hold(ctx, mod, coef=_field_array(np.array(coef, dtype=complex), "field coefficients"))
+    f._hold(ctx, np.array(coef, dtype=complex), mod)
     return f
 
 

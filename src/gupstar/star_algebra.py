@@ -5,13 +5,12 @@ position transform.  The product is computed through the operator picture:
 field -> integral kernel (an exact relabeling of the coefficient lattice),
 kernel composition by invariant-measure quadrature over the contracted slot
 (a signed mode pairing and one matrix product when the contracted
-modulations differ by an integer), kernel -> field back.  Products, the
-involution and ``s_operator`` return fields that hold coefficients, so nested
-products, ``trace``, ``inner`` and the kernel maps read them without a sample
-round trip.  On band-limited
-carriers this equals the direct discretization of the defining twisted
-convolution; a slow direct evaluation is kept as :func:`star_direct` so the
-two routes can check each other.
+modulations differ by an integer), kernel -> field back.  Fields hold
+coefficients, so products, the involution, ``s_operator``, ``trace``,
+``inner`` and the kernel maps read and return them without a sample round
+trip.  On band-limited carriers this equals the direct discretization of the
+defining twisted convolution; a slow direct evaluation is kept as
+:func:`star_direct` so the two routes can check each other.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .sampling import (
     TorusField,
     Wavefunction,
     _line_values,
+    _sheared_values,
     angle_nodes,
     field_from_coeffs,
     mode_numbers,
@@ -75,9 +75,9 @@ def star(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     and the product kernel is relabeled back.  When the contracted modulations
     differ by an integer (same-position eigenvector products, Wigner pairs of a
     common state family, unmodulated fields) the composition is a signed mode
-    pairing and one matrix product, exact for band-limited fields, and a
-    product of coefficient-held fields runs no transform.  Otherwise the
-    contracted slot is sampled and the midpoint rule only converges.
+    pairing and one matrix product, exact for band-limited fields, and the
+    product runs no transform.  Otherwise the contracted slot is sampled and
+    the midpoint rule only converges.
     """
     _check_pair(f, g)
     return element_of(compose_kernels(kernel_of(f), kernel_of(g)))
@@ -155,8 +155,7 @@ def s_operator(f: AlgebraElement) -> AlgebraElement:
 def trace(f: AlgebraElement) -> complex:
     """Normalized phase-space integral tr(f) = Int f dq dmu / (2 pi hbar).
 
-    A column sum of the sheared coefficients: free of any transform when f
-    holds coefficients (products, involutions).
+    A column sum of the sheared coefficients, free of any transform.
     """
     b = mode_numbers(f.n) + f.mod[1]
     colsum = f.coeffs().sum(axis=0)
@@ -168,24 +167,25 @@ def inner(f: AlgebraElement, g: AlgebraElement) -> complex:
 
     The equivalent sample sum with the discrete normalization
     1/(4 pi^2 hbar^2 beta) (pi/n)^2, derived from the transform conventions
-    and pinned by the position-eigenvector golden tests.  When both fields
-    hold coefficients and share ``b0``, the alpha sum is exactly
-    n times the coefficient sum over each alpha mode, and so is the alpha' sum
-    when ``s0`` is shared too (Parseval, no transform); with different ``s0``
-    only the alpha' slot is sampled, one 1-d codec call per field, with the
-    phase ``exp(2i (s0_g - s0_f) alpha'_j)``.  Every other pair sums samples.
+    and pinned by the position-eigenvector golden tests.  The route follows
+    the modulations alone.  When the fields share ``b0``, the alpha sum is
+    exactly n times the coefficient sum over each alpha mode, and so is the
+    alpha' sum when ``s0`` is shared too (Parseval, no transform); with
+    different ``s0`` only the alpha' slot is sampled, one 1-d codec call per
+    field, with the phase ``exp(2i (s0_g - s0_f) alpha'_j)``.  Fields with
+    different ``b0`` sum samples.
     """
     _check_pair(f, g)
     n = f.n
     pref = (np.pi / n) ** 2 / (4 * np.pi ** 2 * f.ctx.hbar ** 2 * f.ctx.beta)
-    if f._coef is not None and g._coef is not None and f.mod[1] == g.mod[1]:
-        if f.mod[0] == g.mod[0]:
-            return complex(pref * n * n * np.vdot(f._coef, g._coef))
-        fl = _line_values(f._coef.T)                      # [b, j]
-        gl = _line_values(g._coef.T, g.mod[0] - f.mod[0])
-        return complex(pref * n * np.vdot(fl, gl))
-    fv = f.values
-    return complex(pref * np.vdot(fv, fv if g is f else g.values))
+    if f.mod[1] != g.mod[1]:
+        return complex(pref * np.vdot(f.values, g.values))
+    fc, gc = f.coeffs(), g.coeffs()
+    if f.mod[0] == g.mod[0]:
+        return complex(pref * n * n * np.vdot(fc, gc))
+    fl = _line_values(fc.T)                      # [b, j]
+    gl = _line_values(gc.T, g.mod[0] - f.mod[0])
+    return complex(pref * n * np.vdot(fl, gl))
 
 
 def norm2(f: AlgebraElement) -> float:
@@ -251,17 +251,18 @@ def _symbol_product(sym: SymbolObservable, g: AlgebraElement, t, a, z) -> Algebr
     phi_k has phi's coefficients times ``(a mu)^k`` with ``mu = phi.mod + mode``;
     g_j has g's sheared coefficients times ``z^j``.  The binomial sum is the
     multiplier ``(a mu + z)^P`` of every (phi mode, g mode) pair, so the cost
-    is one batched shift of phi and P inverse codecs of g, whatever phi's band.
+    is one batched shift of phi, P + 1 inverse codecs of g and one encoding of
+    the sampled sum, whatever phi's band.
     """
     _check_pair(sym.phi, g, "symbol and field")
     ctx, n, power, phi = g.ctx, g.n, sym.power, sym.phi
     k = np.arange(power + 1)[:, None, None]
     amp = phi.coeffs() * (a * (phi.mod + mode_numbers(n))) ** k
     rows = _line_values(amp, phi.mod, t * angle_nodes(n))  # [k, j, alpha]
-    out = rows[power] * g.values
-    gc = g.coeffs() if power else None
+    gc = g.coeffs()
+    out = rows[power] * _sheared_values(gc, ctx.lam, g.mod)
     for j in range(1, power + 1):
-        gj = field_from_coeffs(ctx, gc * z ** j, g.mod).values
+        gj = _sheared_values(gc * z ** j, ctx.lam, g.mod)
         out = out + math.comb(power, j) * rows[power - j] * gj
     return TorusField(ctx, out, (g.mod[0] + (t - ctx.lam) * phi.mod, g.mod[1] + phi.mod))
 

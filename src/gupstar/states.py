@@ -3,8 +3,10 @@
 Both families are built from exact evaluators; their carriers attach the
 known modulation (position off the sampling lattice shows up as a real
 frequency offset).  A position eigenvector is one coefficient, so its Wigner
-field is an exact relabeling; a localization state is sampled and carries the
-exact derivative at the kink its momentum profile has at infinity.
+field is an exact relabeling.  A localization state is sampled and encoded
+once into line coefficients, like every carrier, and keeps exact derivative
+samples for the kink its momentum profile has at infinity; its Wigner field
+fills the band, so it is sampled and encoded once too.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from .sampling import (
     _line_values,
     angle_nodes,
     deriv_pprime,
+    field_from_coeffs,
     mode_numbers,
 )
 
@@ -72,9 +73,12 @@ def conv_unit(ctx, n: int) -> TorusField:
 
     Its transform rows are identical Dirichlet spikes: every alpha mode enters
     with weight sqrt(beta)/pi and there is no first-slot dependence, the
-    discrete counterpart of a position-momentum point mass.  Only the sample
-    values matter for convolution; the carrier's sheared decoding does not
-    apply to this special element.
+    discrete counterpart of a position-momentum point mass.  The carrier
+    encodes these samples like any other and gives them back to rounding,
+    but off the grid its sheared expansion does not describe this element:
+    the rows are constant in alpha', a frequency the sheared basis has only
+    where lam*b is an integer.  Only the on-grid samples matter for
+    convolution.
     """
     row = _line_values(np.full(n, ctx.sqrt_beta / np.pi, dtype=complex))
     return TorusField(ctx, np.tile(row, (n, 1)))
@@ -202,7 +206,6 @@ def mult_by_q(f: TorusField) -> TorusField:
     The spectral first-slot derivative realizes the improper-integral
     convention: boundary contributions at the seam are dropped, which is what
     sends a constant field to zero and a pure first-slot phase to its position
-    eigenvalue.
+    eigenvalue.  A coefficient scale, so it runs no transform.
     """
-    g = deriv_pprime(f)
-    return g.with_values(1j * f.ctx.hbar * g.values)
+    return field_from_coeffs(f.ctx, 1j * f.ctx.hbar * deriv_pprime(f).coeffs(), f.mod)

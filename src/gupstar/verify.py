@@ -284,11 +284,12 @@ def suite_transforms(cfg: RunConfig) -> List[CheckResult]:
         return s.out
 
     f = random_element(ctx, min(n, 64), s.rng)
+    fv = f.values
     pair = symplectic_fourier(f)
     back = symplectic_fourier(pair)
     s.check_true("transforms.self_inverse",
-                 (not back.transformed) and np.array_equal(back.values, f.values))
-    sym = TorusField(ctx, (f.values + f.values.T) / 2)
+                 (not back.transformed) and np.array_equal(back.values, fv))
+    sym = TorusField(ctx, (fv + fv.T) / 2)
     s.check("transforms.symmetric_fixed_point",
             _rel(symplectic_fourier(sym).values, sym.values), 1e-14)
 
@@ -320,7 +321,7 @@ def suite_transforms(cfg: RunConfig) -> List[CheckResult]:
     gq = random_qlocalized(ctx, nq, s.rng)
     pp = conv_generalized(symplectic_fourier(fq), symplectic_fourier(gq))
     hh = symplectic_fourier(pp).field
-    hh = hh.with_values(hh.values / (2 * np.pi * ctx.hbar))
+    hh = field_from_coeffs(ctx, hh.coeffs() / (2 * np.pi * ctx.hbar), hh.mod)
     qs = np.linspace(-4, 4, 9)
     ps = np.linspace(-3, 3, 7)
     lhs = synth_grid(hh, qs, ps)
@@ -476,7 +477,7 @@ def suite_star_algebra(cfg: RunConfig) -> List[CheckResult]:
     s.check("star.involution_isometry", abs(norm2(involution(f)) - norm2(f)), 1e-10)
     a_st = random_state(ctx_h, na, s.rng)
     b_st = random_state(ctx_h, na, s.rng)
-    freal = TorusField(ctx_h, wigner(a_st, b_st).values + wigner(b_st, a_st).values)
+    freal = field_from_coeffs(ctx_h, wigner(a_st, b_st).coeffs() + wigner(b_st, a_st).coeffs())
     s.check("star.symmetric_involution_is_conjugation",
             _field_err(involution(freal), freal), 1e-10,
             note="real-valued element is a fixed point when lam = 1/2")
@@ -506,9 +507,9 @@ def suite_star_algebra(cfg: RunConfig) -> List[CheckResult]:
             _rel(l.values, r1.values + r2.values), 1e-9)
     saw = angle_nodes(nl) * (1j / (ctx.hbar * ctx.sqrt_beta))
     dq = lambda x: x.with_values(x.values * saw[:, None])
-    l = dq(star(fl, gl))
+    l = star(fl, gl).values * saw[:, None]
     r = star(dq(fl), gl).values + star(fl, dq(gl)).values
-    s.check("star.position_derivation", _rel(l.values, r), 1e-8,
+    s.check("star.position_derivation", _rel(l, r), 1e-8,
             note="localized fields; seam contributions below tolerance")
 
     lq = deriv_pprime(star(fl, gl))
@@ -681,7 +682,7 @@ def suite_operator(cfg: RunConfig) -> List[CheckResult]:
     rep = state_check(ml.rho, herm_tol=_kink_tol(n, 4e-6), eig_tol=-_kink_tol(n, 3e-7))
     s.check_true("operator.state_check_localization", rep.passed,
                  note="hermiticity/positivity floors follow the kink schedule")
-    mix = TorusField(ctx, 0.5 * wigner(a1, a1).values + 0.5 * wigner(b1, b1).values)
+    mix = field_from_coeffs(ctx, 0.5 * wigner(a1, a1).coeffs() + 0.5 * wigner(b1, b1).coeffs())
     s.check_true("operator.state_check_mixture", state_check(mix).passed)
     s.check_true("operator.state_check_rejects_offdiagonal",
                  not state_check(wigner(a1, b1)).hermitian)
@@ -715,11 +716,12 @@ def suite_states(cfg: RunConfig) -> List[CheckResult]:
     for xi in xis:
         pe = position_eigenvector(ctx, xi, n)
         qsym = SymbolObservable.position_power(ctx, n, 1)
-        scale = np.abs(pe.rho.values).max()
+        rv = pe.rho.values
+        scale = np.abs(rv).max()
         worst_l = max(worst_l, np.abs(star_symbol_left(qsym, pe.rho).values
-                                      - xi * pe.rho.values).max() / scale)
+                                      - xi * rv).max() / scale)
         worst_r = max(worst_r, np.abs(star_symbol_right(pe.rho, qsym).values
-                                      - xi * pe.rho.values).max() / scale)
+                                      - xi * rv).max() / scale)
         worst_q = max(worst_q, np.abs(qhat_apply(pe.psi).values - xi * pe.psi.values).max())
     s.check("states.position_eigen_left", worst_l, 1e-9)
     s.check("states.position_eigen_right", worst_r, 1e-9)
@@ -772,8 +774,8 @@ def suite_states(cfg: RunConfig) -> List[CheckResult]:
     else:
         s.skip("states.ml_sinc_form_on_strip", "strip empty for this ordering")
 
-    rr = star(ml.rho, ml.rho)
-    gap = rr.with_values(rr.values - ml.rho.values)
+    rr = star(ml.rho, ml.rho)  # star(f, f) keeps the modulation of f
+    gap = field_from_coeffs(ctx, rr.coeffs() - ml.rho.coeffs(), rr.mod)
     s.check("states.ml_idempotent", math.sqrt(max(inner(gap, gap).real, 0.0)),
             _kink_tol(n, 1e-6), note="purity of the localization state")
 
@@ -885,7 +887,8 @@ def _truncation_slope(cfg: RunConfig, order: int = 2) -> float:
         ap = angle_nodes(n)[:, None]
         prof = s_width * math.sqrt(2 * math.pi) * np.exp(
             -(ap * s_width / (ctx.hbar * ctx.sqrt_beta)) ** 2 / 2.0)
-        g = TorusField(ctx, prof * cos2[None, :])
+        gs = prof * cos2[None, :]
+        g = TorusField(ctx, gs)
 
         p_grid = np.tan(a) / ctx.sqrt_beta
         phi_tab = [phi_ring]
@@ -893,31 +896,24 @@ def _truncation_slope(cfg: RunConfig, order: int = 2) -> float:
             phi_tab.append(_main_dp(phi_tab[-1]))
         phi_vals = [formal_eval(t, ctx, 0.0, p_grid) for t in phi_tab]
 
-        saw = angle_nodes(n) * (1j / (ctx.hbar * ctx.sqrt_beta))
-
-        def dq_field(x, times):
-            v = x.values
-            for _ in range(times):
-                v = v * saw[:, None]
-            return x.with_values(v)
-
-        def colmult(vals, x):
-            return x.with_values(x.values * vals[None, :])
+        saw = angle_nodes(n)[:, None] * (1j / (ctx.hbar * ctx.sqrt_beta))
+        dq = [gs]  # samples of g times the position sawtooth k times
+        for _ in range(order):
+            dq.append(dq[-1] * saw)
 
         # the symbol on the right mirrors the left series: -lam <-> 1 - lam
         w, w_mirror = (1 - lam, -lam) if use_right else (-lam, 1 - lam)
-        series = None
-        for k in range(order + 1):
-            coef = (1j * ctx.hbar) ** k / math.factorial(k)
-            term = w ** k * mult_by_q(colmult(phi_vals[k], dq_field(g, k))).values
-            if k >= 1:
-                gk1 = deriv_p(dq_field(g, k - 1))
-                term = term + k * w_mirror * w ** (k - 1) * colmult(phi_vals[k - 1], gk1).values
-            series = coef * term if series is None else series + coef * term
+        c = [(1j * ctx.hbar) ** k / math.factorial(k) for k in range(order + 1)]
+        # term k: c_k (w^k q(phi_k D_q^k g) + k w_mirror w^(k-1) phi_(k-1) D_p D_q^(k-1) g);
+        # multiplication by q is linear, so one field carries all of its terms
+        qpart = sum(c[k] * w ** k * phi_vals[k] * dq[k] for k in range(order + 1))
+        ppart = sum(c[k] * k * w_mirror * w ** (k - 1) * phi_vals[k - 1]
+                    * deriv_p(TorusField(ctx, dq[k - 1])).values for k in range(1, order + 1))
+        series = mult_by_q(TorusField(ctx, qpart)).coeffs() + TorusField(ctx, ppart).coeffs()
 
         sym = SymbolObservable(1, Wavefunction(ctx, phi_vals[0].astype(complex)))
         exact = star_symbol_right(g, sym) if use_right else star_symbol_left(sym, g)
-        diff = exact.with_values(exact.values - series)
+        diff = field_from_coeffs(ctx, exact.coeffs() - series)  # every field here is unmodulated
         # measure on a fixed phase-space window so the hbar-dependent carrier
         # normalizations cannot contaminate the scaling
         qs = np.linspace(-2, 2, 9)

@@ -22,6 +22,11 @@ def test_context_validation():
         BetaContext(1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         BetaContext(1.0, 1.0, 1.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            BetaContext(bad, 1.0, 0.5)
+        with pytest.raises(ValueError, match="hbar must be finite and positive"):
+            BetaContext(1.0, bad, 0.5)
     c = BetaContext(4.0, 0.5, 0.0)
     assert c.min_dq == 0.5 * 2.0
     assert c.q_lattice_step == 2 * c.min_dq

@@ -178,14 +178,30 @@ def test_export_command(tmp_path, capsys):
     assert (tmp_path / "lattice.csv").exists()
 
 
-@pytest.mark.parametrize("args", [["mlstate", "--xi", "nan"], ["eigenstate", "--xi", "inf"],
-                                  ["export", "rho:inf"], ["star", "rho:nan", "rho0"]],
-                         ids=["mlstate-nan", "eigenstate-inf", "export-inf", "star-nan"])
-def test_non_finite_input_is_a_usage_error(tmp_path, capsys, args):
+@pytest.mark.parametrize("args,name", [(["mlstate", "--xi", "nan"], "xi"),
+                                       (["eigenstate", "--xi", "inf"], "xi"),
+                                       (["export", "rho:inf"], "xi"),
+                                       (["star", "rho:nan", "rho0"], "xi"),
+                                       (["eigenstate", "--beta", "inf"], "beta")],
+                         ids=["mlstate-nan", "eigenstate-inf", "export-inf", "star-nan",
+                              "eigenstate-beta-inf"])
+def test_non_finite_input_is_a_usage_error(tmp_path, capsys, args, name):
     assert run(args + ["--grid", "16", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "must be finite" in err[0]
+    assert len(err) == 1 and err[0].startswith("error:") and f"{name} must be finite" in err[0]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid", ["0", "-4", "7"])
+@pytest.mark.parametrize("args", [["verify"], ["mlstate"], ["eigenstate"], ["export", "bump"],
+                                  ["star", "bump", "bump"]],
+                         ids=["verify", "mlstate", "eigenstate", "export", "star"])
+def test_grid_must_be_a_positive_even_integer(tmp_path, capsys, args, grid):
+    out = ["--out", str(tmp_path / "out")] if args[0] != "verify" else []
+    assert run(args + ["--grid", grid] + out) == 2
+    err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(err) == 1 and "--grid" in err[0] and "positive even integer" in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_exported_files_follow_the_umask(tmp_path, capsys):

@@ -53,9 +53,21 @@ def test_at_offset_per_row_matches_scalar_calls(n, mod, seed, offsets):
         assert _rel(row, psi.at_offset(t)) <= 1e-12
 
 
-def test_codecs_live_in_sampling_only():
-    forbidden = re.compile(r"\bnp\.fft\b|\bnumpy\.fft\b|\b_vals_to_coeffs\b|\b_coeffs_to_vals\b")
+def _lines_outside_sampling(pattern: str) -> list:
+    """``file:line`` of every package line outside ``sampling.py`` that matches."""
+    forbidden = re.compile(pattern)
     src = Path(__file__).resolve().parent.parent / "src" / "gupstar"
-    offenders = [f"{path.name}:{i}" for path in sorted(src.glob("*.py")) if path.name != "sampling.py"
-                 for i, line in enumerate(path.read_text().splitlines(), 1) if forbidden.search(line)]
+    return [f"{path.name}:{i}" for path in sorted(src.glob("*.py")) if path.name != "sampling.py"
+            for i, line in enumerate(path.read_text().splitlines(), 1) if forbidden.search(line)]
+
+
+def test_codecs_live_in_sampling_only():
+    offenders = _lines_outside_sampling(
+        r"\bnp\.fft\b|\bnumpy\.fft\b|\b_vals_to_coeffs\b|\b_coeffs_to_vals\b")
+    assert not offenders, offenders
+
+
+def test_carrier_representation_lives_in_sampling_only():
+    # the held arrays are private to the carriers: other modules read coeffs() and values
+    offenders = _lines_outside_sampling(r"\._coef\b|\._values\b")
     assert not offenders, offenders

@@ -218,42 +218,50 @@ def test_synth_band_limited_sinc_resampling(ctx, rng):
         assert abs(direct - resampled) < 1e-9
 
 
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
-def test_fields_keep_the_representation_they_were_built_from(lam):
+def test_fields_hold_sheared_coefficients(lam):
     ctx, mod, n = BetaContext(2.0, 0.7, lam), (0.21, 0.37), 16
     rng = np.random.default_rng(17)
     v, c = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
     f, g = TorusField(ctx, v.copy(), mod), field_from_coeffs(ctx, c.copy(), mod)
-    assert np.array_equal(f.values, v)
+    # samples are encoded once through the sheared codec and decoded on every read
     assert np.array_equal(f.coeffs(), _sheared_coeffs(v, lam, mod))
+    assert _rel(f.values, v) <= 1e-12
     assert np.array_equal(g.coeffs(), c)
     assert np.array_equal(g.values, _sheared_values(c, lam, mod))
     for h in (f, g):
-        assert h.n == n and h.mod == mod
+        assert h.n == n and h.mod == mod and h.coeffs() is h.coeffs()
         assert not (h.values.flags.writeable or h.coeffs().flags.writeable)
         with pytest.raises(AttributeError):
             h.mod = (0.0, 0.0)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
-def test_wavefunctions_keep_the_representation_they_were_built_from(lam):
+def test_wavefunctions_hold_line_coefficients(lam):
     ctx, mod, n = BetaContext(2.0, 0.7, lam), 0.37, 16
     rng = np.random.default_rng(19)
-    v, c = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
-    psi, chi = Wavefunction(ctx, v.copy(), mod), wavefunction_from_coeffs(ctx, c.copy(), mod)
-    assert np.array_equal(psi.values, v)
+    v, c, d = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3))
+    psi, chi = Wavefunction(ctx, v.copy(), mod, d.copy()), wavefunction_from_coeffs(ctx, c.copy(), mod)
     assert np.array_equal(psi.coeffs(), _line_coeffs(v, mod))
+    assert _rel(psi.values, v) <= 1e-12
+    assert np.array_equal(psi.deriv, d) and chi.deriv is None  # derivative samples stay samples
     assert np.array_equal(chi.coeffs(), c)
     assert np.array_equal(chi.values, _line_values(c, mod))
     for h in (psi, chi):
-        assert h.n == n and h.mod == mod
+        assert h.n == n and h.mod == mod and h.coeffs() is h.coeffs()
         assert not (h.values.flags.writeable or h.coeffs().flags.writeable)
         with pytest.raises(AttributeError):
             h.mod = 0.0
-    # normalizing scales the held array and keeps the representation
-    nv = chi.norm()
-    assert np.array_equal(chi.normalized().coeffs(), c / nv)
-    assert np.array_equal(psi.normalized().values, v / psi.norm())
+    assert not psi.deriv.flags.writeable
+    # normalizing scales the coefficients and the attached derivative
+    nv, nc = psi.norm(), chi.norm()
+    assert np.array_equal(psi.normalized().coeffs(), psi.coeffs() / nv)
+    assert np.array_equal(psi.normalized().deriv, d / nv)
+    assert np.array_equal(chi.normalized().coeffs(), c / nc)
 
 
 def test_carriers_survive_pickle_and_copy(ctx):
@@ -305,3 +313,17 @@ def test_field_data_must_be_finite(ctx, bad):
         Wavefunction(ctx, a[2])
     with pytest.raises(ValueError, match="square array of even size"):
         field_from_coeffs(ctx, np.ones((8, 6), complex))
+    with pytest.raises(ValueError, match="kernel coefficients must be finite"):
+        OperatorKernel(ctx, a)
+    ones = np.ones((8, 8), complex)
+    for mod in ((0.0, bad), (bad, 0.0)):
+        with pytest.raises(ValueError, match="field modulation mod must be finite"):
+            field_from_coeffs(ctx, ones, mod)
+        with pytest.raises(ValueError, match="field modulation mod must be finite"):
+            TorusField(ctx, ones, mod)
+        with pytest.raises(ValueError, match="kernel modulation mod must be finite"):
+            OperatorKernel(ctx, ones, mod)
+    with pytest.raises(ValueError, match="wavefunction modulation mod must be finite"):
+        wavefunction_from_coeffs(ctx, ones[0], bad)
+    with pytest.raises(ValueError, match="wavefunction modulation mod must be finite"):
+        Wavefunction(ctx, ones[0], bad)
