@@ -6,16 +6,15 @@ bijection of discrete mode lattices, so going back and forth is exact.
 An :class:`OperatorKernel` holds the coefficients of its plain 2-d expansion
 with ``mod = (mu_u, mu_v)``; field -> kernel, kernel -> field, the algebra
 involution and the kernel adjoint are each one unimodular relabeling of that
-lattice (:func:`_relabel`).  Composition contracts the inner slot by the
-invariant-measure midpoint rule.  When the contracted modulations differ by
-an integer that rule is exactly a signed pairing of modes
-(:func:`_contraction`), so the product is one gather and one matrix product
-of coefficient arrays; otherwise the contracted slot is sampled.  The trace
-reads the kernel diagonal's line coefficients from the same signed pairing.
-Kernel samples are derived on demand through the sheared codec of
-:mod:`gupstar.sampling` at lam = 0, for the consumers that act on sample
-vectors (operator action, Hilbert-Schmidt pairing, operator norm, state
-checks).
+lattice (:func:`_relabel`).  Composition and the action on a state contract
+the inner slot by the invariant-measure midpoint rule (:func:`_contract`).
+When the contracted modulations differ by an integer that rule is exactly a
+signed pairing of modes (:func:`_contraction`), so the result is one gather
+and one matrix product of coefficient arrays; otherwise the contracted slot
+is sampled.  The trace reads the kernel diagonal's line coefficients from the
+same signed pairing.  The sample basis ``exp(2i(u + mu) alpha_a)`` is sqrt(n)
+times a unitary, so norms and spectra are read from coefficients too: no
+kernel is ever sampled.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ from .sampling import (
     _finite_mod,
     _frozen,
     _line_values,
-    _sheared_values,
     angle_nodes,
     field_from_coeffs,
     mode_numbers,
+    wavefunction_from_coeffs,
     wf_inner,
 )
 
@@ -83,20 +82,6 @@ class OperatorKernel:
     @property
     def n(self) -> int:
         return self.coef.shape[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        """Samples K[a, b] on the angle grid (derived, not stored)."""
-        return _sheared_values(self.coef, 0.0, self.mod)
-
-    @property
-    def weight(self) -> float:
-        """Quadrature weight of the contracted slot: pi/(n sqrt(beta))."""
-        return np.pi / (self.n * self.ctx.sqrt_beta)
-
-    def matrix(self) -> np.ndarray:
-        """Weighted matrix acting on plain sample vectors."""
-        return self.weight * self.values
 
 
 @functools.lru_cache(maxsize=16)
@@ -152,41 +137,51 @@ def element_of(k: OperatorKernel) -> TorusField:
     return field_from_coeffs(k.ctx, coef, (-mu_v, mu_u + mu_v))
 
 
-def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
-    """Kernel of the product: midpoint quadrature over the contracted slot.
+def _contract(k: OperatorKernel, right: np.ndarray, mu: float) -> np.ndarray:
+    """Coefficients of ``int K(a, b) R(b, .) d mu(b)`` by the midpoint rule.
 
-    The outer slots keep their coefficients.  When the contracted modulations
-    differ by an integer ``d = kf.mod[1] + kg.mod[0]``, the rule is exactly
-    the signed mode pairing of :func:`_contraction`: one gather of kg's rows,
-    one scale of kf's columns and one matrix product, with no transform.  For
-    any other ``d`` the contracted slot is sampled (one 1-d codec call per
-    kernel) and summed; that quadrature only converges, it is not exact.
+    ``right`` holds R's coefficients with the contracted slot first (a 2-d
+    kernel's or a 1-d state's) and ``mu`` that slot's modulation.  When
+    ``d = k.mod[1] + mu`` is an integer, the rule is exactly the signed mode
+    pairing of :func:`_contraction`: one gather of ``right``'s rows, one scale
+    of k's columns and one matrix product, with no transform.  For any other
+    ``d`` the contracted slot is sampled (one 1-d codec call per operand) and
+    summed; that quadrature only converges, it is not exact.
     """
+    d = k.mod[1] + mu
+    if d.is_integer():
+        perm, sign = _contraction(k.n, int(d))
+        scale = (np.pi / k.ctx.sqrt_beta) * sign  # n times the weight: the pair sum is n
+        return (k.coef * scale) @ right[perm]
+    left = _line_values(k.coef, k.mod[1])          # [u, b]
+    samples = _line_values(right.T, mu)             # [x, b], or [b] for a state
+    return np.pi / (k.n * k.ctx.sqrt_beta) * (left @ samples.T)
+
+
+def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
+    """Kernel of the product: :func:`_contract` over the inner slot, outer slots kept."""
     if kf.n != kg.n:
         raise ValueError("kernel grids differ")
-    mod = (kf.mod[0], kg.mod[1])
-    d = kf.mod[1] + kg.mod[0]
-    if d.is_integer():
-        perm, sign = _contraction(kf.n, int(d))
-        scale = (np.pi / kf.ctx.sqrt_beta) * sign  # n times the weight: the pair sum is n
-        return OperatorKernel(kf.ctx, (kf.coef * scale) @ kg.coef[perm], mod)
-    left = _line_values(kf.coef, kf.mod[1])        # [u, b]
-    right = _line_values(kg.coef.T, kg.mod[0])     # [v, b]
-    return OperatorKernel(kf.ctx, kf.weight * (left @ right.T), mod)
+    return OperatorKernel(kf.ctx, _contract(kf, kg.coef, kg.mod[0]), (kf.mod[0], kg.mod[1]))
 
 
 def adjoint_kernel(k: OperatorKernel) -> OperatorKernel:
-    """Kernel of the adjoint operator: conj K(b, a) as the mode relabeling (u, v) -> (-v, -u)."""
-    return OperatorKernel(k.ctx, np.conj(_relabel(k.coef, 0, -1, -1, 0)), (-k.mod[1], -k.mod[0]))
+    """Kernel of the adjoint operator: conj K(b, a) as the mode relabeling (u, v) -> (-v, -u).
+
+    Conjugation makes the Nyquist mode -n/2 mode +n/2, which samples as -1
+    times mode -n/2 on the half-offset grid: that row and column change sign.
+    """
+    s = np.where(np.arange(k.n) == k.n // 2, -1.0, 1.0)
+    coef = np.conj(_relabel(k.coef, 0, -1, -1, 0)) * s[:, None] * s
+    return OperatorKernel(k.ctx, coef, (-k.mod[1], -k.mod[0]))
 
 
 def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
-    """Act with the operator of a field on a state (kernel contraction)."""
+    """Act with the operator of a field on a state: :func:`_contract` with its coefficients."""
     if f.n != psi.n:
         raise ValueError("field and wavefunction grids differ")
     k = kernel_of(f)
-    out = k.matrix() @ psi.values
-    return Wavefunction(psi.ctx, out, mod=k.mod[0])
+    return wavefunction_from_coeffs(psi.ctx, _contract(k, psi.coeffs(), psi.mod), k.mod[0])
 
 
 def trace_op(k: OperatorKernel) -> complex:
@@ -206,10 +201,8 @@ def trace_op(k: OperatorKernel) -> complex:
 
 
 def hilbert_schmidt(kf: OperatorKernel, kg: OperatorKernel) -> complex:
-    """Tr(kf^dagger kg) by double quadrature; exact when modulations match."""
-    if kf.n != kg.n:
-        raise ValueError("kernel grids differ")
-    return complex(kf.weight ** 2 * np.vdot(kf.values, kg.values))
+    """Tr(kf^dagger kg), the trace of the composed kernel; exact when modulations match."""
+    return trace_op(compose_kernels(adjoint_kernel(kf), kg))
 
 
 # ---------------------------------------------------------------------------
@@ -310,33 +303,24 @@ def lambda_ordered_operator(sym) -> Callable[[Wavefunction], Wavefunction]:
 # norms, state checks, uncertainties
 # ---------------------------------------------------------------------------
 
-def operator_norm(k: OperatorKernel, rel_tol: float = 1e-8,
-                  max_iter: int = 10_000, seed: int = 0) -> float:
-    """Largest singular value of the weighted kernel matrix.
+def operator_norm(k: OperatorKernel) -> float:
+    """Largest singular value of the kernel's operator, exactly.
 
-    Plain power iteration on M^dagger M with a deterministic random start;
-    raises RuntimeError if the requested relative tolerance is not reached.
+    The weighted sample matrix is ``(pi/sqrt(beta)) U coef V^T`` with unitary
+    ``U`` and ``V`` (the sample bases over sqrt(n)), so its spectral norm is
+    that of the coefficients.
     """
-    M = k.matrix()
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(k.n) + 1j * rng.standard_normal(k.n)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(max_iter):
-        w = M.conj().T @ (M @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        new = math.sqrt(nw)
-        v = w / nw
-        if abs(new - est) <= rel_tol * max(new, 1e-300):
-            return new
-        est = new
-    raise RuntimeError(f"operator norm power iteration did not converge in {max_iter} steps")
+    return float(np.pi / k.ctx.sqrt_beta * np.linalg.norm(k.coef, 2))
 
 
 @dataclass(frozen=True)
 class StateReport:
+    """Outcome of :func:`state_check`.
+
+    ``hermiticity_residual`` is the relative Frobenius norm ``||A - A^dagger||_F / ||A||_F``
+    of the operator's matrix ``A``; it is infinite when ``d`` is not an integer.
+    """
+
     hermitian: bool
     trace: complex
     min_eig: float
@@ -357,22 +341,29 @@ def state_check(rho: TorusField, herm_tol: float = 1e-8,
                 eig_tol: float = -1e-9) -> StateReport:
     """Verify the three state conditions on a candidate density field.
 
-    Hermiticity is the kernel-level self-adjointness K = K^dagger, positivity
-    the spectrum of the weighted kernel matrix; the smallest eigenvalue must
-    stay above ``eig_tol`` (slightly negative to absorb roundoff on exact
+    The kernel acts on a state's coefficients as the matrix
+    ``A = (pi/sqrt(beta)) coef[:, perm] * sign``, ``(perm, sign)`` the signed
+    pairing of :func:`_contraction` at the kernel's ``d = mod[0] + mod[1]``,
+    read as the field's ``b0`` so that no sum rounds it off an integer; ``A``
+    is unitarily similar to the weighted kernel matrix on sample vectors.
+    Hermiticity asks that the relative Frobenius residual
+    ``||A - A^dagger||_F / ||A||_F`` stay within ``herm_tol``; a non-integer
+    ``d`` cannot be self-adjoint and reports an infinite residual.
+    Positivity asks that the smallest eigenvalue of ``(A + A^dagger)/2`` stay
+    above ``eig_tol`` (slightly negative to absorb roundoff on exact
     rank-deficient states).  The trace must be one to within 1e-8.
     """
     k = kernel_of(rho)
-    M = k.matrix()
-    scale = max(np.abs(M).max(), 1e-300)
-    herm_res = float(np.abs(M - M.conj().T).max() / scale)
-    hermitian = herm_res <= herm_tol
     tr = trace_op(k)
-    if hermitian:
-        eigs = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-        min_eig = float(eigs.min())
-    else:
-        min_eig = float("nan")
+    d = rho.mod[1]
+    hermitian, herm_res, min_eig = False, math.inf, math.nan
+    if d.is_integer():
+        perm, sign = _contraction(k.n, int(d))
+        A = np.pi / k.ctx.sqrt_beta * k.coef[:, perm] * sign
+        herm_res = float(np.linalg.norm(A - A.conj().T) / max(np.linalg.norm(A), 1e-300))
+        hermitian = herm_res <= herm_tol
+        if hermitian:
+            min_eig = float(np.linalg.eigvalsh(0.5 * (A + A.conj().T)).min())
     passed = hermitian and abs(tr - 1.0) <= 1e-8 and min_eig >= eig_tol
     return StateReport(hermitian, tr, min_eig, herm_res, passed)
 

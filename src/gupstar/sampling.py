@@ -34,8 +34,8 @@ goes through the two codecs of this module: the 1-d codec
 ``_line_coeffs``/``_line_values`` along the last axis (real modulation,
 optional scalar or per-row offset) and the 2-d sheared codec
 ``_sheared_coeffs``/``_sheared_values`` parameterised by ``lam`` and ``mod``.
-Operator kernels use the sheared codec at lam = 0, which is exactly their
-plain 2-d expansion with ``mod = (mu_u, mu_v)``.
+Operator kernels are never sampled: the operator layer works on their
+coefficients and samples only a contracted slot with a non-integer offset.
 """
 
 from __future__ import annotations

@@ -210,11 +210,11 @@ def pointwise_trace(f: AlgebraElement, g: AlgebraElement) -> complex:
 def cstar_norm_estimate(f: AlgebraElement) -> float:
     """Operator norm of star-multiplication by f (the C*-norm).
 
-    Largest singular value of the weighted kernel matrix via power iteration
-    (relative tolerance 1e-8, start vector from seed 42); always bounded by the
+    The largest singular value of f's kernel, read exactly from its
+    coefficients by :func:`operator_norm`; always bounded by the
     Hilbert-algebra norm ``norm2(f)``.
     """
-    return operator_norm(kernel_of(f), seed=42)
+    return operator_norm(kernel_of(f))
 
 
 # ---------------------------------------------------------------------------

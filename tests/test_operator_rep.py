@@ -3,9 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import kernel_samples
 
 from gupstar.beta_arith import BetaContext
-from gupstar import operator_rep
+from gupstar import operator_rep, sampling
 from gupstar.families import random_element, random_state
 from gupstar.families import resolve_family
 from gupstar.operator_rep import (OperatorKernel, _relabel, _relabel_index, adjoint_kernel,
@@ -32,7 +33,7 @@ def test_kernel_of_projector(ctx):
     pe = position_eigenvector(ctx, 0.0, n)
     k = kernel_of(pe.rho)
     outer = np.outer(pe.psi.values, np.conj(pe.psi.values))
-    assert np.abs(k.values - outer).max() < 1e-12
+    assert np.abs(kernel_samples(k) - outer).max() < 1e-12
 
 
 def test_kernel_standard_ordering_alignment(rng):
@@ -42,7 +43,7 @@ def test_kernel_standard_ordering_alignment(rng):
     a, b = random_state(ctx0, n, rng), random_state(ctx0, n, rng)
     w = wigner(a, b)
     k = kernel_of(w)
-    assert np.abs(k.values - np.outer(b.values, np.conj(a.values))).max() < 1e-10
+    assert np.abs(kernel_samples(k) - np.outer(b.values, np.conj(a.values))).max() < 1e-10
 
 
 # kernel_of / element_of, the involution and the kernel adjoint as lattice maps
@@ -65,10 +66,10 @@ def test_relabel_inverse_pairs_are_exact(rng, fwd, back):
 
 
 def test_kernel_maps_need_no_sample_tables():
-    # samples of a kernel are built only by OperatorKernel.values
+    # the operator layer works on kernel coefficients: it never samples a kernel
     src = Path(__file__).resolve().parent.parent / "src" / "gupstar"
     op = (src / "operator_rep.py").read_text()
-    assert op.count("_sheared_values(") == 1 and "_sheared_coeffs" not in op
+    assert "_sheared_values" not in op and "_sheared_coeffs" not in op
     for name in ("operator_rep.py", "star_algebra.py"):
         assert "meshgrid" not in (src / name).read_text()
 
@@ -101,17 +102,17 @@ def _kernel_pairs():
 @pytest.mark.parametrize("f,g", _kernel_pairs())
 def test_compose_kernels_matches_sample_route(f, g):
     kf, kg = kernel_of(f), kernel_of(g)
-    old = kf.weight * kf.values @ kg.values
+    old = kernel_samples(kf, weighted=True) @ kernel_samples(kg)
     new = compose_kernels(kf, kg)
     assert new.mod == (kf.mod[0], kg.mod[1])
-    assert np.abs(new.values - old).max() <= 1e-12 * np.abs(old).max()
+    assert np.abs(kernel_samples(new) - old).max() <= 1e-12 * np.abs(old).max()
 
 
 def _quadrature(kf, kg):
     """The midpoint rule over the sampled contracted slot, written out."""
     left = operator_rep._line_values(kf.coef, kf.mod[1])
     right = operator_rep._line_values(kg.coef.T, kg.mod[0])
-    return kf.weight * (left @ right.T)
+    return np.pi / (kf.n * kf.ctx.sqrt_beta) * (left @ right.T)
 
 
 @pytest.mark.parametrize("beta,hbar,lam", [(1.0, 1.0, 0.5), (2.0, 0.7, 0.3)])
@@ -144,8 +145,8 @@ def test_kernel_maps_commute_with_involution(f, g):
         lhs, rhs = kernel_of(involution(h)), adjoint_kernel(kernel_of(h))
         assert lhs.mod == pytest.approx(rhs.mod, abs=1e-15)
         assert np.abs(lhs.coef - rhs.coef).max() <= 1e-13 * np.abs(rhs.coef).max()
-        sampled = kernel_of(h).values.conj().T
-        assert np.abs(rhs.values - sampled).max() <= 1e-12 * np.abs(sampled).max()
+        sampled = kernel_samples(kernel_of(h)).conj().T
+        assert np.abs(kernel_samples(rhs) - sampled).max() <= 1e-12 * np.abs(sampled).max()
 
 
 def test_apply_operator(ctx, rng):
@@ -162,6 +163,22 @@ def test_apply_operator(ctx, rng):
     phi = random_state(ctx, n, rng)
     assert abs(wf_inner(phi, apply_operator(involution(f), psi))
                - np.conj(wf_inner(psi, apply_operator(f, phi)))) < 1e-10
+
+
+@pytest.mark.parametrize("beta,hbar,lam", [(1.0, 1.0, 0.5), (2.0, 0.7, 0.3)])
+def test_apply_operator_matches_the_sampled_matrix(beta, hbar, lam):
+    # kernel mod (0.62, -0.25): the contracted difference d = psi.mod - 0.25
+    ctx, n = BetaContext(beta, hbar, lam), 48
+    rng = np.random.default_rng(7)
+    f = _modulated_element(ctx, n, rng, (0.25, 0.37))
+    k = kernel_of(f)
+    for mu, integer in ((0.25, True), (1.25, True), (-0.75, True), (0.0, False), (0.6, False)):
+        psi = _band_state(ctx, n, rng, n // 8, mu)
+        assert float(k.mod[1] + mu).is_integer() == integer
+        ref = kernel_samples(k, weighted=True) @ psi.values
+        out = apply_operator(f, psi)
+        assert out.mod == k.mod[0]
+        assert np.abs(out.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_apply_matches_direct_quadrature(ctx, rng):
@@ -191,22 +208,30 @@ def test_trace_op(ctx, rng):
     assert abs(hilbert_schmidt(kernel_of(f), kernel_of(g)) - inner(f, g)) < 1e-10
     # full band: diagonal modes u + v leave the band and wrap with the half-offset sign
     for mod in ((0.3, 0.375), (0.25, -0.25), (-1.0, 3.0)):
-        k = OperatorKernel(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), mod)
+        k, kh = (OperatorKernel(ctx, rng.standard_normal((n, n))
+                                + 1j * rng.standard_normal((n, n)), mod) for _ in range(2))
         mtot = k.mod[0] + k.mod[1]
-        dm = _line_coeffs(np.diagonal(k.values), mtot)  # the sampled diagonal's coefficients
+        dm = _line_coeffs(np.diagonal(kernel_samples(k)), mtot)  # the sampled diagonal's coefficients
         terms = np.pi / ctx.sqrt_beta * dm * np.sinc(mtot + mode_numbers(n))
         assert abs(trace_op(k) - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+        # the adjoint is the conjugate transpose on samples, Nyquist row and column included,
+        # so Tr(k^dagger kh) is the double midpoint sum
+        sampled = kernel_samples(k).conj().T
+        adj = kernel_samples(adjoint_kernel(k))
+        assert np.abs(adj - sampled).max() <= 1e-12 * np.abs(sampled).max()
+        mk, mh = kernel_samples(k, weighted=True), kernel_samples(kh, weighted=True)
+        hs_scale = np.linalg.norm(mk) * np.linalg.norm(mh)
+        assert abs(hilbert_schmidt(k, kh) - np.vdot(mk, mh)) <= 1e-13 * hs_scale
 
 
 def test_operator_norm(ctx, rng):
-    f = random_element(ctx, 48, rng)
-    k = kernel_of(f)
-    sv = np.linalg.svd(k.matrix(), compute_uv=False)[0]
-    assert operator_norm(k, rel_tol=1e-12) == pytest.approx(sv, rel=1e-8)
+    # the largest singular value of the weighted sample matrix, also on a modulated kernel
+    for f in (random_element(ctx, 48, rng), _modulated_element(ctx, 48, rng, (0.21, 0.37))):
+        k = kernel_of(f)
+        sv = np.linalg.svd(kernel_samples(k, weighted=True), compute_uv=False)[0]
+        assert operator_norm(k) == pytest.approx(sv, rel=1e-8)
     zero = kernel_of(TorusField(ctx, np.zeros((48, 48), complex)))
     assert operator_norm(zero) == 0.0
-    with pytest.raises(RuntimeError):
-        operator_norm(k, rel_tol=1e-16, max_iter=2)
 
 
 def test_wigner_theorems(ctx, rng):
@@ -262,7 +287,7 @@ def test_wigner_relabels_pairs_that_fit_the_band(monkeypatch, beta, hbar, lam):
         assert w.mod == ref.mod
         assert np.abs(w.values - ref.values).max() <= 1e-13 * np.abs(ref.values).max()
         outer = np.outer(b.values, np.conj(a.values))
-        assert np.abs(kernel_of(w).values - outer).max() <= 1e-13 * np.abs(outer).max()
+        assert np.abs(kernel_samples(kernel_of(w)) - outer).max() <= 1e-13 * np.abs(outer).max()
     # past the band edge, and for the kinked localization states, wigner samples
     ml = ml_phase_state(ctx, 0.37, n)
     for a, b, w in ((past, psi, wigner(past, psi)), (ml.psi, ml.psi, ml.rho)):
@@ -327,6 +352,46 @@ def test_state_check(ctx, rng):
     assert rep2.passed and rep2.min_eig > -1e-5
     d = rep.as_dict()
     assert set(d) >= {"hermitian", "trace", "min_eig", "passed"}
+
+
+def test_state_check_reads_d_without_sampling(monkeypatch):
+    # kernel mod (b.mod, -a.mod): d = b.mod - a.mod = 0.37 pairs no modes, so no
+    # self-adjoint kernel has it, and the check decides without sampling anything
+    ctx, n = BetaContext(2.0, 0.7, 0.3), 48
+    rng = np.random.default_rng(5)
+    a, b = _band_state(ctx, n, rng, 5, 0.0), _band_state(ctx, n, rng, 5, 0.37)
+    w = wigner(a, b)
+    # one state written with modulations 0.13 and 1.13: d is the field's b0 = 1, although
+    # the kernel's mod sum (1 + 0.13) - 0.13 rounds off 1
+    c = _band_state(ctx, n, rng, 5, 0.13).normalized()
+    same = wavefunction_from_coeffs(ctx, np.roll(c.coeffs(), -1), 1.13)
+    rho = field_from_coeffs(ctx, wigner(c, same).coeffs(), (0.13, 1.0))
+    assert sum(kernel_of(rho).mod) != 1.0
+
+    def forbidden(*_):
+        raise AssertionError("state_check ran a codec")
+
+    for name in ("_vals_to_coeffs", "_coeffs_to_vals"):  # every codec runs through these
+        monkeypatch.setattr(sampling, name, forbidden)
+    rep = state_check(w)
+    assert not rep.hermitian and not rep.passed
+    assert rep.hermiticity_residual == math.inf and math.isnan(rep.min_eig)
+    assert state_check(rho).passed
+
+
+def test_state_check_spectrum_matches_the_sampled_matrix():
+    ctx, n = BetaContext(2.0, 0.7, 0.3), 128
+    rng = np.random.default_rng(9)
+    a, b = random_state(ctx, n, rng), random_state(ctx, n, rng)
+    mix = field_from_coeffs(ctx, 0.5 * wigner(a, a).coeffs() + 0.5 * wigner(b, b).coeffs())
+    for rho in (ml_phase_state(ctx, 0.37, n).rho, mix):
+        M = kernel_samples(kernel_of(rho), weighted=True)
+        rep = state_check(rho, herm_tol=1e-4, eig_tol=-1e-5)
+        assert rep.passed
+        # the coefficient matrix is unitarily similar to M: same spectrum, same Frobenius norms
+        assert abs(rep.min_eig - np.linalg.eigvalsh(0.5 * (M + M.conj().T)).min()) <= 1e-14
+        res = np.linalg.norm(M - M.conj().T) / np.linalg.norm(M)
+        assert abs(rep.hermiticity_residual - res) <= 1e-12
 
 
 def test_uncertainty(ctx, rng):

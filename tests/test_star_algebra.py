@@ -256,8 +256,7 @@ def test_algebra_path_runs_no_sheared_codec(monkeypatch):
     def forbidden(*_):
         raise AssertionError("codec called on the algebra path")
 
-    for module in (sampling, operator_rep):
-        monkeypatch.setattr(module, "_sheared_values", forbidden)
+    monkeypatch.setattr(sampling, "_sheared_values", forbidden)
     monkeypatch.setattr(sampling, "_sheared_coeffs", forbidden)
     # band-limited families are Wigner fields built as coefficient outer products
     bump, rho = resolve_family("bump:5", ctx, n), resolve_family("rho:0.37", ctx, n)
