@@ -112,7 +112,7 @@ def cmd_window(args) -> int:
     else:
         state = position_eigenvector(ctx, args.xi, args.grid_n)
         evaluate = state.rho_qp
-    ev = np.array([evaluate(qs, p) for p in ps]).T.astype(complex)  # (q, p) layout
+    ev = np.asarray(evaluate(qs[:, None], ps), dtype=complex)  # (q, p) layout
     wg = synth_grid(state.rho, qs, ps)
     files = [f"{args.command}_eval.csv", f"{args.command}_wigner.csv"]
     os.makedirs(args.out, exist_ok=True)

@@ -118,6 +118,22 @@ def _contraction(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(x), _frozen(1.0 - 2.0 * (k % 2))
 
 
+def _mod_sum(*terms: float) -> float:
+    """``sum(terms)``, snapped to the nearest integer when the terms' rounding reaches it.
+
+    Modulations are rounded reals, each within half an ulp of the value it
+    stands for, so a sum that is an integer in exact arithmetic can land off
+    one: ``1.13 - 0.13`` is 0.9999999999999999.  When the integer nearest the
+    float sum lies within the half ulps of the terms, it is returned instead,
+    so an exactness test (``is_integer()``) sees the integer.  A distance the
+    terms cannot account for, such as one ulp of a single nonzero term, is a
+    non-integer offset and is kept.
+    """
+    total = sum(terms)
+    k = round(total)
+    return float(k) if abs(total - k) <= 0.5 * sum(map(math.ulp, terms)) else total
+
+
 def kernel_of(f: TorusField) -> OperatorKernel:
     """Integral kernel of the operator represented by a field.
 
@@ -134,7 +150,7 @@ def element_of(k: OperatorKernel) -> TorusField:
     """Inverse of :func:`kernel_of`."""
     mu_u, mu_v = k.mod
     coef = _relabel(k.coef, 1, 1, -1, 0) * (2 * np.pi * k.ctx.hbar)
-    return field_from_coeffs(k.ctx, coef, (-mu_v, mu_u + mu_v))
+    return field_from_coeffs(k.ctx, coef, (-mu_v, _mod_sum(mu_u, mu_v)))
 
 
 def _contract(k: OperatorKernel, right: np.ndarray, mu: float) -> np.ndarray:
@@ -146,9 +162,11 @@ def _contract(k: OperatorKernel, right: np.ndarray, mu: float) -> np.ndarray:
     pairing of :func:`_contraction`: one gather of ``right``'s rows, one scale
     of k's columns and one matrix product, with no transform.  For any other
     ``d`` the contracted slot is sampled (one 1-d codec call per operand) and
-    summed; that quadrature only converges, it is not exact.
+    summed; that quadrature only converges, it is not exact.  ``d`` is read
+    through :func:`_mod_sum`, so a difference that rounding moved off an
+    integer still takes the exact pairing.
     """
-    d = k.mod[1] + mu
+    d = _mod_sum(k.mod[1], mu)
     if d.is_integer():
         perm, sign = _contraction(k.n, int(d))
         scale = (np.pi / k.ctx.sqrt_beta) * sign  # n times the weight: the pair sum is n
@@ -242,7 +260,7 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
     ps = _line_values(cpsi, psi.mod, ctx.lam * ap)
     ph = _line_values(cphi, phi.mod, -(1 - ctx.lam) * ap)
     vals = 2 * np.pi * ctx.hbar * ps * np.conj(ph)
-    return TorusField(ctx, vals, (phi.mod, psi.mod - phi.mod))
+    return TorusField(ctx, vals, (phi.mod, _mod_sum(psi.mod, -phi.mod)))
 
 
 def marginal_momentum(rho: TorusField) -> np.ndarray:
@@ -344,8 +362,10 @@ def state_check(rho: TorusField, herm_tol: float = 1e-8,
     The kernel acts on a state's coefficients as the matrix
     ``A = (pi/sqrt(beta)) coef[:, perm] * sign``, ``(perm, sign)`` the signed
     pairing of :func:`_contraction` at the kernel's ``d = mod[0] + mod[1]``,
-    read as the field's ``b0`` so that no sum rounds it off an integer; ``A``
-    is unitarily similar to the weighted kernel matrix on sample vectors.
+    read as the field's ``b0`` so that no sum rounds it off an integer (the
+    constructors that form ``b0`` as a sum, :func:`wigner` and
+    :func:`element_of`, snap it through :func:`_mod_sum`); ``A`` is unitarily
+    similar to the weighted kernel matrix on sample vectors.
     Hermiticity asks that the relative Frobenius residual
     ``||A - A^dagger||_F / ||A||_F`` stay within ``herm_tol``; a non-integer
     ``d`` cannot be self-adjoint and reports an infinite residual.

@@ -394,18 +394,22 @@ def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha=0.0) -> Torus
     Returns samples of ``F(alpha'_j + d_alpha_prime, alpha_k + d_alpha)``.
     ``d_alpha`` may be a scalar or one offset per row; per-row offsets are what
     the operator and Wigner constructions need.  Exact on band-limited fields.
+    Scalar shifts scale the coefficients: mode (c, b) by
+    ``exp(2i (nu d_alpha_prime + (b + b0) d_alpha))``.  Per-row offsets sample
+    the field and shift each row through the line codec.
     """
     b0 = f.mod[1]
     out = f
     d_alpha = np.asarray(d_alpha, dtype=float)
-    if d_alpha.ndim != 0 or float(d_alpha) != 0.0:
+    if d_alpha.ndim != 0:
         out = f.with_values(_line_values(_line_coeffs(f.values, b0), b0, d_alpha))
+        d_alpha = 0.0
 
-    d1 = float(d_alpha_prime)
-    if d1 != 0.0:
-        nu, _ = out.freq_grids()
-        out = field_from_coeffs(f.ctx, out.coeffs() * np.exp(2j * nu * d1), f.mod)
-    return out
+    nu, bt = out.freq_grids()
+    phase = nu * float(d_alpha_prime) + bt * float(d_alpha)
+    if not phase.any():
+        return out
+    return field_from_coeffs(f.ctx, out.coeffs() * np.exp(2j * phase), f.mod)
 
 
 def deriv_p(f: TorusField) -> TorusField:
@@ -432,37 +436,91 @@ def seminorm(f: TorusField, n_idx: int, m_idx: int) -> float:
     return float(np.abs(g.values).max())
 
 
-def _sinc_sums(f: TorusField, qs: np.ndarray) -> np.ndarray:
-    """Per-mode window integrals: out[iq, b] = sum_c coef[c, b] sinc(nu[c, b] + w_iq).
+#: Elements (float64) of the largest temporary a window evaluation builds: 1 MB.
+_CHUNK = 1 << 17
 
-    ``w = q/(2 hbar sqrt(beta))``; shape (len(qs), n).  The off-lattice
-    synthesis routes go through this loop; the lattice has its own.
+
+def _sin_pi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sin(pi x)/pi`` and where x is an integer (there the sine is exactly 0).
+
+    The sine is taken as ``(-1)^k sin(pi (x - k))`` with ``k = rint(x)``, which
+    keeps its relative accuracy when x is near an integer.  With it, for
+    integer c, ``sinc(c + x) = (-1)^c sin(pi x) / (pi (c + x))``: one division
+    per term instead of one sine.
     """
-    coef = f.coeffs()
-    nu, _ = f.freq_grids()
+    k = np.rint(x)
+    t = x - k
+    return np.sin(np.pi * t) * (1 - 2 * (k % 2)) / np.pi, t == 0.0
+
+
+def _sinc_sums(f: TorusField, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode window integrals ``sum_c coef[c, b] sinc(d_b + c + w)`` at every q.
+
+    ``w = q/(2 hbar sqrt(beta))`` and ``d_b = lam*(b + b0) + s0``, so the
+    argument is ``nu[c, b] + w``.  Returns ``(cols, out)``: ``cols`` are the
+    FFT indices of the alpha modes with a nonzero coefficient and
+    ``out[iq, j]`` is the sum at ``b = cols[j]``; every other mode sums to 0.
+
+    With ``x = d_b + w`` the sum is ``sin(pi x)/pi * sum_c (-1)^c coef[c, b]
+    / (c + x)`` (:func:`_sin_pi`), so a q costs one real reciprocal table
+    ``1/(c + x)`` over the occupied rows and columns and one dot per real and
+    imaginary part, and no sine per term.  Guard: at an integer x (a lattice
+    q with integer ``d_b``) the sine vanishes and every term but ``c = -x`` is
+    zero, so the sum is ``coef[-x, b]`` (0 when -x is no mode of the grid);
+    those columns read the coefficient instead of dividing by zero.  The q
+    axis is processed in chunks, and one table of at most ``_CHUNK`` elements
+    (or one q) serves every chunk.
+    """
+    coef, n = f.coeffs(), f.n
+    s0, b0 = f.mod
+    m = mode_numbers(n)
+    rows = np.flatnonzero(coef.any(axis=1))
+    cols = np.flatnonzero(coef.any(axis=0))
+    c = m[rows]
+    a = coef[np.ix_(rows, cols)].T * (1 - 2 * (c % 2))  # [b, c]: (-1)^c coef[c, b]
+    a_re, a_im = np.ascontiguousarray(a.real), np.ascontiguousarray(a.imag)
+    d = f.ctx.lam * (m[cols] + b0) + s0
     w = qs / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta)
-    out = np.empty((qs.size, f.n), dtype=complex)
-    for iq, wv in enumerate(w):
-        out[iq] = (coef * np.sinc(nu + wv)).sum(axis=0)
-    return out
+    out = np.empty((qs.size, cols.size), dtype=complex)
+    step = max(1, _CHUNK // max(a.size, 1))
+    table = np.empty((min(step, qs.size), cols.size, rows.size))  # reused by every chunk
+    for lo in range(0, qs.size, step):
+        x = d + w[lo:lo + step, None]  # [q, b]
+        sin_x, on = _sin_pi(x)
+        r = table[:x.shape[0]]
+        np.add(np.where(on, x + 0.5, x)[:, :, None], c, out=r)  # any x serves where on
+        np.reciprocal(r, out=r)  # [q, b, c]: 1/(c + x)
+        sums = np.einsum("qbc,bc->qb", r, a_re) + 1j * np.einsum("qbc,bc->qb", r, a_im)
+        blk = sin_x * sums
+        if on.any():
+            mode = -x[on]
+            col = np.broadcast_to(cols, on.shape)[on]
+            blk[on] = np.where((mode >= -(n // 2)) & (mode < n // 2),
+                               coef[mode.astype(int) % n, col], 0.0)
+        out[lo:lo + step] = blk
+    return cols, out
 
 
 def synth_grid(f: TorusField, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """f(q, p) on an arbitrary rectangular (q, p) window, shape (len(qs), len(ps))."""
+    """f(q, p) on an arbitrary rectangular (q, p) window, shape (len(qs), len(ps)).
+
+    The inverse position transform of :func:`lattice_from_field` at every q:
+    the window integrals of :func:`_sinc_sums` for the occupied alpha modes,
+    then one matrix product with their phases ``exp(2i (b + b0) alpha(p))``.
+    """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
-    b = mode_numbers(f.n) + f.mod[1]
-    eb = np.exp(2j * np.outer(b, np.arctan(f.ctx.sqrt_beta * ps)))  # (n, len(ps))
-    out = np.empty((qs.size, ps.size), dtype=complex)
-    for iq, row in enumerate(_sinc_sums(f, qs)):
-        out[iq] = row @ eb  # per q: one matrix product would round differently
-    return out / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta)
+    cols, sums = _sinc_sums(f, qs)
+    b = mode_numbers(f.n)[cols] + f.mod[1]
+    eb = np.exp(2j * np.outer(b, np.arctan(f.ctx.sqrt_beta * ps)))  # (modes, len(ps))
+    return sums @ eb / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta)
 
 
 def synth(f: TorusField, q: float, p) -> complex:
     """Point evaluation of f(q, p); p may be the INFINITY sentinel."""
-    b = mode_numbers(f.n) + f.mod[1]
-    val = _sinc_sums(f, np.array([float(q)]))[0] @ np.exp(2j * b * angle_of(f.ctx, p))
+    cols, sums = _sinc_sums(f, np.array([float(q)]))
+    b = mode_numbers(f.n)[cols] + f.mod[1]
+    val = sums[0] @ np.exp(2j * b * angle_of(f.ctx, p))
     return complex(val / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta))
 
 
@@ -504,8 +562,9 @@ def lattice_from_field(f: TorusField, half_width: int) -> LatticeField:
     There ``w = q/(2 hbar sqrt(beta))`` is the integer m, so the window
     integral of alpha mode b is the correlation
     ``sum_c coef[c, b] sinc(d_b + c + m)`` with ``d_b = lam*(b + b0) + s0``:
-    one table of ``sinc(d_b + k)`` and one batched FFT correlate it with
-    every coefficient column.
+    one table of ``sinc(d_b + k)``, built as ``(-1)^k sin(pi d_b)/(pi (d_b + k))``
+    (:func:`_sin_pi`; 1 where ``d_b + k`` is 0), and one batched FFT correlate
+    it with every coefficient column.
     """
     n = f.n
     M = int(half_width)
@@ -514,10 +573,16 @@ def lattice_from_field(f: TorusField, half_width: int) -> LatticeField:
     s0, b0 = f.mod
     d = f.ctx.lam * (mode_numbers(n) + b0) + s0
     k = np.arange(-(n // 2) - M, n // 2 + M)
-    table = np.sinc(d[:, None] + k)  # [b, c + m + n/2 + M]
+    x = d[:, None] + k
+    hit = x == 0.0
+    sin_d, _ = _sin_pi(d)
+    table = sin_d[:, None] * (1 - 2 * (k % 2)) / np.where(hit, 1.0, x)  # [b, c + m + n/2 + M]
+    table[hit] = 1.0
     rev = np.fft.fftshift(f.coeffs(), axes=0)[::-1].T  # [b, n/2 - 1 - c]
-    size = 2 * M + 2 * n
-    corr = np.fft.ifft(np.fft.fft(table, size) * np.fft.fft(rev, size))
+    # a circular convolution over the table's own length n + 2M: the wrap
+    # reaches only the first n - 1 outputs, and the 2M + 1 read start at n - 1
+    size = table.shape[1]
+    corr = np.fft.ifft(np.fft.fft(table) * np.fft.fft(rev, size))
     sums = corr[:, n - 1:n + 2 * M].T  # [m + M, b]
     vals = _coeffs_to_vals(sums, axis=1) * np.exp(2j * b0 * angle_nodes(n))
     ms = np.arange(-M, M + 1)

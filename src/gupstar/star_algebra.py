@@ -135,10 +135,20 @@ def involution(f: AlgebraElement) -> AlgebraElement:
 
     In sheared coefficients it is the exact relabeling
     (b, c) -> (-b, b + c) with conjugation; for lam = 1/2 it reduces to complex
-    conjugation of f(q, p).
+    conjugation of f(q, p).  As in
+    :func:`~gupstar.operator_rep.adjoint_kernel`, conjugation makes the
+    Nyquist mode -n/2 mode +n/2, which samples as -1 times mode -n/2: the
+    coefficients whose kernel row or column is the Nyquist index (c = n/2,
+    or b + c = n/2 mod n) change sign, so ``kernel_of(involution(f))`` is
+    ``adjoint_kernel(kernel_of(f))``.
     """
     s0, b0 = f.mod
-    return field_from_coeffs(f.ctx, _relabel(np.conj(f.coeffs()), 1, 1, 0, -1), (s0 + b0, -b0))
+    n = f.n
+    coef = _relabel(np.conj(f.coeffs()), 1, 1, 0, -1)
+    i = np.arange(n)
+    coef[n // 2] *= -1
+    coef[i, (n // 2 - i) % n] *= -1
+    return field_from_coeffs(f.ctx, coef, (s0 + b0, -b0))
 
 
 def s_operator(f: AlgebraElement) -> AlgebraElement:

@@ -22,6 +22,7 @@ from .operator_rep import wigner
 from .sampling import (
     TorusField,
     Wavefunction,
+    _CHUNK,
     _line_coeffs,
     _write_csv,
     angle_nodes,
@@ -145,17 +146,6 @@ def ml_wavefunction(ctx: BetaContext, xi: float, n: int) -> Wavefunction:
     return Wavefunction(ctx, vals, mod=mu, deriv=deriv)
 
 
-def _segment_integral(a_coef: float, b_coef: float, u, lo: float, hi: float):
-    """Exact Int_lo^hi cos(a_coef x + b_coef) e^{2i u x} dx, vectorized in u."""
-    u = np.asarray(u, dtype=float)
-    L, m = hi - lo, 0.5 * (hi + lo)
-    out = np.zeros(u.shape, dtype=complex)
-    for sg in (1.0, -1.0):
-        c = 2.0 * u + sg * a_coef
-        out += 0.5 * np.exp(1j * sg * b_coef) * L * np.exp(1j * c * m) * np.sinc(c * L / (2 * np.pi))
-    return out
-
-
 def ml_phase_function(ctx: BetaContext, xi: float) -> Callable:
     """Exact phase-space profile of the maximal-localization state.
 
@@ -163,20 +153,28 @@ def ml_phase_function(ctx: BetaContext, xi: float) -> Callable:
     momentum angle: the window splits where either composed angle crosses the
     seam, and each piece is an elementary sinc combination.  Off-lattice
     positions additionally pick up seam phases, which is why the profile is an
-    exact lattice translate only for xi on the sampling lattice.  Returns a
-    callable of (q, p) broadcasting over q arrays for scalar p.
+    exact lattice translate only for xi on the sampling lattice.
+
+    On a segment of length L and midpoint m,
+    ``Int cos(a x + b) e^{2i u x} dx = sum_{s = +-1} (L/2) e^{i s (b + a m)}
+    e^{2i u m} sinc((2u + s a) L / (2 pi))``, with (a, b) = (2 lam - 1, 2 alpha)
+    and (1, 0) for the two factors of the integrand.
+
+    Returns ``evaluate(q, p)``, which broadcasts q and p against each other
+    like a ufunc: array arguments give an array of their broadcast shape
+    (``evaluate(qs[:, None], ps)`` is a whole (q, p) window), two scalars give
+    a complex number.  The breakpoints are found once per distinct p; the
+    segment integrals are then evaluated for all points at once, shorter
+    segment lists padded with zero-length segments, in chunks of at most
+    ``_CHUNK`` floats per (point, segment) temporary.
     """
     lam = ctx.lam
     hb = ctx.hbar * ctx.sqrt_beta
     xph = math.pi * xi / hb
 
-    def evaluate(q, p):
-        q = np.asarray(q, dtype=float)
-        scalar_q = q.ndim == 0
-        qv = np.atleast_1d(q)
-        pv = float(p)
+    def segments(pv: float) -> tuple[float, list]:
+        """The angle of momentum pv and ``(seam factor, length, midpoint)`` of each segment."""
         al = math.atan(ctx.sqrt_beta * pv)
-        u = (qv - xi) / (2.0 * hb)
         pts = {-math.pi / 2, math.pi / 2}
         for k in (-2, -1, 0, 1, 2):
             for sgn in (1.0, -1.0):
@@ -189,17 +187,46 @@ def ml_phase_function(ctx: BetaContext, xi: float) -> Callable:
                     if -math.pi / 2 < x < math.pi / 2:
                         pts.add(x)
         pts = sorted(pts)
-        total = np.zeros(qv.shape, dtype=complex)
+        out = []
         for lo, hi in zip(pts[:-1], pts[1:]):
             mid = 0.5 * (lo + hi)
             k1 = math.floor((al + lam * mid + math.pi / 2) / math.pi)
             k2 = math.floor((al - (1 - lam) * mid + math.pi / 2) / math.pi)
-            fac = (-1.0) ** (k1 + k2) * np.exp(1j * xph * (k1 - k2))
-            part = 0.5 * (_segment_integral(2 * lam - 1, 2 * al, u, lo, hi)
-                          + _segment_integral(1.0, 0.0, u, lo, hi))
-            total += fac * part
-        total *= 2.0 / math.pi
-        return complex(total[0]) if scalar_q else total
+            out.append(((-1.0) ** (k1 + k2) * np.exp(1j * xph * (k1 - k2)), hi - lo, mid))
+        return al, out
+
+    def evaluate(q, p):
+        q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
+        pu, which = np.unique(p, return_inverse=True)
+        tables = [segments(pv) for pv in pu.tolist()]
+        width = max((len(t) for _, t in tables), default=1)
+        # (p, segment) tables; padding segments have L = 0 and add exactly nothing
+        fac = np.zeros((pu.size, width), dtype=complex)
+        L, mid = np.zeros((2, pu.size, width))
+        for i, (_, t) in enumerate(tables):
+            fac[i, :len(t)], L[i, :len(t)], mid[i, :len(t)] = zip(*t)
+        al = np.array([al for al, _ in tables])[:, None]
+        # weight of each sinc term by its s a (terms of equal s a merge): the seam
+        # factor, the 2/pi in front and the halves of the two factors and of the cosine
+        w = fac * L / (2 * np.pi)
+        terms: dict = {}
+        for a, b in ((2 * lam - 1, 2 * al), (1.0, 0.0)):
+            for sg in (1.0, -1.0):
+                terms[sg * a] = terms.get(sg * a, 0.0) + w * np.exp(1j * sg * (b + a * mid))
+        qf, which = q.ravel(), which.ravel()
+        total = np.empty(qf.size, dtype=complex)
+        step = max(1, _CHUNK // (2 * width))
+        for lo in range(0, qf.size, step):
+            at = which[lo:lo + step]
+            u = ((qf[lo:lo + step] - xi) / (2.0 * hb))[:, None]
+            half_l, mp = 0.5 * L[at], mid[at]
+            acc = 0.0
+            for sa, wt in terms.items():
+                y = (2.0 * u + sa) * half_l  # pi times the sinc argument
+                acc = acc + wt[at] * np.divide(np.sin(y), y, out=np.ones_like(y), where=y != 0.0)
+            total[lo:lo + step] = (acc * np.exp(2j * u * mp)).sum(axis=1)
+        total = total.reshape(q.shape)
+        return complex(total[()]) if total.ndim == 0 else total
 
     return evaluate
 

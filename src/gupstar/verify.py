@@ -760,7 +760,7 @@ def suite_states(cfg: RunConfig) -> List[CheckResult]:
     ks = np.arange(0, n, max(1, n // 32))
     ps = np.tan(angle_nodes(n)[ks]) / ctx.sqrt_beta
     grid_vals = synth_grid(ml.rho, qs, ps)
-    ref = np.array([[ml.evaluate(qv, pv) for pv in ps] for qv in qs])
+    ref = ml.evaluate(qs[:, None], ps)
     s.check("states.ml_wigner_matches_evaluator",
             np.abs(grid_vals - ref).max(), _kink_tol(n, 1e-4),
             note="kink-limited convergence")
@@ -770,8 +770,8 @@ def suite_states(cfg: RunConfig) -> List[CheckResult]:
     if strip > 0.05:
         pmax = math.tan(0.95 * strip) / ctx.sqrt_beta
         ps2 = np.linspace(-pmax, pmax, 7)
-        ref2 = np.array([[ml.evaluate(qv, pv) for pv in ps2] for qv in qs])
-        sinc2 = np.array([[ml_sinc_form(ctx, 0.0, qv, pv) for pv in ps2] for qv in qs])
+        ref2 = ml.evaluate(qs[:, None], ps2)
+        sinc2 = ml_sinc_form(ctx, 0.0, qs[:, None], ps2)
         s.check("states.ml_sinc_form_on_strip", np.abs(ref2 - sinc2).max(), 1e-12)
     else:
         s.skip("states.ml_sinc_form_on_strip", "strip empty for this ordering")
@@ -790,8 +790,8 @@ def suite_states(cfg: RunConfig) -> List[CheckResult]:
     xi_l = 2 * ctx.q_lattice_step
     mls = ml_phase_state(ctx, xi_l, n)
     qs3 = np.linspace(-3, 3, 7)
-    shifted = np.array([[mls.evaluate(qv + xi_l, pv) for pv in ps] for qv in qs3])
-    base = np.array([[ml.evaluate(qv, pv) for pv in ps] for qv in qs3])
+    shifted = mls.evaluate(qs3[:, None] + xi_l, ps)
+    base = ml.evaluate(qs3[:, None], ps)
     s.check("states.ml_lattice_shift_covariance", np.abs(shifted - base).max(), 1e-12)
     return s.out
 

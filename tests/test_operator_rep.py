@@ -379,6 +379,70 @@ def test_state_check_reads_d_without_sampling(monkeypatch):
     assert state_check(rho).passed
 
 
+def test_mod_sum_snaps_only_what_rounding_explains():
+    assert operator_rep._mod_sum(1.13, -0.13) == 1.0       # 1.13 - 0.13 = 0.9999999999999999
+    assert operator_rep._mod_sum(0.15, -1.15) == -1.0
+    assert operator_rep._mod_sum(0.3, 0.375) == 0.675
+    off = np.nextafter(1.0, 2.0)  # one ulp of its only nonzero term: a genuine offset
+    assert operator_rep._mod_sum(0.0, off) == off
+
+
+def test_lattice_neighbours_contract_by_the_signed_pairing(monkeypatch):
+    # rho:0.3 and rho:2.3 lie one lattice step apart: their contracted d is -1 in exact
+    # arithmetic, which the kernel modulations round to -0.9999999999999999
+    ctx, n = BetaContext(1.0, 1.0, 0.5), 64
+    rng = np.random.default_rng(12)
+    f, g = resolve_family("rho:0.3", ctx, n), resolve_family("rho:2.3", ctx, n)
+    # random coefficients under the same two modulations give a product that is not ~0
+    fr, gr = (field_from_coeffs(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                                h.mod) for h in (f, g))
+    pairs = [(kernel_of(a), kernel_of(b)) for a, b in ((f, g), (fr, gr))]
+    assert not any((kf.mod[1] + kg.mod[0]).is_integer() for kf, kg in pairs)
+    refs = [_quadrature(kf, kg) for kf, kg in pairs]
+
+    def forbidden(*_):
+        raise AssertionError("the contracted slot was sampled")
+
+    monkeypatch.setattr(operator_rep, "_line_values", forbidden)
+    for (kf, kg), ref in zip(pairs, refs):
+        # the projectors of two lattice neighbours are orthogonal: compare on the operands' scale
+        scale = np.pi / ctx.sqrt_beta * np.linalg.norm(kf.coef) * np.linalg.norm(kg.coef)
+        assert np.abs(compose_kernels(kf, kg).coef - ref).max() <= 1e-12 * scale
+    out, ref = compose_kernels(*pairs[1]), refs[1]
+    assert np.abs(out.coef - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert star(f, g).mod[1] == 1.0  # the product's b0 is formed through the same helper
+
+
+def test_wigner_snaps_an_integral_modulation_difference():
+    # one state written with modulations 0.13 and 1.13: b0 = 1.13 - 0.13 is 1, not 0.9999999999999999
+    ctx, n = BetaContext(2.0, 0.7, 0.3), 48
+    rng = np.random.default_rng(5)
+    c = _band_state(ctx, n, rng, 5, 0.13).normalized()
+    same = wavefunction_from_coeffs(ctx, np.roll(c.coeffs(), -1), 1.13)
+    w = wigner(c, same)  # fits the band: the relabeled outer product
+    assert w.mod == (0.13, 1.0)
+    assert state_check(w).passed
+    # a pair that overflows the band is sampled; its b0 is snapped too, so the check
+    # pairs modes (the aliased samples are not self-adjoint, but the residual is finite)
+    wide = _band_state(ctx, n, rng, 14, 0.13).normalized()
+    ws = wigner(wide, wavefunction_from_coeffs(ctx, np.roll(wide.coeffs(), -1), 1.13))
+    plain = wigner(wide, wide)
+    assert ws.mod == (0.13, 1.0)
+    assert np.abs(ws.values - plain.values).max() <= 1e-12 * np.abs(plain.values).max()
+    assert math.isfinite(state_check(ws).hermiticity_residual)
+
+
+def test_involution_negates_the_nyquist_modes_like_the_adjoint():
+    # on a full-band field the Nyquist row and column of the kernel change sign
+    ctx, n = BetaContext(1.0, 1.0, 0.5), 16
+    rng = np.random.default_rng(8)
+    for mod in ((0.0, 0.0), (0.21, 0.37)):
+        f = field_from_coeffs(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), mod)
+        lhs, rhs = kernel_of(involution(f)).coef, adjoint_kernel(kernel_of(f)).coef
+        assert np.abs(lhs - rhs).max() <= 1e-15 * np.abs(rhs).max()
+        assert np.array_equal(involution(involution(f)).coeffs(), f.coeffs())
+
+
 def test_state_check_spectrum_matches_the_sampled_matrix():
     ctx, n = BetaContext(2.0, 0.7, 0.3), 128
     rng = np.random.default_rng(9)

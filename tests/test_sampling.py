@@ -9,11 +9,12 @@ from gupstar.beta_arith import INFINITY, BetaContext
 from gupstar.families import random_element, random_state, resolve_family
 from gupstar.operator_rep import OperatorKernel
 from gupstar.sampling import (AngleGrid, LatticeField, TorusField, Wavefunction, _line_coeffs,
-                              _line_values, _sheared_coeffs, _sheared_values, _write_csv, analyze,
-                              angle_nodes, field_from_coeffs, lattice_from_field,
-                              lattice_to_csv, quad_mu, seminorm, shift_field,
-                              synth, synth_grid, torus_to_csv, wavefunction_from_coeffs)
-from gupstar.states import position_eigenvector
+                              _line_values, _sheared_coeffs, _sheared_values, _sinc_sums,
+                              _write_csv, analyze, angle_nodes, field_from_coeffs,
+                              lattice_from_field, lattice_to_csv, mode_numbers, quad_mu, seminorm,
+                              shift_field, synth, synth_grid, torus_to_csv,
+                              wavefunction_from_coeffs)
+from gupstar.states import ml_phase_state, position_eigenvector
 
 
 def test_grid_layout():
@@ -67,6 +68,80 @@ def test_shift_per_row_offsets(ctx, rng):
     for j in (0, 5, 17):
         row = shift_field(f, 0.0, float(offs[j]))
         assert np.abs(shifted.values[j] - row.values[j]).max() < 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.3, 0.0, 1.0])
+def test_scalar_shift_scales_the_coefficients(lam):
+    # a scalar d_alpha is a coefficient scale; the sampled route shifts every row
+    ctx = BetaContext(1.0, 1.0, lam)
+    rng = np.random.default_rng(17)
+    n = 32
+    for mod in ((0.0, 0.0), (0.21, 0.37)):
+        f = field_from_coeffs(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), mod)
+        for d_prime, d in ((0.0, 0.3), (0.4, -1.7), (-0.25, math.pi / n)):
+            ref = shift_field(f.with_values(_line_values(_line_coeffs(f.values, mod[1]), mod[1],
+                                                         np.full(n, d))), d_prime)
+            out = shift_field(f, d_prime, d)
+            assert out.mod == f.mod
+            assert np.abs(out.values - ref.values).max() <= 1e-13 * np.abs(ref.values).max()
+
+
+def _sinc_route(f, qs):
+    """The per-term window integrals: ``np.sinc`` over every coefficient, once per q."""
+    coef = f.coeffs()
+    nu, _ = f.freq_grids()
+    w = qs / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta)
+    out = np.empty((qs.size, f.n), dtype=complex)
+    for iq, wv in enumerate(w):
+        out[iq] = (coef * np.sinc(nu + wv)).sum(axis=0)
+    return out
+
+
+@pytest.mark.parametrize("beta,hbar,lam", [(1.0, 1.0, 0.5), (2.0, 0.7, 0.3),
+                                           (1.0, 1.0, 0.0), (1.0, 1.0, 1.0)])
+def test_sinc_sums_match_the_sinc_route(beta, hbar, lam):
+    ctx = BetaContext(beta, hbar, lam)
+    n = 32
+    rng = np.random.default_rng(3)
+    fields = {
+        "ml on the lattice": ml_phase_state(ctx, 2 * ctx.q_lattice_step, n).rho,
+        "ml off the lattice": ml_phase_state(ctx, -0.916955, n).rho,
+        "eigenvector": position_eigenvector(ctx, -0.916955, n).rho,
+        "random": field_from_coeffs(ctx, rng.standard_normal((n, n))
+                                    + 1j * rng.standard_normal((n, n)), (0.21, 0.37)),
+    }
+    h = 2.0 * ctx.hbar * ctx.sqrt_beta
+    hits = 0
+    for name, f in fields.items():
+        s0, b0 = f.mod
+        d = ctx.lam * (mode_numbers(n) + b0) + s0
+        # q where x = d_b + q/h is an integer for one occupied alpha mode b, then nudged
+        b = np.flatnonzero(f.coeffs().any(axis=0))[:3]
+        xs = np.array([-3.0, 0.0, 2.0])[:, None] - d[b]
+        qs = np.concatenate([(xs + eps).ravel() * h for eps in (0.0, 1e-9, -1e-9, 1e-12, -1e-12)]
+                            + [np.arange(-6.0, 7.0) * h, np.linspace(-10, 10, 41)])
+        w = qs / h
+        hits += int(((d[None, :] + w[:, None]) % 1.0 == 0.0).sum())
+        cols, sums = _sinc_sums(f, qs)
+        ref = _sinc_route(f, qs)
+        out = np.zeros_like(ref)
+        out[:, cols] = sums
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max(), name
+        # synthesis reads the same sums: one point against the window
+        assert synth(f, qs[4], 0.7) == pytest.approx(synth_grid(f, qs[4:5], [0.7])[0, 0],
+                                                     rel=1e-13, abs=1e-15)
+    assert hits > 0  # the integer-x guard ran
+
+
+def test_sinc_sums_take_the_coefficient_at_an_integer_argument():
+    # at an integer x the sum is coef[-x, b], or 0 when -x is no mode of the grid
+    ctx, n = BetaContext(1.0, 1.0, 0.5), 8
+    coef = np.zeros((n, n), dtype=complex)
+    coef[3, 2] = 2.0 - 1.0j  # mode c = 3 at alpha mode b = 2: d_b = 1
+    f = field_from_coeffs(ctx, coef)
+    cols, sums = _sinc_sums(f, np.array([-8.0, 0.0, -10.0, 40.0]))  # w = q/2: x = -3, 1, -4, 21
+    assert cols.tolist() == [2]
+    assert sums[:, 0].tolist() == [2.0 - 1.0j, 0.0, 0.0, 0.0]
 
 
 def test_synth_position_profile(ctx):

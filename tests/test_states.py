@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gupstar import states
 from gupstar.beta_arith import BetaContext
 from gupstar.operator_rep import uncertainty, wigner
 from gupstar.states import (eigenvector_flags, ml_phase_function, ml_sinc_form,
@@ -114,3 +115,32 @@ def test_ml_lattice_shift_covariance(ctx):
     shifted = ml_phase_function(ctx, xi)
     for q, p in ((0.0, 0.0), (1.3, 2.0), (-2.0, -7.0)):
         assert abs(shifted(q + xi, p) - base(q, p)) < 1e-12
+
+
+@pytest.mark.parametrize("beta,hbar,lam", [(1.0, 1.0, 0.5), (2.0, 0.7, 0.3),
+                                           (1.0, 1.0, 0.0), (1.0, 1.0, 1.0)])
+def test_ml_evaluator_broadcasts_like_scalar_calls(monkeypatch, beta, hbar, lam):
+    ctx = BetaContext(beta, hbar, lam)
+    ev = ml_phase_function(ctx, -0.916955)
+    # p = 0, the seam angles where a composed angle meets the window edge, and a spread
+    seams = [math.tan(s * a * math.pi / 2) / ctx.sqrt_beta
+             for a in (lam, 1 - lam) if a < 1 for s in (1.0, -1.0)]
+    ps = np.concatenate([[0.0, 1e12], seams, np.linspace(-9, 9, 11)])
+    qs = np.linspace(-7, 7, 15)
+    window = ev(qs[:, None], ps)
+    assert window.shape == (qs.size, ps.size)
+    ref = np.array([[ev(q, p) for p in ps] for q in qs])
+    assert np.abs(window - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert isinstance(ev(0.3, 2.0), complex)
+    assert ev(qs, 2.0).shape == qs.shape and ev(0.3, ps).shape == ps.shape
+    # a window of many chunks gives the one-chunk values
+    monkeypatch.setattr(states, "_CHUNK", 64)
+    assert np.abs(ev(qs[:, None], ps) - window).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_eigenvector_profile_broadcasts(ctx):
+    pe = position_eigenvector(ctx, 0.7, 16)
+    qs, ps = np.linspace(-5, 5, 7), np.linspace(-3, 3, 4)
+    window = pe.rho_qp(qs[:, None], ps)
+    assert window.shape == (7, 4)
+    assert np.array_equal(window, np.array([[pe.rho_qp(q, p) for p in ps] for q in qs]))
