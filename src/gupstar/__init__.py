@@ -7,12 +7,11 @@ resulting angle grid.  See the README for the layout and entry points.
 """
 
 from .beta_arith import INFINITY, BetaContext
-from .sampling import AngleGrid, LatticeField, TorusField, Wavefunction
+from .sampling import LatticeField, TorusField, Wavefunction
 
 __all__ = [
     "BetaContext",
     "INFINITY",
-    "AngleGrid",
     "Wavefunction",
     "TorusField",
     "LatticeField",

@@ -17,16 +17,16 @@ import numpy as np
 from .beta_arith import BetaContext
 from .families import resolve_family
 from .formal_cas import ALT, MAIN, ParseError, formal_star, format_poly, parse_poly
-from .sampling import AngleGrid, lattice_from_field, lattice_to_csv, synth_grid, torus_to_csv
+from .sampling import _even_size, lattice_from_field, lattice_to_csv, synth_grid, torus_to_csv
 from .star_algebra import SymbolObservable, star, star_symbol_left, star_symbol_right
 from .states import ml_phase_state, phase_space_csv, position_eigenvector
 from .verify import RunConfig, run_suites
 
 
 def _grid_size(text: str) -> int:
-    """argparse type of ``--grid``: a positive even integer, as :class:`AngleGrid` takes."""
+    """argparse type of ``--grid``: a positive even integer, as :func:`angle_nodes` takes."""
     try:
-        return AngleGrid(int(text)).n
+        return _even_size(int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a positive even integer, got {text!r}") from None
 

@@ -23,11 +23,14 @@ import numpy as np
 __all__ = [
     "FormalPoly",
     "DerivationPair",
+    "StarResult",
+    "ParseError",
     "MAIN",
     "ALT",
     "formal_star",
     "formal_commutator",
     "classical_limit",
+    "formal_eval",
     "format_poly",
     "parse_poly",
 ]

@@ -48,7 +48,10 @@ __all__ = [
     "kernel_of",
     "element_of",
     "apply_operator",
+    "compose_kernels",
+    "adjoint_kernel",
     "trace_op",
+    "hilbert_schmidt",
     "wigner",
     "marginal_momentum",
     "qhat_apply",
@@ -274,9 +277,19 @@ def marginal_momentum(rho: TorusField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def qhat_apply(psi: Wavefunction) -> Wavefunction:
-    """Position operator i hbar sqrt(beta) d/d alpha."""
-    out = 1j * psi.ctx.hbar * psi.ctx.sqrt_beta * psi.alpha_derivative()
-    return Wavefunction(psi.ctx, out, mod=psi.mod)
+    """Position operator i hbar sqrt(beta) d/d alpha.
+
+    A coefficient scale: mode m by ``-2 hbar sqrt(beta) (m + mod)``, with the
+    unpaired Nyquist m set to 0 (it carries no odd derivative).  A state
+    with attached ``deriv`` samples (a kinked closed form) is differentiated
+    by those samples instead.
+    """
+    if psi.deriv is not None:
+        return Wavefunction(psi.ctx, 1j * psi.ctx.hbar * psi.ctx.sqrt_beta * psi.deriv, psi.mod)
+    m = mode_numbers(psi.n)
+    m[psi.n // 2] = 0.0
+    scale = -2.0 * psi.ctx.hbar * psi.ctx.sqrt_beta * (m + psi.mod)
+    return wavefunction_from_coeffs(psi.ctx, psi.coeffs() * scale, psi.mod)
 
 
 def phat_apply(psi: Wavefunction) -> Wavefunction:
@@ -298,7 +311,7 @@ def lambda_ordered_operator(sym) -> Callable[[Wavefunction], Wavefunction]:
 
     def op(psi: Wavefunction) -> Wavefunction:
         lam = psi.ctx.lam
-        acc = None
+        acc = 0.0
         for l in range(npow + 1):
             w = math.comb(npow, l) * lam ** l * (1 - lam) ** (npow - l)
             cur = psi
@@ -307,12 +320,8 @@ def lambda_ordered_operator(sym) -> Callable[[Wavefunction], Wavefunction]:
             cur = Wavefunction(psi.ctx, phi.values * cur.values, mod=phi.mod + cur.mod)
             for _ in range(l):
                 cur = qhat_apply(cur)
-            if acc is None:
-                acc = w * cur.values
-                mod = cur.mod
-            else:
-                acc = acc + w * cur.values
-        return Wavefunction(psi.ctx, acc, mod=mod)
+            acc = acc + w * cur.coeffs()
+        return wavefunction_from_coeffs(psi.ctx, acc, phi.mod + psi.mod)
 
     return op
 

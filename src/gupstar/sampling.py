@@ -47,19 +47,22 @@ from typing import Optional
 
 import numpy as np
 
-from .beta_arith import BetaContext, angle_of
+from .beta_arith import BetaContext, is_infinite
 
 __all__ = [
-    "AngleGrid",
     "Wavefunction",
     "TorusField",
     "LatticeField",
     "angle_nodes",
     "mode_numbers",
+    "wavefunction_from_coeffs",
+    "field_from_coeffs",
     "quad_mu",
+    "wf_inner",
     "shift_field",
     "synth",
     "synth_grid",
+    "lattice_from_field",
     "analyze",
     "seminorm",
     "deriv_p",
@@ -70,34 +73,21 @@ __all__ = [
 ]
 
 
-def angle_nodes(n: int) -> np.ndarray:
+def _even_size(n: int) -> int:
+    """``n`` itself if it is a valid grid size, a positive even integer."""
     if n <= 0 or n % 2 != 0:
         raise ValueError(f"grid size must be a positive even integer, got {n}")
-    return -np.pi / 2 + np.pi * (np.arange(n) + 0.5) / n
+    return n
+
+
+def angle_nodes(n: int) -> np.ndarray:
+    """The n half-offset angles ``alpha_j = -pi/2 + pi (j + 1/2)/n``, spacing pi/n."""
+    return -np.pi / 2 + np.pi * (np.arange(_even_size(n)) + 0.5) / n
 
 
 def mode_numbers(n: int) -> np.ndarray:
     """Integer mode numbers in FFT ordering: 0..n/2-1, -n/2..-1."""
     return np.fft.fftfreq(n, 1.0 / n)
-
-
-@dataclass(frozen=True)
-class AngleGrid:
-    """Uniform half-offset angle grid with n (even) nodes and spacing pi/n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n <= 0 or self.n % 2 != 0:
-            raise ValueError(f"grid size must be a positive even integer, got {self.n}")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return angle_nodes(self.n)
-
-    @property
-    def spacing(self) -> float:
-        return np.pi / self.n
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +193,10 @@ class Wavefunction:
     once through the line codec, :func:`wavefunction_from_coeffs` copies
     coefficients as given, and ``values`` decodes them on every call.
     Sampled closed-form states may attach ``deriv``, exact samples of
-    d psi/d alpha (modulation included), kept as samples and used verbatim by
-    spectral differentiation; this matters for states that are continuous but
-    kinked at infinity.  Every held array is read-only.
+    d psi/d alpha (modulation included), kept as samples; the position
+    operator uses them in place of the coefficient scale, which matters for
+    states that are continuous but kinked at infinity.  ``norm`` is the
+    midpoint quadrature of ``|psi|^2``.  Every held array is read-only.
     """
 
     __slots__ = ("ctx", "mod", "deriv", "_coef", "__weakref__")
@@ -247,10 +238,6 @@ class Wavefunction:
     def n(self) -> int:
         return self._coef.size
 
-    @property
-    def grid(self) -> AngleGrid:
-        return AngleGrid(self.n)
-
     def coeffs(self) -> np.ndarray:
         """Coefficients of the demodulated part, FFT mode ordering."""
         return self._coef
@@ -262,16 +249,8 @@ class Wavefunction:
         """
         return _line_values(self.coeffs(), self.mod, t)
 
-    def alpha_derivative(self) -> np.ndarray:
-        """d psi / d alpha: exact samples when attached, else spectral."""
-        if self.deriv is not None:
-            return np.asarray(self.deriv)
-        m = mode_numbers(self.n).copy()
-        m[self.n // 2] = 0.0  # unpaired Nyquist mode carries no odd derivative
-        return _line_values(self.coeffs() * 2j * (m + self.mod), self.mod)
-
     def norm(self) -> float:
-        return math.sqrt(max(quad_mu(self.ctx, self.grid, np.abs(self.values) ** 2).real, 0.0))
+        return math.sqrt(max(quad_mu(self.ctx, np.abs(self.values) ** 2).real, 0.0))
 
     def normalized(self) -> "Wavefunction":
         """The state divided by its norm, attached derivative included."""
@@ -294,21 +273,28 @@ def wavefunction_from_coeffs(ctx: BetaContext, coef: np.ndarray, mod: float = 0.
     return _state(ctx, np.array(coef, dtype=complex), mod)
 
 
-def quad_mu(ctx: BetaContext, grid: AngleGrid, samples: np.ndarray) -> complex:
-    """Invariant-measure quadrature: (1/sqrt(beta)) * (pi/n) * sum(samples).
+def quad_mu(ctx: BetaContext, samples: np.ndarray) -> complex:
+    """Invariant-measure quadrature of one row of n samples: (1/sqrt(beta)) * (pi/n) * sum.
 
     Exact for trigonometric modes e^{2ik alpha} with |k| < n.
     """
     samples = np.asarray(samples)
-    if samples.shape != (grid.n,):
-        raise ValueError(f"expected {grid.n} samples, got shape {samples.shape}")
-    return complex((np.pi / grid.n) / ctx.sqrt_beta * samples.sum())
+    if samples.ndim != 1:
+        raise ValueError(f"expected one row of samples, got shape {samples.shape}")
+    return complex((np.pi / _even_size(samples.size)) / ctx.sqrt_beta * samples.sum())
 
 
 def wf_inner(phi: Wavefunction, psi: Wavefunction) -> complex:
-    """Hilbert-space scalar product, conjugate-linear in the first slot."""
+    """Hilbert-space scalar product, conjugate-linear in the first slot.
+
+    The midpoint rule in d mu.  At equal ``mod`` it is Parseval's
+    ``(pi/sqrt(beta)) vdot(c_phi, c_psi)``, read from the coefficients;
+    states whose modulations differ sum samples.
+    """
     if phi.n != psi.n:
         raise ValueError("wavefunction grids differ")
+    if phi.mod == psi.mod:
+        return complex(np.pi / phi.ctx.sqrt_beta * np.vdot(phi.coeffs(), psi.coeffs()))
     return complex((np.pi / phi.n) / phi.ctx.sqrt_beta * np.vdot(phi.values, psi.values))
 
 
@@ -357,10 +343,6 @@ class TorusField:
     def n(self) -> int:
         return self._coef.shape[0]
 
-    @property
-    def grid(self) -> AngleGrid:
-        return AngleGrid(self.n)
-
     def coeffs(self) -> np.ndarray:
         """Sheared coefficients coef[c, b] of the demodulated part."""
         return self._coef
@@ -388,28 +370,19 @@ def field_from_coeffs(ctx: BetaContext, coef: np.ndarray,
     return f
 
 
-def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha=0.0) -> TorusField:
-    """Evaluate the field at translated arguments.
+def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha: float = 0.0) -> TorusField:
+    """The field translated by two scalar angles.
 
-    Returns samples of ``F(alpha'_j + d_alpha_prime, alpha_k + d_alpha)``.
-    ``d_alpha`` may be a scalar or one offset per row; per-row offsets are what
-    the operator and Wigner constructions need.  Exact on band-limited fields.
-    Scalar shifts scale the coefficients: mode (c, b) by
-    ``exp(2i (nu d_alpha_prime + (b + b0) d_alpha))``.  Per-row offsets sample
-    the field and shift each row through the line codec.
+    Returns the field of ``F(alpha' + d_alpha_prime, alpha + d_alpha)``, a
+    coefficient scale: mode (c, b) by
+    ``exp(2i (nu d_alpha_prime + (b + b0) d_alpha))``.  Exact on band-limited
+    fields.
     """
-    b0 = f.mod[1]
-    out = f
-    d_alpha = np.asarray(d_alpha, dtype=float)
-    if d_alpha.ndim != 0:
-        out = f.with_values(_line_values(_line_coeffs(f.values, b0), b0, d_alpha))
-        d_alpha = 0.0
-
-    nu, bt = out.freq_grids()
+    nu, bt = f.freq_grids()
     phase = nu * float(d_alpha_prime) + bt * float(d_alpha)
     if not phase.any():
-        return out
-    return field_from_coeffs(f.ctx, out.coeffs() * np.exp(2j * phase), f.mod)
+        return f
+    return field_from_coeffs(f.ctx, f.coeffs() * np.exp(2j * phase), f.mod)
 
 
 def deriv_p(f: TorusField) -> TorusField:
@@ -507,9 +480,13 @@ def synth_grid(f: TorusField, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     The inverse position transform of :func:`lattice_from_field` at every q:
     the window integrals of :func:`_sinc_sums` for the occupied alpha modes,
     then one vector product per q with their phases ``exp(2i (b + b0) alpha(p))``.
+    Every q must be finite and no p NaN; p = -inf or +inf is the point at
+    infinity, alpha = -pi/2 or +pi/2.
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
+    if not np.isfinite(qs).all() or np.isnan(ps).any():
+        raise ValueError("synthesis needs finite positions q and momenta p that are not NaN")
     cols, sums = _sinc_sums(f, qs)
     b = mode_numbers(f.n)[cols] + f.mod[1]
     eb = np.exp(2j * np.outer(b, np.arctan(f.ctx.sqrt_beta * ps)))  # (modes, len(ps))
@@ -522,11 +499,8 @@ def synth_grid(f: TorusField, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
 
 def synth(f: TorusField, q: float, p) -> complex:
-    """Point evaluation of f(q, p); p may be the INFINITY sentinel."""
-    cols, sums = _sinc_sums(f, np.array([float(q)]))
-    b = mode_numbers(f.n)[cols] + f.mod[1]
-    val = sums[0] @ np.exp(2j * b * angle_of(f.ctx, p))
-    return complex(val / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta))
+    """Point evaluation of f(q, p) by :func:`synth_grid`; p may be INFINITY (p = -inf)."""
+    return complex(synth_grid(f, q, -math.inf if is_infinite(p) else p)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +568,15 @@ def lattice_from_field(f: TorusField, half_width: int) -> LatticeField:
     return LatticeField(f.ctx, ms, vals / (2.0 * f.ctx.hbar * f.ctx.sqrt_beta))
 
 
-def analyze(ctx: BetaContext, lattice: LatticeField) -> TorusField:
+def analyze(lattice: LatticeField) -> TorusField:
     """Position transform of lattice samples onto the torus.
 
     ``f~(a', a) = q_lattice_step * sum_m f(q_m, a) e^{-2 i m a'}``; inverse of
     the lattice sampling of :func:`lattice_from_field` for data whose lattice modes
     fit below the Nyquist index n/2.
     """
-    n = lattice.n
-    ap = angle_nodes(n)[:, None]
+    ctx = lattice.ctx
+    ap = angle_nodes(lattice.n)[:, None]
     E = np.exp(-2j * ap * lattice.ms[None, :])
     vals = ctx.q_lattice_step * (E @ lattice.values)
     return TorusField(ctx, vals)

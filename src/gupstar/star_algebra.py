@@ -16,6 +16,7 @@ defining twisted convolution; a slow direct evaluation is kept as
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -173,9 +174,15 @@ def trace(f: AlgebraElement) -> complex:
 
 
 def inner(f: AlgebraElement, g: AlgebraElement) -> complex:
-    """Hilbert-algebra scalar product (f, g) = tr(f* star g).
+    """Hilbert-algebra scalar product (f, g), conjugate-linear in f.
 
-    The equivalent sample sum with the discrete normalization
+    It equals tr(f* star g) only when the modulations of f and g differ by
+    integers: equal modulations agree to rounding, and so do ``rho:0.3`` and
+    ``rho:2.3``, one lattice step apart.  Otherwise the two differ by more
+    than grid error: at n = 128 ``inner(rho:0.3, rho:1.0)`` is 0.81034 but
+    ``trace(star(involution(f), g))`` is 0.65665 (ROADMAP item 1).
+
+    The sample sum with the discrete normalization
     1/(4 pi^2 hbar^2 beta) (pi/n)^2, derived from the transform conventions
     and pinned by the position-eigenvector golden tests.  The route follows
     the modulations alone.  When the fields share ``b0``, the alpha sum is
@@ -239,8 +246,9 @@ class SymbolObservable:
     phi: Wavefunction
 
     def __post_init__(self):
-        if self.power < 0:
-            raise ValueError("symbol power must be a nonnegative integer")
+        p = self.power
+        if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 0:
+            raise ValueError(f"symbol power must be a nonnegative integer, got {p!r}")
 
     @classmethod
     def position_power(cls, ctx: BetaContext, n: int, power: int = 1) -> "SymbolObservable":

@@ -24,7 +24,7 @@ from .operator_rep import (adjoint_kernel, apply_operator, compose_kernels,
                            element_of, hilbert_schmidt, kernel_of, lambda_ordered_operator,
                            marginal_momentum, operator_norm, phat_apply, qhat_apply,
                            state_check, trace_op, uncertainty, wigner)
-from .sampling import (AngleGrid, TorusField, Wavefunction, _line_values, _sheared_values,
+from .sampling import (TorusField, Wavefunction, _line_values, _sheared_values,
                        analyze, angle_nodes, deriv_p, deriv_pprime, field_from_coeffs,
                        lattice_from_field, mode_numbers, quad_mu, seminorm, shift_field,
                        synth, synth_grid, wf_inner)
@@ -201,17 +201,16 @@ def suite_sampling(cfg: RunConfig) -> List[CheckResult]:
     s = _Suite(cfg)
     ctx = cfg.ctx()
     n = cfg.grid_n
-    grid = AngleGrid(n)
     a = angle_nodes(n)
 
     s.check("sampling.quad_constant",
-            abs(quad_mu(ctx, grid, np.ones(n)) - math.pi / ctx.sqrt_beta), 1e-12)
+            abs(quad_mu(ctx, np.ones(n)) - math.pi / ctx.sqrt_beta), 1e-12)
     s.check("sampling.quad_oscillatory",
-            abs(quad_mu(ctx, grid, np.exp(2j * a))), 1e-14)
+            abs(quad_mu(ctx, np.exp(2j * a))), 1e-14)
 
     psi0 = Wavefunction(ctx, np.full(n, math.sqrt(ctx.sqrt_beta / math.pi), dtype=complex))
     s.check("sampling.psi0_normalized",
-            abs(quad_mu(ctx, grid, np.abs(psi0.values) ** 2) - 1.0), 1e-13)
+            abs(quad_mu(ctx, np.abs(psi0.values) ** 2) - 1.0), 1e-13)
 
     if n < 16:
         s.skip("sampling.translation_invariance", "insufficient resolution")
@@ -223,8 +222,8 @@ def suite_sampling(cfg: RunConfig) -> List[CheckResult]:
         for _ in range(5):
             eta = float(s.rng.uniform(-2, 2))
             shifted = psi.at_offset(-math.atan(ctx.sqrt_beta * eta))
-            worst = max(worst, abs(quad_mu(ctx, grid, np.abs(shifted) ** 2)
-                                   - quad_mu(ctx, grid, np.abs(psi.values) ** 2)))
+            worst = max(worst, abs(quad_mu(ctx, np.abs(shifted) ** 2)
+                                   - quad_mu(ctx, np.abs(psi.values) ** 2)))
         s.check("sampling.translation_invariance", worst, 1e-12)
 
         f = random_element(ctx, n, s.rng)
@@ -241,7 +240,7 @@ def suite_sampling(cfg: RunConfig) -> List[CheckResult]:
         # lattice: integer first-slot frequencies
         fi = _lattice_band_limited(ctx, n, s.rng)
         lat = lattice_from_field(fi, half_width=n // 2)
-        back = analyze(ctx, lat)
+        back = analyze(lat)
         s.check("sampling.synth_analyze_roundtrip", _field_err(back, fi), 1e-10)
 
     rho0 = position_eigenvector(ctx, 0.0, n).rho
@@ -651,7 +650,7 @@ def suite_operator(cfg: RunConfig) -> List[CheckResult]:
     s.check("operator.marginal_is_density",
             np.abs(marg - np.abs(a1.values) ** 2).max(), 1e-9)
     s.check("operator.marginal_normalized",
-            abs(quad_mu(ctx, AngleGrid(n), marg) - 1.0), 1e-10)
+            abs(quad_mu(ctx, marg) - 1.0), 1e-10)
 
     nc = 256
     psi_l = random_state(ctx, nc, s.rng, localized=True)

@@ -14,7 +14,7 @@ from gupstar.operator_rep import (OperatorKernel, _relabel, _relabel_index, adjo
                                   kernel_of, lambda_ordered_operator, marginal_momentum,
                                   operator_norm, phat_apply, qhat_apply, state_check, trace_op,
                                   uncertainty, wigner)
-from gupstar.sampling import (AngleGrid, TorusField, Wavefunction, _line_coeffs, angle_nodes,
+from gupstar.sampling import (TorusField, Wavefunction, _line_coeffs, _line_values, angle_nodes,
                               field_from_coeffs, mode_numbers, quad_mu, wavefunction_from_coeffs,
                               wf_inner)
 from gupstar.star_algebra import SymbolObservable, inner, involution, star, star_symbol_left, trace
@@ -300,7 +300,7 @@ def test_marginal(ctx, rng):
     a = random_state(ctx, n, rng)
     m = marginal_momentum(wigner(a, a))
     assert np.abs(m - np.abs(a.values) ** 2).max() < 1e-10
-    assert quad_mu(ctx, AngleGrid(n), m) == pytest.approx(1.0, abs=1e-12)
+    assert quad_mu(ctx, m) == pytest.approx(1.0, abs=1e-12)
     ml = ml_phase_state(ctx, 0.0, 256)
     p = np.tan(angle_nodes(256))
     ref = (2 / math.pi) / (1 + p ** 2)
@@ -318,6 +318,47 @@ def test_position_momentum_operators(ctx, rng):
     psi2 = random_state(ctx, n, rng)
     assert abs(wf_inner(phi, qhat_apply(psi2)) - wf_inner(qhat_apply(phi), psi2)) < 1e-11
     assert abs(wf_inner(phi, phat_apply(psi2)) - wf_inner(phat_apply(phi), psi2)) < 1e-11
+
+
+def _sampled_qhat(psi):
+    """The position operator by samples: d/d alpha decoded, scaled and encoded again."""
+    m = mode_numbers(psi.n)
+    m[psi.n // 2] = 0.0
+    d = _line_values(psi.coeffs() * 2j * (m + psi.mod), psi.mod)
+    return Wavefunction(psi.ctx, 1j * psi.ctx.hbar * psi.ctx.sqrt_beta * d, mod=psi.mod)
+
+
+@pytest.mark.parametrize("beta,hbar", [(1.0, 1.0), (2.0, 0.7)])
+def test_qhat_scales_the_coefficients(monkeypatch, beta, hbar):
+    ctx, n = BetaContext(beta, hbar, 0.3), 64
+    rng = np.random.default_rng(41)
+    full = rng.standard_normal(n) + 1j * rng.standard_normal(n)  # the Nyquist mode included
+    states = [random_state(ctx, n, rng), _band_state(ctx, n, rng, 9, 0.37),
+              wavefunction_from_coeffs(ctx, full, -0.21)]
+    refs = [_sampled_qhat(psi) for psi in states]
+
+    def forbidden(*_):
+        raise AssertionError("qhat_apply ran the line codec")
+
+    with monkeypatch.context() as mp:
+        for mod, name in ((sampling, "_line_values"), (sampling, "_line_coeffs"),
+                          (operator_rep, "_line_values")):
+            mp.setattr(mod, name, forbidden)
+        outs = [qhat_apply(psi) for psi in states]
+    for out, ref in zip(outs, refs):
+        assert out.mod == ref.mod
+        assert np.abs(out.coeffs() - ref.coeffs()).max() <= 1e-13 * np.abs(ref.coeffs()).max()
+
+
+def test_qhat_differentiates_attached_derivative_samples(ctx):
+    # the localization state is kinked at infinity: its exact derivative samples
+    # differ from the coefficient scale, and qhat_apply encodes them as given
+    ml = ml_phase_state(ctx, 0.37, 64).psi
+    out = qhat_apply(ml)
+    ref = Wavefunction(ctx, 1j * ctx.hbar * ctx.sqrt_beta * ml.deriv, ml.mod)
+    assert out.mod == ml.mod and np.array_equal(out.coeffs(), ref.coeffs())
+    assert np.abs(out.coeffs() - _sampled_qhat(wavefunction_from_coeffs(
+        ctx, ml.coeffs(), ml.mod)).coeffs()).max() > 1e-6
 
 
 def test_lambda_ordered_operator(ctx, rng):

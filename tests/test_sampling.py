@@ -7,45 +7,50 @@ import pytest
 
 from gupstar.beta_arith import INFINITY, BetaContext
 from gupstar.families import random_element, random_state, resolve_family
-from gupstar.operator_rep import OperatorKernel
-from gupstar.sampling import (AngleGrid, LatticeField, TorusField, Wavefunction, _line_coeffs,
+from gupstar.operator_rep import OperatorKernel, qhat_apply
+from gupstar.sampling import (LatticeField, TorusField, Wavefunction, _line_coeffs,
                               _line_values, _sheared_coeffs, _sheared_values, _sinc_sums,
                               _write_csv, analyze, angle_nodes, field_from_coeffs,
                               lattice_from_field, lattice_to_csv, mode_numbers, quad_mu, seminorm,
                               shift_field, synth, synth_grid, torus_to_csv,
-                              wavefunction_from_coeffs)
+                              wavefunction_from_coeffs, wf_inner)
 from gupstar.states import ml_phase_state, position_eigenvector
 
 
 def test_grid_layout():
-    g = AngleGrid(8)
-    assert g.nodes[0] == pytest.approx(-math.pi / 2 + math.pi / 16)
-    assert np.allclose(np.diff(g.nodes), math.pi / 8)
-    with pytest.raises(ValueError):
-        AngleGrid(7)
+    nodes = angle_nodes(8)
+    assert nodes[0] == pytest.approx(-math.pi / 2 + math.pi / 16)
+    assert np.allclose(np.diff(nodes), math.pi / 8)
+    for n in (7, 0, -2):
+        with pytest.raises(ValueError, match="positive even integer"):
+            angle_nodes(n)
 
 
 def test_quad_mu_examples(ctx):
     n = 64
-    g = AngleGrid(n)
-    a = g.nodes
-    assert quad_mu(ctx, g, np.ones(n)) == pytest.approx(math.pi, rel=1e-14)
-    assert abs(quad_mu(ctx, g, np.exp(2j * a))) < 1e-14
+    a = angle_nodes(n)
+    assert quad_mu(ctx, np.ones(n)) == pytest.approx(math.pi, rel=1e-14)
+    assert abs(quad_mu(ctx, np.exp(2j * a))) < 1e-14
     psi0 = np.full(n, math.sqrt(1 / math.pi))
-    assert quad_mu(ctx, g, np.abs(psi0) ** 2) == pytest.approx(1.0, rel=1e-13)
-    with pytest.raises(ValueError):
-        quad_mu(ctx, g, np.ones(n + 2))
+    assert quad_mu(ctx, np.abs(psi0) ** 2) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_quad_mu_takes_one_row_of_even_length(ctx):
+    # the grid size comes from the samples, so their shape is all there is to check
+    for bad in (np.ones((2, 8)), np.ones((8, 1)), np.ones(7), np.ones(0), np.float64(1.0)):
+        with pytest.raises(ValueError):
+            quad_mu(ctx, bad)
+    assert quad_mu(ctx, np.ones(2)) == pytest.approx(math.pi, rel=1e-15)
 
 
 def test_quad_translation_invariance(ctx, rng):
     n = 128
-    g = AngleGrid(n)
     psi = random_state(ctx, n, rng)
     for _ in range(10):
         eta = rng.uniform(-3, 3)
         shifted = psi.at_offset(math.atan(eta))
-        assert abs(quad_mu(ctx, g, np.abs(shifted) ** 2)
-                   - quad_mu(ctx, g, np.abs(psi.values) ** 2)) < 1e-12
+        assert abs(quad_mu(ctx, np.abs(shifted) ** 2)
+                   - quad_mu(ctx, np.abs(psi.values) ** 2)) < 1e-12
 
 
 def test_shift_field_examples(ctx, rng):
@@ -58,16 +63,8 @@ def test_shift_field_examples(ctx, rng):
     d1, d2 = rng.uniform(-2, 2, 2)
     round_trip = shift_field(shift_field(f, d1, d2), -d1, -d2)
     assert np.abs(round_trip.values - f.values).max() < 1e-11
-
-
-def test_shift_per_row_offsets(ctx, rng):
-    n = 32
-    f = random_element(ctx, n, rng)
-    offs = rng.uniform(-1, 1, n)
-    shifted = shift_field(f, 0.0, offs)
-    for j in (0, 5, 17):
-        row = shift_field(f, 0.0, float(offs[j]))
-        assert np.abs(shifted.values[j] - row.values[j]).max() < 1e-12
+    with pytest.raises(TypeError):  # one offset per row is no longer a shift
+        shift_field(f, 0.0, np.full(n, d2))
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.3, 0.0, 1.0])
@@ -153,6 +150,21 @@ def test_synth_position_profile(ctx):
     assert synth(rho0, 0.0, INFINITY) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_synthesis_rejects_non_finite_positions(ctx):
+    rho = position_eigenvector(ctx, 0.3, 32).rho
+    for qs, ps in (([math.nan], [0.0]), ([math.inf], [0.0]), ([-math.inf], [0.0]),
+                   ([0.0, 1.0], [0.2, math.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            synth_grid(rho, qs, ps)
+    for q, p in ((math.nan, 0.3), (math.inf, 0.3), (0.3, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            synth(rho, q, p)
+    # p = -inf is the point at infinity, the INFINITY sentinel of synth
+    at_inf = synth_grid(rho, [0.3, 1.1], [-math.inf, math.inf])
+    assert np.isfinite(at_inf).all()
+    assert synth(rho, 1.1, INFINITY) == at_inf[1, 0]
+
+
 def test_synth_linearity(ctx, rng):
     n = 32
     f = random_element(ctx, n, rng)
@@ -169,10 +181,11 @@ def test_analyze_round_trip(ctx, rng):
     n = 64
     f = random_element(ctx, n, rng, parity=0)  # integer first-slot frequencies
     lat = lattice_from_field(f, half_width=n // 2)
-    back = analyze(ctx, lat)
+    back = analyze(lat)
+    assert back.ctx is ctx
     assert np.abs(back.values - f.values).max() < 1e-10
     zero = LatticeField(ctx, np.arange(-4, 5), np.zeros((9, n)))
-    assert np.abs(analyze(ctx, zero).values).max() == 0.0
+    assert np.abs(analyze(zero).values).max() == 0.0
 
 
 def test_analyze_point_mass(ctx):
@@ -181,7 +194,7 @@ def test_analyze_point_mass(ctx):
     ms = np.arange(-8, 9)
     vals = np.zeros((ms.size, n), dtype=complex)
     vals[8, :] = 1.0  # m = 0
-    f = analyze(ctx, LatticeField(ctx, ms, vals))
+    f = analyze(LatticeField(ctx, ms, vals))
     assert np.abs(f.values - 2.0).max() < 1e-13   # 2 hbar sqrt(beta) = 2
 
 
@@ -205,8 +218,31 @@ def test_wavefunction_norm_and_modulation(ctx):
     assert psi.norm() == pytest.approx(math.sqrt(math.pi), rel=1e-13)
     shifted = psi.at_offset(0.9)
     assert np.abs(shifted - np.exp(2j * 0.37 * (a + 0.9))).max() < 1e-12
-    d = psi.alpha_derivative()
-    assert np.abs(d - 2j * 0.37 * psi.values).max() < 1e-12
+    q = qhat_apply(psi)  # i hbar sqrt(beta) d/d alpha, hbar = beta = 1
+    assert q.mod == psi.mod
+    assert np.abs(q.values - 1j * 2j * 0.37 * psi.values).max() < 1e-12
+
+
+@pytest.mark.parametrize("mod", [0.0, 0.37])
+def test_wf_inner_at_equal_mods_is_parseval(ctx, mod):
+    n = 64
+    rng = np.random.default_rng(9)
+    # full band, the Nyquist mode included
+    phi, psi = (wavefunction_from_coeffs(ctx, rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                                         mod) for _ in range(2))
+    ref = (math.pi / n) / ctx.sqrt_beta * np.vdot(phi.values, psi.values)
+    assert abs(wf_inner(phi, psi) - ref) <= 1e-14 * abs(ref)
+
+
+def test_wf_inner_sums_samples_when_mods_differ(ctx):
+    n = 64
+    rng = np.random.default_rng(10)
+    phi = wavefunction_from_coeffs(ctx, rng.standard_normal(n) + 1j * rng.standard_normal(n), 0.0)
+    psi = wavefunction_from_coeffs(ctx, rng.standard_normal(n) + 1j * rng.standard_normal(n), 0.37)
+    ref = complex((np.pi / n) / ctx.sqrt_beta * np.vdot(phi.values, psi.values))
+    assert wf_inner(phi, psi) == ref
+    assert wf_inner(psi, phi) == complex((np.pi / n) / ctx.sqrt_beta
+                                         * np.vdot(psi.values, phi.values))
 
 
 def test_csv_exports(tmp_path, ctx, rng):

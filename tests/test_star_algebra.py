@@ -143,6 +143,18 @@ def test_symbol_operations(ctx, rng):
         SymbolObservable(-1, one.phi)
 
 
+def test_symbol_power_is_a_nonnegative_integer(ctx):
+    n = 16
+    phi = SymbolObservable.position_power(ctx, n, 0).phi
+    for bad in (1.5, 2.0, True, False, -1, np.int64(-2), "2", None):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            SymbolObservable(bad, phi)
+    g = resolve_family("rho:0.7", ctx, n)
+    sym = SymbolObservable(np.int64(2), phi)
+    ref = star_symbol_left(SymbolObservable(2, phi), g)
+    assert np.array_equal(star_symbol_left(sym, g).values, ref.values)
+
+
 def _per_mode_symbol_product(sym, g, side):
     """Reference: one rolled multiplier pass over g's coefficients per phi mode."""
     ctx, n = g.ctx, g.n
