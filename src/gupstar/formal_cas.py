@@ -12,8 +12,10 @@ exponential product formula silently relies on.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
@@ -113,15 +115,18 @@ def _canonicalize(terms: Dict[Key, Coef]) -> Dict[Key, Coef]:
 class FormalPoly:
     """Sparse exact polynomial in (q, p, s, beta, hbar, lam), s^2 reduced.
 
-    Instances are immutable; all arithmetic is exact and returns canonical
-    polynomials (no zero coefficients, minimal denominator power).
+    Instances are immutable, ``terms`` included (a read-only mapping; take
+    ``dict(f.terms)`` for a copy to edit), so polynomials can key caches.
+    All arithmetic is exact and returns canonical polynomials (no zero
+    coefficients, minimal denominator power).
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Dict[Key, Coef]] = None, *, _canonical=False):
         t = dict(terms) if terms else {}
-        object.__setattr__(self, "terms", t if _canonical else _canonicalize(t))
+        t = t if _canonical else _canonicalize(t)
+        object.__setattr__(self, "terms", types.MappingProxyType(t))
 
     def __setattr__(self, *_):
         raise AttributeError("FormalPoly is immutable")
@@ -297,16 +302,21 @@ def _lam_power_coeffs(l: int, m: int):
         yield m + j, Fraction((-1) ** (j + m) * math.comb(l, j))
 
 
+@functools.lru_cache(maxsize=64)
 def _derivative_table(pair: DerivationPair, f: FormalPoly, K: int):
-    """table[a][b] = d_position^a d_momentum^b f for a + b <= K."""
-    rows = [[f]]
+    """table[a][b] = d_position^a d_momentum^b f for a + b <= K, as nested tuples.
+
+    Memoized on ``(pair, f, K)``, at most 64 tables: the polynomials and the
+    pair are immutable, so a table never changes once built.
+    """
+    row = [f]
     for b in range(1, K + 1):
-        rows[0].append(pair.d_momentum(rows[0][b - 1]))
-    table = [rows[0]]
+        row.append(pair.d_momentum(row[b - 1]))
+    table = [tuple(row)]
     for a in range(1, K + 1):
         prev = table[a - 1]
-        table.append([pair.d_position(prev[b]) for b in range(K + 1 - a)])
-    return table
+        table.append(tuple(pair.d_position(prev[b]) for b in range(K + 1 - a)))
+    return tuple(table)
 
 
 def _star_order(pair, tf, tg, k: int) -> FormalPoly:
@@ -475,6 +485,10 @@ def format_poly(f: FormalPoly) -> str:
 # expression parsing (grammar: rational coefficients, q^a p^b s^c products)
 # ---------------------------------------------------------------------------
 
+#: Largest exponent :func:`parse_poly` accepts; ``x^e`` costs e products.
+_MAX_EXPONENT = 64
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -486,7 +500,10 @@ _TOKEN = re.compile(
 
 
 def parse_poly(text: str) -> FormalPoly:
-    """Parse `q^a p^b s^c`-style sums with rational coefficients."""
+    """Parse `q^a p^b s^c`-style sums with rational coefficients.
+
+    An exponent above 64 (``_MAX_EXPONENT``) is a :class:`ParseError`.
+    """
     tokens = []
     pos = 0
     while pos < len(text):
@@ -526,6 +543,8 @@ def parse_poly(text: str) -> FormalPoly:
                 if k2 != "num" or "/" in v2:
                     raise ParseError("expected an integer exponent", a2)
                 e = int(v2)
+                if e > _MAX_EXPONENT:
+                    raise ParseError(f"exponent {e} exceeds the limit {_MAX_EXPONENT}", a2)
                 out = FormalPoly.const(1)
                 for _ in range(e):
                     out = out * base

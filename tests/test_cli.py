@@ -150,6 +150,13 @@ def test_usage_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_formal_rejects_huge_exponents(capsys):
+    assert run(["formal", "q", "q^99999999"]) == 2
+    assert "exceeds the limit 64" in capsys.readouterr().err
+    assert run(["formal", "q", "q^64"]) == 0
+    assert "terminated: yes" in capsys.readouterr().out
+
+
 def test_unread_flags_are_usage_errors(capsys, tmp_path):
     # each subcommand accepts only the flags it reads
     assert run(["formal", "--grid", "64", "q", "p"]) == 2

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gupstar.beta_arith import BetaContext
-from gupstar.sampling import (Wavefunction, _line_coeffs, _line_values, _sheared_coeffs,
-                              _sheared_values)
+from gupstar.sampling import (TorusField, Wavefunction, _coeffs_to_vals, _edge_phase,
+                              _line_coeffs, _line_values, _shear, _shear_phase, _shear_table,
+                              _sheared_coeffs, _sheared_values, _vals_to_coeffs, angle_nodes,
+                              field_from_coeffs, mode_numbers)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 sizes = st.integers(1, 32).map(lambda k: 2 * k)
@@ -51,6 +53,51 @@ def test_at_offset_per_row_matches_scalar_calls(n, mod, seed, offsets):
     assert rows.shape == (len(offsets), n)
     for t, row in zip(offsets, rows):
         assert _rel(row, psi.at_offset(t)) <= 1e-12
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_edge_phase_is_the_uncached_expression():
+    for n in (2, 16, 48):
+        assert _same_bits(_edge_phase(n, -1), np.exp(-2j * mode_numbers(n) * angle_nodes(n)[0]))
+        assert _same_bits(_edge_phase(n, 1), np.exp(2j * mode_numbers(n) * angle_nodes(n)[0]))
+        assert not _edge_phase(n, -1).flags.writeable and not _edge_phase(n, 1).flags.writeable
+
+
+def test_cached_shear_phase_keeps_the_bits():
+    # more keys than the two cached tables, each visited twice, so tables are
+    # evicted and rebuilt; signed zeros and lam = 0 (no table) included
+    keys = [(16, 0.5, (0.0, 0.0)), (16, 0.5, (-0.0, -0.0)), (16, 0.5, (0.21, 0.0)),
+            (16, 0.5, (0.21, 0.37)), (32, 0.3, (0.21, 0.37)), (16, 0.7, (0.21, 0.37)),
+            (16, 0.0, (-0.0, 0.0)), (16, 0.0, (0.0, 0.0)), (48, 1.0, (-1.5, 2.25))]
+
+    def coeffs(v, lam, mod):  # the codec with the shear phase built on every call
+        cb = _line_coeffs(v, mod[1]) * np.exp(-2j * _shear(v.shape[0], lam, mod))
+        return _vals_to_coeffs(cb, axis=0)
+
+    def values(coef, lam, mod):
+        cb = _coeffs_to_vals(coef, axis=0) * np.exp(2j * _shear(coef.shape[0], lam, mod))
+        return _line_values(cb, mod[1])
+
+    for seed in (0, 1):
+        for n, lam, mod in keys:
+            ctx = BetaContext(1.0, 1.0, lam)
+            v = _samples(seed, (n, n))
+            f = TorusField(ctx, v, mod)
+            assert _same_bits(f.coeffs(), coeffs(v, lam, mod))
+            assert _same_bits(f.values, values(f.coeffs(), lam, mod))
+            g = field_from_coeffs(ctx, v, mod)
+            assert _same_bits(g.values, values(v, lam, mod))
+            for sign in (-1, 1):  # signs of zero included, which the samples may not show
+                assert _same_bits(_shear_phase(n, lam, mod, sign),
+                                  np.exp(sign * 2j * _shear(n, lam, mod)))
+    assert _shear_table.cache_info().maxsize == 2
+    for sign in (-1, 1):
+        table = _shear_table(16, 0.5, 0.21, 0.37, sign)
+        assert table.shape == (16, 16) and not table.flags.writeable
+        assert _same_bits(table, np.exp(sign * 2j * _shear(16, 0.5, (0.21, 0.37))))
 
 
 def _lines_outside_sampling(pattern: str) -> list:

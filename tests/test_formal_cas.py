@@ -3,9 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gupstar.formal_cas import (ALT, MAIN, FormalPoly, ParseError, classical_limit,
-                                formal_commutator, formal_eval, formal_star,
-                                format_poly, parse_poly)
+from gupstar.formal_cas import (_MAX_EXPONENT, ALT, MAIN, FormalPoly, ParseError,
+                                _derivative_table, classical_limit, formal_commutator,
+                                formal_eval, formal_star, format_poly, parse_poly)
 from gupstar.sampling import angle_nodes
 
 Q = FormalPoly.var("q")
@@ -26,6 +26,30 @@ def test_ring_arithmetic():
     # the square root symbol closes: s^2 = 1 + beta p^2
     assert S * S == ONE + BETA * P * P
     assert S * S * S * S == (ONE + BETA * P * P) * (ONE + BETA * P * P)
+
+
+def test_terms_are_read_only():
+    f = Q * P + S
+    with pytest.raises(TypeError):
+        f.terms[(0, 0, 0, 0, 0, 0, 0)] = (Fraction(1), Fraction(0))
+    with pytest.raises(TypeError):
+        del f.terms[(1, 1, 0, 0, 0, 0, 0)]
+    copy = dict(f.terms)
+    copy[(0, 0, 0, 0, 0, 0, 0)] = (Fraction(1), Fraction(0))
+    assert FormalPoly(copy) == f + ONE
+    assert f == Q * P + S and len(f.terms) == 2
+
+
+def test_derivative_tables_are_memoized_and_immutable():
+    f = Q * Q * P + S
+    table = _derivative_table(ALT, f, 3)
+    assert _derivative_table(ALT, f, 3) is table
+    assert _derivative_table(ALT, Q * Q * P + S, 3) is table  # equal polynomials share it
+    assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+    assert [len(row) for row in table] == [4, 3, 2, 1]
+    assert table == _derivative_table.__wrapped__(ALT, f, 3)
+    assert table[1][2] == ALT.d_position(ALT.d_momentum(ALT.d_momentum(f)))
+    assert _derivative_table(MAIN, f, 3) != table
 
 
 def test_denominator_cancellation():
@@ -81,6 +105,17 @@ def test_parse_poly():
         parse_poly("q @ p")
     with pytest.raises(ParseError):
         parse_poly("q ^ x")
+
+
+def test_parse_poly_bounds_exponents():
+    assert _MAX_EXPONENT == 64
+    top = parse_poly(f"q^{_MAX_EXPONENT}")
+    assert top.q_degree() == _MAX_EXPONENT and len(top.terms) == 1
+    for text in (f"q^{_MAX_EXPONENT + 1}", "p q^99999999", "s^100000"):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert "exceeds the limit 64" in str(err.value)
+        assert err.value.position == text.index("^") + 1
 
 
 def test_parse_error_position():
