@@ -131,6 +131,9 @@ class FormalPoly:
     def __setattr__(self, *_):
         raise AttributeError("FormalPoly is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild from a copy of the terms
+        return FormalPoly, (dict(self.terms),)
+
     @staticmethod
     def zero() -> "FormalPoly":
         return FormalPoly({}, _canonical=True)

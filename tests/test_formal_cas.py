@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +40,12 @@ def test_terms_are_read_only():
     copy[(0, 0, 0, 0, 0, 0, 0)] = (Fraction(1), Fraction(0))
     assert FormalPoly(copy) == f + ONE
     assert f == Q * P + S and len(f.terms) == 2
+
+
+def test_polynomials_copy_and_pickle():
+    f = (Q * P + S).times_s_inverse()
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f and hash(g) == hash(f) and g.terms == f.terms
 
 
 def test_derivative_tables_are_memoized_and_immutable():
