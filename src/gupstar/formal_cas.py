@@ -393,15 +393,14 @@ def classical_limit(pair: DerivationPair, f: FormalPoly, g: FormalPoly) -> Forma
 # numeric evaluation
 # ---------------------------------------------------------------------------
 
-def formal_eval(f: FormalPoly, ctx, q, p, lam: Optional[float] = None) -> np.ndarray:
-    """Evaluate with numeric parameters; q and p broadcast."""
+def formal_eval(f: FormalPoly, ctx, q, p) -> np.ndarray:
+    """Evaluate with the context's numeric parameters; q and p broadcast."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    lam_v = ctx.lam if lam is None else lam
     s = np.sqrt(1.0 + ctx.beta * p ** 2)
     out = np.zeros(np.broadcast(q, p).shape, dtype=complex)
     for (eq, ep, es, eb, eh, el, d), (cr, ci) in f.terms.items():
-        val = (complex(cr) + 1j * complex(ci)) * ctx.beta ** eb * ctx.hbar ** eh * lam_v ** el
+        val = (complex(cr) + 1j * complex(ci)) * ctx.beta ** eb * ctx.hbar ** eh * ctx.lam ** el
         out = out + val * q ** eq * p ** ep * s ** es / (1.0 + ctx.beta * p ** 2) ** d
     return out
 

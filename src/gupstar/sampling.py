@@ -36,6 +36,9 @@ optional scalar or per-row offset) and the 2-d sheared codec
 ``_sheared_coeffs``/``_sheared_values`` parameterised by ``lam`` and ``mod``.
 Operator kernels are never sampled: the operator layer works on their
 coefficients and samples only a contracted slot with a non-integer offset.
+The module also holds the package's one FFT cyclic convolution,
+``_cyclic_convolution``, shared by the lattice synthesis and the
+transformed-pair convolution of ``transforms``.
 """
 
 from __future__ import annotations
@@ -195,6 +198,15 @@ def _sheared_values(coef: np.ndarray, lam: float, mod: tuple[float, float]) -> n
     """Inverse of :func:`_sheared_coeffs`, with the same cached shear phase."""
     cb = _coeffs_to_vals(coef, axis=0) * _shear_phase(coef.shape[0], lam, mod, 1)
     return _line_values(cb, mod[1])
+
+
+def _cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``out[..., k] = sum_j a[..., j] b[..., (k - j) mod N]`` along the last axis by FFT.
+
+    N is a's last length; a shorter ``b`` is zero-padded to it.
+    """
+    size = a.shape[-1]
+    return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b, size))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -396,8 +408,8 @@ class TorusField:
         bt = b0 + b
         return self.ctx.lam * bt + s0 + c, bt
 
-    def with_values(self, values: np.ndarray, mod=None) -> "TorusField":
-        return TorusField(self.ctx, values, self.mod if mod is None else mod)
+    def with_values(self, values: np.ndarray) -> "TorusField":
+        return TorusField(self.ctx, values, self.mod)
 
 
 def field_from_coeffs(ctx: BetaContext, coef: np.ndarray,
@@ -599,10 +611,9 @@ def lattice_from_field(f: TorusField, half_width: int) -> LatticeField:
     table = sin_d[:, None] * (1 - 2 * (k % 2)) / np.where(hit, 1.0, x)  # [b, c + m + n/2 + M]
     table[hit] = 1.0
     rev = np.fft.fftshift(f.coeffs(), axes=0)[::-1].T  # [b, n/2 - 1 - c]
-    # a circular convolution over the table's own length n + 2M: the wrap
+    # a cyclic convolution over the table's own length n + 2M: the wrap
     # reaches only the first n - 1 outputs, and the 2M + 1 read start at n - 1
-    size = table.shape[1]
-    corr = np.fft.ifft(np.fft.fft(table) * np.fft.fft(rev, size))
+    corr = _cyclic_convolution(table, rev)
     sums = corr[:, n - 1:n + 2 * M].T  # [m + M, b]
     vals = _coeffs_to_vals(sums, axis=1) * np.exp(2j * b0 * angle_nodes(n))
     ms = np.arange(-M, M + 1)

@@ -9,8 +9,10 @@ modulations differ by an integer), kernel -> field back.  Fields hold
 coefficients, so products, the involution, ``s_operator``, ``trace``,
 ``inner`` and the kernel maps read and return them without a sample round
 trip.  On band-limited carriers this equals the direct discretization of the
-defining twisted convolution; a slow direct evaluation is kept as
-:func:`star_direct` so the two routes can check each other.
+defining twisted convolution; that discretization is kept as
+:func:`star_direct` so the two routes can check each other.  It shares no
+code with the kernel route: it is built on ``sampling``'s line codec and
+:func:`~gupstar.sampling.shift_field`, n sheared decodes.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ from .operator_rep import (
 from .sampling import (
     TorusField,
     Wavefunction,
+    _line_coeffs,
     _line_values,
     _sheared_values,
     angle_nodes,
     field_from_coeffs,
     mode_numbers,
+    shift_field,
 )
 
 __all__ = [
@@ -90,44 +94,27 @@ def star_direct(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     (f~ . g~)(a', a) = (1/(2 pi hbar sqrt(beta)))
         Int f~(a'', a + lam (a' - a'')) g~(a' - a'', a - (1-lam) a'') da''
 
-    with off-grid arguments evaluated through the sheared expansion.  Same
-    values as :func:`star` on band-limited fields; kept as an independent code
-    path for cross-checking, cost O(n^4).
+    with off-grid arguments evaluated through the unwrapped sheared expansion.
+    For each contracted node a''_j, f's row j is decoded by the line codec at
+    the per-row offsets lam (a'_i - a''_j), and g is the field
+    :func:`~gupstar.sampling.shift_field` moves by (-a''_j, -(1-lam) a''_j).
+    Same values as :func:`star` on band-limited fields whose contracted
+    modulations differ by an integer; kept as an independent code path for
+    cross-checking.  Cost O(n^3 log n): n sheared decodes.
     """
     _check_pair(f, g)
     ctx, n = f.ctx, f.n
     lam = ctx.lam
     ap = angle_nodes(n)
-    fc, gc = f.coeffs(), g.coeffs()
-    nuf, btf = f.freq_grids()
-    nug, btg = g.freq_grids()
-    X = ap[:, None] - ap[None, :]  # X[i, j] = a'_i - a''_j, raw values
-
-    # F(a''_j, y) = sum_b FR[j, b] e^{2i btf_b y} with the first slot on-grid
-    FR = np.einsum("cb,cjb->jb", fc,
-                   np.exp(2j * nuf[:, None, :] * ap[None, :, None]), optimize=True)
-
-    btf_b = btf[0, :]  # alpha frequencies depend on b only
-    btg_b = btg[0, :]
-
-    # G(X_ij, z_jk): inner sum over c with the full first-slot frequency
-    GX = np.empty((n, n, n), dtype=complex)  # (b, i, j)
-    for ib in range(n):
-        GX[ib] = np.tensordot(gc[:, ib], np.exp(2j * nug[:, ib][:, None, None] * X[None, :, :]), axes=(0, 0))
-
-    a = angle_nodes(n)
-    Z = a[None, :] - (1 - lam) * ap[:, None]  # z[j, k] = a_k - (1-lam) a''_j
-
-    w = (np.pi / n) / (2 * np.pi * ctx.hbar * ctx.sqrt_beta)
+    (s0f, b0f), s0g = f.mod, g.mod[0]
+    rows = _line_coeffs(f.values, b0f)  # row j: f(a''_j, y) as a series in y
     out = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        yf = a[None, :] + lam * X[:, j][:, None]     # (i, k)
-        Fv = FR[j][None, None, :] * np.exp(2j * btf_b[None, None, :] * yf[:, :, None])
-        Fv = Fv.sum(axis=2)
-        Gv = (GX[:, :, j].T[:, None, :] * np.exp(2j * btg_b[None, None, :] * Z[j][None, :, None])).sum(axis=2)
-        out += w * Fv * Gv
-    s0f, b0f = f.mod
-    s0g, b0g = g.mod
+    for j, x in enumerate(ap):
+        # [i, k]: f(a''_j, a_k + lam (a'_i - a''_j)) and g(a'_i - a''_j, a_k - (1-lam) a''_j)
+        fv = _line_values(rows[j], b0f, lam * (ap - x))
+        gv = shift_field(g, -x, -(1 - lam) * x).values
+        out += fv * gv
+    out *= (np.pi / n) / (2 * np.pi * ctx.hbar * ctx.sqrt_beta)
     return TorusField(ctx, out, (s0g, b0f + s0f - s0g))
 
 

@@ -15,12 +15,14 @@ import numpy as np
 
 from .sampling import (
     TorusField,
+    _cyclic_convolution,
     _line_coeffs,
     _line_values,
     angle_nodes,
     deriv_pprime,
     field_from_coeffs,
     mode_numbers,
+    shift_field,
 )
 
 __all__ = [
@@ -123,29 +125,35 @@ def _pair_convolution(F: TorusField, G: TorusField) -> np.ndarray:
     """Tagged-side convolution: contraction along the sources' first slot.
 
     Returns T[r, k] = (1/sqrt(beta)) Int F(s, a'_r) G(a_k - s, a'_r) ds, the
-    transformed samples of the convolution of the two sources' images.  The
-    off-grid first-slot evaluations of G use its sheared expansion at the raw
-    (unwrapped) difference angles.
+    transformed samples of the convolution of the two sources' images, by the
+    midpoint rule over the nodes s = a_j.  The composed momentum carries the
+    canonical representative, so each difference a_k - a_j is wrapped into
+    [-pi/2, pi/2): it becomes pi t/n with t = (k - j) wrapped to [-n/2, n/2),
+    which depends on (k - j) mod n alone.  So the sum is one cyclic
+    convolution along the first slot.  G is read at the n angles pi t/n
+    through its sheared expansion: node t + n/2 shifted by -pi/(2n) is pi t/n,
+    so rolling those samples by n/2 puts angle pi t/n at row t mod n.
     """
     n = F.n
-    ap = angle_nodes(n)
-    gc = G.coeffs()
-    nug, btg = G.freq_grids()
-    bt = btg[0, :]
-    # differences a_k - s_j cover (-pi, pi); the composed momentum carries the
-    # canonical representative, so wrap them into the principal window
-    dd = np.pi * np.arange(-(n - 1), n) / n
-    dd = (dd + np.pi / 2) % np.pi - np.pi / 2
-    M = np.empty((dd.size, n), dtype=complex)  # sum over c at each offset
-    for i, x in enumerate(dd):
-        M[i] = (gc * np.exp(2j * nug * x)).sum(axis=0)
-    GT = M @ np.exp(2j * np.outer(bt, ap))  # (2n-1, n) values G(<x_d>, a'_r)
-    w = (np.pi / n) / F.ctx.sqrt_beta
-    fv = F.values
-    out = np.empty((n, n), dtype=complex)
-    for r in range(n):
-        full = np.convolve(fv[:, r], GT[:, r])
-        out[r] = w * full[n - 1:2 * n - 1]
+    gw = np.roll(shift_field(G, -np.pi / (2 * n)).values, n // 2, axis=0)  # [t mod n, r]
+    return (np.pi / n) / F.ctx.sqrt_beta * _cyclic_convolution(F.values.T, gw.T)
+
+
+def _pair_lattice(pair: SymplecticPair, ms: np.ndarray) -> np.ndarray:
+    """Values of a transformed pair on the position lattice times the grid.
+
+    Row i holds the pair at position lattice index ``ms[i]``: the source's
+    alpha' coefficient column of mode -ms[i], decoded along alpha with the
+    first-slot frequency offset -lam ms[i]; zero beyond the mode range.
+    """
+    F = pair.field
+    n = F.n
+    fc = F.coeffs()
+    lam = F.ctx.lam
+    out = np.empty((ms.size, n), dtype=complex)
+    for i, m in enumerate(ms):
+        col = fc[:, int(-m) % n] if abs(m) <= n // 2 else np.zeros(n, complex)
+        out[i] = _line_values(col, -lam * m) / (2 * F.ctx.hbar * F.ctx.sqrt_beta)
     return out
 
 
@@ -173,25 +181,17 @@ def twisted_conv(u: SymplecticPair, v: SymplecticPair) -> SymplecticPair:
     hs = ctx.hbar * ctx.sqrt_beta
     ap = angle_nodes(n)
     m = mode_numbers(n).astype(int)
-    fc, gc = F.coeffs(), G.coeffs()
 
-    # lattice rows of the transformed sources
-    UL = np.empty((n, n), dtype=complex)
-    VC = np.empty((n, n), dtype=complex)
-    for i, mp in enumerate(m):
-        UL[i] = _line_values(fc[:, (-mp) % n], -lam * mp) / (2 * hs)
-        VC[i] = gc[:, (-mp) % n] / (2 * hs)
+    # lattice rows of the transformed sources; VC row i is v's lattice index m_i
+    UL = _pair_lattice(u, m)
+    VC = G.coeffs().T[(-m) % n] / (2 * hs)
 
-    idx = {mp: i for i, mp in enumerate(m)}
     O = np.zeros((n, n), dtype=complex)
     for i2, m2 in enumerate(m):
-        # gather v rows at lattice index m2 - m', zero outside the mode range
-        VCg = np.zeros((n, n), dtype=complex)
-        for i1, m1 in enumerate(m):
-            j = idx.get(m2 - m1)
-            if j is not None:
-                VCg[i1] = VC[j]
-        W = UL * np.exp(2j * (1 - lam) * np.outer(m2 - m, ap))
+        # v rows at lattice index m2 - m', zero outside the mode range
+        d = m2 - m
+        VCg = np.where(((d >= -(n // 2)) & (d < n // 2))[:, None], VC[d % n], 0)
+        W = UL * np.exp(2j * (1 - lam) * np.outer(d, ap))
         Mje = W.T @ VCg  # (j, e)
         freq = mode_numbers(n) - lam * m2
         T = (np.exp(-2j * np.outer(ap, freq)) * Mje).sum(axis=0)

@@ -13,7 +13,7 @@ from gupstar.sampling import (TorusField, Wavefunction, _line_values, angle_node
                               field_from_coeffs, mode_numbers, seminorm, wf_inner)
 from gupstar.star_algebra import (SymbolObservable, cstar_norm_estimate, expectation, inner,
                                   involution, norm2, pointwise_trace, s_operator, star,
-                                  star_symbol_left, star_symbol_right, trace)
+                                  star_direct, star_symbol_left, star_symbol_right, trace)
 from gupstar.states import ml_phase_state, position_eigenvector
 
 
@@ -49,6 +49,23 @@ def test_trace_identities(ctx, rng):
     fp = random_element(ctx, n, rng, parity=0)
     gp = random_element(ctx, n, rng, parity=0)
     assert abs(trace(star(fp, gp)) - pointwise_trace(fp, gp)) < 1e-10
+
+
+@pytest.mark.parametrize("mods", [None, ((0.21, 0.37), (-0.16, 0.37))])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+def test_star_direct_matches_star_at_an_integer_difference(lam, mods):
+    # modulated pairs whose contracted modulations differ by an integer
+    # (b0_g + s0_g - s0_f = 0): rho:0.37 with itself, or random band-limited
+    # fields; the one-integral midpoint route and the kernel composition agree
+    ctx = BetaContext(2.0, 0.7, lam)
+    if mods is None:
+        f = g = resolve_family("rho:0.37", ctx, 32)
+    else:
+        rng = np.random.default_rng(3)
+        f, g = (field_from_coeffs(ctx, random_element(ctx, 32, rng).coeffs(), m) for m in mods)
+    direct, ref = star_direct(f, g), star(f, g)
+    assert direct.mod == pytest.approx(ref.mod, abs=1e-12)
+    assert np.abs(direct.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
 
 
 def test_involution_algebra(ctx, rng):

@@ -4,12 +4,12 @@ import pytest
 from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element, random_qlocalized, random_state
 from gupstar.operator_rep import wigner
-from gupstar.sampling import TorusField, deriv_p, mode_numbers, synth_grid
+from gupstar.sampling import (TorusField, angle_nodes, deriv_p, field_from_coeffs, mode_numbers,
+                              synth_grid)
 from gupstar.star_algebra import inner, star
 from gupstar.states import position_eigenvector
-from gupstar.transforms import (SymplecticPair, conv_generalized, conv_unit,
+from gupstar.transforms import (SymplecticPair, _pair_lattice, conv_generalized, conv_unit,
                                 mult_by_q, symplectic_fourier, twisted_conv)
-from gupstar.verify import _pair_lattice
 
 
 def test_self_inverse_and_tag(ctx, rng):
@@ -82,6 +82,27 @@ def test_product_convolution_exchange(rng):
         lhs = synth_grid(h, qs, ps)
         rhs = synth_grid(f, qs, ps) * synth_grid(g, qs, ps)
         assert np.abs(lhs - rhs).max() / np.abs(rhs).max() < 1e-8
+
+
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("gmod", [(0.21, 0.37), (-0.4, 1.13)])
+def test_pair_convolution_matches_the_wrapped_sum(n, lam, gmod):
+    # T[r, k] = pi/(n sqrt(beta)) sum_j F[j, r] G(wrap(a_k - a_j), a_r), G read off its
+    # full-band modulated coefficients by an explicit mode sum at the wrapped angles
+    ctx = BetaContext(2.0, 0.7, lam)
+    rng = np.random.default_rng(n)
+    F, G = (field_from_coeffs(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                              mod) for mod in ((0.0, 0.0), gmod))
+    ts = np.arange(-(n // 2), n // 2)  # wrap(a_k - a_j) = pi t/n, t in [-n/2, n/2)
+    nu, bt = G.freq_grids()
+    phase = np.exp(2j * (nu * (np.pi * ts / n)[:, None, None, None]
+                         + bt * angle_nodes(n)[None, :, None, None]))  # [t, r, c, b]
+    gt = np.einsum("cb,trcb->tr", G.coeffs(), phase)
+    t = (np.arange(n)[:, None] - np.arange(n)[None, :] + n // 2) % n  # [k, j]: index into ts
+    ref = np.pi / (n * ctx.sqrt_beta) * np.einsum("jr,kjr->rk", F.values, gt[t])
+    out = conv_generalized(symplectic_fourier(F), symplectic_fourier(G)).values
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_twisted_conv_defining_relation(rng):

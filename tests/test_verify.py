@@ -3,9 +3,12 @@ import pytest
 from gupstar.verify import SUITES, RunConfig, run_suites
 
 # the CLI defaults (`gupstar verify`: grid 256, seed 42), a second grid and seed,
-# and a context away from beta = hbar = 1 and the symmetric ordering
+# a context away from beta = hbar = 1 and the symmetric ordering, and both
+# ordering endpoints
 CONFIGS = {"defaults": RunConfig(), "n96-seed7": RunConfig(grid_n=96, seed=7),
-           "beta2-hbar0.7-lam0.3": RunConfig(beta=2.0, hbar=0.7, lam=0.3, grid_n=96, seed=7)}
+           "beta2-hbar0.7-lam0.3": RunConfig(beta=2.0, hbar=0.7, lam=0.3, grid_n=96, seed=7),
+           "lam0-n96": RunConfig(lam=0.0, grid_n=96, seed=7),
+           "lam1-n96": RunConfig(lam=1.0, grid_n=96, seed=7)}
 
 
 @pytest.mark.parametrize("suite", list(SUITES))
