@@ -1,19 +1,23 @@
 """Exact formal star-product engine over a small polynomial ring.
 
-Monomials are q^a p^b s^e beta^c hbar^h lam^l / (1 + beta p^2)^d with exact
-Gaussian-rational coefficients, where s is a formal square root satisfying
-s^2 = 1 + beta p^2 (so e is 0 or 1 after reduction) and d tracks explicit
-denominator powers.  The ordering parameter stays symbolic, so ordering
-dependence comes out as a polynomial identity rather than a sampled check.
-Two derivation pairs are built in: MAIN = (d/dq, (1 + beta p^2) d/dp) and the
-alternative momentum-dressed pair ALT; both pairs commute, which the
-exponential product formula silently relies on.
+Monomials are i^f q^a p^b s^e beta^c hbar^h lam^l / (1 + beta p^2)^d with
+exact rational coefficients.  Two generators are formal square roots reduced
+in every product: s with s^2 = 1 + beta p^2 and the imaginary unit i with
+i^2 = -1, so e and f are 0 or 1; d tracks explicit denominator powers.
+``FormalPoly.terms`` maps the key (a, b, e, c, h, l, d, f) -- the i exponent
+comes last, after the denominator -- to a nonzero ``Fraction``.  The ordering
+parameter stays symbolic, so ordering dependence comes out as a polynomial
+identity rather than a sampled check.  Two derivation pairs are built in:
+MAIN = (d/dq, (1 + beta p^2) d/dp) and the alternative momentum-dressed pair
+ALT; both pairs commute, which the exponential product formula silently
+relies on.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 import types
 from dataclasses import dataclass
@@ -37,69 +41,53 @@ __all__ = [
     "parse_poly",
 ]
 
-# exponent tuple: (e_q, e_p, e_s, e_beta, e_hbar, e_lam, denom)
-Key = Tuple[int, int, int, int, int, int, int]
-Coef = Tuple[Fraction, Fraction]  # exact complex rational (real, imag)
-
-_ZERO = (Fraction(0), Fraction(0))
-_ONE = (Fraction(1), Fraction(0))
+# exponent tuple: (e_q, e_p, e_s, e_beta, e_hbar, e_lam, denom, e_i)
+Key = Tuple[int, int, int, int, int, int, int, int]
+_SLOT = {"q": 0, "p": 1, "s": 2, "beta": 3, "hbar": 4, "lam": 5, "i": 7}
 
 
-def _cadd(a: Coef, b: Coef) -> Coef:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _cneg(a: Coef) -> Coef:
-    return (-a[0], -a[1])
-
-
-def _cmul(a: Coef, b: Coef) -> Coef:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _acc(d: Dict[Key, Coef], k: Key, c: Coef) -> None:
-    s = _cadd(d.get(k, _ZERO), c)
-    if s == _ZERO:
-        d.pop(k, None)
-    else:
+def _acc(d: Dict[Key, Fraction], k: Key, c: Fraction) -> None:
+    s = d.get(k, 0) + c
+    if s:
         d[k] = s
+    else:
+        d.pop(k, None)
 
 
 def _bp2_pieces(power: int):
     """Numerator expansion of (1 + beta p^2)^power: [(d e_p, d e_beta, coef)]."""
-    return [(2 * j, j, (Fraction(math.comb(power, j)), Fraction(0)))
-            for j in range(power + 1)]
+    return [(2 * j, j, math.comb(power, j)) for j in range(power + 1)]
 
 
-def _divide_by_bp2(terms: Dict[Key, Coef]) -> Optional[Dict[Key, Coef]]:
+def _divide_by_bp2(terms: Dict[Key, Fraction]) -> Optional[Dict[Key, Fraction]]:
     """Exact division of a numerator polynomial by 1 + beta p^2, else None."""
     rem = dict(terms)
-    quo: Dict[Key, Coef] = {}
+    quo: Dict[Key, Fraction] = {}
     while rem:
         k = max(rem, key=lambda kk: (kk[1], kk[3]))  # lex in (p, beta)
         c = rem[k]
         if k[1] < 2 or k[3] < 1:
             return None
-        qk = (k[0], k[1] - 2, k[2], k[3] - 1, k[4], k[5], k[6])
+        qk = (k[0], k[1] - 2, k[2], k[3] - 1) + k[4:]
         _acc(quo, qk, c)
-        _acc(rem, k, _cneg(c))                                        # beta p^2 piece
-        _acc(rem, qk, _cneg(c))                                       # unit piece
+        _acc(rem, k, -c)                                              # beta p^2 piece
+        _acc(rem, qk, -c)                                             # unit piece
     return quo
 
 
-def _canonicalize(terms: Dict[Key, Coef]) -> Dict[Key, Coef]:
+def _canonicalize(terms: Dict[Key, Fraction]) -> Dict[Key, Fraction]:
     """Minimal common denominator with exact cancellation of 1 + beta p^2."""
-    terms = {k: c for k, c in terms.items() if c != _ZERO}
+    terms = {k: c for k, c in terms.items() if c}
     if not terms:
         return {}
     dmax = max(k[6] for k in terms)
     if dmax == 0:
         return terms
-    lifted: Dict[Key, Coef] = {}
+    lifted: Dict[Key, Fraction] = {}
     for k, c in terms.items():
         for dep, deb, bc in _bp2_pieces(dmax - k[6]):
-            _acc(lifted, (k[0], k[1] + dep, k[2], k[3] + deb, k[4], k[5], dmax),
-                 _cmul(c, bc))
+            _acc(lifted, (k[0], k[1] + dep, k[2], k[3] + deb, k[4], k[5], dmax, k[7]),
+                 c * bc)
     d = dmax
     while d > 0:
         quo = _divide_by_bp2(lifted)
@@ -109,21 +97,22 @@ def _canonicalize(terms: Dict[Key, Coef]) -> Dict[Key, Coef]:
         d -= 1
     if d == dmax:
         return lifted
-    return {(k[0], k[1], k[2], k[3], k[4], k[5], d): c for k, c in lifted.items()}
+    return {k[:6] + (d, k[7]): c for k, c in lifted.items()}
 
 
 class FormalPoly:
-    """Sparse exact polynomial in (q, p, s, beta, hbar, lam), s^2 reduced.
+    """Sparse exact polynomial in (q, p, s, beta, hbar, lam, i), s^2 and i^2 reduced.
 
-    Instances are immutable, ``terms`` included (a read-only mapping; take
-    ``dict(f.terms)`` for a copy to edit), so polynomials can key caches.
-    All arithmetic is exact and returns canonical polynomials (no zero
-    coefficients, minimal denominator power).
+    Instances are immutable, ``terms`` included (a read-only mapping from
+    8-tuple keys to ``Fraction`` coefficients; take ``dict(f.terms)`` for a
+    copy to edit), so polynomials can key caches.  All arithmetic is exact and
+    returns canonical polynomials (no zero coefficients, minimal denominator
+    power).
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Dict[Key, Coef]] = None, *, _canonical=False):
+    def __init__(self, terms: Optional[Dict[Key, Fraction]] = None, *, _canonical=False):
         t = dict(terms) if terms else {}
         t = t if _canonical else _canonicalize(t)
         object.__setattr__(self, "terms", types.MappingProxyType(t))
@@ -140,17 +129,13 @@ class FormalPoly:
 
     @staticmethod
     def const(re, im=0) -> "FormalPoly":
-        c = (Fraction(re), Fraction(im))
-        if c == _ZERO:
-            return FormalPoly.zero()
-        return FormalPoly({(0, 0, 0, 0, 0, 0, 0): c}, _canonical=True)
+        return FormalPoly({(0,) * 8: Fraction(re), (0,) * 7 + (1,): Fraction(im)})
 
     @staticmethod
     def var(name: str, power: int = 1) -> "FormalPoly":
-        idx = {"q": 0, "p": 1, "s": 2, "beta": 3, "hbar": 4, "lam": 5}[name]
-        key = [0, 0, 0, 0, 0, 0, 0]
-        key[idx] = power
-        return FormalPoly({tuple(key): _ONE})
+        key = [0] * 8
+        key[_SLOT[name]] = power
+        return FormalPoly({tuple(key): Fraction(1)})
 
     def __add__(self, other: "FormalPoly") -> "FormalPoly":
         t = dict(self.terms)
@@ -159,57 +144,33 @@ class FormalPoly:
         return FormalPoly(t)
 
     def __neg__(self) -> "FormalPoly":
-        return FormalPoly({k: _cneg(c) for k, c in self.terms.items()}, _canonical=True)
+        return FormalPoly({k: -c for k, c in self.terms.items()}, _canonical=True)
 
     def __sub__(self, other: "FormalPoly") -> "FormalPoly":
         return self + (-other)
 
     def __mul__(self, other: "FormalPoly") -> "FormalPoly":
-        out: Dict[Key, Coef] = {}
+        out: Dict[Key, Fraction] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                c = _cmul(c1, c2)
-                eq = k1[0] + k2[0]
-                ep = k1[1] + k2[1]
-                es = k1[2] + k2[2]
-                eb = k1[3] + k2[3]
-                eh = k1[4] + k2[4]
-                el = k1[5] + k2[5]
-                d = k1[6] + k2[6]
-                pairs, es = divmod(es, 2)
+                eq, ep, es, eb, eh, el, d, ei = map(operator.add, k1, k2)
+                pairs, es = divmod(es, 2)                           # s^2 = 1 + beta p^2
+                ipairs, ei = divmod(ei, 2)                          # i^2 = -1
+                c = -c1 * c2 if ipairs % 2 else c1 * c2
                 for dep, deb, bc in _bp2_pieces(pairs):
-                    _acc(out, (eq, ep + dep, es, eb + deb, eh, el, d), _cmul(c, bc))
+                    _acc(out, (eq, ep + dep, es, eb + deb, eh, el, d, ei), c * bc)
         return FormalPoly(out)
 
     def scale(self, re, im=0) -> "FormalPoly":
-        c = (Fraction(re), Fraction(im))
-        if c == _ZERO:
-            return FormalPoly.zero()
-        return FormalPoly({k: _cmul(v, c) for k, v in self.terms.items()}, _canonical=True)
+        return self * FormalPoly.const(re, im)
 
     def times_bp2(self) -> "FormalPoly":
         """Multiply by 1 + beta p^2 (cancels a denominator power when present)."""
-        out: Dict[Key, Coef] = {}
-        for k, c in self.terms.items():
-            if k[6] >= 1:
-                _acc(out, (k[0], k[1], k[2], k[3], k[4], k[5], k[6] - 1), c)
-            else:
-                for dep, deb, bc in _bp2_pieces(1):
-                    _acc(out, (k[0], k[1] + dep, k[2], k[3] + deb, k[4], k[5], 0),
-                         _cmul(c, bc))
-        return FormalPoly(out)
+        return self * _BP2
 
     def times_s_inverse(self) -> "FormalPoly":
         """Multiply by s^{-1} = s/(1 + beta p^2)."""
-        out: Dict[Key, Coef] = {}
-        for k, c in self.terms.items():
-            es = k[2] + 1
-            d = k[6] + 1
-            pairs, es = divmod(es, 2)
-            for dep, deb, bc in _bp2_pieces(pairs):
-                _acc(out, (k[0], k[1] + dep, es, k[3] + deb, k[4], k[5], d),
-                     _cmul(c, bc))
-        return FormalPoly(out)
+        return self * _S_INV
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -231,34 +192,37 @@ class FormalPoly:
         return FormalPoly(t)
 
 
+_Q = FormalPoly.var("q")
+_P = FormalPoly.var("p")
+_S = FormalPoly.var("s")
+_BETA = FormalPoly.var("beta")
+_BP2 = FormalPoly.const(1) + _BETA * _P * _P
+_S_INV = FormalPoly({(0, 0, 1, 0, 0, 0, 1, 0): Fraction(1)})
+
+
 # ---------------------------------------------------------------------------
 # derivations
 # ---------------------------------------------------------------------------
 
 def _d_dq(f: FormalPoly) -> FormalPoly:
-    t: Dict[Key, Coef] = {}
+    t: Dict[Key, Fraction] = {}
     for k, c in f.terms.items():
         if k[0] >= 1:
-            _acc(t, (k[0] - 1,) + k[1:], _cmul(c, (Fraction(k[0]), Fraction(0))))
+            _acc(t, (k[0] - 1,) + k[1:], c * k[0])
     return FormalPoly(t)
 
 
 def _d_dp(f: FormalPoly) -> FormalPoly:
     """Plain p derivative, with ds/dp = beta p s/(1 + beta p^2)."""
-    out = FormalPoly.zero()
-    t_pow: Dict[Key, Coef] = {}
-    t_s: Dict[Key, Coef] = {}
-    t_den: Dict[Key, Coef] = {}
-    for k, c in f.terms.items():
-        eq, ep, es, eb, eh, el, d = k
+    t: Dict[Key, Fraction] = {}
+    for (eq, ep, es, eb, eh, el, d, ei), c in f.terms.items():
         if ep >= 1:
-            _acc(t_pow, (eq, ep - 1, es, eb, eh, el, d), _cmul(c, (Fraction(ep), Fraction(0))))
+            _acc(t, (eq, ep - 1, es, eb, eh, el, d, ei), c * ep)
         if es == 1:
-            _acc(t_s, (eq, ep + 1, 1, eb + 1, eh, el, d + 1), c)
+            _acc(t, (eq, ep + 1, 1, eb + 1, eh, el, d + 1, ei), c)
         if d >= 1:
-            _acc(t_den, (eq, ep + 1, es, eb + 1, eh, el, d + 1),
-                 _cmul(c, (Fraction(-2 * d), Fraction(0))))
-    return FormalPoly(t_pow) + FormalPoly(t_s) + FormalPoly(t_den)
+            _acc(t, (eq, ep + 1, es, eb + 1, eh, el, d + 1, ei), c * (-2 * d))
+    return FormalPoly(t)
 
 
 def _main_dp(f: FormalPoly) -> FormalPoly:
@@ -269,17 +233,9 @@ def _alt_dq(f: FormalPoly) -> FormalPoly:
     return _d_dq(f).times_s_inverse()
 
 
-_Q = FormalPoly.var("q")
-_P = FormalPoly.var("p")
-_S = FormalPoly.var("s")
-_BETA = FormalPoly.var("beta")
-
-
 def _alt_dp(f: FormalPoly) -> FormalPoly:
     # -beta q p s d/dq + s (1 + beta p^2) d/dp
-    a = (_BETA * _Q * _P * _S * _d_dq(f)).scale(-1)
-    b = _S * _d_dp(f).times_bp2()
-    return a + b
+    return _S * _d_dp(f).times_bp2() - _BETA * _Q * _P * _S * _d_dq(f)
 
 
 @dataclass(frozen=True)
@@ -299,12 +255,6 @@ ALT = DerivationPair("alt", _alt_dq, _alt_dp)
 # the truncated product
 # ---------------------------------------------------------------------------
 
-def _lam_power_coeffs(l: int, m: int):
-    """(1 - lam)^l (-lam)^m expanded: yields (lam_exponent, Fraction coef)."""
-    for j in range(l + 1):
-        yield m + j, Fraction((-1) ** (j + m) * math.comb(l, j))
-
-
 @functools.lru_cache(maxsize=64)
 def _derivative_table(pair: DerivationPair, f: FormalPoly, K: int):
     """table[a][b] = d_position^a d_momentum^b f for a + b <= K, as nested tuples.
@@ -322,26 +272,24 @@ def _derivative_table(pair: DerivationPair, f: FormalPoly, K: int):
     return tuple(table)
 
 
-def _star_order(pair, tf, tg, k: int) -> FormalPoly:
-    """Order-k bidifferential term of the product."""
-    total = FormalPoly.zero()
-    ik = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
-          (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1))][k % 4]
-    base = Fraction(1, math.factorial(k))
+def _star_order(tf, tg, k: int) -> FormalPoly:
+    """Order-k bidifferential term of the product.
+
+    (i hbar)^k / k! sum_l C(k, l) (1 - lam)^l (-lam)^(k - l) tf[l][k-l] tg[k-l][l],
+    with (1 - lam)^l expanded in lam and i^k = (-1)^(k // 2) i^(k % 2).
+    """
+    out: Dict[Key, Fraction] = {}
     for l in range(k + 1):
         fi = tf[l][k - l]
         gi = tg[k - l][l]
         if fi.is_zero() or gi.is_zero():
             continue
-        prod = fi * gi
-        comb = Fraction(math.comb(k, l))
-        acc = FormalPoly.zero()
-        for lam_e, cc in _lam_power_coeffs(l, k - l):
-            lam_mono = FormalPoly({(0, 0, 0, 0, k, lam_e, 0): _cmul(ik, (base * comb * cc, Fraction(0)))},
-                                  _canonical=True)
-            acc = acc + lam_mono
-        total = total + acc * prod
-    return total
+        weight = FormalPoly({(0, 0, 0, 0, k, k - l + j, 0, k % 2): Fraction(
+            (-1) ** (k // 2 + k - l + j) * math.comb(k, l) * math.comb(l, j), math.factorial(k))
+            for j in range(l + 1)}, _canonical=True)
+        for key, c in (weight * (fi * gi)).terms.items():
+            _acc(out, key, c)
+    return FormalPoly(out)
 
 
 @dataclass(frozen=True)
@@ -356,22 +304,16 @@ def formal_star(pair: DerivationPair, f: FormalPoly, g: FormalPoly, order: int) 
     Reports whether the series terminates: all orders beyond the truncation
     vanish identically, which for polynomial inputs is certified by the
     position-degree bound (each order needs one position derivative per power
-    on one side or the other).
+    on one side or the other).  Orders above that bound are exactly zero, so
+    none is computed, whatever ``order`` asks for.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     bound = f.q_degree() + g.q_degree()
-    K = max(order, bound)
-    tf = _derivative_table(pair, f, K)
-    tg = _derivative_table(pair, g, K)
-    total = FormalPoly.zero()
-    for k in range(order + 1):
-        total = total + _star_order(pair, tf, tg, k)
-    terminated = True
-    for k in range(order + 1, bound + 1):
-        if not _star_order(pair, tf, tg, k).is_zero():
-            terminated = False
-            break
+    tf = _derivative_table(pair, f, bound)
+    tg = _derivative_table(pair, g, bound)
+    total = sum((_star_order(tf, tg, k) for k in range(min(order, bound) + 1)), FormalPoly.zero())
+    terminated = all(_star_order(tf, tg, k).is_zero() for k in range(order + 1, bound + 1))
     return StarResult(total, terminated)
 
 
@@ -399,8 +341,8 @@ def formal_eval(f: FormalPoly, ctx, q, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     s = np.sqrt(1.0 + ctx.beta * p ** 2)
     out = np.zeros(np.broadcast(q, p).shape, dtype=complex)
-    for (eq, ep, es, eb, eh, el, d), (cr, ci) in f.terms.items():
-        val = (complex(cr) + 1j * complex(ci)) * ctx.beta ** eb * ctx.hbar ** eh * ctx.lam ** el
+    for (eq, ep, es, eb, eh, el, d, ei), c in f.terms.items():
+        val = complex(c) * 1j ** ei * ctx.beta ** eb * ctx.hbar ** eh * ctx.lam ** el
         out = out + val * q ** eq * p ** ep * s ** es / (1.0 + ctx.beta * p ** 2) ** d
     return out
 
@@ -413,8 +355,7 @@ def _frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _coef_str(c: Coef) -> str:
-    re, im = c
+def _coef_str(re: Fraction, im: Fraction) -> str:
     if im == 0:
         return _frac_str(re)
     if re == 0:
@@ -430,9 +371,8 @@ def _coef_str(c: Coef) -> str:
 
 
 def _mono_str(k: Key) -> str:
-    names = ["q", "p", "s", "beta", "hbar", "lam"]
     parts = []
-    for name, e in zip(names, k[:6]):
+    for name, e in zip(_SLOT, k[:6]):
         if e == 1:
             parts.append(name)
         elif e != 0:
@@ -458,11 +398,13 @@ def format_poly(f: FormalPoly) -> str:
                 break
             terms = quo
             power += 1
-    body_terms = sorted(terms.items(), key=lambda kv: kv[0])
+    coefs: Dict[tuple, list] = {}  # the i^0 and i^1 terms of a monomial share one (re, im)
+    for k, c in sorted(terms.items()):
+        coefs.setdefault(k[:7], [Fraction(0), Fraction(0)])[k[7]] = c
     pieces = []
-    for k, c in body_terms:
+    for k, (re, im) in coefs.items():
         mono = _mono_str(k)
-        cs = _coef_str(c)
+        cs = _coef_str(re, im)
         if mono:
             if cs == "1":
                 pieces.append(mono)
@@ -476,7 +418,7 @@ def format_poly(f: FormalPoly) -> str:
     if power == 0:
         return body
     factor = "(1 + beta*p^2)" if power == 1 else f"(1 + beta*p^2)^{power}"
-    if len(body_terms) > 1:
+    if len(coefs) > 1:
         return f"{factor}*({body})"
     if body == "1":
         return factor
@@ -535,10 +477,7 @@ def parse_poly(text: str) -> FormalPoly:
         if kind == "num":
             return FormalPoly.const(Fraction(val))
         if kind == "name":
-            if val == "i":
-                base = FormalPoly.const(0, 1)
-            else:
-                base = FormalPoly.var(val)
+            base = FormalPoly.var(val)
             if peek()[0] == "op" and peek()[1] == "^":
                 advance()
                 k2, v2, a2 = advance()

@@ -30,6 +30,7 @@ from .beta_arith import BetaContext
 from .sampling import (
     TorusField,
     Wavefunction,
+    _check_pair,
     _finite,
     _finite_mod,
     _frozen,
@@ -181,8 +182,7 @@ def _contract(k: OperatorKernel, right: np.ndarray, mu: float) -> np.ndarray:
 
 def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
     """Kernel of the product: :func:`_contract` over the inner slot, outer slots kept."""
-    if kf.n != kg.n:
-        raise ValueError("kernel grids differ")
+    _check_pair(kf, kg, "kernels")
     return OperatorKernel(kf.ctx, _contract(kf, kg.coef, kg.mod[0]), (kf.mod[0], kg.mod[1]))
 
 
@@ -199,8 +199,7 @@ def adjoint_kernel(k: OperatorKernel) -> OperatorKernel:
 
 def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
     """Act with the operator of a field on a state: :func:`_contract` with its coefficients."""
-    if f.n != psi.n:
-        raise ValueError("field and wavefunction grids differ")
+    _check_pair(f, psi, "field and wavefunction")
     k = kernel_of(f)
     return wavefunction_from_coeffs(psi.ctx, _contract(k, psi.coeffs(), psi.mod), k.mod[0])
 
@@ -251,10 +250,8 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
     shifts, exact on band-limited content, with the modulations handled in
     closed form), and the field encodes those samples once.
     """
-    n = psi.n
-    if phi.n != n:
-        raise ValueError("wavefunction grids differ")
-    ctx = psi.ctx
+    _check_pair(phi, psi, "wavefunctions")
+    n, ctx = psi.n, psi.ctx
     cpsi, cphi = psi.coeffs(), phi.coeffs()
     if _band_reach(cpsi) + _band_reach(cphi) <= n // 2 - 1:
         outer = np.outer(cpsi, np.conj(cphi[-np.arange(n)]))

@@ -225,6 +225,14 @@ def _finite(a, what: str, ndim: int) -> np.ndarray:
     return a
 
 
+def _check_pair(f, g, what: str = "algebra elements") -> None:
+    """Reject two operands (carriers or kernels) from different contexts or grids."""
+    if f.ctx != g.ctx:
+        raise ValueError(f"{what} live in different contexts")
+    if f.n != g.n:
+        raise ValueError(f"{what} live on different grids")
+
+
 def _finite_mod(mod, what: str):
     """A real modulation, one float or a pair; NaN or infinite parts are rejected."""
     m = float(mod) if np.ndim(mod) == 0 else (float(mod[0]), float(mod[1]))
@@ -344,8 +352,7 @@ def wf_inner(phi: Wavefunction, psi: Wavefunction) -> complex:
     ``(pi/sqrt(beta)) vdot(c_phi, c_psi)``, read from the coefficients;
     states whose modulations differ sum samples.
     """
-    if phi.n != psi.n:
-        raise ValueError("wavefunction grids differ")
+    _check_pair(phi, psi, "wavefunctions")
     if phi.mod == psi.mod:
         return complex(np.pi / phi.ctx.sqrt_beta * np.vdot(phi.coeffs(), psi.coeffs()))
     return complex((np.pi / phi.n) / phi.ctx.sqrt_beta * np.vdot(phi.values, psi.values))

@@ -35,6 +35,7 @@ from .operator_rep import (
 from .sampling import (
     TorusField,
     Wavefunction,
+    _check_pair,
     _line_coeffs,
     _line_values,
     _sheared_values,
@@ -63,13 +64,6 @@ __all__ = [
 
 #: Algebra elements are torus fields; the alias documents intent at call sites.
 AlgebraElement = TorusField
-
-
-def _check_pair(f, g, what: str = "algebra elements") -> None:
-    if f.ctx != g.ctx:
-        raise ValueError(f"{what} live in different contexts")
-    if f.n != g.n:
-        raise ValueError(f"{what} live on different grids")
 
 
 def star(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .beta_arith import BetaContext
-from .operator_rep import wigner
+from .operator_rep import uncertainty, wigner
 from .sampling import (
     TorusField,
     Wavefunction,
@@ -95,9 +95,11 @@ def eigenvector_flags(ctx: BetaContext, xi: float) -> dict:
     regularization (samples re-read as plain periodic data, which is what any
     modulation-blind treatment sees) has a second position moment that grows
     with resolution for off-lattice positions (grids of 128, 256 and 512
-    nodes).  Returns the spread flag and the log-log growth slope of that
+    nodes).  Returns the exact carrier's measured spread ``dq`` (on 128
+    nodes) with the flag ``dq < min_dq``, and the log-log growth slope of that
     divergent moment.
     """
+    dq = uncertainty(position_eigenvector(ctx, xi, 128).psi).dq
     sizes = (128, 256, 512)
     on_lattice = abs(xi / ctx.q_lattice_step - round(xi / ctx.q_lattice_step)) < 1e-12
     moments = []
@@ -116,7 +118,8 @@ def eigenvector_flags(ctx: BetaContext, xi: float) -> dict:
     else:
         slope = 0.0
     return {
-        "dq_below_min": True,  # exact carrier: q-spread 0 < hbar sqrt(beta)
+        "dq": dq,
+        "dq_below_min": dq < ctx.min_dq,
         "on_lattice": on_lattice,
         "regularized_q2": moments,
         "divergence_slope": slope,

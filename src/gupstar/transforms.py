@@ -15,6 +15,7 @@ import numpy as np
 
 from .sampling import (
     TorusField,
+    _check_pair,
     _cyclic_convolution,
     _line_coeffs,
     _line_values,
@@ -107,15 +108,13 @@ def conv_generalized(x, y):
     and consumers work with the sample values.
     """
     if isinstance(x, TorusField) and isinstance(y, TorusField):
-        if x.ctx != y.ctx or x.n != y.n:
-            raise ValueError("convolution operands live on different grids")
+        _check_pair(x, y, "convolution operands")
         return TorusField(x.ctx, _row_convolution(x, y), (x.mod[0] + y.mod[0], x.mod[1]))
     if isinstance(x, SymplecticPair) and isinstance(y, SymplecticPair):
         if not (x.transformed and y.transformed):
             raise ValueError("pair convolution expects both operands transformed")
         F, G = x.field, y.field
-        if F.ctx != G.ctx or F.n != G.n:
-            raise ValueError("convolution operands live on different grids")
+        _check_pair(F, G, "convolution operands")
         out = _pair_convolution(F, G)
         return SymplecticPair(TorusField(F.ctx, out.T), transformed=True)
     raise TypeError("conv_generalized expects two fields or two transformed pairs")
@@ -172,8 +171,7 @@ def twisted_conv(u: SymplecticPair, v: SymplecticPair) -> SymplecticPair:
     if not (u.transformed and v.transformed):
         raise ValueError("twisted_conv operands must be on the transformed side")
     F, G = u.field, v.field
-    if F.ctx != G.ctx or F.n != G.n:
-        raise ValueError("twisted_conv operands live on different grids")
+    _check_pair(F, G, "twisted_conv operands")
     if F.mod != (0.0, 0.0) or G.mod != (0.0, 0.0):
         raise ValueError("twisted_conv supports unmodulated sources only")
     ctx, n = F.ctx, F.n

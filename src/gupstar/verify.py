@@ -853,10 +853,8 @@ def _truncation_slope(cfg: RunConfig) -> float:
     order = 2  # the series is truncated after hbar^2, so the error slope is near 3
     errs = []
     hbars = (0.1, 0.05, 0.025)
-    from fractions import Fraction
-
     from .formal_cas import _main_dp
-    phi_ring = FormalPoly({(0, 0, 0, 0, 0, 0, 1): (Fraction(1), Fraction(0))})
+    phi_ring = FormalPoly.const(1).times_s_inverse().times_s_inverse()  # 1/(1 + beta p^2)
     use_right = cfg.lam < 0.5
 
     for hb in hbars:

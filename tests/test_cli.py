@@ -139,6 +139,18 @@ def test_formal_command(capsys):
     assert "p^2" in capsys.readouterr().out
 
 
+def test_formal_readme_examples(capsys):
+    assert run(["formal", "--pair", "main", "q", "p", "--order", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "i*hbar - i*hbar*lam + i*p^2*beta*hbar - i*p^2*beta*hbar*lam + q*p\n"
+        "terminated: yes (through order 1)\n")
+    assert run(["formal", "--pair", "alt", "q", "q", "--order", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "p^2*beta^2*hbar^2*lam - p^2*beta^2*hbar^2*lam^2 - i*q*p*beta*hbar"
+        " + 2*i*q*p*beta*hbar*lam + q^2\n"
+        "terminated: yes (through order 2)\n")
+
+
 def test_usage_errors(capsys, tmp_path):
     assert run(["formal", "q @", "p"]) == 2
     capsys.readouterr()

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gupstar.formal_cas import (_MAX_EXPONENT, ALT, MAIN, FormalPoly, ParseError,
                                 _derivative_table, classical_limit, formal_commutator,
@@ -17,6 +19,16 @@ LAM = FormalPoly.var("lam")
 HBAR = FormalPoly.var("hbar")
 BETA = FormalPoly.var("beta")
 ONE = FormalPoly.const(1)
+I = FormalPoly.var("i")
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+# small polynomials: sums of monomials in q, p, s, beta and i with rational
+# coefficients, some over a power of 1 + beta p^2
+_monomials = st.builds(
+    lambda c, eq, ep, es, eb, d, ei: FormalPoly({(eq, ep, es, eb, 0, 0, d, ei): c}),
+    st.fractions(-3, 3, max_denominator=4).filter(bool), st.integers(0, 2), st.integers(0, 2),
+    st.integers(0, 1), st.integers(0, 1), st.integers(0, 2), st.integers(0, 1))
+polys = st.lists(_monomials, max_size=3).map(lambda ms: sum(ms, FormalPoly.zero()))
 
 
 def test_ring_arithmetic():
@@ -30,14 +42,31 @@ def test_ring_arithmetic():
     assert S * S * S * S == (ONE + BETA * P * P) * (ONE + BETA * P * P)
 
 
+@PROPERTY
+@given(f=polys, g=polys, h=polys)
+def test_ring_laws(f, g, h):
+    assert (f * g) * h == f * (g * h)
+    assert f * g == g * f
+    assert f * (g + h) == f * g + f * h
+    assert FormalPoly(dict(f.terms)) == f
+    assert all(isinstance(c, Fraction) and c and len(k) == 8 for k, c in f.terms.items())
+
+
+def test_generators_reduce():
+    assert I * I == ONE.scale(-1)
+    assert I * I * I == -I and I * I * I * I == ONE
+    assert S * S == ONE + BETA * P * P
+    assert FormalPoly.const(2, -3) == ONE.scale(2) - I.scale(3)
+
+
 def test_terms_are_read_only():
     f = Q * P + S
     with pytest.raises(TypeError):
-        f.terms[(0, 0, 0, 0, 0, 0, 0)] = (Fraction(1), Fraction(0))
+        f.terms[(0, 0, 0, 0, 0, 0, 0, 0)] = Fraction(1)
     with pytest.raises(TypeError):
-        del f.terms[(1, 1, 0, 0, 0, 0, 0)]
+        del f.terms[(1, 1, 0, 0, 0, 0, 0, 0)]
     copy = dict(f.terms)
-    copy[(0, 0, 0, 0, 0, 0, 0)] = (Fraction(1), Fraction(0))
+    copy[(0, 0, 0, 0, 0, 0, 0, 0)] = Fraction(1)
     assert FormalPoly(copy) == f + ONE
     assert f == Q * P + S and len(f.terms) == 2
 
@@ -61,7 +90,7 @@ def test_derivative_tables_are_memoized_and_immutable():
 
 
 def test_denominator_cancellation():
-    inv = FormalPoly({(0, 0, 0, 0, 0, 0, 1): (Fraction(1), Fraction(0))})
+    inv = FormalPoly({(0, 0, 0, 0, 0, 0, 1, 0): Fraction(1)})
     assert inv.times_bp2() == ONE
     assert (inv * (ONE + BETA * P * P)) == ONE
     # s * s^{-1} = 1
@@ -86,7 +115,7 @@ def test_termination_flag():
 def test_formal_eval_and_grid(ctx):
     f = Q * P
     assert formal_eval(f, ctx, 2.0, 3.0) == pytest.approx(6.0)
-    inv = FormalPoly({(0, 0, 1, 0, 0, 0, 1): (Fraction(1), Fraction(0))})  # s/(1+b p^2)
+    inv = FormalPoly({(0, 0, 1, 0, 0, 0, 1, 0): Fraction(1)})  # s/(1+b p^2)
     v = formal_eval(inv, ctx, 0.0, 1.0)
     assert v == pytest.approx(np.sqrt(2.0) / 2.0)
     qs = np.arange(-2, 3)[:, None] * ctx.q_lattice_step
@@ -113,6 +142,19 @@ def test_parse_poly():
         parse_poly("q @ p")
     with pytest.raises(ParseError):
         parse_poly("q ^ x")
+
+
+def test_mixed_coefficients_print_as_one_complex_number():
+    assert format_poly(parse_poly("1/2 q - 3 i q")) == "(1/2 - 3*i)*q"
+    assert format_poly(parse_poly("i q - q")) == "(-1 + i)*q"
+    assert format_poly(parse_poly("-i p + 2/3")) == "2/3 - i*p"
+    assert parse_poly("i^2") == ONE.scale(-1) and parse_poly("i") == I
+
+
+def test_orders_above_the_degree_bound_are_not_computed():
+    # q p has q-degree 1 in total, so the product terminates after order 1
+    assert formal_star(MAIN, Q, P, 10 ** 6) == formal_star(MAIN, Q, P, 2)
+    assert formal_star(ALT, Q, Q * P, 10 ** 6) == formal_star(ALT, Q, Q * P, 2)
 
 
 def test_parse_poly_bounds_exponents():

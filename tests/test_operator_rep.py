@@ -513,3 +513,19 @@ def test_uncertainty(ctx, rng):
         assert uncertainty(st).gup_slack >= -1e-9
     with pytest.raises(ValueError):
         uncertainty(Wavefunction(ctx, 2.0 * ml.psi.values))
+
+
+@pytest.mark.parametrize("name", ["wf_inner", "compose_kernels", "hilbert_schmidt",
+                                  "apply_operator", "wigner"])
+def test_operands_from_different_contexts_are_rejected(name):
+    rng = np.random.default_rng(3)
+    c1, c2 = BetaContext(1.0, 1.0, 0.5), BetaContext(2.0, 1.0, 0.5)
+    f1, f2 = random_element(c1, 16, rng), random_element(c2, 16, rng)
+    s1, s2 = random_state(c1, 16, rng), random_state(c2, 16, rng)
+    call = {"wf_inner": lambda: wf_inner(s1, s2),
+            "compose_kernels": lambda: compose_kernels(kernel_of(f1), kernel_of(f2)),
+            "hilbert_schmidt": lambda: hilbert_schmidt(kernel_of(f1), kernel_of(f2)),
+            "apply_operator": lambda: apply_operator(f1, s2),
+            "wigner": lambda: wigner(s1, s2)}[name]
+    with pytest.raises(ValueError, match="different contexts"):
+        call()

@@ -41,7 +41,7 @@ def test_eigenvector_profile(ctx):
 
 def test_eigenvector_not_a_state(ctx):
     flags = eigenvector_flags(ctx, 3.7)
-    assert flags["dq_below_min"]
+    assert flags["dq_below_min"] and 0.0 <= flags["dq"] < 1e-6 * ctx.min_dq
     assert not flags["on_lattice"]
     assert flags["divergence_slope"] > 0.5
     m = flags["regularized_q2"]
