@@ -16,6 +16,8 @@ from .sampling import (
     wavefunction_from_coeffs,
 )
 from .operator_rep import wigner
+from .star_algebra import SymbolObservable
+from .states import ml_phase_state, position_eigenvector
 
 __all__ = [
     "random_state",
@@ -104,9 +106,6 @@ def resolve_family(label: str, ctx: BetaContext, n: int):
     Names: ``rho0``, ``rho:<xi>``, ``ml`` or ``ml:<xi>``, ``bump`` or
     ``bump:<seed>``, ``q`` or ``q^<k>`` (position-power symbols).
     """
-    from .star_algebra import SymbolObservable
-    from .states import ml_phase_state, position_eigenvector
-
     name, _, arg = label.partition(":")
     if name == "rho0":
         return position_eigenvector(ctx, 0.0, n).rho

@@ -9,12 +9,12 @@ involution and the kernel adjoint are each one unimodular relabeling of that
 lattice (:func:`_relabel`).  Composition and the action on a state contract
 the inner slot by the invariant-measure midpoint rule (:func:`_contract`).
 When the contracted modulations differ by an integer that rule is exactly a
-signed pairing of modes (:func:`_contraction`), so the result is one gather
-and one matrix product of coefficient arrays; otherwise the contracted slot
-is sampled.  The trace reads the kernel diagonal's line coefficients from the
-same signed pairing.  The sample basis ``exp(2i(u + mu) alpha_a)`` is sqrt(n)
-times a unitary, so norms and spectra are read from coefficients too: no
-kernel is ever sampled.
+signed pairing of modes, so the result is one gather and one matrix product
+of coefficient arrays; otherwise the contracted slot is sampled.  The rule
+(``_integral``) and the pairing (``_contraction``) live in ``sampling``.  The
+trace reads the kernel diagonal's line coefficients from the same pairing.
+The sample basis ``exp(2i(u + mu) alpha_a)`` is sqrt(n) times a unitary, so
+norms and spectra are read from coefficients too: no kernel is ever sampled.
 """
 
 from __future__ import annotations
@@ -30,11 +30,15 @@ from .beta_arith import BetaContext
 from .sampling import (
     TorusField,
     Wavefunction,
+    _band_reach,
     _check_pair,
+    _contraction,
     _finite,
     _finite_mod,
     _frozen,
+    _integral,
     _line_values,
+    _mod_sum,
     angle_nodes,
     field_from_coeffs,
     mode_numbers,
@@ -105,39 +109,6 @@ def _relabel(coef: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
     return np.take(coef.ravel(), _relabel_index(coef.shape[0], a, b, c, d))
 
 
-@functools.lru_cache(maxsize=16)
-def _contraction(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(perm, sign)`` of the midpoint rule at integer modulation offset d.
-
-    On the half-offset grid ``sum_b exp(2i M alpha_b)`` is ``(-1)^(M/n) n`` for
-    ``M = 0 (mod n)`` and 0 otherwise.  So mode v of one slot pairs with the
-    one mode ``x = -v - d (mod n)`` of the other, whose FFT index is
-    ``perm[v]``, with the wrap sign ``sign[v] = (-1)^k`` where ``v + x + d = k n``
-    in mode numbers.
-    """
-    q, r = divmod(d, n)  # a huge d only flips the sign by the parity of q
-    v = np.arange(n)
-    x = (-v - r) % n
-    k = (np.where(v < n // 2, v, v - n) + np.where(x < n // 2, x, x - n) + r) // n + q
-    return _frozen(x), _frozen(1.0 - 2.0 * (k % 2))
-
-
-def _mod_sum(*terms: float) -> float:
-    """``sum(terms)``, snapped to the nearest integer when the terms' rounding reaches it.
-
-    Modulations are rounded reals, each within half an ulp of the value it
-    stands for, so a sum that is an integer in exact arithmetic can land off
-    one: ``1.13 - 0.13`` is 0.9999999999999999.  When the integer nearest the
-    float sum lies within the half ulps of the terms, it is returned instead,
-    so an exactness test (``is_integer()``) sees the integer.  A distance the
-    terms cannot account for, such as one ulp of a single nonzero term, is a
-    non-integer offset and is kept.
-    """
-    total = sum(terms)
-    k = round(total)
-    return float(k) if abs(total - k) <= 0.5 * sum(map(math.ulp, terms)) else total
-
-
 def kernel_of(f: TorusField) -> OperatorKernel:
     """Integral kernel of the operator represented by a field.
 
@@ -163,16 +134,16 @@ def _contract(k: OperatorKernel, right: np.ndarray, mu: float) -> np.ndarray:
     ``right`` holds R's coefficients with the contracted slot first (a 2-d
     kernel's or a 1-d state's) and ``mu`` that slot's modulation.  When
     ``d = k.mod[1] + mu`` is an integer, the rule is exactly the signed mode
-    pairing of :func:`_contraction`: one gather of ``right``'s rows, one scale
-    of k's columns and one matrix product, with no transform.  For any other
-    ``d`` the contracted slot is sampled (one 1-d codec call per operand) and
-    summed; that quadrature only converges, it is not exact.  ``d`` is read
-    through :func:`_mod_sum`, so a difference that rounding moved off an
-    integer still takes the exact pairing.
+    pairing ``sampling._contraction``: one gather of ``right``'s rows, one
+    scale of k's columns and one matrix product, with no transform.  For any
+    other ``d`` the contracted slot is sampled (one 1-d codec call per
+    operand) and summed; that quadrature only converges, it is not exact.
+    ``d`` is read by ``sampling._integral``, so a difference that rounding
+    moved off an integer still takes the exact pairing.
     """
-    d = _mod_sum(k.mod[1], mu)
-    if d.is_integer():
-        perm, sign = _contraction(k.n, int(d))
+    d = _integral(k.mod[1], mu)
+    if d is not None:
+        perm, sign = _contraction(k.n, d)
         scale = (np.pi / k.ctx.sqrt_beta) * sign  # n times the weight: the pair sum is n
         return (k.coef * scale) @ right[perm]
     left = _line_values(k.coef, k.mod[1])          # [u, b]
@@ -209,8 +180,8 @@ def trace_op(k: OperatorKernel) -> complex:
 
     The diagonal's line coefficient at mode r is the signed sum of the
     anti-diagonal ``u + v = r (mod n)`` of ``k.coef``, with the wrap sign of
-    :func:`_contraction` (mode ``r + n`` samples as ``-1`` times mode r), so
-    no sample of the kernel is built.
+    ``sampling._contraction`` (mode ``r + n`` samples as ``-1`` times mode r),
+    so no sample of the kernel is built.
     """
     mtot = k.mod[0] + k.mod[1]
     n = k.n
@@ -228,12 +199,6 @@ def hilbert_schmidt(kf: OperatorKernel, kg: OperatorKernel) -> complex:
 # ---------------------------------------------------------------------------
 # Wigner transform and density matrices
 # ---------------------------------------------------------------------------
-
-def _band_reach(c: np.ndarray) -> int:
-    """Largest |mode| with a nonzero coefficient (exact zeros only), 0 if none."""
-    k = np.flatnonzero(c)  # FFT index k is mode k or k - n, whichever is smaller in size
-    return int(np.minimum(k, c.size - k).max()) if k.size else 0
-
 
 def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
     """Transformed field of the rank-one operator psi (phi, . ).
@@ -367,11 +332,11 @@ def state_check(rho: TorusField, herm_tol: float = 1e-8,
 
     The kernel acts on a state's coefficients as the matrix
     ``A = (pi/sqrt(beta)) coef[:, perm] * sign``, ``(perm, sign)`` the signed
-    pairing of :func:`_contraction` at the kernel's ``d = mod[0] + mod[1]``,
-    read as the field's ``b0`` so that no sum rounds it off an integer (the
-    constructors that form ``b0`` as a sum, :func:`wigner` and
-    :func:`element_of`, snap it through :func:`_mod_sum`); ``A`` is unitarily
-    similar to the weighted kernel matrix on sample vectors.
+    pairing at the kernel's ``d = mod[0] + mod[1]``, read as the field's
+    ``b0`` so that no sum rounds it off an integer (the constructors that
+    form ``b0`` as a sum, :func:`wigner` and :func:`element_of`, snap it
+    through ``sampling._mod_sum``); ``A`` is unitarily similar to the
+    weighted kernel matrix on sample vectors.
     Hermiticity asks that the relative Frobenius residual
     ``||A - A^dagger||_F / ||A||_F`` stay within ``herm_tol``; a non-integer
     ``d`` cannot be self-adjoint and reports an infinite residual.
@@ -381,10 +346,10 @@ def state_check(rho: TorusField, herm_tol: float = 1e-8,
     """
     k = kernel_of(rho)
     tr = trace_op(k)
-    d = rho.mod[1]
+    d = _integral(rho.mod[1])
     hermitian, herm_res, min_eig = False, math.inf, math.nan
-    if d.is_integer():
-        perm, sign = _contraction(k.n, int(d))
+    if d is not None:
+        perm, sign = _contraction(k.n, d)
         A = np.pi / k.ctx.sqrt_beta * k.coef[:, perm] * sign
         herm_res = float(np.linalg.norm(A - A.conj().T) / max(np.linalg.norm(A), 1e-300))
         hermitian = herm_res <= herm_tol
@@ -412,6 +377,8 @@ def uncertainty(psi: Wavefunction) -> UncertaintyReport:
 
     ``gup_slack = dq*dp - (hbar/2)(1 + beta*dp^2 + beta*<p>^2)`` is nonnegative
     for physical states and zero exactly on maximal-localization states.
+    The spreads are the centred norms ``||(qhat - <q>) psi||`` and ``||(phat - <p>) psi||``
+    on coefficients sharing psi's ``mod``: ``sqrt(<q^2> - <q>^2)`` cancels far from 0.
     """
     if abs(psi.norm() - 1.0) > 1e-8:
         raise ValueError("uncertainty requires a normalized wavefunction")
@@ -420,9 +387,8 @@ def uncertainty(psi: Wavefunction) -> UncertaintyReport:
     ppsi = phat_apply(psi)
     mean_q = wf_inner(psi, qpsi).real
     mean_p = wf_inner(psi, ppsi).real
-    q2 = wf_inner(qpsi, qpsi).real
-    p2 = wf_inner(ppsi, ppsi).real
-    dq = math.sqrt(max(q2 - mean_q ** 2, 0.0))
-    dp = math.sqrt(max(p2 - mean_p ** 2, 0.0))
+    c = psi.coeffs()
+    dq, dp = (math.sqrt(np.pi / ctx.sqrt_beta * np.vdot(d, d).real)  # Parseval, as in wf_inner
+              for d in (qpsi.coeffs() - mean_q * c, ppsi.coeffs() - mean_p * c))
     slack = dq * dp - 0.5 * ctx.hbar * (1.0 + ctx.beta * dp ** 2 + ctx.beta * mean_p ** 2)
     return UncertaintyReport(mean_q, mean_p, dq, dp, slack)

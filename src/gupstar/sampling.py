@@ -36,6 +36,9 @@ optional scalar or per-row offset) and the 2-d sheared codec
 ``_sheared_coeffs``/``_sheared_values`` parameterised by ``lam`` and ``mod``.
 Operator kernels are never sampled: the operator layer works on their
 coefficients and samples only a contracted slot with a non-integer offset.
+Whether an offset is an integer is decided here for every layer, by
+``_integral`` (a sum snapped by ``_mod_sum`` where rounding explains the
+miss), as is the signed mode pairing ``_contraction`` of the exact route.
 The module also holds the package's one FFT cyclic convolution,
 ``_cyclic_convolution``, shared by the lattice synthesis and the
 transformed-pair convolution of ``transforms``.
@@ -241,6 +244,51 @@ def _finite_mod(mod, what: str):
     return m
 
 
+def _mod_sum(*terms: float) -> float:
+    """``sum(terms)``, snapped to the nearest integer when the terms' rounding reaches it.
+
+    Modulations are rounded reals, each within half an ulp of the value it
+    stands for, so a sum that is an integer in exact arithmetic can land off
+    one: ``1.13 - 0.13`` is 0.9999999999999999.  When the integer nearest the
+    float sum lies within the half ulps of the terms, it is returned instead,
+    so :func:`_integral` sees the integer.  A distance the terms cannot
+    account for, such as one ulp of a single nonzero term, is a non-integer
+    offset and is kept.
+    """
+    total = sum(terms)
+    k = round(total)
+    return float(k) if abs(total - k) <= 0.5 * sum(map(math.ulp, terms)) else total
+
+
+def _integral(*terms: float) -> Optional[int]:
+    """The integer ``terms`` sum to under :func:`_mod_sum`'s snap, or None."""
+    total = _mod_sum(*terms)
+    return int(total) if total.is_integer() else None
+
+
+@functools.lru_cache(maxsize=16)
+def _contraction(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(perm, sign)`` of the midpoint rule at integer modulation offset d.
+
+    On the half-offset grid ``sum_b exp(2i M alpha_b)`` is ``(-1)^(M/n) n`` for
+    ``M = 0 (mod n)`` and 0 otherwise.  So mode v of one slot pairs with the
+    one mode ``x = -v - d (mod n)`` of the other, whose FFT index is
+    ``perm[v]``, with the wrap sign ``sign[v] = (-1)^k`` where ``v + x + d = k n``
+    in mode numbers.
+    """
+    q, r = divmod(d, n)  # a huge d only flips the sign by the parity of q
+    v = np.arange(n)
+    x = (-v - r) % n
+    k = (np.where(v < n // 2, v, v - n) + np.where(x < n // 2, x, x - n) + r) // n + q
+    return _frozen(x), _frozen(1.0 - 2.0 * (k % 2))
+
+
+def _band_reach(c: np.ndarray) -> int:
+    """Largest |mode| with a nonzero coefficient (exact zeros only), 0 if none."""
+    k = np.flatnonzero(c)  # FFT index k is mode k or k - n, whichever is smaller in size
+    return int(np.minimum(k, c.size - k).max()) if k.size else 0
+
+
 # ---------------------------------------------------------------------------
 # wavefunctions
 # ---------------------------------------------------------------------------
@@ -348,12 +396,12 @@ def quad_mu(ctx: BetaContext, samples: np.ndarray) -> complex:
 def wf_inner(phi: Wavefunction, psi: Wavefunction) -> complex:
     """Hilbert-space scalar product, conjugate-linear in the first slot.
 
-    The midpoint rule in d mu.  At equal ``mod`` it is Parseval's
-    ``(pi/sqrt(beta)) vdot(c_phi, c_psi)``, read from the coefficients;
-    states whose modulations differ sum samples.
+    The midpoint rule in d mu.  At equal ``mod`` (by :func:`_integral`) it is
+    Parseval's ``(pi/sqrt(beta)) vdot(c_phi, c_psi)``, read from the
+    coefficients; states whose modulations differ sum samples.
     """
     _check_pair(phi, psi, "wavefunctions")
-    if phi.mod == psi.mod:
+    if _integral(psi.mod, -phi.mod) == 0:
         return complex(np.pi / phi.ctx.sqrt_beta * np.vdot(phi.coeffs(), psi.coeffs()))
     return complex((np.pi / phi.n) / phi.ctx.sqrt_beta * np.vdot(phi.values, psi.values))
 

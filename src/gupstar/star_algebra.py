@@ -36,6 +36,7 @@ from .sampling import (
     TorusField,
     Wavefunction,
     _check_pair,
+    _integral,
     _line_coeffs,
     _line_values,
     _sheared_values,
@@ -166,20 +167,21 @@ def inner(f: AlgebraElement, g: AlgebraElement) -> complex:
     The sample sum with the discrete normalization
     1/(4 pi^2 hbar^2 beta) (pi/n)^2, derived from the transform conventions
     and pinned by the position-eigenvector golden tests.  The route follows
-    the modulations alone.  When the fields share ``b0``, the alpha sum is
-    exactly n times the coefficient sum over each alpha mode, and so is the
-    alpha' sum when ``s0`` is shared too (Parseval, no transform); with
-    different ``s0`` only the alpha' slot is sampled, one 1-d codec call per
-    field, with the phase ``exp(2i (s0_g - s0_f) alpha'_j)``.  Fields with
-    different ``b0`` sum samples.
+    the modulations alone, compared by ``sampling._integral``.  When the
+    fields share ``b0``, the alpha sum is exactly n times the coefficient sum
+    over each alpha mode, and so is the alpha' sum when ``s0`` is shared too
+    (Parseval, no transform); with different ``s0`` only the alpha' slot is
+    sampled, one 1-d codec call per field, with the phase
+    ``exp(2i (s0_g - s0_f) alpha'_j)``.  Fields with different ``b0`` sum
+    samples.
     """
     _check_pair(f, g)
     n = f.n
     pref = (np.pi / n) ** 2 / (4 * np.pi ** 2 * f.ctx.hbar ** 2 * f.ctx.beta)
-    if f.mod[1] != g.mod[1]:
+    if _integral(g.mod[1], -f.mod[1]) != 0:
         return complex(pref * np.vdot(f.values, g.values))
     fc, gc = f.coeffs(), g.coeffs()
-    if f.mod[0] == g.mod[0]:
+    if _integral(g.mod[0], -f.mod[0]) == 0:
         return complex(pref * n * n * np.vdot(fc, gc))
     fl = _line_values(fc.T)                      # [b, j]
     gl = _line_values(gc.T, g.mod[0] - f.mod[0])
@@ -237,11 +239,10 @@ class SymbolObservable:
         return cls(power, Wavefunction(ctx, np.ones(n, dtype=complex)))
 
     @classmethod
-    def from_momentum_function(cls, ctx: BetaContext, n: int, fn,
-                               power: int = 0) -> "SymbolObservable":
-        """Sample phi(p) on the angle grid; fn receives the momentum array."""
+    def from_momentum_function(cls, ctx: BetaContext, n: int, fn) -> "SymbolObservable":
+        """The symbol phi(p), power 0, sampled on the angle grid; fn gets the momentum array."""
         p = np.tan(angle_nodes(n)) / ctx.sqrt_beta
-        return cls(power, Wavefunction(ctx, np.asarray(fn(p), dtype=complex)))
+        return cls(0, Wavefunction(ctx, np.asarray(fn(p), dtype=complex)))
 
 
 def _symbol_product(sym: SymbolObservable, g: AlgebraElement, t, a, z) -> AlgebraElement:

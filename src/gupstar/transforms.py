@@ -17,6 +17,7 @@ from .sampling import (
     TorusField,
     _check_pair,
     _cyclic_convolution,
+    _integral,
     _line_coeffs,
     _line_values,
     angle_nodes,
@@ -89,7 +90,7 @@ def conv_unit(ctx, n: int) -> TorusField:
 
 def _row_convolution(f: TorusField, g: TorusField) -> np.ndarray:
     """Per-row invariant-measure convolution along the alpha axis."""
-    if f.mod[1] != g.mod[1]:
+    if _integral(f.mod[1], -g.mod[1]) != 0:
         raise ValueError("generalized convolution needs matching alpha modulations")
     b0 = f.mod[1]
     cf, cg = _line_coeffs(f.values, b0), _line_coeffs(g.values, b0)

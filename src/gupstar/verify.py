@@ -340,9 +340,10 @@ def suite_transforms(cfg: RunConfig) -> List[CheckResult]:
     s.check("transforms.angle_mult_exchanges_position_derivative",
             _rel(lhs2, rhs2), 1e-8)
 
+    pf = symplectic_fourier(f)
+    fT = pf.field.with_values(pf.values)  # the transposed samples
     s.check("transforms.parseval",
-            abs(inner(f, f).real - inner(symplectic_fourier(f).field, symplectic_fourier(f).field).real)
-            / max(inner(f, f).real, 1e-300), 1e-12)
+            abs(inner(f, f).real - inner(fT, fT).real) / max(inner(f, f).real, 1e-300), 1e-12)
 
     s.check("transforms.mult_by_q_constant",
             np.abs(mult_by_q(TorusField(ctx, np.ones((nf, nf), complex))).values).max(), 1e-12)
@@ -536,7 +537,7 @@ def suite_star_algebra(cfg: RunConfig) -> List[CheckResult]:
             _kink_tol(na, 3e-3), note="grid-limited localization state")
     s.check("star.expectation_unit", abs(expectation(one, rho_ml) - 1.0), 1e-8)
     odd = SymbolObservable.from_momentum_function(
-        ctx, na, lambda p: np.arctan(ctx.sqrt_beta * p), power=0)
+        ctx, na, lambda p: np.arctan(ctx.sqrt_beta * p))
     s.check("star.expectation_odd_symbol_vanishes",
             abs(expectation(odd, ml_phase_state(ctx, 0.0, na).rho)),
             _kink_tol(na, 3e-8), note="parity of the localization profile")
@@ -643,7 +644,7 @@ def suite_operator(cfg: RunConfig) -> List[CheckResult]:
 
     # ordered symbols
     phi_fun = SymbolObservable.from_momentum_function(
-        ctx, n, lambda p: 1.0 / (1.0 + ctx.beta * p ** 2), power=0)
+        ctx, n, lambda p: 1.0 / (1.0 + ctx.beta * p ** 2))
     op0 = lambda_ordered_operator(phi_fun)
     s.check("operator.ordered_power0",
             _rel(op0(psi).values, phi_fun.phi.values * psi.values), 1e-12)
@@ -711,8 +712,9 @@ def suite_states(cfg: RunConfig) -> List[CheckResult]:
     s.check("states.eigen_profile_peak", abs(pe.rho_qp(0.7, 2.0) - 1.0), 1e-14)
     s.check("states.eigen_profile_lattice_zeros",
             abs(pe.rho_qp(0.7 + 2 * ctx.q_lattice_step, 0.0)), 1e-14)
-    s.check("states.eigen_wigner_consistency",
-            _rel(wigner(pe.psi, pe.psi).values, pe.rho.values), 1e-10)
+    mu = -0.7 / (2 * ctx.hbar * ctx.sqrt_beta)
+    closed = 2 * ctx.hbar * ctx.sqrt_beta * np.exp(2j * mu * angle_nodes(n))  # rho at each alpha'
+    s.check("states.eigen_wigner_consistency", _rel(pe.rho.values, closed[:, None]), 1e-10)
     flags = eigenvector_flags(ctx, 3.7)
     s.check_true("states.eigen_not_a_state",
                  flags["dq_below_min"] and flags["divergence_slope"] > 0.5)

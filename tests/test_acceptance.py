@@ -225,7 +225,7 @@ def _ml_window_error(n):
     ks = np.arange(0, n, max(1, n // 64))
     ps = np.tan(angle_nodes(n)[ks])
     grid = synth_grid(ml.rho, qs, ps)
-    ref = np.array([[ml.evaluate(q, p) for p in ps] for q in qs])
+    ref = ml.evaluate(qs[:, None], ps)
     return float(np.abs(grid - ref).max())
 
 

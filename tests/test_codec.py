@@ -114,6 +114,13 @@ def test_codecs_live_in_sampling_only():
     assert not offenders, offenders
 
 
+def test_exact_route_rule_lives_in_sampling_only():
+    # whether two modulations pair exactly is decided by sampling._integral alone
+    offenders = _lines_outside_sampling(
+        r"\.is_integer\(\)|\bmod(\[[01]\])?\s*[!=]=\s*\w+\.mod\b")
+    assert not offenders, offenders
+
+
 def test_carrier_representation_lives_in_sampling_only():
     # the held arrays are private to the carriers: other modules read coeffs() and values
     offenders = _lines_outside_sampling(r"\._coef\b|\._values\b")

@@ -364,8 +364,7 @@ def test_qhat_differentiates_attached_derivative_samples(ctx):
 def test_lambda_ordered_operator(ctx, rng):
     n = 64
     psi = random_state(ctx, n, rng)
-    phi_sym = SymbolObservable.from_momentum_function(
-        ctx, n, lambda p: 1.0 / (1.0 + p ** 2), power=0)
+    phi_sym = SymbolObservable.from_momentum_function(ctx, n, lambda p: 1.0 / (1.0 + p ** 2))
     op = lambda_ordered_operator(phi_sym)
     assert np.abs(op(psi).values - phi_sym.phi.values * psi.values).max() < 1e-13
 
@@ -421,11 +420,14 @@ def test_state_check_reads_d_without_sampling(monkeypatch):
 
 
 def test_mod_sum_snaps_only_what_rounding_explains():
-    assert operator_rep._mod_sum(1.13, -0.13) == 1.0       # 1.13 - 0.13 = 0.9999999999999999
-    assert operator_rep._mod_sum(0.15, -1.15) == -1.0
-    assert operator_rep._mod_sum(0.3, 0.375) == 0.675
+    assert sampling._mod_sum(1.13, -0.13) == 1.0       # 1.13 - 0.13 = 0.9999999999999999
+    assert sampling._mod_sum(0.15, -1.15) == -1.0
+    assert sampling._mod_sum(0.3, 0.375) == 0.675
     off = np.nextafter(1.0, 2.0)  # one ulp of its only nonzero term: a genuine offset
-    assert operator_rep._mod_sum(0.0, off) == off
+    assert sampling._mod_sum(0.0, off) == off
+    assert sampling._integral(1.13, -0.13) == 1
+    assert sampling._integral(0.3, 0.375) is None
+    assert sampling._integral(0.0, off) is None
 
 
 def test_lattice_neighbours_contract_by_the_signed_pairing(monkeypatch):

@@ -232,8 +232,7 @@ def test_symbol_left_equals_row_multiplication(ctx, rng):
     # power zero acts by evaluating phi at the composed momentum argument
     n = 32
     g = random_element(ctx, n, rng)
-    phi = SymbolObservable.from_momentum_function(
-        ctx, n, lambda p: 1.0 / (1.0 + p ** 2), power=0)
+    phi = SymbolObservable.from_momentum_function(ctx, n, lambda p: 1.0 / (1.0 + p ** 2))
     out = star_symbol_left(phi, g)
     a = angle_nodes(n)
     ref = np.empty((n, n), complex)
@@ -253,8 +252,7 @@ def test_expectation(ctx, rng):
     assert abs(expectation(one, ml.rho) - 1.0) < 1e-8
     qsym = SymbolObservable.position_power(ctx, n, 1)
     assert abs(expectation(qsym, ml_phase_state(ctx, 1.5, n).rho) - 1.5) < 5e-2
-    odd = SymbolObservable.from_momentum_function(
-        ctx, n, lambda p: np.arctan(p), power=0)
+    odd = SymbolObservable.from_momentum_function(ctx, n, lambda p: np.arctan(p))
     assert abs(expectation(odd, ml.rho)) < 1e-6
     f = random_element(ctx, n, rng)
     assert expectation(f, ml.rho) == pytest.approx(trace(star(f, ml.rho)))

@@ -50,6 +50,17 @@ def test_eigenvector_not_a_state(ctx):
     assert lattice_flags["on_lattice"]
 
 
+def test_spreads_do_not_cancel_far_from_the_origin():
+    # sqrt(<q^2> - <q>^2) read up to 2.83 here for an exact spread of 0
+    ctx = BetaContext(1.0, 1.0, 0.5)
+    dqs = [uncertainty(position_eigenvector(ctx, xi, 128).psi).dq
+           for xi in np.linspace(1e8, 1.37e8, 25)]
+    assert max(dqs) <= 1e-6 * ctx.min_dq
+    assert eigenvector_flags(ctx, 1.35e8)["dq_below_min"]
+    # and gave dq - min_dq = -2.4e-4 for the minimal spread here
+    assert abs(uncertainty(ml_wavefunction(ctx, 1e6, 256)).dq - ctx.min_dq) <= 1e-9
+
+
 def test_ml_wavefunction(ctx):
     n = 256
     psi = ml_wavefunction(ctx, 0.0, n)
