@@ -38,7 +38,6 @@ from .sampling import (
     _frozen,
     _integral,
     _line_values,
-    _mod_sum,
     angle_nodes,
     field_from_coeffs,
     mode_numbers,
@@ -73,7 +72,7 @@ class OperatorKernel:
     """Integral kernel held by its coefficients, second slot paired with d mu.
 
     ``K(a, b) = exp(2i(mu_u a + mu_v b)) sum_{u,v} coef[u, v] exp(2i(u a + v b))``
-    with ``mod = (mu_u, mu_v)``, the kernel-side image of a field modulation.
+    with ``mod = (mu_u, mu_v)``, the same pair as the field's ``mod``.
     ``coef`` is a read-only copy of the constructor's input; NaN or infinite
     coefficients or modulations are rejected.
     """
@@ -112,20 +111,18 @@ def _relabel(coef: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
 def kernel_of(f: TorusField) -> OperatorKernel:
     """Integral kernel of the operator represented by a field.
 
-    In coefficient space the map is the unimodular index shear
-    (c, b) -> (b + c, -c) together with the 1/(2 pi hbar) normalization; being
-    a permutation of the discrete mode lattice it is exactly invertible.
+    In coefficient space the map is the unimodular index shear (c, b) -> (b + c, -c)
+    with the 1/(2 pi hbar) normalization, and ``mod`` passes through; being a
+    permutation of the discrete mode lattice it is exactly invertible.
     """
-    s0, b0 = f.mod
     kc = _relabel(f.coeffs(), 0, -1, 1, 1) / (2 * np.pi * f.ctx.hbar)
-    return OperatorKernel(f.ctx, kc, (b0 + s0, -s0))
+    return OperatorKernel(f.ctx, kc, f.mod)
 
 
 def element_of(k: OperatorKernel) -> TorusField:
     """Inverse of :func:`kernel_of`."""
-    mu_u, mu_v = k.mod
     coef = _relabel(k.coef, 1, 1, -1, 0) * (2 * np.pi * k.ctx.hbar)
-    return field_from_coeffs(k.ctx, coef, (-mu_v, _mod_sum(mu_u, mu_v)))
+    return field_from_coeffs(k.ctx, coef, k.mod)
 
 
 def _contract(k: OperatorKernel, right: np.ndarray, mu: float) -> np.ndarray:
@@ -205,9 +202,9 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
 
     ``W~(a', a) = 2 pi hbar psi(a + lam a') conj phi(a - (1 - lam) a')``;
     conjugate linear in phi, linear in psi.  Its kernel is
-    ``psi(a) conj phi(b)``, whose coefficients are the outer product of psi's
-    coefficients with ``conj c_phi[-v]``.  When the nonzero modes of the pair
-    fit the band, ``max|m|(psi) + max|m|(phi) <= n/2 - 1`` (exact zeros, no
+    ``psi(a) conj phi(b)``, with ``mod = (psi.mod, -phi.mod)`` on both routes
+    and coefficients the outer product of psi's with ``conj c_phi[-v]``.
+    When the nonzero modes of the pair fit the band, ``max|m|(psi) + max|m|(phi) <= n/2 - 1`` (exact zeros, no
     tolerance), the field is that kernel relabeled by :func:`element_of`,
     built with no FFT and no n x n table.  Every other pair (kinked states
     that fill the band, sampled data with FFT noise) is sampled: row j
@@ -225,13 +222,13 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
     ps = _line_values(cpsi, psi.mod, ctx.lam * ap)
     ph = _line_values(cphi, phi.mod, -(1 - ctx.lam) * ap)
     vals = 2 * np.pi * ctx.hbar * ps * np.conj(ph)
-    return TorusField(ctx, vals, (phi.mod, _mod_sum(psi.mod, -phi.mod)))
+    return TorusField(ctx, vals, (psi.mod, -phi.mod))
 
 
 def marginal_momentum(rho: TorusField) -> np.ndarray:
     """Momentum probability density on the grid: f~(0, alpha)/(2 pi hbar)."""
     col = rho.coeffs().sum(axis=0)  # alpha' = 0 kills every first-slot phase
-    return (_line_values(col, rho.mod[1]) / (2 * np.pi * rho.ctx.hbar)).real
+    return (_line_values(col, rho.mod[0] + rho.mod[1]) / (2 * np.pi * rho.ctx.hbar)).real
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +329,9 @@ def state_check(rho: TorusField, herm_tol: float = 1e-8,
 
     The kernel acts on a state's coefficients as the matrix
     ``A = (pi/sqrt(beta)) coef[:, perm] * sign``, ``(perm, sign)`` the signed
-    pairing at the kernel's ``d = mod[0] + mod[1]``, read as the field's
-    ``b0`` so that no sum rounds it off an integer (the constructors that
-    form ``b0`` as a sum, :func:`wigner` and :func:`element_of`, snap it
-    through ``sampling._mod_sum``); ``A`` is unitarily similar to the
-    weighted kernel matrix on sample vectors.
+    pairing at ``d = mod[0] + mod[1]``, read by ``sampling._integral``
+    (the field and its kernel share ``mod``); ``A`` is unitarily similar to
+    the weighted kernel matrix on sample vectors.
     Hermiticity asks that the relative Frobenius residual
     ``||A - A^dagger||_F / ||A||_F`` stay within ``herm_tol``; a non-integer
     ``d`` cannot be self-adjoint and reports an infinite residual.
@@ -346,7 +341,7 @@ def state_check(rho: TorusField, herm_tol: float = 1e-8,
     """
     k = kernel_of(rho)
     tr = trace_op(k)
-    d = _integral(rho.mod[1])
+    d = _integral(*rho.mod)
     hermitian, herm_res, min_eig = False, math.inf, math.nan
     if d is not None:
         perm, sign = _contraction(k.n, d)

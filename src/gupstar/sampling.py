@@ -24,10 +24,12 @@ the sheared basis
                * exp(2i((lam*b + c) A' + b A)),
 
 with integer b (alpha modes) and c (alpha' modes), plus an optional real
-modulation pair ``mod = (s0, b0)`` contributing the prefactor
-``phase = exp(2i((lam*b0 + s0) A' + b0 A))``.  The modulation carries exactly
-the non-periodic content of position eigenvectors and shifted localization
-states, keeping every spectral operation exact on band-limited data.
+modulation pair ``mod = (mu_u, mu_v)``, its operator kernel's, contributing
+``phase = exp(2i(mu_u (A + lam A') + mu_v (A - (1 - lam) A')))``.  The
+modulation carries exactly the non-periodic content of position eigenvectors
+and shifted localization states, keeping every spectral operation exact on
+band-limited data; the sheared codec reads it as the alpha' and alpha
+offsets ``(s0, b0) = (-mu_v, mu_u + mu_v)`` of ``_sheared_mod``.
 
 Every conversion between grid samples and mode coefficients in the package
 goes through the two codecs of this module: the 1-d codec
@@ -37,8 +39,8 @@ optional scalar or per-row offset) and the 2-d sheared codec
 Operator kernels are never sampled: the operator layer works on their
 coefficients and samples only a contracted slot with a non-integer offset.
 Whether an offset is an integer is decided here for every layer, by
-``_integral`` (a sum snapped by ``_mod_sum`` where rounding explains the
-miss), as is the signed mode pairing ``_contraction`` of the exact route.
+``_integral`` (a sum snapped where rounding explains the miss), as is the
+signed mode pairing ``_contraction`` of the exact route.
 The module also holds the package's one FFT cyclic convolution,
 ``_cyclic_convolution``, shared by the lattice synthesis and the
 transformed-pair convolution of ``transforms``.
@@ -223,6 +225,11 @@ def _finite(a, what: str, ndim: int) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=complex)
     if a.ndim != ndim or a.shape != a.shape[:1] * ndim or a.shape[0] % 2:
         raise ValueError(f"{what} must form a {('1-d', 'square')[ndim - 1]} array of even size")
+    return _all_finite(a, what)
+
+
+def _all_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` itself, once no entry is NaN or infinite."""
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
     return a
@@ -244,26 +251,24 @@ def _finite_mod(mod, what: str):
     return m
 
 
-def _mod_sum(*terms: float) -> float:
-    """``sum(terms)``, snapped to the nearest integer when the terms' rounding reaches it.
+def _integral(*terms: float) -> Optional[int]:
+    """The integer ``sum(terms)`` stands for, or None if it stands for none.
 
     Modulations are rounded reals, each within half an ulp of the value it
     stands for, so a sum that is an integer in exact arithmetic can land off
     one: ``1.13 - 0.13`` is 0.9999999999999999.  When the integer nearest the
-    float sum lies within the half ulps of the terms, it is returned instead,
-    so :func:`_integral` sees the integer.  A distance the terms cannot
-    account for, such as one ulp of a single nonzero term, is a non-integer
-    offset and is kept.
+    float sum lies within the half ulps of the terms, it is returned.  A
+    distance the terms cannot account for, such as one ulp of a single
+    nonzero term, is a non-integer offset.
     """
     total = sum(terms)
     k = round(total)
-    return float(k) if abs(total - k) <= 0.5 * sum(map(math.ulp, terms)) else total
+    return k if abs(total - k) <= 0.5 * sum(map(math.ulp, terms)) else None
 
 
-def _integral(*terms: float) -> Optional[int]:
-    """The integer ``terms`` sum to under :func:`_mod_sum`'s snap, or None."""
-    total = _mod_sum(*terms)
-    return int(total) if total.is_integer() else None
+def _sheared_mod(mod: tuple[float, float]) -> tuple[float, float]:
+    """The sheared codec's ``(s0, b0) = (-mu_v, mu_u + mu_v)`` of a field's ``mod``."""
+    return -mod[1], mod[0] + mod[1]
 
 
 @functools.lru_cache(maxsize=16)
@@ -425,7 +430,8 @@ class TorusField:
     def __init__(self, ctx: BetaContext, values: np.ndarray,
                  mod: tuple[float, float] = (0.0, 0.0)):
         mod = _finite_mod(mod, "field")
-        self._hold(ctx, _sheared_coeffs(_finite(values, "field samples", 2), ctx.lam, mod), mod)
+        coef = _sheared_coeffs(_finite(values, "field samples", 2), ctx.lam, _sheared_mod(mod))
+        self._hold(ctx, coef, mod)
 
     def _hold(self, ctx, coef, mod) -> None:
         """Check and freeze ``coef``, an array the field now owns."""
@@ -445,7 +451,7 @@ class TorusField:
     @property
     def values(self) -> np.ndarray:
         """Samples F[j, k] at (alpha'_j, alpha_k)."""
-        return _frozen(_sheared_values(self._coef, self.ctx.lam, self.mod))
+        return _frozen(_sheared_values(self._coef, self.ctx.lam, _sheared_mod(self.mod)))
 
     @property
     def n(self) -> int:
@@ -458,7 +464,7 @@ class TorusField:
     def freq_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """Effective (alpha'-frequency, alpha-frequency) arrays, shape (n, n)."""
         n = self.n
-        s0, b0 = self.mod
+        s0, b0 = _sheared_mod(self.mod)
         c, b = np.meshgrid(mode_numbers(n), mode_numbers(n), indexing="ij")
         bt = b0 + b
         return self.ctx.lam * bt + s0 + c, bt
@@ -553,7 +559,7 @@ def _sinc_sums(f: TorusField, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (or one q) serves every chunk.
     """
     coef, n = f.coeffs(), f.n
-    s0, b0 = f.mod
+    s0, b0 = _sheared_mod(f.mod)
     m = mode_numbers(n)
     rows = np.flatnonzero(coef.any(axis=1))
     cols = np.flatnonzero(coef.any(axis=0))
@@ -596,7 +602,7 @@ def synth_grid(f: TorusField, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     if not np.isfinite(qs).all() or np.isnan(ps).any():
         raise ValueError("synthesis needs finite positions q and momenta p that are not NaN")
     cols, sums = _sinc_sums(f, qs)
-    b = mode_numbers(f.n)[cols] + f.mod[1]
+    b = mode_numbers(f.n)[cols] + _sheared_mod(f.mod)[1]
     eb = np.exp(2j * np.outer(b, np.arctan(f.ctx.sqrt_beta * ps)))  # (modes, len(ps))
     out = np.empty((qs.size, ps.size), dtype=complex)
     for iq, row in enumerate(sums):
@@ -617,19 +623,25 @@ def synth(f: TorusField, q: float, p) -> complex:
 
 @dataclass(frozen=True)
 class LatticeField:
-    """Samples f(q_m, p(alpha_k)) on the position lattice q_m = m * q_lattice_step."""
+    """Samples f(q_m, p(alpha_k)) on the position lattice q_m = m * q_lattice_step.
+
+    ``ms`` must be a 1-d array of integers (integral floats are accepted) and
+    ``values`` finite; the field holds read-only copies of both.
+    """
 
     ctx: BetaContext
     ms: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        ms = np.array(self.ms, dtype=int)  # copies: no memory shared with the caller
-        v = np.array(self.values, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != ms.size or v.shape[1] % 2 != 0:
+        m = np.asarray(self.ms, dtype=float)
+        if m.ndim != 1 or not (np.isfinite(m) & (m == np.rint(m))).all():
+            raise ValueError("lattice indices ms must form a 1-d array of integers")
+        v = np.array(self.values, dtype=complex)  # copies: no memory shared with the caller
+        if v.ndim != 2 or v.shape[0] != m.size or v.shape[1] % 2 != 0:
             raise ValueError("lattice field shape must be (len(ms), n) with even n")
-        object.__setattr__(self, "ms", _frozen(ms))
-        object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "ms", _frozen(m.astype(int)))
+        object.__setattr__(self, "values", _frozen(_all_finite(v, "lattice field values")))
 
     @property
     def n(self) -> int:
@@ -657,7 +669,7 @@ def lattice_from_field(f: TorusField, half_width: int) -> LatticeField:
     M = int(half_width)
     if M < 0:
         raise ValueError(f"lattice half width must be nonnegative, got {M}")
-    s0, b0 = f.mod
+    s0, b0 = _sheared_mod(f.mod)
     d = f.ctx.lam * (mode_numbers(n) + b0) + s0
     k = np.arange(-(n // 2) - M, n // 2 + M)
     x = d[:, None] + k

@@ -39,6 +39,7 @@ from .sampling import (
     _integral,
     _line_coeffs,
     _line_values,
+    _sheared_mod,
     _sheared_values,
     angle_nodes,
     field_from_coeffs,
@@ -101,7 +102,7 @@ def star_direct(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     ctx, n = f.ctx, f.n
     lam = ctx.lam
     ap = angle_nodes(n)
-    (s0f, b0f), s0g = f.mod, g.mod[0]
+    b0f = f.mod[0] + f.mod[1]
     rows = _line_coeffs(f.values, b0f)  # row j: f(a''_j, y) as a series in y
     out = np.zeros((n, n), dtype=complex)
     for j, x in enumerate(ap):
@@ -110,7 +111,7 @@ def star_direct(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
         gv = shift_field(g, -x, -(1 - lam) * x).values
         out += fv * gv
     out *= (np.pi / n) / (2 * np.pi * ctx.hbar * ctx.sqrt_beta)
-    return TorusField(ctx, out, (s0g, b0f + s0f - s0g))
+    return TorusField(ctx, out, (f.mod[0], g.mod[1]))
 
 
 def involution(f: AlgebraElement) -> AlgebraElement:
@@ -122,16 +123,16 @@ def involution(f: AlgebraElement) -> AlgebraElement:
     :func:`~gupstar.operator_rep.adjoint_kernel`, conjugation makes the
     Nyquist mode -n/2 mode +n/2, which samples as -1 times mode -n/2: the
     coefficients whose kernel row or column is the Nyquist index (c = n/2,
-    or b + c = n/2 mod n) change sign, so ``kernel_of(involution(f))`` is
+    or b + c = n/2 mod n) change sign, and the modulation becomes
+    ``(-mu_v, -mu_u)``, so ``kernel_of(involution(f))`` is
     ``adjoint_kernel(kernel_of(f))``.
     """
-    s0, b0 = f.mod
     n = f.n
     coef = _relabel(np.conj(f.coeffs()), 1, 1, 0, -1)
     i = np.arange(n)
     coef[n // 2] *= -1
     coef[i, (n // 2 - i) % n] *= -1
-    return field_from_coeffs(f.ctx, coef, (s0 + b0, -b0))
+    return field_from_coeffs(f.ctx, coef, (-f.mod[1], -f.mod[0]))
 
 
 def s_operator(f: AlgebraElement) -> AlgebraElement:
@@ -150,7 +151,7 @@ def trace(f: AlgebraElement) -> complex:
 
     A column sum of the sheared coefficients, free of any transform.
     """
-    b = mode_numbers(f.n) + f.mod[1]
+    b = mode_numbers(f.n) + (f.mod[0] + f.mod[1])
     colsum = f.coeffs().sum(axis=0)
     return complex((colsum * np.sinc(b)).sum() / (2 * f.ctx.hbar * f.ctx.sqrt_beta))
 
@@ -167,24 +168,24 @@ def inner(f: AlgebraElement, g: AlgebraElement) -> complex:
     The sample sum with the discrete normalization
     1/(4 pi^2 hbar^2 beta) (pi/n)^2, derived from the transform conventions
     and pinned by the position-eigenvector golden tests.  The route follows
-    the modulations alone, compared by ``sampling._integral``.  When the
-    fields share ``b0``, the alpha sum is exactly n times the coefficient sum
-    over each alpha mode, and so is the alpha' sum when ``s0`` is shared too
-    (Parseval, no transform); with different ``s0`` only the alpha' slot is
-    sampled, one 1-d codec call per field, with the phase
-    ``exp(2i (s0_g - s0_f) alpha'_j)``.  Fields with different ``b0`` sum
-    samples.
+    the modulations ``(mu_u, mu_v)`` alone, compared by ``sampling._integral``.
+    When the fields share the alpha offset ``mu_u + mu_v``, the alpha sum is
+    exactly n times the coefficient sum over each alpha mode, and so is the
+    alpha' sum when ``mu_v`` is shared too (Parseval, no transform); with
+    different ``mu_v`` only the alpha' slot is sampled, one 1-d codec call
+    per field, with the phase ``exp(2i (mu_v_f - mu_v_g) alpha'_j)``.  Fields
+    with different alpha offsets sum samples.
     """
     _check_pair(f, g)
     n = f.n
     pref = (np.pi / n) ** 2 / (4 * np.pi ** 2 * f.ctx.hbar ** 2 * f.ctx.beta)
-    if _integral(g.mod[1], -f.mod[1]) != 0:
+    if _integral(*g.mod, -f.mod[0], -f.mod[1]) != 0:
         return complex(pref * np.vdot(f.values, g.values))
     fc, gc = f.coeffs(), g.coeffs()
-    if _integral(g.mod[0], -f.mod[0]) == 0:
+    if _integral(f.mod[1], -g.mod[1]) == 0:
         return complex(pref * n * n * np.vdot(fc, gc))
     fl = _line_values(fc.T)                      # [b, j]
-    gl = _line_values(gc.T, g.mod[0] - f.mod[0])
+    gl = _line_values(gc.T, f.mod[1] - g.mod[1])
     return complex(pref * n * np.vdot(fl, gl))
 
 
@@ -245,26 +246,26 @@ class SymbolObservable:
         return cls(0, Wavefunction(ctx, np.asarray(fn(p), dtype=complex)))
 
 
-def _symbol_product(sym: SymbolObservable, g: AlgebraElement, t, a, z) -> AlgebraElement:
+def _symbol_product(sym: SymbolObservable, g: AlgebraElement, t, a, z, mod) -> AlgebraElement:
     """Sampled ``sum_k C(P, k) phi_k(alpha + t alpha') g_{P-k}(alpha', alpha)``, P = sym.power.
 
     phi_k has phi's coefficients times ``(a mu)^k`` with ``mu = phi.mod + mode``;
     g_j has g's sheared coefficients times ``z^j``.  The binomial sum is the
     multiplier ``(a mu + z)^P`` of every (phi mode, g mode) pair, so the cost
     is one batched shift of phi, P + 1 inverse codecs of g and one encoding of
-    the sampled sum, whatever phi's band.
+    the sampled sum, whatever phi's band.  ``mod`` is the product's modulation.
     """
     _check_pair(sym.phi, g, "symbol and field")
     ctx, n, power, phi = g.ctx, g.n, sym.power, sym.phi
     k = np.arange(power + 1)[:, None, None]
     amp = phi.coeffs() * (a * (phi.mod + mode_numbers(n))) ** k
     rows = _line_values(amp, phi.mod, t * angle_nodes(n))  # [k, j, alpha]
-    gc = g.coeffs()
-    out = rows[power] * _sheared_values(gc, ctx.lam, g.mod)
+    gc, sheared = g.coeffs(), _sheared_mod(g.mod)
+    out = rows[power] * _sheared_values(gc, ctx.lam, sheared)
     for j in range(1, power + 1):
-        gj = _sheared_values(gc * z ** j, ctx.lam, g.mod)
+        gj = _sheared_values(gc * z ** j, ctx.lam, sheared)
         out = out + math.comb(power, j) * rows[power - j] * gj
-    return TorusField(ctx, out, (g.mod[0] + (t - ctx.lam) * phi.mod, g.mod[1] + phi.mod))
+    return TorusField(ctx, out, mod)
 
 
 def star_symbol_left(sym: SymbolObservable, g: AlgebraElement) -> AlgebraElement:
@@ -273,22 +274,24 @@ def star_symbol_left(sym: SymbolObservable, g: AlgebraElement) -> AlgebraElement
     Row j multiplies g by phi at ``alpha + lam alpha'_j``; the position power
     weights each (phi mode mu, g mode (nu, b)) pair by the multiplier
     ``(-2 hbar sqrt(beta) (lam mu + nu + (1 - lam) b))^n``.  Exact when the
-    product of phi and g stays inside the grid's band.
+    product of phi and g stays inside the grid's band.  phi.mod adds to ``mod[0]``.
     """
     lam, hs = g.ctx.lam, g.ctx.hbar * g.ctx.sqrt_beta
     nu, bt = g.freq_grids()
-    return _symbol_product(sym, g, lam, -2.0 * hs * lam, -2.0 * hs * (nu + (1 - lam) * bt))
+    z, mod = -2.0 * hs * (nu + (1 - lam) * bt), (g.mod[0] + sym.phi.mod, g.mod[1])
+    return _symbol_product(sym, g, lam, -2.0 * hs * lam, z, mod)
 
 
 def star_symbol_right(g: AlgebraElement, sym: SymbolObservable) -> AlgebraElement:
     """Star product g star (q^n phi); mirror of :func:`star_symbol_left`.
 
     phi is taken at ``alpha - (1 - lam) alpha'_j``; the multiplier is
-    ``(2 hbar sqrt(beta) ((1 - lam) mu - nu + lam b))^n``.
+    ``(2 hbar sqrt(beta) ((1 - lam) mu - nu + lam b))^n``; phi.mod adds to ``mod[1]``.
     """
     lam, hs = g.ctx.lam, g.ctx.hbar * g.ctx.sqrt_beta
     nu, bt = g.freq_grids()
-    return _symbol_product(sym, g, lam - 1.0, 2.0 * hs * (1 - lam), -2.0 * hs * (nu - lam * bt))
+    z, mod = -2.0 * hs * (nu - lam * bt), (g.mod[0], g.mod[1] + sym.phi.mod)
+    return _symbol_product(sym, g, lam - 1.0, 2.0 * hs * (1 - lam), z, mod)
 
 
 def expectation(obs: Union[SymbolObservable, AlgebraElement],

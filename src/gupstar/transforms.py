@@ -90,9 +90,9 @@ def conv_unit(ctx, n: int) -> TorusField:
 
 def _row_convolution(f: TorusField, g: TorusField) -> np.ndarray:
     """Per-row invariant-measure convolution along the alpha axis."""
-    if _integral(f.mod[1], -g.mod[1]) != 0:
+    if _integral(*f.mod, -g.mod[0], -g.mod[1]) != 0:
         raise ValueError("generalized convolution needs matching alpha modulations")
-    b0 = f.mod[1]
+    b0 = f.mod[0] + f.mod[1]
     cf, cg = _line_coeffs(f.values, b0), _line_coeffs(g.values, b0)
     return _line_values(np.pi / f.ctx.sqrt_beta * cf * cg, b0)
 
@@ -110,7 +110,8 @@ def conv_generalized(x, y):
     """
     if isinstance(x, TorusField) and isinstance(y, TorusField):
         _check_pair(x, y, "convolution operands")
-        return TorusField(x.ctx, _row_convolution(x, y), (x.mod[0] + y.mod[0], x.mod[1]))
+        mod = (x.mod[0] - y.mod[1], x.mod[1] + y.mod[1])  # alpha' offsets add, alpha's kept
+        return TorusField(x.ctx, _row_convolution(x, y), mod)
     if isinstance(x, SymplecticPair) and isinstance(y, SymplecticPair):
         if not (x.transformed and y.transformed):
             raise ValueError("pair convolution expects both operands transformed")

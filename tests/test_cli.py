@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -273,3 +274,19 @@ def test_package_runs_as_a_module():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("i*hbar - i*hbar*lam + i*p^2*beta*hbar - i*p^2*beta*hbar*lam + q*p\n"
                            "terminated: yes (through order 1)\n")
+
+
+def test_importing_the_cli_loads_every_traced_layer():
+    # perfbench/run.py imports gupstar.cli alone; its tracer then reads
+    # sys.modules["gupstar.<layer>"] for each layer it times, so none may be deferred
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("tracer", root / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = "import sys, gupstar.cli; print(' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert [layer for layer in tracer.LAYERS if f"gupstar.{layer}" not in loaded] == []

@@ -68,10 +68,11 @@ def test_edge_phase_is_the_uncached_expression():
 
 def test_cached_shear_phase_keeps_the_bits():
     # more keys than the two cached tables, each visited twice, so tables are
-    # evicted and rebuilt; signed zeros and lam = 0 (no table) included
-    keys = [(16, 0.5, (0.0, 0.0)), (16, 0.5, (-0.0, -0.0)), (16, 0.5, (0.21, 0.0)),
-            (16, 0.5, (0.21, 0.37)), (32, 0.3, (0.21, 0.37)), (16, 0.7, (0.21, 0.37)),
-            (16, 0.0, (-0.0, 0.0)), (16, 0.0, (0.0, 0.0)), (48, 1.0, (-1.5, 2.25))]
+    # evicted and rebuilt; signed zeros and lam = 0 (no table) included.  A key's
+    # field modulation (mu_u, mu_v) reaches the codec as (s0, b0) = (-mu_v, mu_u + mu_v).
+    keys = [(16, 0.5, (0.0, -0.0)), (16, 0.5, (-0.0, 0.0)), (16, 0.5, (0.21, -0.21)),
+            (16, 0.5, (0.58, -0.21)), (32, 0.3, (0.58, -0.21)), (16, 0.7, (0.58, -0.21)),
+            (16, 0.0, (0.0, 0.0)), (16, 0.0, (0.0, -0.0)), (48, 1.0, (0.75, 1.5))]
 
     def coeffs(v, lam, mod):  # the codec with the shear phase built on every call
         cb = _line_coeffs(v, mod[1]) * np.exp(-2j * _shear(v.shape[0], lam, mod))
@@ -85,14 +86,15 @@ def test_cached_shear_phase_keeps_the_bits():
         for n, lam, mod in keys:
             ctx = BetaContext(1.0, 1.0, lam)
             v = _samples(seed, (n, n))
+            sheared = (-mod[1], mod[0] + mod[1])
             f = TorusField(ctx, v, mod)
-            assert _same_bits(f.coeffs(), coeffs(v, lam, mod))
-            assert _same_bits(f.values, values(f.coeffs(), lam, mod))
+            assert _same_bits(f.coeffs(), coeffs(v, lam, sheared))
+            assert _same_bits(f.values, values(f.coeffs(), lam, sheared))
             g = field_from_coeffs(ctx, v, mod)
-            assert _same_bits(g.values, values(v, lam, mod))
+            assert _same_bits(g.values, values(v, lam, sheared))
             for sign in (-1, 1):  # signs of zero included, which the samples may not show
-                assert _same_bits(_shear_phase(n, lam, mod, sign),
-                                  np.exp(sign * 2j * _shear(n, lam, mod)))
+                assert _same_bits(_shear_phase(n, lam, sheared, sign),
+                                  np.exp(sign * 2j * _shear(n, lam, sheared)))
     assert _shear_table.cache_info().maxsize == 2
     for sign in (-1, 1):
         table = _shear_table(16, 0.5, 0.21, 0.37, sign)

@@ -93,7 +93,7 @@ def _kernel_pairs():
     out.append(pytest.param(resolve_family("rho:0.3", ctx, 48), resolve_family("rho:1.0", ctx, 48),
                             id="rho:0.3*rho:1.0"))
     rng = np.random.default_rng(32)
-    h = _modulated_element(ctx, 48, rng, (0.21, 0.37))
+    h = _modulated_element(ctx, 48, rng, (0.58, -0.21))  # the sheared codec's (s0, b0) = (0.21, 0.37)
     out.append(pytest.param(h, random_element(ctx, 48, rng), id="mod(0.21,0.37)"))
     out.append(pytest.param(h, h, id="mod(0.21,0.37)^2"))
     return out
@@ -170,7 +170,7 @@ def test_apply_operator_matches_the_sampled_matrix(beta, hbar, lam):
     # kernel mod (0.62, -0.25): the contracted difference d = psi.mod - 0.25
     ctx, n = BetaContext(beta, hbar, lam), 48
     rng = np.random.default_rng(7)
-    f = _modulated_element(ctx, n, rng, (0.25, 0.37))
+    f = _modulated_element(ctx, n, rng, (0.62, -0.25))
     k = kernel_of(f)
     for mu, integer in ((0.25, True), (1.25, True), (-0.75, True), (0.0, False), (0.6, False)):
         psi = _band_state(ctx, n, rng, n // 8, mu)
@@ -226,7 +226,7 @@ def test_trace_op(ctx, rng):
 
 def test_operator_norm(ctx, rng):
     # the largest singular value of the weighted sample matrix, also on a modulated kernel
-    for f in (random_element(ctx, 48, rng), _modulated_element(ctx, 48, rng, (0.21, 0.37))):
+    for f in (random_element(ctx, 48, rng), _modulated_element(ctx, 48, rng, (0.58, -0.21))):
         k = kernel_of(f)
         sv = np.linalg.svd(kernel_samples(k, weighted=True), compute_uv=False)[0]
         assert operator_norm(k) == pytest.approx(sv, rel=1e-8)
@@ -255,7 +255,7 @@ def _sampled_wigner(phi, psi):
     """Reference: the sampled construction, both states shifted row by row."""
     ctx, ap = psi.ctx, angle_nodes(psi.n)
     ps, ph = psi.at_offset(ctx.lam * ap), phi.at_offset(-(1 - ctx.lam) * ap)
-    return TorusField(ctx, 2 * np.pi * ctx.hbar * ps * np.conj(ph), (phi.mod, psi.mod - phi.mod))
+    return TorusField(ctx, 2 * np.pi * ctx.hbar * ps * np.conj(ph), (psi.mod, -phi.mod))
 
 
 def _band_state(ctx, n, rng, reach, mod):
@@ -401,11 +401,11 @@ def test_state_check_reads_d_without_sampling(monkeypatch):
     rng = np.random.default_rng(5)
     a, b = _band_state(ctx, n, rng, 5, 0.0), _band_state(ctx, n, rng, 5, 0.37)
     w = wigner(a, b)
-    # one state written with modulations 0.13 and 1.13: d is the field's b0 = 1, although
-    # the kernel's mod sum (1 + 0.13) - 0.13 rounds off 1
+    # one state written with modulations 0.13 and 1.13: d = 1, although the mod sum
+    # 1.13 - 0.13 rounds off 1, which sampling._integral snaps
     c = _band_state(ctx, n, rng, 5, 0.13).normalized()
     same = wavefunction_from_coeffs(ctx, np.roll(c.coeffs(), -1), 1.13)
-    rho = field_from_coeffs(ctx, wigner(c, same).coeffs(), (0.13, 1.0))
+    rho = field_from_coeffs(ctx, wigner(c, same).coeffs(), (1.13, -0.13))
     assert sum(kernel_of(rho).mod) != 1.0
 
     def forbidden(*_):
@@ -420,13 +420,10 @@ def test_state_check_reads_d_without_sampling(monkeypatch):
 
 
 def test_mod_sum_snaps_only_what_rounding_explains():
-    assert sampling._mod_sum(1.13, -0.13) == 1.0       # 1.13 - 0.13 = 0.9999999999999999
-    assert sampling._mod_sum(0.15, -1.15) == -1.0
-    assert sampling._mod_sum(0.3, 0.375) == 0.675
-    off = np.nextafter(1.0, 2.0)  # one ulp of its only nonzero term: a genuine offset
-    assert sampling._mod_sum(0.0, off) == off
-    assert sampling._integral(1.13, -0.13) == 1
+    assert sampling._integral(1.13, -0.13) == 1       # 1.13 - 0.13 = 0.9999999999999999
+    assert sampling._integral(0.15, -1.15) == -1
     assert sampling._integral(0.3, 0.375) is None
+    off = np.nextafter(1.0, 2.0)  # one ulp of its only nonzero term: a genuine offset
     assert sampling._integral(0.0, off) is None
 
 
@@ -453,24 +450,26 @@ def test_lattice_neighbours_contract_by_the_signed_pairing(monkeypatch):
         assert np.abs(compose_kernels(kf, kg).coef - ref).max() <= 1e-12 * scale
     out, ref = compose_kernels(*pairs[1]), refs[1]
     assert np.abs(out.coef - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert star(f, g).mod[1] == 1.0  # the product's b0 is formed through the same helper
+    # the product keeps the outer modulations, whose sum the same helper reads as 1
+    assert star(f, g).mod == (f.mod[0], g.mod[1]) and sampling._integral(*star(f, g).mod) == 1
 
 
 def test_wigner_snaps_an_integral_modulation_difference():
-    # one state written with modulations 0.13 and 1.13: b0 = 1.13 - 0.13 is 1, not 0.9999999999999999
+    # one state written with modulations 0.13 and 1.13: the field keeps (1.13, -0.13), whose
+    # sum is 0.9999999999999999, and state_check reads d = 1 through sampling._integral
     ctx, n = BetaContext(2.0, 0.7, 0.3), 48
     rng = np.random.default_rng(5)
     c = _band_state(ctx, n, rng, 5, 0.13).normalized()
     same = wavefunction_from_coeffs(ctx, np.roll(c.coeffs(), -1), 1.13)
     w = wigner(c, same)  # fits the band: the relabeled outer product
-    assert w.mod == (0.13, 1.0)
+    assert w.mod == (1.13, -0.13)
     assert state_check(w).passed
-    # a pair that overflows the band is sampled; its b0 is snapped too, so the check
-    # pairs modes (the aliased samples are not self-adjoint, but the residual is finite)
+    # a pair that overflows the band is sampled with the same pair, so the check pairs
+    # modes (the aliased samples are not self-adjoint, but the residual is finite)
     wide = _band_state(ctx, n, rng, 14, 0.13).normalized()
     ws = wigner(wide, wavefunction_from_coeffs(ctx, np.roll(wide.coeffs(), -1), 1.13))
     plain = wigner(wide, wide)
-    assert ws.mod == (0.13, 1.0)
+    assert ws.mod == (1.13, -0.13)
     assert np.abs(ws.values - plain.values).max() <= 1e-12 * np.abs(plain.values).max()
     assert math.isfinite(state_check(ws).hermiticity_residual)
 
@@ -479,7 +478,7 @@ def test_involution_negates_the_nyquist_modes_like_the_adjoint():
     # on a full-band field the Nyquist row and column of the kernel change sign
     ctx, n = BetaContext(1.0, 1.0, 0.5), 16
     rng = np.random.default_rng(8)
-    for mod in ((0.0, 0.0), (0.21, 0.37)):
+    for mod in ((0.0, 0.0), (0.58, -0.21)):
         f = field_from_coeffs(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), mod)
         lhs, rhs = kernel_of(involution(f)).coef, adjoint_kernel(kernel_of(f)).coef
         assert np.abs(lhs - rhs).max() <= 1e-15 * np.abs(rhs).max()

@@ -73,10 +73,11 @@ def test_scalar_shift_scales_the_coefficients(lam):
     ctx = BetaContext(1.0, 1.0, lam)
     rng = np.random.default_rng(17)
     n = 32
-    for mod in ((0.0, 0.0), (0.21, 0.37)):
+    for mod in ((0.0, 0.0), (0.58, -0.21)):
         f = field_from_coeffs(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), mod)
+        b0 = mod[0] + mod[1]  # the alpha offset
         for d_prime, d in ((0.0, 0.3), (0.4, -1.7), (-0.25, math.pi / n)):
-            ref = shift_field(f.with_values(_line_values(_line_coeffs(f.values, mod[1]), mod[1],
+            ref = shift_field(f.with_values(_line_values(_line_coeffs(f.values, b0), b0,
                                                          np.full(n, d))), d_prime)
             out = shift_field(f, d_prime, d)
             assert out.mod == f.mod
@@ -105,12 +106,12 @@ def test_sinc_sums_match_the_sinc_route(beta, hbar, lam):
         "ml off the lattice": ml_phase_state(ctx, -0.916955, n).rho,
         "eigenvector": position_eigenvector(ctx, -0.916955, n).rho,
         "random": field_from_coeffs(ctx, rng.standard_normal((n, n))
-                                    + 1j * rng.standard_normal((n, n)), (0.21, 0.37)),
+                                    + 1j * rng.standard_normal((n, n)), (0.58, -0.21)),
     }
     h = 2.0 * ctx.hbar * ctx.sqrt_beta
     hits = 0
     for name, f in fields.items():
-        s0, b0 = f.mod
+        s0, b0 = -f.mod[1], f.mod[0] + f.mod[1]
         d = ctx.lam * (mode_numbers(n) + b0) + s0
         # q where x = d_b + q/h is an integer for one occupied alpha mode b, then nudged
         b = np.flatnonzero(f.coeffs().any(axis=0))[:3]
@@ -297,7 +298,7 @@ def test_lattice_matches_the_per_q_route(n, lam, family):
     if family == "modulated":  # both modulation offsets nonzero
         rng = np.random.default_rng(n)
         coef = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        f = field_from_coeffs(ctx, coef, (0.21, 0.37))
+        f = field_from_coeffs(ctx, coef, (0.58, -0.21))
     else:
         f = resolve_family(family, ctx, n)
     ps = np.tan(angle_nodes(n)) / ctx.sqrt_beta
@@ -335,15 +336,16 @@ def _rel(a, b):
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
 def test_fields_hold_sheared_coefficients(lam):
-    ctx, mod, n = BetaContext(2.0, 0.7, lam), (0.21, 0.37), 16
+    ctx, mod, n = BetaContext(2.0, 0.7, lam), (0.58, -0.21), 16
+    sheared = (-mod[1], mod[0] + mod[1])  # the codec's (s0, b0)
     rng = np.random.default_rng(17)
     v, c = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
     f, g = TorusField(ctx, v.copy(), mod), field_from_coeffs(ctx, c.copy(), mod)
     # samples are encoded once through the sheared codec and decoded on every read
-    assert np.array_equal(f.coeffs(), _sheared_coeffs(v, lam, mod))
+    assert np.array_equal(f.coeffs(), _sheared_coeffs(v, lam, sheared))
     assert _rel(f.values, v) <= 1e-12
     assert np.array_equal(g.coeffs(), c)
-    assert np.array_equal(g.values, _sheared_values(c, lam, mod))
+    assert np.array_equal(g.values, _sheared_values(c, lam, sheared))
     for h in (f, g):
         assert h.n == n and h.mod == mod and h.coeffs() is h.coeffs()
         assert not (h.values.flags.writeable or h.coeffs().flags.writeable)
@@ -378,7 +380,7 @@ def test_wavefunctions_hold_line_coefficients(lam):
 def test_carriers_survive_pickle_and_copy(ctx):
     rng = np.random.default_rng(5)
     v = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    carriers = [TorusField(ctx, v, (0.21, 0.37)), field_from_coeffs(ctx, v, (0.21, 0.37)),
+    carriers = [TorusField(ctx, v, (0.58, -0.21)), field_from_coeffs(ctx, v, (0.58, -0.21)),
                 Wavefunction(ctx, v[0], 0.37, v[1]), wavefunction_from_coeffs(ctx, v[0], 0.37)]
     for x in carriers:
         for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
@@ -438,3 +440,20 @@ def test_field_data_must_be_finite(ctx, bad):
         wavefunction_from_coeffs(ctx, ones[0], bad)
     with pytest.raises(ValueError, match="wavefunction modulation mod must be finite"):
         Wavefunction(ctx, ones[0], bad)
+    lattice = np.ones((3, 4), complex)
+    lattice[1, 2] = bad
+    with pytest.raises(ValueError, match="lattice field values must be finite"):
+        LatticeField(ctx, [-1, 0, 1], lattice)
+    with pytest.raises(ValueError, match="lattice indices ms must form a 1-d array of integers"):
+        LatticeField(ctx, [-1, bad, 1], np.ones((3, 4)))
+
+
+def test_lattice_indices_are_a_1d_integer_array(ctx):
+    # non-integral indices were truncated (0.5, 1.7, -0.9 became 0, 1, 0) and a 2-d ms of
+    # matching size was accepted; both are rejected, integral floats are read as integers
+    for ms in ([0.5, 1.7, -0.9], [[-1], [0], [1]]):
+        with pytest.raises(ValueError, match="lattice indices ms must form a 1-d array of integers"):
+            LatticeField(ctx, ms, np.ones((3, 4)))
+    lat = LatticeField(ctx, [-1.0, 0.0, 1.0], np.ones((3, 4)))
+    assert lat.ms.dtype.kind == "i"
+    assert np.array_equal(lat.qs, np.array([-1, 0, 1]) * ctx.q_lattice_step)

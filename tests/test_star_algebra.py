@@ -51,11 +51,11 @@ def test_trace_identities(ctx, rng):
     assert abs(trace(star(fp, gp)) - pointwise_trace(fp, gp)) < 1e-10
 
 
-@pytest.mark.parametrize("mods", [None, ((0.21, 0.37), (-0.16, 0.37))])
+@pytest.mark.parametrize("mods", [None, ((0.58, -0.21), (0.21, 0.16))])
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
 def test_star_direct_matches_star_at_an_integer_difference(lam, mods):
     # modulated pairs whose contracted modulations differ by an integer
-    # (b0_g + s0_g - s0_f = 0): rho:0.37 with itself, or random band-limited
+    # (f.mod[1] + g.mod[0] = 0): rho:0.37 with itself, or random band-limited
     # fields; the one-integral midpoint route and the kernel composition agree
     ctx = BetaContext(2.0, 0.7, lam)
     if mods is None:
@@ -176,7 +176,8 @@ def _per_mode_symbol_product(sym, g, side):
     """Reference: one rolled multiplier pass over g's coefficients per phi mode."""
     ctx, n = g.ctx, g.n
     lam, hs = ctx.lam, ctx.hbar * ctx.sqrt_beta
-    gc, (s0, b0), mu0 = g.coeffs(), g.mod, sym.phi.mod
+    gc, mu0 = g.coeffs(), sym.phi.mod
+    s0, b0 = -g.mod[1], g.mod[0] + g.mod[1]  # the sheared codec's offsets
     m = mode_numbers(n)
     c, b = np.meshgrid(m, m, indexing="ij")
     out = np.zeros_like(gc)
@@ -187,8 +188,8 @@ def _per_mode_symbol_product(sym, g, side):
         else:
             mult = (2.0 * hs * ((1 - lam) * (mu0 + mi) - (s0 + c))) ** sym.power
             out += amp * np.roll(mult * gc, (-mi, mi), axis=(0, 1))
-    mod = (s0, b0 + mu0) if side == "left" else (s0 - mu0, b0 + mu0)
-    return field_from_coeffs(ctx, out, mod)
+    s0, b0 = (s0, b0 + mu0) if side == "left" else (s0 - mu0, b0 + mu0)
+    return field_from_coeffs(ctx, out, (s0 + b0, -s0))
 
 
 @pytest.mark.parametrize("beta,hbar", [(1.0, 1.0), (2.0, 0.7)])
@@ -205,7 +206,7 @@ def test_symbol_products_match_the_per_mode_sum(beta, hbar, lam):
                 ctx, n, lambda p: 1.0 / (1.0 + beta * p ** 2)).phi,
             Wavefunction(ctx, _line_values(phi_c, 0.43), 0.43)]
     gs = [resolve_family("bump", ctx, n), resolve_family("rho:3.7", ctx, n),
-          field_from_coeffs(ctx, random_element(ctx, n, rng).coeffs(), (0.21, 0.37))]
+          field_from_coeffs(ctx, random_element(ctx, n, rng).coeffs(), (0.58, -0.21))]
     for phi in phis:
         for g in gs:
             for power in range(4):
@@ -278,7 +279,7 @@ def test_algebra_path_runs_no_sheared_codec(monkeypatch):
     band = (m[:, None] <= n // 8) & (m[None, :] <= n // 8)
     f, g, h = (field_from_coeffs(ctx, band * (rng.standard_normal((n, n))
                                               + 1j * rng.standard_normal((n, n))), mod)
-               for mod in ((0.0, 0.0), (0.0, 0.0), (0.25, -0.5)))
+               for mod in ((0.0, 0.0), (0.0, 0.0), (-0.25, -0.25)))
 
     def forbidden(*_):
         raise AssertionError("codec called on the algebra path")
@@ -330,12 +331,12 @@ def test_inner_routes_match_the_sample_sum(beta, hbar, lam, n):
         coef = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         return field_from_coeffs(ctx, coef, mod)
 
-    f = field((0.3, 0.375))
-    # coefficient routes: Parseval at equal mods, one 1-d codec each at a shared b0
-    for g in (field((0.3, 0.375)), f, field((-1.2, 0.375)), field((2.0, 0.375))):
+    f = field((0.675, -0.3))
+    # coefficient routes: Parseval at equal mods, one 1-d codec each at a shared alpha offset
+    for g in (field((0.675, -0.3)), f, field((-0.825, 1.2)), field((2.375, -2.0))):
         assert abs(inner(f, g) - _sample_inner(f, g)) <= 1e-13 * norm2(f) * norm2(g)
-    # a different b0 is the sample sum, bit for bit
-    g = field((0.3, -0.625))
+    # a different alpha offset is the sample sum, bit for bit
+    g = field((-0.325, -0.3))
     assert inner(f, g) == _sample_inner(f, g)
 
 
@@ -364,3 +365,49 @@ def test_involution_is_an_anti_automorphism(ctx, n, seed, localized):
     lhs, rhs = involution(star(f, g)), star(involution(g), involution(f))
     assert lhs.mod == rhs.mod
     assert np.abs(lhs.values - rhs.values).max() <= 1e-9 * np.abs(rhs.values).max()
+
+
+finite_mods = st.floats(-1e6, 1e6)
+
+
+@PROPERTY
+@given(ctx=contexts, seed=seeds, fm=st.tuples(finite_mods, finite_mods),
+       gm=st.tuples(finite_mods, finite_mods), phi_mod=finite_mods, psi_mod=finite_mods)
+def test_modulations_move_without_arithmetic(ctx, seed, fm, gm, phi_mod, psi_mod):
+    # fields and kernels carry the same pair (mu_u, mu_v): the maps, the involution and the
+    # products only move and negate it, so each identity holds exactly
+    n = 8
+    rng = np.random.default_rng(seed)
+
+    def coef(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    f, g = field_from_coeffs(ctx, coef(n, n), fm), field_from_coeffs(ctx, coef(n, n), gm)
+    assert kernel_of(f).mod == f.mod and element_of(kernel_of(f)).mod == f.mod
+    assert involution(involution(f)).mod == f.mod
+    assert kernel_of(involution(f)).mod == operator_rep.adjoint_kernel(kernel_of(f)).mod
+    assert star(f, g).mod == (f.mod[0], g.mod[1])
+    full = [sampling.wavefunction_from_coeffs(ctx, coef(n), m) for m in (phi_mod, psi_mod)]
+    one_mode = [sampling.wavefunction_from_coeffs(ctx, np.eye(n)[1], m) for m in (phi_mod, psi_mod)]
+    for phi, psi in (full, one_mode):  # the sampled and the relabeled route
+        assert wigner(phi, psi).mod == (psi_mod, -phi_mod)
+    sym = SymbolObservable(1, full[0])
+    assert star_symbol_left(sym, g).mod == (g.mod[0] + phi_mod, g.mod[1])
+    assert star_symbol_right(g, sym).mod == (g.mod[0], g.mod[1] + phi_mod)
+
+
+def test_double_involution_keeps_the_exact_inner_route(monkeypatch):
+    # the field of kernel modulation (0.1 + 0.7, -0.1): involution twice gives back the
+    # same pair, so inner against f is Parseval and runs no codec
+    ctx, n = BetaContext(1.0, 1.0, 0.5), 16
+    rng = np.random.default_rng(4)
+    coef = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    f = element_of(operator_rep.OperatorKernel(ctx, coef, (0.1 + 0.7, -0.1)))
+    ref = inner(f, f)
+
+    def forbidden(*_):
+        raise AssertionError("inner ran a codec")
+
+    for name in ("_vals_to_coeffs", "_coeffs_to_vals"):  # every codec runs through these
+        monkeypatch.setattr(sampling, name, forbidden)
+    assert inner(involution(involution(f)), f) == ref

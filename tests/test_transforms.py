@@ -86,7 +86,7 @@ def test_product_convolution_exchange(rng):
 
 @pytest.mark.parametrize("n", [12, 16])
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
-@pytest.mark.parametrize("gmod", [(0.21, 0.37), (-0.4, 1.13)])
+@pytest.mark.parametrize("gmod", [(0.58, -0.21), (-0.4 + 1.13, 0.4)])
 def test_pair_convolution_matches_the_wrapped_sum(n, lam, gmod):
     # T[r, k] = pi/(n sqrt(beta)) sum_j F[j, r] G(wrap(a_k - a_j), a_r), G read off its
     # full-band modulated coefficients by an explicit mode sum at the wrapped angles
