@@ -41,9 +41,10 @@ coefficients and samples only a contracted slot with a non-integer offset.
 Whether an offset is an integer is decided here for every layer, by
 ``_integral`` (a sum snapped where rounding explains the miss), as is the
 signed mode pairing ``_contraction`` of the exact route.
-The module also holds the package's one FFT cyclic convolution,
+The module also holds the package's two FFT convolutions: the cyclic
 ``_cyclic_convolution``, shared by the lattice synthesis and the
-transformed-pair convolution of ``transforms``.
+transformed-pair convolution of ``transforms``, and the band-limited
+``_band_convolution`` of the symbol products.
 """
 
 from __future__ import annotations
@@ -214,6 +215,33 @@ def _cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b, size))
 
 
+def _band_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``out[..., m] = sum_k sum_mu a[k, ..., mu] b[k, ..., m - mu]``, modes in band.
+
+    A convolution along the last axis, summed over the leading index (``b``
+    may be a sequence of equally shaped arrays).  m, mu and m - mu are mode
+    numbers in ``[-n/2, n/2)`` (FFT ordering), and a term whose mode sum
+    leaves that band is dropped, not wrapped.  The rows are zero-padded in
+    the middle to a cyclic length 3n/2, mode m at index m mod 3n/2: mode sums
+    lie in [-n, n - 2], less than 3n/2 from every mode of the band, so none
+    wraps onto one.
+    """
+    n = a.shape[-1]
+    h, size = n // 2, 3 * n // 2
+
+    def spectrum(x):
+        pad = np.zeros(x.shape[:-1] + (size,), dtype=complex)
+        pad[..., :h], pad[..., size - h:] = x[..., :h], x[..., h:]
+        return np.fft.fft(pad)
+
+    # one leading index at a time, so one padded spectrum of b is alive at once
+    acc = spectrum(a[0]) * spectrum(b[0])
+    for x, y in zip(a[1:], b[1:]):
+        acc += spectrum(x) * spectrum(y)
+    full = np.fft.ifft(acc)
+    return np.concatenate((full[..., :h], full[..., size - h:]), axis=-1)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -244,10 +272,18 @@ def _check_pair(f, g, what: str = "algebra elements") -> None:
 
 
 def _finite_mod(mod, what: str):
-    """A real modulation, one float or a pair; NaN or infinite parts are rejected."""
+    """A real modulation, one float or a pair, whose codec phases are finite.
+
+    NaN or infinite parts are rejected, and so are finite ones too large for
+    the codecs: the offsets they form (the sheared pair
+    ``(-mu_v, mu_u + mu_v)`` included) times angles of size at most pi give
+    phases below ``4 pi (|mu_u| + |mu_v|)``, which must not overflow.
+    """
     m = float(mod) if np.ndim(mod) == 0 else (float(mod[0]), float(mod[1]))
     if not np.isfinite(m).all():
         raise ValueError(f"{what} modulation mod must be finite, got {m}")
+    if not math.isfinite(4 * math.pi * sum(abs(x) for x in np.atleast_1d(m).tolist())):
+        raise ValueError(f"{what} modulation mod is too large: its codec phases overflow, got {m}")
     return m
 
 

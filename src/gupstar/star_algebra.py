@@ -7,8 +7,9 @@ kernel composition by invariant-measure quadrature over the contracted slot
 (a signed mode pairing and one matrix product when the contracted
 modulations differ by an integer), kernel -> field back.  Fields hold
 coefficients, so products, the involution, ``s_operator``, ``trace``,
-``inner`` and the kernel maps read and return them without a sample round
-trip.  On band-limited carriers this equals the direct discretization of the
+``inner``, the kernel maps and the products with unbounded symbols
+``q^P phi(p)`` read and return them without a sample round trip.  On
+band-limited carriers the product equals the direct discretization of the
 defining twisted convolution; that discretization is kept as
 :func:`star_direct` so the two routes can check each other.  It shares no
 code with the kernel route: it is built on ``sampling``'s line codec and
@@ -35,12 +36,11 @@ from .operator_rep import (
 from .sampling import (
     TorusField,
     Wavefunction,
+    _band_convolution,
     _check_pair,
     _integral,
     _line_coeffs,
     _line_values,
-    _sheared_mod,
-    _sheared_values,
     angle_nodes,
     field_from_coeffs,
     mode_numbers,
@@ -246,52 +246,76 @@ class SymbolObservable:
         return cls(0, Wavefunction(ctx, np.asarray(fn(p), dtype=complex)))
 
 
-def _symbol_product(sym: SymbolObservable, g: AlgebraElement, t, a, z, mod) -> AlgebraElement:
-    """Sampled ``sum_k C(P, k) phi_k(alpha + t alpha') g_{P-k}(alpha', alpha)``, P = sym.power.
+def _symbol_product(sym: SymbolObservable, g: AlgebraElement, a, z, mod,
+                    skew: bool) -> AlgebraElement:
+    """Band projection of ``sum_k C(P, k) phi_k g_{P-k}``, P = sym.power, in coefficients.
 
-    phi_k has phi's coefficients times ``(a mu)^k`` with ``mu = phi.mod + mode``;
-    g_j has g's sheared coefficients times ``z^j``.  The binomial sum is the
-    multiplier ``(a mu + z)^P`` of every (phi mode, g mode) pair, so the cost
-    is one batched shift of phi, P + 1 inverse codecs of g and one encoding of
-    the sampled sum, whatever phi's band.  ``mod`` is the product's modulation.
+    phi_k has phi's coefficient at mode mu times ``(a (phi.mod + mu))^k`` and
+    g_j has g's sheared coefficients times ``z^j`` (z broadcasts against
+    them), so the (phi mode mu, g mode (c, b)) term carries the multiplier
+    ``(a (phi.mod + mu) + z)^P``.  It lands on alpha mode ``b + mu``; with
+    ``skew`` (the right product) it also moves to alpha' mode
+    ``(c - mu) mod n``, which the relabeling ``(c, b) -> ((c + b) mod n, b)``
+    turns into a plain shift in b.  Terms whose alpha mode leaves
+    ``[-n/2, n/2)`` are dropped, so in the alpha modes the result is the band
+    projection of the product: it keeps phi's parity, up to the unpaired
+    Nyquist mode, and aliases no alpha overflow.  The alpha' move is cyclic,
+    as in the kernel relabeling of ``kernel_of``.  The cost is one
+    band-limited FFT convolution (``sampling._band_convolution``) over the
+    P + 1 terms, O(P n^2 log n) whatever phi's band, and no sample.  ``mod``
+    is the product's modulation.
     """
     _check_pair(sym.phi, g, "symbol and field")
-    ctx, n, power, phi = g.ctx, g.n, sym.power, sym.phi
+    n, power, phi = g.n, sym.power, sym.phi
     k = np.arange(power + 1)[:, None, None]
-    amp = phi.coeffs() * (a * (phi.mod + mode_numbers(n))) ** k
-    rows = _line_values(amp, phi.mod, t * angle_nodes(n))  # [k, j, alpha]
-    gc, sheared = g.coeffs(), _sheared_mod(g.mod)
-    out = rows[power] * _sheared_values(gc, ctx.lam, sheared)
-    for j in range(1, power + 1):
-        gj = _sheared_values(gc * z ** j, ctx.lam, sheared)
-        out = out + math.comb(power, j) * rows[power - j] * gj
-    return TorusField(ctx, out, mod)
+    binom = np.array([math.comb(power, j) for j in range(power + 1)], dtype=float)
+    amp = binom[:, None, None] * phi.coeffs() * (a * (phi.mod + mode_numbers(n))) ** k
+    gc = g.coeffs()
+    if skew:
+        gc, z = _relabel(gc, 1, -1, 0, 1), _relabel(np.broadcast_to(z, (n, n)), 1, -1, 0, 1)
+    gz = [gc]  # g_j: gc z^j, j = 0..P
+    for _ in range(power):
+        gz.append(gz[-1] * z)
+    out = _band_convolution(amp, gz[::-1])  # phi_k pairs with g_{P-k}
+    if skew:
+        out = _relabel(out, 1, 1, 0, 1)
+    return field_from_coeffs(g.ctx, out, mod)
 
 
 def star_symbol_left(sym: SymbolObservable, g: AlgebraElement) -> AlgebraElement:
-    """Star product (q^n phi) star g for a field g on the symbol's grid and context.
+    """Star product (q^P phi) star g for a field g on the symbol's grid and context.
 
-    Row j multiplies g by phi at ``alpha + lam alpha'_j``; the position power
-    weights each (phi mode mu, g mode (nu, b)) pair by the multiplier
-    ``(-2 hbar sqrt(beta) (lam mu + nu + (1 - lam) b))^n``.  Exact when the
-    product of phi and g stays inside the grid's band.  phi.mod adds to ``mod[0]``.
+    On g's kernel, phi multiplies the first slot, of frequency ``u + mu_u``
+    with u = c + b, and q acts there as ``-2 hbar sqrt(beta)`` times the
+    frequency: ``u + mu_u`` next to g, plus ``phi.mod + mu`` past phi, mixed
+    as 1 - lam and lam by the ordering.  So phi's mode mu moves g's mode
+    (c, b) to (c, b + mu), with the multiplier
+    ``(-2 hbar sqrt(beta) (lam (phi.mod + mu) + mu_u + c + b))^P``.  The
+    result is the band projection of :func:`_symbol_product`: alpha modes
+    past the band are dropped, never aliased, for the cost of one
+    band-limited FFT convolution.  phi.mod adds to ``mod[0]``.
     """
-    lam, hs = g.ctx.lam, g.ctx.hbar * g.ctx.sqrt_beta
-    nu, bt = g.freq_grids()
-    z, mod = -2.0 * hs * (nu + (1 - lam) * bt), (g.mod[0] + sym.phi.mod, g.mod[1])
-    return _symbol_product(sym, g, lam, -2.0 * hs * lam, z, mod)
+    hs, m = g.ctx.hbar * g.ctx.sqrt_beta, mode_numbers(g.n)
+    z = -2.0 * hs * (g.mod[0] + m[:, None] + m)
+    mod = (g.mod[0] + sym.phi.mod, g.mod[1])
+    return _symbol_product(sym, g, -2.0 * hs * g.ctx.lam, z, mod, skew=False)
 
 
 def star_symbol_right(g: AlgebraElement, sym: SymbolObservable) -> AlgebraElement:
-    """Star product g star (q^n phi); mirror of :func:`star_symbol_left`.
+    """Star product g star (q^P phi); mirror of :func:`star_symbol_left`.
 
-    phi is taken at ``alpha - (1 - lam) alpha'_j``; the multiplier is
-    ``(2 hbar sqrt(beta) ((1 - lam) mu - nu + lam b))^n``; phi.mod adds to ``mod[1]``.
+    phi multiplies the kernel's second slot, of frequency ``v + mu_v`` with
+    v = -c, where q acts as ``2 hbar sqrt(beta)`` times the frequency, the
+    ordering's weight 1 - lam on phi's share.  Its mode mu moves g's mode
+    (c, b) to ((c - mu) mod n, b + mu), with the multiplier
+    ``(2 hbar sqrt(beta) ((1 - lam) (phi.mod + mu) + mu_v - c))^P``.
+    The same band projection and cost as the left product; phi.mod adds to
+    ``mod[1]``.
     """
-    lam, hs = g.ctx.lam, g.ctx.hbar * g.ctx.sqrt_beta
-    nu, bt = g.freq_grids()
-    z, mod = -2.0 * hs * (nu - lam * bt), (g.mod[0], g.mod[1] + sym.phi.mod)
-    return _symbol_product(sym, g, lam - 1.0, 2.0 * hs * (1 - lam), z, mod)
+    hs, m = g.ctx.hbar * g.ctx.sqrt_beta, mode_numbers(g.n)
+    z = 2.0 * hs * (g.mod[1] - m[:, None])
+    mod = (g.mod[0], g.mod[1] + sym.phi.mod)
+    return _symbol_product(sym, g, 2.0 * hs * (1 - g.ctx.lam), z, mod, skew=True)
 
 
 def expectation(obs: Union[SymbolObservable, AlgebraElement],

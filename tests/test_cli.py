@@ -212,6 +212,15 @@ def test_non_finite_input_is_a_usage_error(tmp_path, capsys, args, name):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_overflowing_position_is_a_usage_error(tmp_path, capsys):
+    # xi = 1e308 is finite, but its modulation's phases overflow: the files were
+    # written from NaN-laden intermediates with exit code 0
+    assert run(["eigenstate", "--xi", "1e308", "--grid", "16", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "too large" in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("grid", ["0", "-4", "7"])
 @pytest.mark.parametrize("args", [["verify"], ["mlstate"], ["eigenstate"], ["export", "bump"],
                                   ["star", "bump", "bump"]],

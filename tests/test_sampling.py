@@ -448,6 +448,31 @@ def test_field_data_must_be_finite(ctx, bad):
         LatticeField(ctx, [-1, bad, 1], np.ones((3, 4)))
 
 
+def test_modulations_whose_phases_overflow_are_rejected(ctx):
+    # finite modulations whose codec pair (b0 = 1e308 + 1e308 = inf) or phase
+    # (2 * 1e308 * alpha) overflows decoded to NaN samples with no error
+    ones = np.ones((4, 4), complex)
+    for mod in ((1e308, 1e308), (-1e308, 1.7e308), (1e308, 0.0)):
+        with pytest.raises(ValueError, match="field modulation mod is too large"):
+            field_from_coeffs(ctx, ones, mod)
+        with pytest.raises(ValueError, match="field modulation mod is too large"):
+            TorusField(ctx, ones, mod)
+        with pytest.raises(ValueError, match="kernel modulation mod is too large"):
+            OperatorKernel(ctx, ones, mod)
+    with pytest.raises(ValueError, match="wavefunction modulation mod is too large"):
+        wavefunction_from_coeffs(ctx, ones[0], 1e308)
+    with pytest.raises(ValueError, match="wavefunction modulation mod is too large"):
+        Wavefunction(ctx, ones[0], 1e308)
+    # just inside the bound 4 pi (|mu_u| + |mu_v|) every sample is finite, at any lam
+    big = 0.999 * np.finfo(float).max / (4 * np.pi)
+    for lam in (0.0, 0.3, 1.0):
+        c = BetaContext(1.0, 1.0, lam)
+        psi = wavefunction_from_coeffs(c, ones[0], big)
+        assert np.isfinite(psi.values).all() and np.isfinite(psi.at_offset(np.pi / 2)).all()
+        for mod in ((big / 2, big / 2), (-big / 2, big / 2), (big, 0.0), (0.0, -big)):
+            assert np.isfinite(field_from_coeffs(c, ones, mod).values).all()
+
+
 def test_lattice_indices_are_a_1d_integer_array(ctx):
     # non-integral indices were truncated (0.5, 1.7, -0.9 became 0, 1, 0) and a 2-d ms of
     # matching size was accepted; both are rejected, integral floats are read as integers

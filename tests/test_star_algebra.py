@@ -172,8 +172,22 @@ def test_symbol_power_is_a_nonnegative_integer(ctx):
     assert np.array_equal(star_symbol_left(sym, g).values, ref.values)
 
 
+def _shift_in_band(x, m):
+    """x moved by m alpha modes (axis 1); modes pushed out of [-n/2, n/2) are dropped."""
+    c, out = np.fft.fftshift(x, axes=1), np.zeros_like(x)
+    if m >= 0:
+        out[:, m:] = c[:, :c.shape[1] - m]
+    else:
+        out[:, :m] = c[:, -m:]
+    return np.fft.ifftshift(out, axes=1)
+
+
 def _per_mode_symbol_product(sym, g, side):
-    """Reference: one rolled multiplier pass over g's coefficients per phi mode."""
+    """Reference: one shifted multiplier pass over g's coefficients per phi mode.
+
+    The alpha shift truncates at the band edge; the right product's alpha' shift
+    is cyclic.
+    """
     ctx, n = g.ctx, g.n
     lam, hs = ctx.lam, ctx.hbar * ctx.sqrt_beta
     gc, mu0 = g.coeffs(), sym.phi.mod
@@ -184,10 +198,10 @@ def _per_mode_symbol_product(sym, g, side):
     for mi, amp in zip(m.astype(int), sym.phi.coeffs()):
         if side == "left":
             mult = (-2.0 * hs * (lam * (mu0 + mi) + (b0 + b) + (s0 + c))) ** sym.power
-            out += amp * np.roll(mult * gc, mi, axis=1)
+            out += amp * _shift_in_band(mult * gc, mi)
         else:
             mult = (2.0 * hs * ((1 - lam) * (mu0 + mi) - (s0 + c))) ** sym.power
-            out += amp * np.roll(mult * gc, (-mi, mi), axis=(0, 1))
+            out += amp * _shift_in_band(np.roll(mult * gc, -mi, axis=0), mi)
     s0, b0 = (s0, b0 + mu0) if side == "left" else (s0 - mu0, b0 + mu0)
     return field_from_coeffs(ctx, out, (s0 + b0, -s0))
 
@@ -197,8 +211,8 @@ def _per_mode_symbol_product(sym, g, side):
 def test_symbol_products_match_the_per_mode_sum(beta, hbar, lam):
     ctx, n = BetaContext(beta, hbar, lam), 48
     rng = np.random.default_rng(11)
-    # bump fills alpha modes up to n/2 - 2, so phi keeps |mode| <= 1 and every
-    # product stays in band; beyond it the two routes alias differently
+    # bump fills alpha modes up to n/2 - 2, so phi keeps |mode| <= 1 and these
+    # products stay in band
     m = mode_numbers(n)
     phi_c = np.where(np.abs(m) <= 1, rng.standard_normal(n) + 1j * rng.standard_normal(n), 0)
     phis = [SymbolObservable.position_power(ctx, n, 0).phi,
@@ -207,16 +221,50 @@ def test_symbol_products_match_the_per_mode_sum(beta, hbar, lam):
             Wavefunction(ctx, _line_values(phi_c, 0.43), 0.43)]
     gs = [resolve_family("bump", ctx, n), resolve_family("rho:3.7", ctx, n),
           field_from_coeffs(ctx, random_element(ctx, n, rng).coeffs(), (0.58, -0.21))]
-    for phi in phis:
-        for g in gs:
-            for power in range(4):
-                sym = SymbolObservable(power, phi)
-                for side, out in (("left", star_symbol_left(sym, g)),
-                                  ("right", star_symbol_right(g, sym))):
-                    ref = _per_mode_symbol_product(sym, g, side)
-                    assert out.mod == pytest.approx(ref.mod, abs=1e-15)
-                    err = np.abs(out.values - ref.values).max()
-                    assert err <= 1e-11 * np.abs(ref.values).max(), (side, power, phi.mod, g.mod)
+    pairs = [(phi, g) for phi in phis for g in gs]
+    # a pair that overflows the band: the angle sawtooth arctan(sqrt(beta) p) fills
+    # every phi mode and the localization state's field every alpha mode; the
+    # products are the band projection of the per-mode sum
+    saw = SymbolObservable.from_momentum_function(ctx, n, lambda p: np.arctan(ctx.sqrt_beta * p))
+    ml = ml_phase_state(ctx, 0.0, n).rho
+    assert sampling._band_reach(saw.phi.coeffs()) + sampling._band_reach(
+        ml.coeffs().any(axis=0)) > n // 2
+    pairs.append((saw.phi, ml))
+    for phi, g in pairs:
+        for power in range(4):
+            sym = SymbolObservable(power, phi)
+            for side, out in (("left", star_symbol_left(sym, g)),
+                              ("right", star_symbol_right(g, sym))):
+                ref = _per_mode_symbol_product(sym, g, side)
+                assert out.mod == pytest.approx(ref.mod, abs=1e-15)
+                err = np.abs(out.values - ref.values).max()
+                assert err <= 1e-11 * np.abs(ref.values).max(), (side, power, phi.mod, g.mod)
+
+
+def test_symbol_products_run_no_codec(monkeypatch):
+    # the products act on coefficients: none of the sample codecs is named in
+    # their code or imported by star_algebra for them, and none runs
+    for fn in (star_algebra._symbol_product, star_symbol_left, star_symbol_right):
+        used = set(fn.__code__.co_names)
+        assert not used & {"_line_values", "_sheared_values", "_sheared_mod"}, fn.__name__
+    assert not hasattr(star_algebra, "_sheared_values")
+    assert not hasattr(star_algebra, "_sheared_mod")
+    ctx, n = BetaContext(2.0, 0.7, 0.3), 32
+    rng = np.random.default_rng(8)
+    g = field_from_coeffs(ctx, random_element(ctx, n, rng).coeffs(), (0.58, -0.21))
+    phi = sampling.wavefunction_from_coeffs(ctx, rng.standard_normal(n), 0.43)
+    refs = [star_symbol_left(SymbolObservable(2, phi), g).coeffs(),
+            star_symbol_right(g, SymbolObservable(2, phi)).coeffs()]
+
+    def forbidden(*_):
+        raise AssertionError("a symbol product ran a codec")
+
+    for name in ("_vals_to_coeffs", "_coeffs_to_vals"):  # every codec runs through these
+        monkeypatch.setattr(sampling, name, forbidden)
+    outs = [star_symbol_left(SymbolObservable(2, phi), g).coeffs(),
+            star_symbol_right(g, SymbolObservable(2, phi)).coeffs()]
+    for out, ref in zip(outs, refs):
+        assert np.array_equal(out, ref)
 
 
 def test_symbol_on_another_grid_or_context_raises(ctx, rng):

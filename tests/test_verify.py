@@ -32,3 +32,14 @@ def test_insufficient_resolution_skips():
     assert skipped and all("insufficient" in c.note or "empty" in c.note for c in skipped)
     assert all(c.passed for cs in res.values() for c in cs)
 
+
+
+@pytest.mark.parametrize("grid", [32, 48, 64])
+def test_star_algebra_suite_passes_at_lambda_one_on_small_grids(grid):
+    # the symbol products are band projections, so the odd symbol arctan(sqrt(beta) p)
+    # keeps its parity at lam = 1 and star.expectation_odd_symbol_vanishes holds at
+    # every grid, not only from grid 96 (it aliased past the band before)
+    results = run_suites(RunConfig(lam=1.0, grid_n=grid), ["star_algebra"])["star_algebra"]
+    failed = [f"{c.name}: measured {c.measured:.3e} > tolerance {c.tolerance:.1e}"
+              for c in results if not c.passed]
+    assert not failed, "failed checks:\n" + "\n".join(failed)
