@@ -41,10 +41,10 @@ coefficients and samples only a contracted slot with a non-integer offset.
 Whether an offset is an integer is decided here for every layer, by
 ``_integral`` (a sum snapped where rounding explains the miss), as is the
 signed mode pairing ``_contraction`` of the exact route.
-The module also holds the package's two FFT convolutions: the cyclic
+The module also holds the package's FFT convolutions: the cyclic
 ``_cyclic_convolution``, shared by the lattice synthesis and the
 transformed-pair convolution of ``transforms``, and the band-limited
-``_band_convolution`` of the symbol products.
+``_band_convolution`` and ``_skew_band_convolution`` of the symbol products.
 """
 
 from __future__ import annotations
@@ -148,7 +148,8 @@ def _line_values(c: np.ndarray, mod: float = 0.0, offset=0.0) -> np.ndarray:
     """Inverse of :func:`_line_coeffs`, sampled at ``alpha_k + offset``.
 
     ``offset`` is a scalar or one offset per row; a 1-d ``c`` with per-row
-    offsets gives one row of samples per offset.
+    offsets gives one row of samples per offset.  ``mod`` is a scalar or a
+    column of one modulation per row, shape (rows, 1).
     """
     n = c.shape[-1]
     t = np.asarray(offset, dtype=float)[..., None]
@@ -215,7 +216,29 @@ def _cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b, size))
 
 
-def _band_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _band_rows(x: np.ndarray, size: int) -> np.ndarray:
+    """Rows of modes in FFT ordering zero-padded in the middle: mode m at index m mod size."""
+    h = x.shape[-1] // 2
+    pad = np.zeros(x.shape[:-1] + (size,), dtype=complex)
+    pad[..., :h], pad[..., size - h:] = x[..., :h], x[..., h:]
+    return pad
+
+
+def _convolution_sum(a, b) -> np.ndarray:
+    """``sum_k`` of the cyclic convolutions of ``a[k]`` with ``b[k]`` along the last axis.
+
+    By FFT, summed in frequency space; ``a`` and ``b`` may be generators, so
+    one pair of spectra is alive at a time.
+    """
+    pairs = zip(a, b)
+    x, y = next(pairs)
+    acc = np.fft.fft(x) * np.fft.fft(y)
+    for x, y in pairs:
+        acc += np.fft.fft(x) * np.fft.fft(y)
+    return np.fft.ifft(acc)
+
+
+def _band_convolution(a: np.ndarray, b) -> np.ndarray:
     """``out[..., m] = sum_k sum_mu a[k, ..., mu] b[k, ..., m - mu]``, modes in band.
 
     A convolution along the last axis, summed over the leading index (``b``
@@ -228,18 +251,36 @@ def _band_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     n = a.shape[-1]
     h, size = n // 2, 3 * n // 2
-
-    def spectrum(x):
-        pad = np.zeros(x.shape[:-1] + (size,), dtype=complex)
-        pad[..., :h], pad[..., size - h:] = x[..., :h], x[..., h:]
-        return np.fft.fft(pad)
-
-    # one leading index at a time, so one padded spectrum of b is alive at once
-    acc = spectrum(a[0]) * spectrum(b[0])
-    for x, y in zip(a[1:], b[1:]):
-        acc += spectrum(x) * spectrum(y)
-    full = np.fft.ifft(acc)
+    full = _convolution_sum((_band_rows(x, size) for x in a), (_band_rows(y, size) for y in b))
     return np.concatenate((full[..., :h], full[..., size - h:]), axis=-1)
+
+
+def _skew_band_convolution(a: np.ndarray, b) -> np.ndarray:
+    """``out[c, m] = sum_k sum_mu a[k, ..., mu] b[k][c + mu, m - mu]``, every mode in band.
+
+    The move (c, b) -> (c - mu, b + mu) of n x n coefficients (rows c, columns
+    b), summed like :func:`_band_convolution`; a term is dropped when either
+    target mode leaves ``[-n/2, n/2)``.  The move keeps s = c + b, so the
+    coefficients are laid out in n rows of cyclic length 2n: row s mod n, b
+    at index b mod 2n when s >= 0 and (b - n/2) mod 2n when s < 0.  In each
+    row the two slots lie n/2 apart on both sides, so no move of size at most
+    n/2 crosses between them, and within a slot no difference wraps onto a
+    band mode.  Reading the result back through the same index keeps exactly
+    the targets with both modes in band.  The FFTs cover 2n^2 points, against
+    3n^2 for 2n rows of :func:`_band_convolution`.
+    """
+    n = a.shape[-1]
+    m = mode_numbers(n).astype(int)
+    s = m[:, None] + m
+    at = ((s % n) * (2 * n) + (m - n // 2 * (s < 0)) % (2 * n)).ravel()
+
+    def rows(y):
+        out = np.zeros(2 * n * n, dtype=complex)
+        out[at] = y.ravel()
+        return out.reshape(n, 2 * n)
+
+    full = _convolution_sum((_band_rows(x, 2 * n) for x in a), (rows(y) for y in b))
+    return full.ravel()[at].reshape(n, n)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

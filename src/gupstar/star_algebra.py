@@ -41,6 +41,7 @@ from .sampling import (
     _integral,
     _line_coeffs,
     _line_values,
+    _skew_band_convolution,
     angle_nodes,
     field_from_coeffs,
     mode_numbers,
@@ -254,31 +255,27 @@ def _symbol_product(sym: SymbolObservable, g: AlgebraElement, a, z, mod,
     g_j has g's sheared coefficients times ``z^j`` (z broadcasts against
     them), so the (phi mode mu, g mode (c, b)) term carries the multiplier
     ``(a (phi.mod + mu) + z)^P``.  It lands on alpha mode ``b + mu``; with
-    ``skew`` (the right product) it also moves to alpha' mode
-    ``(c - mu) mod n``, which the relabeling ``(c, b) -> ((c + b) mod n, b)``
-    turns into a plain shift in b.  Terms whose alpha mode leaves
-    ``[-n/2, n/2)`` are dropped, so in the alpha modes the result is the band
-    projection of the product: it keeps phi's parity, up to the unpaired
-    Nyquist mode, and aliases no alpha overflow.  The alpha' move is cyclic,
-    as in the kernel relabeling of ``kernel_of``.  The cost is one
-    band-limited FFT convolution (``sampling._band_convolution``) over the
-    P + 1 terms, O(P n^2 log n) whatever phi's band, and no sample.  ``mod``
-    is the product's modulation.
+    ``skew`` (the right product) it also moves to alpha' mode ``c - mu``.
+    Terms whose alpha mode leaves ``[-n/2, n/2)`` are dropped, so the result
+    is the band projection of the product: it keeps phi's parity, up to the
+    unpaired Nyquist mode, and aliases no overflow.  The right product
+    projects in both slots: a term whose alpha' mode ``c - mu`` leaves the
+    band is dropped too (``sampling._skew_band_convolution``).  The cost is
+    one band-limited FFT convolution over the P + 1 terms, O(P n^2 log n)
+    whatever phi's band, and no sample; the right product's FFTs cover 2n^2
+    points per term against 3n^2/2 for the left.  ``mod`` is the product's
+    modulation.
     """
     _check_pair(sym.phi, g, "symbol and field")
     n, power, phi = g.n, sym.power, sym.phi
     k = np.arange(power + 1)[:, None, None]
     binom = np.array([math.comb(power, j) for j in range(power + 1)], dtype=float)
     amp = binom[:, None, None] * phi.coeffs() * (a * (phi.mod + mode_numbers(n))) ** k
-    gc = g.coeffs()
-    if skew:
-        gc, z = _relabel(gc, 1, -1, 0, 1), _relabel(np.broadcast_to(z, (n, n)), 1, -1, 0, 1)
-    gz = [gc]  # g_j: gc z^j, j = 0..P
+    gz = [g.coeffs()]  # g_j: g's coefficients times z^j, j = 0..P
     for _ in range(power):
         gz.append(gz[-1] * z)
-    out = _band_convolution(amp, gz[::-1])  # phi_k pairs with g_{P-k}
-    if skew:
-        out = _relabel(out, 1, 1, 0, 1)
+    conv = _skew_band_convolution if skew else _band_convolution
+    out = conv(amp, gz[::-1])  # phi_k pairs with g_{P-k}
     return field_from_coeffs(g.ctx, out, mod)
 
 
@@ -307,10 +304,12 @@ def star_symbol_right(g: AlgebraElement, sym: SymbolObservable) -> AlgebraElemen
     phi multiplies the kernel's second slot, of frequency ``v + mu_v`` with
     v = -c, where q acts as ``2 hbar sqrt(beta)`` times the frequency, the
     ordering's weight 1 - lam on phi's share.  Its mode mu moves g's mode
-    (c, b) to ((c - mu) mod n, b + mu), with the multiplier
+    (c, b) to (c - mu, b + mu), with the multiplier
     ``(2 hbar sqrt(beta) ((1 - lam) (phi.mod + mu) + mu_v - c))^P``.
-    The same band projection and cost as the left product; phi.mod adds to
-    ``mod[1]``.
+    The result is the band projection of :func:`_symbol_product` in both
+    slots: terms whose alpha' mode ``c - mu`` or alpha mode ``b + mu``
+    leaves the band are dropped, for about 4/3 of the left product's FFT work.
+    phi.mod adds to ``mod[1]``.
     """
     hs, m = g.ctx.hbar * g.ctx.sqrt_beta, mode_numbers(g.n)
     z = 2.0 * hs * (g.mod[1] - m[:, None])

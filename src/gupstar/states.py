@@ -149,6 +149,27 @@ def ml_wavefunction(ctx: BetaContext, xi: float, n: int) -> Wavefunction:
     return Wavefunction(ctx, vals, mod=mu, deriv=deriv)
 
 
+def _ml_coeffs(ctx: BetaContext, n: int) -> np.ndarray:
+    """Line coefficients of the grid samples of ``amp |cos alpha|``, in closed form.
+
+    This is the localization profile's modulus, so they are the coefficients
+    of ``ml_wavefunction`` at every xi (the position phase is its ``mod``).
+    On the half-offset grid |cos alpha_j| = sin(t_j) with t_j = pi (j + 1/2)/n,
+    and exp(-2i m alpha_j) = (-1)^m exp(-2i m t_j), so the encoder's sum is
+    two geometric series over odd multiples of pi/(2n):
+
+        c_m = amp (-1)^m / (2n) [csc(pi (1 - 2m)/(2n)) + csc(pi (1 + 2m)/(2n))],
+
+    amp = sqrt(2 sqrt(beta)/pi).  They alias the window's coefficients
+    ``amp (2/pi) (-1)^m / (1 - 4 m^2)`` at O(n^-2).  An oracle for the
+    sampled family, which stays sampled.
+    """
+    m = mode_numbers(n)
+    amp = math.sqrt(2.0 * ctx.sqrt_beta / math.pi)
+    x = np.pi / (2 * n)
+    return amp * (-1.0) ** m / (2 * n) * (1 / np.sin(x * (1 - 2 * m)) + 1 / np.sin(x * (1 + 2 * m)))
+
+
 def ml_phase_function(ctx: BetaContext, xi: float) -> Callable:
     """Exact phase-space profile of the maximal-localization state.
 

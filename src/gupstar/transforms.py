@@ -20,7 +20,6 @@ from .sampling import (
     _integral,
     _line_coeffs,
     _line_values,
-    angle_nodes,
     deriv_pprime,
     field_from_coeffs,
     mode_numbers,
@@ -145,17 +144,14 @@ def _pair_lattice(pair: SymplecticPair, ms: np.ndarray) -> np.ndarray:
 
     Row i holds the pair at position lattice index ``ms[i]``: the source's
     alpha' coefficient column of mode -ms[i], decoded along alpha with the
-    first-slot frequency offset -lam ms[i]; zero beyond the mode range.
+    first-slot frequency offset -lam ms[i]; zero beyond the mode range.  One
+    line decode with a per-row modulation.
     """
     F = pair.field
     n = F.n
-    fc = F.coeffs()
-    lam = F.ctx.lam
-    out = np.empty((ms.size, n), dtype=complex)
-    for i, m in enumerate(ms):
-        col = fc[:, int(-m) % n] if abs(m) <= n // 2 else np.zeros(n, complex)
-        out[i] = _line_values(col, -lam * m) / (2 * F.ctx.hbar * F.ctx.sqrt_beta)
-    return out
+    ms = np.asarray(ms)
+    cols = np.where((np.abs(ms) <= n // 2)[:, None], F.coeffs().T[(-ms).astype(int) % n], 0)
+    return _line_values(cols, -F.ctx.lam * ms[:, None]) / (2 * F.ctx.hbar * F.ctx.sqrt_beta)
 
 
 def twisted_conv(u: SymplecticPair, v: SymplecticPair) -> SymplecticPair:
@@ -165,8 +161,15 @@ def twisted_conv(u: SymplecticPair, v: SymplecticPair) -> SymplecticPair:
     integral runs over the sampling lattice (exact for band-limited sources),
     the momentum integral over the angle grid.  Satisfies the defining
     relation against the star product, which is computed along an entirely
-    different route; the two are compared in the test suite.  Cost O(n^3);
-    meant for verification-scale grids.
+    different route; the two are compared in the test suite.
+
+    Every phase comes from the line codec.  Per lattice index m2, u's rows
+    at the lattice indices m' are one decode at the per-row modulations
+    ``-lam m' + (1 - lam)(m2 - m')``, and the alpha sum one encode at
+    ``-lam m2``.  One decode at the modulations -lam m2 gives the lattice
+    rows, and one more in reverse row order (index -r as mode r, the Nyquist
+    row negated: mode +n/2 samples as -1 times mode -n/2) the angle grid.
+    Cost O(n^3 log n); meant for verification-scale grids.
     """
     if not (isinstance(u, SymplecticPair) and isinstance(v, SymplecticPair)):
         raise TypeError("twisted_conv expects two SymplecticPair operands")
@@ -177,27 +180,22 @@ def twisted_conv(u: SymplecticPair, v: SymplecticPair) -> SymplecticPair:
     if F.mod != (0.0, 0.0) or G.mod != (0.0, 0.0):
         raise ValueError("twisted_conv supports unmodulated sources only")
     ctx, n = F.ctx, F.n
-    lam = ctx.lam
-    hs = ctx.hbar * ctx.sqrt_beta
-    ap = angle_nodes(n)
+    lam, hs = ctx.lam, ctx.hbar * ctx.sqrt_beta
     m = mode_numbers(n).astype(int)
-
-    # lattice rows of the transformed sources; VC row i is v's lattice index m_i
-    UL = _pair_lattice(u, m)
+    # row i: u's (UC) and v's (VC) source column at lattice index m_i
+    UC = F.coeffs().T[(-m) % n] / (2 * hs)
     VC = G.coeffs().T[(-m) % n] / (2 * hs)
-
-    O = np.zeros((n, n), dtype=complex)
+    T = np.empty((n, n), dtype=complex)
     for i2, m2 in enumerate(m):
         # v rows at lattice index m2 - m', zero outside the mode range
         d = m2 - m
         VCg = np.where(((d >= -(n // 2)) & (d < n // 2))[:, None], VC[d % n], 0)
-        W = UL * np.exp(2j * (1 - lam) * np.outer(d, ap))
-        Mje = W.T @ VCg  # (j, e)
-        freq = mode_numbers(n) - lam * m2
-        T = (np.exp(-2j * np.outer(ap, freq)) * Mje).sum(axis=0)
-        O[i2] = (2 * np.pi * ctx.hbar / n) * (np.exp(2j * np.outer(ap, freq)) @ T)
-    tagged = 2 * hs * (np.exp(-2j * np.outer(ap, m)) @ O)
-    return SymplecticPair(TorusField(ctx, tagged.T), transformed=True)
+        W = _line_values(UC, (-lam * m + (1 - lam) * d)[:, None])
+        T[i2] = n * (VCg * _line_coeffs(W, -lam * m2)).sum(axis=0)
+    O = (2 * np.pi * ctx.hbar / n) * _line_values(T, -lam * m[:, None])
+    R = O[(-np.arange(n)) % n]  # row of mode r: lattice index -r
+    R[n // 2] *= -1
+    return SymplecticPair(TorusField(ctx, 2 * hs * _line_values(R.T)), transformed=True)
 
 
 def mult_by_q(f: TorusField) -> TorusField:

@@ -31,7 +31,7 @@ from .sampling import (TorusField, Wavefunction, _sheared_values,
 from .star_algebra import (SymbolObservable, cstar_norm_estimate, expectation, inner,
                            involution, norm2, pointwise_trace, s_operator, star, star_direct,
                            star_symbol_left, star_symbol_right, trace)
-from .states import (eigenvector_flags, ml_phase_state, ml_sinc_form,
+from .states import (_ml_coeffs, eigenvector_flags, ml_phase_state, ml_sinc_form,
                      position_eigenvector)
 from .transforms import (_pair_lattice, conv_generalized, conv_unit, mult_by_q,
                          symplectic_fourier, twisted_conv)
@@ -728,6 +728,10 @@ def suite_states(cfg: RunConfig) -> List[CheckResult]:
     s.check("states.ml_saturates_bound", abs(u.gup_slack), 1e-6)
     ml37 = ml_phase_state(ctx, 3.7, n)
     s.check("states.ml_shifted_mean", abs(uncertainty(ml37.psi).mean_q - 3.7), 1e-8)
+    closed = _ml_coeffs(ctx, n)
+    s.check("states.ml_coefficients_closed_form",
+            max(_rel(psi.coeffs(), closed) for psi in (ml.psi, ml37.psi)), 1e-13,
+            note="encoded samples against their aliased closed form, xi = 0 and 3.7")
 
     if ctx.lam == 0.5 and ctx.beta == 1.0 and ctx.hbar == 1.0:
         s.check("states.ml_origin_value",

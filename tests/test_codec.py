@@ -127,3 +127,11 @@ def test_carrier_representation_lives_in_sampling_only():
     # the held arrays are private to the carriers: other modules read coeffs() and values
     offenders = _lines_outside_sampling(r"\._coef\b|\._values\b")
     assert not offenders, offenders
+
+
+def test_phase_tables_live_in_sampling_only():
+    # an n x n phase table is a codec written out by hand; verify's brute oracles
+    # keep theirs on purpose, to stay independent of the codecs
+    offenders = [line for line in _lines_outside_sampling(r"np\.exp\(.*np\.outer\(")
+                 if not line.startswith("verify.py:")]
+    assert not offenders, offenders

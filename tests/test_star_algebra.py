@@ -172,21 +172,23 @@ def test_symbol_power_is_a_nonnegative_integer(ctx):
     assert np.array_equal(star_symbol_left(sym, g).values, ref.values)
 
 
-def _shift_in_band(x, m):
-    """x moved by m alpha modes (axis 1); modes pushed out of [-n/2, n/2) are dropped."""
-    c, out = np.fft.fftshift(x, axes=1), np.zeros_like(x)
+def _shift_in_band(x, m, axis=1):
+    """x moved by m modes along axis (alpha: 1, alpha': 0); modes pushed out of
+    [-n/2, n/2) are dropped."""
+    c = np.moveaxis(np.fft.fftshift(x, axes=axis), axis, 1)
+    out = np.zeros_like(c)
     if m >= 0:
         out[:, m:] = c[:, :c.shape[1] - m]
     else:
         out[:, :m] = c[:, -m:]
-    return np.fft.ifftshift(out, axes=1)
+    return np.fft.ifftshift(np.moveaxis(out, 1, axis), axes=axis)
 
 
 def _per_mode_symbol_product(sym, g, side):
     """Reference: one shifted multiplier pass over g's coefficients per phi mode.
 
-    The alpha shift truncates at the band edge; the right product's alpha' shift
-    is cyclic.
+    Both shifts truncate at the band edge: the alpha shift, and the right
+    product's alpha' shift.
     """
     ctx, n = g.ctx, g.n
     lam, hs = ctx.lam, ctx.hbar * ctx.sqrt_beta
@@ -201,7 +203,7 @@ def _per_mode_symbol_product(sym, g, side):
             out += amp * _shift_in_band(mult * gc, mi)
         else:
             mult = (2.0 * hs * ((1 - lam) * (mu0 + mi) - (s0 + c))) ** sym.power
-            out += amp * _shift_in_band(np.roll(mult * gc, -mi, axis=0), mi)
+            out += amp * _shift_in_band(_shift_in_band(mult * gc, -mi, axis=0), mi)
     s0, b0 = (s0, b0 + mu0) if side == "left" else (s0 - mu0, b0 + mu0)
     return field_from_coeffs(ctx, out, (s0 + b0, -s0))
 
@@ -239,6 +241,36 @@ def test_symbol_products_match_the_per_mode_sum(beta, hbar, lam):
                 assert out.mod == pytest.approx(ref.mod, abs=1e-15)
                 err = np.abs(out.values - ref.values).max()
                 assert err <= 1e-11 * np.abs(ref.values).max(), (side, power, phi.mod, g.mod)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 16])
+def test_symbol_products_project_full_band_operands(n):
+    # full-band g and phi push terms past both band edges in both slots
+    ctx = BetaContext(2.0, 0.7, 0.3)
+    rng = np.random.default_rng(n)
+    g = field_from_coeffs(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                          (0.2, -0.45))
+    phi = sampling.wavefunction_from_coeffs(ctx, rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                                            0.3)
+    for power in range(3):
+        sym = SymbolObservable(power, phi)
+        for side, out in (("left", star_symbol_left(sym, g)), ("right", star_symbol_right(g, sym))):
+            ref = _per_mode_symbol_product(sym, g, side)
+            assert np.abs(out.coeffs() - ref.coeffs()).max() <= 1e-13 * np.abs(ref.coeffs()).max()
+
+
+def test_right_symbol_product_drops_alpha_prime_overflow():
+    # phi = e^{4i alpha} (mode +2) moves g's one coefficient at (c, b) = (-7, 0) to
+    # alpha mode 2 on both sides; the right product also moves it to alpha' mode
+    # -9, past the band, so it is dropped (a cyclic move put +1 at (7, 2), and the
+    # grid would sample mode -9 as -1 times mode 7)
+    ctx, n = BetaContext(1.0, 1.0, 0.5), 16
+    gc, phi_c, expected = np.zeros((n, n), complex), np.zeros(n, complex), np.zeros((n, n))
+    gc[-7, 0], phi_c[2], expected[-7, 2] = 1.0, 1.0, 1.0
+    g = field_from_coeffs(ctx, gc)
+    sym = SymbolObservable(0, sampling.wavefunction_from_coeffs(ctx, phi_c))
+    assert np.abs(star_symbol_right(g, sym).coeffs()).max() <= 1e-15
+    assert np.abs(star_symbol_left(sym, g).coeffs() - expected).max() <= 1e-15
 
 
 def test_symbol_products_run_no_codec(monkeypatch):

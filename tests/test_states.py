@@ -6,6 +6,7 @@ import pytest
 from gupstar import states
 from gupstar.beta_arith import BetaContext
 from gupstar.operator_rep import uncertainty, wigner
+from gupstar.sampling import mode_numbers
 from gupstar.states import (eigenvector_flags, ml_phase_function, ml_sinc_form,
                             ml_wavefunction, position_eigenvector)
 
@@ -71,6 +72,23 @@ def test_ml_wavefunction(ctx):
     u = uncertainty(psi)
     assert u.dq == pytest.approx(ctx.min_dq, rel=1e-9)
     assert abs(u.gup_slack) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_ml_coefficients_have_a_closed_form(beta):
+    ctx = BetaContext(beta, 0.7, 0.3)
+    gaps = []
+    for n in (32, 64, 128, 256, 512):
+        closed = states._ml_coeffs(ctx, n)
+        for xi in (0.0, 1.0, -0.916955, 3.7):
+            c = ml_wavefunction(ctx, xi, n).coeffs()
+            assert np.abs(c - closed).max() <= 1e-14 * np.abs(closed).max()
+        # the window's coefficients amp (2/pi) (-1)^m / (1 - 4 m^2), aliased at O(n^-2)
+        m = mode_numbers(n)
+        window = math.sqrt(2 * ctx.sqrt_beta / math.pi) * (2 / np.pi) * (-1.0) ** m / (1 - 4 * m ** 2)
+        gaps.append(np.abs(closed - window).max())
+    ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+    assert np.all((ratios > 3.9) & (ratios < 4.1)), ratios
 
 
 def test_ml_moments_off_lattice(ctx):

@@ -116,6 +116,51 @@ def test_twisted_conv_defining_relation(rng):
         assert np.abs(tc.field.values - ref).max() / np.abs(ref).max() < 1e-8
 
 
+def _twisted_conv_with_phase_tables(u, v):
+    """Reference: the exponential-table discretization the line-codec route replaced.
+
+    The same midpoint sums, with the u rows, the alpha sums and the closing
+    lattice-to-angle sum written as explicit n x n phase tables and a matrix
+    product per lattice index, O(n^4).
+    """
+    F, G = u.field, v.field
+    ctx, n = F.ctx, F.n
+    lam, hs = ctx.lam, ctx.hbar * ctx.sqrt_beta
+    ap = angle_nodes(n)
+    m = mode_numbers(n).astype(int)
+    UL = _pair_lattice(u, m)
+    VC = G.coeffs().T[(-m) % n] / (2 * hs)
+    O = np.zeros((n, n), dtype=complex)
+    for i2, m2 in enumerate(m):
+        d = m2 - m
+        VCg = np.where(((d >= -(n // 2)) & (d < n // 2))[:, None], VC[d % n], 0)
+        W = UL * np.exp(2j * (1 - lam) * np.outer(d, ap))
+        Mje = W.T @ VCg  # (j, e)
+        freq = mode_numbers(n) - lam * m2
+        T = (np.exp(-2j * np.outer(ap, freq)) * Mje).sum(axis=0)
+        O[i2] = (2 * np.pi * ctx.hbar / n) * (np.exp(2j * np.outer(ap, freq)) @ T)
+    tagged = 2 * hs * (np.exp(-2j * np.outer(ap, m)) @ O)
+    return tagged.T
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("lam", [0.0, 0.31, 0.5, 1.0])
+def test_twisted_conv_matches_the_phase_table_route(n, lam):
+    ctx = BetaContext(2.0, 0.7, lam)
+    rng = np.random.default_rng(n)
+    band = random_element(ctx, n, rng), random_element(ctx, n, rng)
+    full = tuple(field_from_coeffs(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                 for _ in range(2))
+    for f, g in (band, full):
+        u, v = symplectic_fourier(f), symplectic_fourier(g)
+        ref = _twisted_conv_with_phase_tables(u, v)
+        out = twisted_conv(u, v).field.values
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+    zero = symplectic_fourier(TorusField(ctx, np.zeros((n, n), complex)))
+    assert np.abs(twisted_conv(zero, symplectic_fourier(band[1])).field.values).max() == 0.0
+    assert np.abs(_twisted_conv_with_phase_tables(zero, symplectic_fourier(band[1]))).max() == 0.0
+
+
 def test_twisted_conv_zero_and_origin(ctx, rng):
     n = 32
     g = random_element(ctx, n, rng)
