@@ -269,6 +269,7 @@ def lambda_ordered_operator(sym) -> Callable[[Wavefunction], Wavefunction]:
     phi = sym.phi
 
     def op(psi: Wavefunction) -> Wavefunction:
+        _check_pair(phi, psi, "symbol and wavefunction")
         lam = psi.ctx.lam
         acc = 0.0
         for l in range(npow + 1):

@@ -44,7 +44,10 @@ signed mode pairing ``_contraction`` of the exact route.
 The module also holds the package's FFT convolutions: the cyclic
 ``_cyclic_convolution``, shared by the lattice synthesis and the
 transformed-pair convolution of ``transforms``, and the band-limited
-``_band_convolution`` and ``_skew_band_convolution`` of the symbol products.
+``_band_convolution`` of the symbol products.  The latter lays n x n
+coefficients out in n cyclic rows by a cached index layout ``(at, size)``
+(``_band_layout``): row c of length 3n/2 for the left product, row
+s = c + b of length 2n for the right one, whose terms also move in alpha'.
 """
 
 from __future__ import annotations
@@ -153,8 +156,10 @@ def _line_values(c: np.ndarray, mod: float = 0.0, offset=0.0) -> np.ndarray:
     """
     n = c.shape[-1]
     t = np.asarray(offset, dtype=float)[..., None]
-    vals = _coeffs_to_vals(c * np.exp(2j * mode_numbers(n) * t))
-    return vals * np.exp(2j * mod * (angle_nodes(n) + t))
+    if t.ndim > 1 or t[0]:  # a scalar zero offset would multiply by exp(0) = 1
+        c = c * np.exp(2j * mode_numbers(n) * t)
+    vals = _coeffs_to_vals(c)
+    return vals * np.exp(2j * mod * (angle_nodes(n) + t)) if np.ndim(mod) or mod else vals
 
 
 def _shear(n: int, lam: float, mod: tuple[float, float]) -> np.ndarray:
@@ -216,71 +221,49 @@ def _cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b, size))
 
 
-def _band_rows(x: np.ndarray, size: int) -> np.ndarray:
-    """Rows of modes in FFT ordering zero-padded in the middle: mode m at index m mod size."""
-    h = x.shape[-1] // 2
-    pad = np.zeros(x.shape[:-1] + (size,), dtype=complex)
-    pad[..., :h], pad[..., size - h:] = x[..., :h], x[..., h:]
-    return pad
+@functools.lru_cache(maxsize=8)
+def _band_layout(n: int, skew: bool) -> tuple[np.ndarray, int]:
+    """Index layout ``(at, size)`` of n x n coefficients in n cyclic rows of length size.
 
-
-def _convolution_sum(a, b) -> np.ndarray:
-    """``sum_k`` of the cyclic convolutions of ``a[k]`` with ``b[k]`` along the last axis.
-
-    By FFT, summed in frequency space; ``a`` and ``b`` may be generators, so
-    one pair of spectra is alive at a time.
+    Coefficient (c, b), FFT ordering, sits at flat index ``at[c * n + b]``
+    (read-only).  Left product: row c, b at b mod 3n/2; sums of two band
+    modes lie in [-n, n - 2], less than 3n/2 from every band mode, so none
+    wraps onto one.  Right product (``skew``): the move (c, b) -> (c - mu,
+    b + mu) keeps s = c + b, so row s mod n, b at b mod 2n when s >= 0 and
+    (b - n/2) mod 2n when s < 0.  The two slots of a row lie n/2 apart on
+    both sides, so no move of size at most n/2 crosses between them, and
+    within a slot no difference wraps onto a band mode.
     """
-    pairs = zip(a, b)
-    x, y = next(pairs)
-    acc = np.fft.fft(x) * np.fft.fft(y)
-    for x, y in pairs:
-        acc += np.fft.fft(x) * np.fft.fft(y)
-    return np.fft.ifft(acc)
-
-
-def _band_convolution(a: np.ndarray, b) -> np.ndarray:
-    """``out[..., m] = sum_k sum_mu a[k, ..., mu] b[k, ..., m - mu]``, modes in band.
-
-    A convolution along the last axis, summed over the leading index (``b``
-    may be a sequence of equally shaped arrays).  m, mu and m - mu are mode
-    numbers in ``[-n/2, n/2)`` (FFT ordering), and a term whose mode sum
-    leaves that band is dropped, not wrapped.  The rows are zero-padded in
-    the middle to a cyclic length 3n/2, mode m at index m mod 3n/2: mode sums
-    lie in [-n, n - 2], less than 3n/2 from every mode of the band, so none
-    wraps onto one.
-    """
-    n = a.shape[-1]
-    h, size = n // 2, 3 * n // 2
-    full = _convolution_sum((_band_rows(x, size) for x in a), (_band_rows(y, size) for y in b))
-    return np.concatenate((full[..., :h], full[..., size - h:]), axis=-1)
-
-
-def _skew_band_convolution(a: np.ndarray, b) -> np.ndarray:
-    """``out[c, m] = sum_k sum_mu a[k, ..., mu] b[k][c + mu, m - mu]``, every mode in band.
-
-    The move (c, b) -> (c - mu, b + mu) of n x n coefficients (rows c, columns
-    b), summed like :func:`_band_convolution`; a term is dropped when either
-    target mode leaves ``[-n/2, n/2)``.  The move keeps s = c + b, so the
-    coefficients are laid out in n rows of cyclic length 2n: row s mod n, b
-    at index b mod 2n when s >= 0 and (b - n/2) mod 2n when s < 0.  In each
-    row the two slots lie n/2 apart on both sides, so no move of size at most
-    n/2 crosses between them, and within a slot no difference wraps onto a
-    band mode.  Reading the result back through the same index keeps exactly
-    the targets with both modes in band.  The FFTs cover 2n^2 points, against
-    3n^2 for 2n rows of :func:`_band_convolution`.
-    """
-    n = a.shape[-1]
     m = mode_numbers(n).astype(int)
-    s = m[:, None] + m
-    at = ((s % n) * (2 * n) + (m - n // 2 * (s < 0)) % (2 * n)).ravel()
+    if skew:
+        s = m[:, None] + m
+        return _frozen(((s % n) * (2 * n) + (m - n // 2 * (s < 0)) % (2 * n)).ravel()), 2 * n
+    return _frozen((np.arange(n)[:, None] * (3 * n // 2) + m % (3 * n // 2)).ravel()), 3 * n // 2
 
-    def rows(y):
-        out = np.zeros(2 * n * n, dtype=complex)
-        out[at] = y.ravel()
-        return out.reshape(n, 2 * n)
 
-    full = _convolution_sum((_band_rows(x, 2 * n) for x in a), (rows(y) for y in b))
-    return full.ravel()[at].reshape(n, n)
+def _band_convolution(a: np.ndarray, b, layout: tuple[np.ndarray, int]) -> np.ndarray:
+    """``out[c, m] = sum_k sum_mu a[k][mu] b[k][c + mu, m - mu]``, or ``b[k][c, m - mu]``.
+
+    The symbol products' convolution along the alpha modes of n x n
+    coefficients (the first form for the skew layout), summed over k; a[k]
+    holds n modes and ``b`` may be a sequence.  ``layout`` is
+    :func:`_band_layout`'s: laid out and read back through the same index,
+    the cyclic rows drop, never wrap, each term whose target leaves
+    ``[-n/2, n/2)``.  By FFT, summed in frequency space with one pair of
+    spectra alive at a time; they cover 2n^2 points when skew, 3n^2/2 if not.
+    """
+    at, size = layout
+    n = a.shape[-1]
+    acc = None
+    for x, y in zip(a, b):
+        xr, yr = np.zeros(size, dtype=complex), np.zeros(n * size, dtype=complex)
+        xr[mode_numbers(n).astype(int) % size], yr[at] = x.ravel(), y.ravel()
+        term = np.fft.fft(xr) * np.fft.fft(yr.reshape(n, size))
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    return np.fft.ifft(acc).ravel()[at].reshape(n, n)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

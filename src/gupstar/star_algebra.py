@@ -37,11 +37,11 @@ from .sampling import (
     TorusField,
     Wavefunction,
     _band_convolution,
+    _band_layout,
     _check_pair,
     _integral,
     _line_coeffs,
     _line_values,
-    _skew_band_convolution,
     angle_nodes,
     field_from_coeffs,
     mode_numbers,
@@ -260,8 +260,8 @@ def _symbol_product(sym: SymbolObservable, g: AlgebraElement, a, z, mod,
     is the band projection of the product: it keeps phi's parity, up to the
     unpaired Nyquist mode, and aliases no overflow.  The right product
     projects in both slots: a term whose alpha' mode ``c - mu`` leaves the
-    band is dropped too (``sampling._skew_band_convolution``).  The cost is
-    one band-limited FFT convolution over the P + 1 terms, O(P n^2 log n)
+    band is dropped too (the skew layout of ``sampling._band_layout``).  The
+    cost is one band-limited FFT convolution over the P + 1 terms, O(P n^2 log n)
     whatever phi's band, and no sample; the right product's FFTs cover 2n^2
     points per term against 3n^2/2 for the left.  ``mod`` is the product's
     modulation.
@@ -274,8 +274,7 @@ def _symbol_product(sym: SymbolObservable, g: AlgebraElement, a, z, mod,
     gz = [g.coeffs()]  # g_j: g's coefficients times z^j, j = 0..P
     for _ in range(power):
         gz.append(gz[-1] * z)
-    conv = _skew_band_convolution if skew else _band_convolution
-    out = conv(amp, gz[::-1])  # phi_k pairs with g_{P-k}
+    out = _band_convolution(amp, gz[::-1], _band_layout(n, skew))  # phi_k pairs with g_{P-k}
     return field_from_coeffs(g.ctx, out, mod)
 
 

@@ -163,13 +163,16 @@ def twisted_conv(u: SymplecticPair, v: SymplecticPair) -> SymplecticPair:
     relation against the star product, which is computed along an entirely
     different route; the two are compared in the test suite.
 
-    Every phase comes from the line codec.  Per lattice index m2, u's rows
-    at the lattice indices m' are one decode at the per-row modulations
-    ``-lam m' + (1 - lam)(m2 - m')``, and the alpha sum one encode at
-    ``-lam m2``.  One decode at the modulations -lam m2 gives the lattice
-    rows, and one more in reverse row order (index -r as mode r, the Nyquist
-    row negated: mode +n/2 samples as -1 times mode -n/2) the angle grid.
-    Cost O(n^3 log n); meant for verification-scale grids.
+    Per lattice index m2, u's row at lattice index m' enters the alpha sum
+    with its modes moved by the integer m2 - m' (its phase
+    ``-lam m' + (1 - lam)(m2 - m')`` against the sum's ``-lam m2``), a mode
+    that wraps past the band taking the grid's sign -1: a signed gather of
+    u's coefficients, no transform.  One decode at the modulations -lam m2
+    gives the lattice rows, and one more in reverse row order (index -r as
+    mode r, the Nyquist row negated: mode +n/2 samples as -1 times mode
+    -n/2) the angle grid.  The route stays independent of :func:`star`: it
+    uses no kernel relabel and no mode pairing, only the lattice sums of
+    the defining integral.  Cost O(n^3); meant for verification-scale grids.
     """
     if not (isinstance(u, SymplecticPair) and isinstance(v, SymplecticPair)):
         raise TypeError("twisted_conv expects two SymplecticPair operands")
@@ -185,13 +188,15 @@ def twisted_conv(u: SymplecticPair, v: SymplecticPair) -> SymplecticPair:
     # row i: u's (UC) and v's (VC) source column at lattice index m_i
     UC = F.coeffs().T[(-m) % n] / (2 * hs)
     VC = G.coeffs().T[(-m) % n] / (2 * hs)
+    src = m[None, :] + m[:, None]  # [m', b]: b + m', the source mode of b less m2
     T = np.empty((n, n), dtype=complex)
     for i2, m2 in enumerate(m):
         # v rows at lattice index m2 - m', zero outside the mode range
         d = m2 - m
         VCg = np.where(((d >= -(n // 2)) & (d < n // 2))[:, None], VC[d % n], 0)
-        W = _line_values(UC, (-lam * m + (1 - lam) * d)[:, None])
-        T[i2] = n * (VCg * _line_coeffs(W, -lam * m2)).sum(axis=0)
+        k = src - m2
+        sign = 1 - 2 * ((k + n // 2) // n % 2)  # -1 per wrap of the moved mode
+        T[i2] = n * (VCg * sign * np.take_along_axis(UC, k % n, axis=1)).sum(axis=0)
     O = (2 * np.pi * ctx.hbar / n) * _line_values(T, -lam * m[:, None])
     R = O[(-np.arange(n)) % n]  # row of mode r: lattice index -r
     R[n // 2] *= -1

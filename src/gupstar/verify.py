@@ -233,12 +233,12 @@ def suite_sampling(cfg: RunConfig) -> List[CheckResult]:
         fi = _lattice_band_limited(ctx, n, s.rng)
         lat = lattice_from_field(fi, half_width=n // 2)
         back = analyze(lat)
-        s.check("sampling.synth_analyze_roundtrip", _rel(back.values, fi.values), 1e-10)
+        s.check("sampling.synth_analyze_roundtrip", _rel(back.values, fi.values), 5e-12)
 
     rho0 = position_eigenvector(ctx, 0.0, n).rho
-    s.check("sampling.synth_rho0_center", abs(synth(rho0, 0.0, 0.3) - 1.0), 1e-12)
+    s.check("sampling.synth_rho0_center", abs(synth(rho0, 0.0, 0.3) - 1.0), 1e-13)
     s.check("sampling.synth_rho0_lattice_zero",
-            abs(synth(rho0, ctx.q_lattice_step, -0.7)), 1e-12)
+            abs(synth(rho0, ctx.q_lattice_step, -0.7)), 1e-13)
 
     const = TorusField(ctx, np.ones((n, n), dtype=complex))
     s.check("sampling.seminorm_constant", seminorm(const, 1, 1), 1e-12)
@@ -437,39 +437,39 @@ def suite_star_algebra(cfg: RunConfig) -> List[CheckResult]:
         r = star(f, star(g, h))
         worst = max(worst, np.abs(l.values - r.values).max()
                     / (norm2(f) * norm2(g) * norm2(h)))
-    s.check("star.associativity", worst, 1e-8)
+    s.check("star.associativity", worst, 1e-10)
 
     f, g = random_element(ctx, na, s.rng), random_element(ctx, na, s.rng)
-    s.check("star.trace_cyclic", abs(trace(star(f, g)) - trace(star(g, f))), 1e-9)
+    s.check("star.trace_cyclic", abs(trace(star(f, g)) - trace(star(g, f))), 1e-10)
 
     ctx_h = ctx.with_lam(0.5)
     fh = random_element(ctx_h, na, s.rng, parity=0)
     gh = random_element(ctx_h, na, s.rng, parity=0)
     s.check("star.symmetric_trace_is_pointwise",
-            abs(trace(star(fh, gh)) - pointwise_trace(fh, gh)), 1e-8,
+            abs(trace(star(fh, gh)) - pointwise_trace(fh, gh)), 1e-10,
             note="symmetric ordering, matched-parity fields")
 
     s.check("star.involution_antihom",
-            _rel(involution(star(f, g)).values, star(involution(g), involution(f)).values), 1e-8)
+            _rel(involution(star(f, g)).values, star(involution(g), involution(f)).values), 1e-9)
     s.check("star.involution_involutive",
-            np.abs(involution(involution(f)).values - f.values).max(), 1e-10)
-    s.check("star.involution_isometry", abs(norm2(involution(f)) - norm2(f)), 1e-10)
+            np.abs(involution(involution(f)).values - f.values).max(), 1e-11)
+    s.check("star.involution_isometry", abs(norm2(involution(f)) - norm2(f)), 1e-11)
     a_st = random_state(ctx_h, na, s.rng)
     b_st = random_state(ctx_h, na, s.rng)
     freal = field_from_coeffs(ctx_h, wigner(a_st, b_st).coeffs() + wigner(b_st, a_st).coeffs())
     s.check("star.symmetric_involution_is_conjugation",
-            _rel(involution(freal).values, freal.values), 1e-10,
+            _rel(involution(freal).values, freal.values), 1e-11,
             note="real-valued element is a fixed point when lam = 1/2")
 
     s.check("star.s_operator_identity_at_half",
-            _rel(s_operator(fh).values, fh.values), 1e-12)
+            _rel(s_operator(fh).values, fh.values), 5e-15)
     s.check("star.s_operator_trace", abs(trace(s_operator(f)) - trace(f)), 1e-10)
     sf, sg = s_operator(f), s_operator(g)
     s.check("star.s_operator_ordering_flip",
-            _rel(s_operator(star(f, g)).values, star(sf, sg).values), 1e-8)
+            _rel(s_operator(star(f, g)).values, star(sf, sg).values), 1e-9)
 
     s.check("star.inner_vs_trace_form",
-            abs(inner(f, g) - trace(star(involution(f), g))), 1e-9)
+            abs(inner(f, g) - trace(star(involution(f), g))), 1e-10)
     s.check_true("star.inner_positive", inner(f, f).real >= 0)
 
     s.check("star.submultiplicative",
@@ -502,7 +502,7 @@ def suite_star_algebra(cfg: RunConfig) -> List[CheckResult]:
     gb = random_element(ctx, 48, s.rng)
     prod = star(fb, gb)
     ok = True
-    margin = 1e-9
+    margin = 1e-12
     for nn in (0, 1):
         for mm in (0, 1):
             lhs = seminorm(prod, nn, mm)
@@ -517,7 +517,7 @@ def suite_star_algebra(cfg: RunConfig) -> List[CheckResult]:
 
     # C*-norm estimates
     rho0 = position_eigenvector(ctx, 0.0, na).rho
-    s.check("star.cstar_projection_norm", abs(cstar_norm_estimate(rho0) - 1.0), 1e-7)
+    s.check("star.cstar_projection_norm", abs(cstar_norm_estimate(rho0) - 1.0), 1e-9)
     nf = cstar_norm_estimate(f)
     s.check("star.cstar_property",
             abs(cstar_norm_estimate(star(involution(f), f)) - nf ** 2) / nf ** 2, 1e-6)
@@ -529,7 +529,7 @@ def suite_star_algebra(cfg: RunConfig) -> List[CheckResult]:
     qsym = SymbolObservable.position_power(ctx, nl, 1)
     lcomm = star_symbol_left(qsym, gl).values - star_symbol_right(gl, qsym).values
     s.check("star.symbol_commutator_is_derivative",
-            _rel(lcomm, 1j * ctx.hbar * deriv_p(gl).values), 1e-8)
+            _rel(lcomm, 1j * ctx.hbar * deriv_p(gl).values), 1e-9)
 
     rho_ml = ml_phase_state(ctx, 1.5, na).rho
     e_q = expectation(SymbolObservable.position_power(ctx, na, 1), rho_ml)
@@ -584,14 +584,14 @@ def suite_operator(cfg: RunConfig) -> List[CheckResult]:
     g = random_element(ctx, n, s.rng)
     kf, kg = kernel_of(f), kernel_of(g)
 
-    s.check("operator.kernel_round_trip", _rel(element_of(kf).values, f.values), 1e-10)
+    s.check("operator.kernel_round_trip", _rel(element_of(kf).values, f.values), 5e-14)
     s.check("operator.composition_intertwines",
             _rel(kernel_of(star(f, g)).coef, compose_kernels(kf, kg).coef), 1e-8)
     s.check("operator.adjoint_intertwines",
             _rel(kernel_of(involution(f)).coef, adjoint_kernel(kf).coef), 1e-8)
-    s.check("operator.trace_intertwines", abs(trace_op(kf) - trace(f)), 1e-9)
+    s.check("operator.trace_intertwines", abs(trace_op(kf) - trace(f)), 1e-10)
     s.check("operator.hilbert_schmidt_intertwines",
-            abs(hilbert_schmidt(kf, kg) - inner(f, g)), 1e-9)
+            abs(hilbert_schmidt(kf, kg) - inner(f, g)), 1e-10)
     # the weighted kernel samples: the matrix acting on sample vectors
     sampled = np.pi / (n * ctx.sqrt_beta) * _sheared_values(kf.coef, 0.0, kf.mod)
     sv = np.linalg.svd(sampled, compute_uv=False)[0]
@@ -602,35 +602,35 @@ def suite_operator(cfg: RunConfig) -> List[CheckResult]:
     phi = random_state(ctx, n, s.rng)
     s.check("operator.apply_composition",
             _rel(apply_operator(star(f, g), psi).values,
-                 apply_operator(f, apply_operator(g, psi)).values), 1e-8)
+                 apply_operator(f, apply_operator(g, psi)).values), 1e-9)
     s.check("operator.apply_adjoint",
             abs(wf_inner(phi, apply_operator(involution(f), psi))
-                - np.conj(wf_inner(psi, apply_operator(f, phi)))), 1e-9)
+                - np.conj(wf_inner(psi, apply_operator(f, phi)))), 1e-10)
 
     # Wigner calculus
     sts = [random_state(ctx, n, s.rng) for _ in range(4)]
     a1, b1, c1, d1 = sts
     s.check("operator.wigner_adjoint",
-            _rel(involution(wigner(a1, b1)).values, wigner(b1, a1).values), 1e-10)
-    s.check("operator.wigner_trace", abs(trace(wigner(a1, b1)) - wf_inner(a1, b1)), 1e-10)
+            _rel(involution(wigner(a1, b1)).values, wigner(b1, a1).values), 1e-12)
+    s.check("operator.wigner_trace", abs(trace(wigner(a1, b1)) - wf_inner(a1, b1)), 1e-12)
     s.check("operator.wigner_inner",
             abs(inner(wigner(a1, b1), wigner(c1, d1))
-                - np.conj(wf_inner(a1, c1)) * wf_inner(b1, d1)), 1e-10)
+                - np.conj(wf_inner(a1, c1)) * wf_inner(b1, d1)), 1e-12)
     s.check("operator.wigner_product",
             _rel(star(wigner(a1, b1), wigner(c1, d1)).values,
-                 wf_inner(a1, d1) * wigner(c1, b1).values), 1e-8)
+                 wf_inner(a1, d1) * wigner(c1, b1).values), 5e-11)
     s.check("operator.wigner_module_left",
             _rel(star(f, wigner(a1, b1)).values,
-                 wigner(a1, apply_operator(f, b1)).values), 1e-8)
+                 wigner(a1, apply_operator(f, b1)).values), 1e-11)
     s.check("operator.wigner_module_right",
             _rel(star(wigner(a1, b1), f).values,
-                 wigner(apply_operator(involution(f), a1), b1).values), 1e-8)
+                 wigner(apply_operator(involution(f), a1), b1).values), 1e-11)
 
     marg = marginal_momentum(wigner(a1, a1))
     s.check("operator.marginal_is_density",
-            np.abs(marg - np.abs(a1.values) ** 2).max(), 1e-9)
+            np.abs(marg - np.abs(a1.values) ** 2).max(), 1e-10)
     s.check("operator.marginal_normalized",
-            abs(quad_mu(ctx, marg) - 1.0), 1e-10)
+            abs(quad_mu(ctx, marg) - 1.0), 1e-12)
 
     nc = 256
     psi_l = random_state(ctx, nc, s.rng, localized=True)
@@ -647,16 +647,16 @@ def suite_operator(cfg: RunConfig) -> List[CheckResult]:
         ctx, n, lambda p: 1.0 / (1.0 + ctx.beta * p ** 2))
     op0 = lambda_ordered_operator(phi_fun)
     s.check("operator.ordered_power0",
-            _rel(op0(psi).values, phi_fun.phi.values * psi.values), 1e-12)
+            _rel(op0(psi).values, phi_fun.phi.values * psi.values), 1e-13)
     q1 = SymbolObservable.position_power(ctx, n, 1)
     op1 = lambda_ordered_operator(q1)
     s.check("operator.ordered_power1_is_position",
-            _rel(op1(psi).values, qhat_apply(psi).values), 1e-10)
+            _rel(op1(psi).values, qhat_apply(psi).values), 5e-13)
     sym2 = SymbolObservable(2, phi_fun.phi)
     op2 = lambda_ordered_operator(sym2)
     lhs = wf_inner(phi, op2(psi))
     rhs = trace(star_symbol_left(sym2, wigner(phi, psi)))
-    s.check("operator.ordered_vs_symbol_pairing", abs(lhs - rhs) / max(abs(rhs), 1e-30), 1e-7)
+    s.check("operator.ordered_vs_symbol_pairing", abs(lhs - rhs) / max(abs(rhs), 1e-30), 1e-8)
 
     # states and uncertainties
     ml = ml_phase_state(ctx, 0.0, n)
@@ -704,8 +704,8 @@ def suite_states(cfg: RunConfig) -> List[CheckResult]:
         worst_r = max(worst_r, np.abs(star_symbol_right(pe.rho, qsym).values
                                       - xi * rv).max() / scale)
         worst_q = max(worst_q, np.abs(qhat_apply(pe.psi).values - xi * pe.psi.values).max())
-    s.check("states.position_eigen_left", worst_l, 1e-9)
-    s.check("states.position_eigen_right", worst_r, 1e-9)
+    s.check("states.position_eigen_left", worst_l, 5e-11)
+    s.check("states.position_eigen_right", worst_r, 5e-11)
     s.check("states.position_eigen_operator", worst_q, 1e-10)
 
     pe = position_eigenvector(ctx, 0.7, n)
@@ -722,12 +722,12 @@ def suite_states(cfg: RunConfig) -> List[CheckResult]:
     ml = ml_phase_state(ctx, 0.0, n)
     s.check("states.ml_normalized", abs(ml.psi.norm() - 1.0), 1e-12)
     u = uncertainty(ml.psi)
-    s.check("states.ml_mean_position", abs(u.mean_q), 1e-8)
-    s.check("states.ml_mean_momentum", abs(u.mean_p), 1e-8)
-    s.check("states.ml_minimal_spread", abs(u.dq - ctx.min_dq) / ctx.min_dq, 1e-6)
-    s.check("states.ml_saturates_bound", abs(u.gup_slack), 1e-6)
+    s.check("states.ml_mean_position", abs(u.mean_q), 1e-12)
+    s.check("states.ml_mean_momentum", abs(u.mean_p), 1e-12)
+    s.check("states.ml_minimal_spread", abs(u.dq - ctx.min_dq) / ctx.min_dq, 1e-12)
+    s.check("states.ml_saturates_bound", abs(u.gup_slack), 1e-12)
     ml37 = ml_phase_state(ctx, 3.7, n)
-    s.check("states.ml_shifted_mean", abs(uncertainty(ml37.psi).mean_q - 3.7), 1e-8)
+    s.check("states.ml_shifted_mean", abs(uncertainty(ml37.psi).mean_q - 3.7), 1e-9)
     closed = _ml_coeffs(ctx, n)
     s.check("states.ml_coefficients_closed_form",
             max(_rel(psi.coeffs(), closed) for psi in (ml.psi, ml37.psi)), 1e-13,
@@ -735,7 +735,7 @@ def suite_states(cfg: RunConfig) -> List[CheckResult]:
 
     if ctx.lam == 0.5 and ctx.beta == 1.0 and ctx.hbar == 1.0:
         s.check("states.ml_origin_value",
-                abs(ml.evaluate(0.0, 0.0) - (1 + 2 / math.pi)), 1e-10)
+                abs(ml.evaluate(0.0, 0.0) - (1 + 2 / math.pi)), 1e-12)
     edge = np.abs(ml.psi.values[[0, n - 1]]).max()
     s.check("states.ml_vanishes_at_infinity", edge, 5.0 / n)
 

@@ -15,9 +15,8 @@ from gupstar.operator_rep import (OperatorKernel, _relabel, _relabel_index, adjo
                                   operator_norm, phat_apply, qhat_apply, state_check, trace_op,
                                   uncertainty, wigner)
 from gupstar.sampling import (TorusField, Wavefunction, _line_coeffs, _line_values, angle_nodes,
-                              field_from_coeffs, mode_numbers, quad_mu, wavefunction_from_coeffs,
-                              wf_inner)
-from gupstar.star_algebra import SymbolObservable, inner, involution, star, star_symbol_left, trace
+                              field_from_coeffs, mode_numbers, wavefunction_from_coeffs, wf_inner)
+from gupstar.star_algebra import SymbolObservable, involution, star
 from gupstar.states import ml_phase_state, position_eigenvector
 
 
@@ -149,20 +148,10 @@ def test_kernel_maps_commute_with_involution(f, g):
         assert np.abs(kernel_samples(rhs) - sampled).max() <= 1e-12 * np.abs(sampled).max()
 
 
-def test_apply_operator(ctx, rng):
-    n = 64
-    pe = position_eigenvector(ctx, 3.7, n)
+def test_apply_operator(ctx):
+    pe = position_eigenvector(ctx, 3.7, 64)
     out = apply_operator(pe.rho, pe.psi)
     assert np.abs(out.values - pe.psi.values).max() < 1e-11  # unit-norm projector
-    f = random_element(ctx, n, rng)
-    g = random_element(ctx, n, rng)
-    psi = random_state(ctx, n, rng)
-    lhs = apply_operator(star(f, g), psi)
-    rhs = apply_operator(f, apply_operator(g, psi))
-    assert np.abs(lhs.values - rhs.values).max() < 1e-9 * np.abs(rhs.values).max()
-    phi = random_state(ctx, n, rng)
-    assert abs(wf_inner(phi, apply_operator(involution(f), psi))
-               - np.conj(wf_inner(psi, apply_operator(f, phi)))) < 1e-10
 
 
 @pytest.mark.parametrize("beta,hbar,lam", [(1.0, 1.0, 0.5), (2.0, 0.7, 0.3)])
@@ -200,12 +189,8 @@ def test_apply_matches_direct_quadrature(ctx, rng):
 
 def test_trace_op(ctx, rng):
     n = 64
-    f = random_element(ctx, n, rng)
-    assert abs(trace_op(kernel_of(f)) - trace(f)) < 1e-10
     pe = position_eigenvector(ctx, 0.0, n)
     assert trace_op(kernel_of(pe.rho)) == pytest.approx(1.0, abs=1e-12)
-    g = random_element(ctx, n, rng)
-    assert abs(hilbert_schmidt(kernel_of(f), kernel_of(g)) - inner(f, g)) < 1e-10
     # full band: diagonal modes u + v leave the band and wrap with the half-offset sign
     for mod in ((0.3, 0.375), (0.25, -0.25), (-1.0, 3.0)):
         k, kh = (OperatorKernel(ctx, rng.standard_normal((n, n))
@@ -232,23 +217,6 @@ def test_operator_norm(ctx, rng):
         assert operator_norm(k) == pytest.approx(sv, rel=1e-8)
     zero = kernel_of(TorusField(ctx, np.zeros((48, 48), complex)))
     assert operator_norm(zero) == 0.0
-
-
-def test_wigner_theorems(ctx, rng):
-    n = 64
-    a, b, c, d = (random_state(ctx, n, rng) for _ in range(4))
-    # adjoint, trace, inner, product, module structure
-    assert np.abs(involution(wigner(a, b)).values - wigner(b, a).values).max() < 1e-11
-    assert abs(trace(wigner(a, b)) - wf_inner(a, b)) < 1e-12
-    assert abs(inner(wigner(a, b), wigner(c, d))
-               - np.conj(wf_inner(a, c)) * wf_inner(b, d)) < 1e-12
-    lhs = star(wigner(a, b), wigner(c, d))
-    assert np.abs(lhs.values - wf_inner(a, d) * wigner(c, b).values).max() < 1e-10
-    f = random_element(ctx, n, rng)
-    assert np.abs(star(f, wigner(a, b)).values
-                  - wigner(a, apply_operator(f, b)).values).max() < 1e-10
-    assert np.abs(star(wigner(a, b), f).values
-                  - wigner(apply_operator(involution(f), a), b).values).max() < 1e-10
 
 
 def _sampled_wigner(phi, psi):
@@ -295,12 +263,9 @@ def test_wigner_relabels_pairs_that_fit_the_band(monkeypatch, beta, hbar, lam):
         assert w.mod == ref.mod and np.array_equal(w.values, ref.values)
 
 
-def test_marginal(ctx, rng):
-    n = 64
-    a = random_state(ctx, n, rng)
-    m = marginal_momentum(wigner(a, a))
-    assert np.abs(m - np.abs(a.values) ** 2).max() < 1e-10
-    assert quad_mu(ctx, m) == pytest.approx(1.0, abs=1e-12)
+def test_marginal(ctx):
+    # exact at the symmetric ordering: held tighter than the kink schedule of
+    # verify's states.ml_marginal
     ml = ml_phase_state(ctx, 0.0, 256)
     p = np.tan(angle_nodes(256))
     ref = (2 / math.pi) / (1 + p ** 2)
@@ -309,11 +274,6 @@ def test_marginal(ctx, rng):
 
 def test_position_momentum_operators(ctx, rng):
     n = 256
-    psi = random_state(ctx, n, rng, localized=True)
-    p = np.tan(angle_nodes(n))
-    comm = qhat_apply(phat_apply(psi)).values - phat_apply(qhat_apply(psi)).values
-    ref = 1j * (1 + p ** 2) * psi.values
-    assert np.abs(comm - ref).max() < 1e-8 * np.abs(ref).max()
     phi = random_state(ctx, n, rng)
     psi2 = random_state(ctx, n, rng)
     assert abs(wf_inner(phi, qhat_apply(psi2)) - wf_inner(qhat_apply(phi), psi2)) < 1e-11
@@ -359,24 +319,6 @@ def test_qhat_differentiates_attached_derivative_samples(ctx):
     assert out.mod == ml.mod and np.array_equal(out.coeffs(), ref.coeffs())
     assert np.abs(out.coeffs() - _sampled_qhat(wavefunction_from_coeffs(
         ctx, ml.coeffs(), ml.mod)).coeffs()).max() > 1e-6
-
-
-def test_lambda_ordered_operator(ctx, rng):
-    n = 64
-    psi = random_state(ctx, n, rng)
-    phi_sym = SymbolObservable.from_momentum_function(ctx, n, lambda p: 1.0 / (1.0 + p ** 2))
-    op = lambda_ordered_operator(phi_sym)
-    assert np.abs(op(psi).values - phi_sym.phi.values * psi.values).max() < 1e-13
-
-    q1 = SymbolObservable.position_power(ctx, n, 1)
-    assert np.abs(lambda_ordered_operator(q1)(psi).values
-                  - qhat_apply(psi).values).max() < 1e-11
-
-    phi = random_state(ctx, n, rng)
-    sym2 = SymbolObservable(2, phi_sym.phi)
-    lhs = wf_inner(phi, lambda_ordered_operator(sym2)(psi))
-    rhs = trace(star_symbol_left(sym2, wigner(phi, psi)))
-    assert abs(lhs - rhs) < 1e-8 * abs(rhs)
 
 
 def test_state_check(ctx, rng):
@@ -503,12 +445,7 @@ def test_state_check_spectrum_matches_the_sampled_matrix():
 def test_uncertainty(ctx, rng):
     n = 256
     ml = ml_phase_state(ctx, 0.0, n)
-    u = uncertainty(ml.psi)
-    assert u.mean_q == pytest.approx(0.0, abs=1e-12)
-    assert u.mean_p == pytest.approx(0.0, abs=1e-12)
-    assert u.dq == pytest.approx(1.0, rel=1e-12)
-    assert u.dp == pytest.approx(1.0, rel=1e-12)
-    assert abs(u.gup_slack) < 1e-12
+    assert uncertainty(ml.psi).dp == pytest.approx(1.0, rel=1e-12)
     for _ in range(20):
         st = random_state(ctx, n, rng, localized=True)
         assert uncertainty(st).gup_slack >= -1e-9
@@ -517,7 +454,7 @@ def test_uncertainty(ctx, rng):
 
 
 @pytest.mark.parametrize("name", ["wf_inner", "compose_kernels", "hilbert_schmidt",
-                                  "apply_operator", "wigner"])
+                                  "apply_operator", "wigner", "lambda_ordered_operator"])
 def test_operands_from_different_contexts_are_rejected(name):
     rng = np.random.default_rng(3)
     c1, c2 = BetaContext(1.0, 1.0, 0.5), BetaContext(2.0, 1.0, 0.5)
@@ -527,6 +464,8 @@ def test_operands_from_different_contexts_are_rejected(name):
             "compose_kernels": lambda: compose_kernels(kernel_of(f1), kernel_of(f2)),
             "hilbert_schmidt": lambda: hilbert_schmidt(kernel_of(f1), kernel_of(f2)),
             "apply_operator": lambda: apply_operator(f1, s2),
-            "wigner": lambda: wigner(s1, s2)}[name]
+            "wigner": lambda: wigner(s1, s2),
+            "lambda_ordered_operator": lambda: lambda_ordered_operator(
+                SymbolObservable.position_power(c1, 16, 1))(s2)}[name]
     with pytest.raises(ValueError, match="different contexts"):
         call()

@@ -4,12 +4,10 @@ import pytest
 from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element, random_qlocalized, random_state
 from gupstar.operator_rep import wigner
-from gupstar.sampling import (TorusField, angle_nodes, deriv_p, field_from_coeffs, mode_numbers,
-                              synth_grid)
+from gupstar.sampling import TorusField, angle_nodes, field_from_coeffs, mode_numbers, synth_grid
 from gupstar.star_algebra import inner, star
-from gupstar.states import position_eigenvector
 from gupstar.transforms import (SymplecticPair, _pair_lattice, conv_generalized, conv_unit,
-                                mult_by_q, symplectic_fourier, twisted_conv)
+                                symplectic_fourier, twisted_conv)
 
 
 def test_self_inverse_and_tag(ctx, rng):
@@ -188,20 +186,6 @@ def test_twisted_conv_associative(ctx, rng):
                       twisted_conv(symplectic_fourier(g), symplectic_fourier(h)))
     scale = np.abs(t1.field.values).max()
     assert np.abs(t1.field.values - t2.field.values).max() / scale < 1e-8
-
-
-def test_mult_by_q(ctx, rng):
-    n = 64
-    const = TorusField(ctx, np.ones((n, n), complex))
-    assert np.abs(mult_by_q(const).values).max() < 1e-12
-    rho = position_eigenvector(ctx, 3.7, n).rho
-    assert np.abs(mult_by_q(rho).values - 3.7 * rho.values).max() < 1e-10
-    # dual derivative relation through the transform, on the lattice
-    f = random_qlocalized(ctx, n, rng)
-    ms = np.arange(-n // 2, n // 2)
-    lhs = _pair_lattice(symplectic_fourier(f), ms) * (ms * ctx.q_lattice_step)[:, None]
-    rhs = 1j * ctx.hbar * _pair_lattice(symplectic_fourier(deriv_p(f)), ms)
-    assert np.abs(lhs - rhs).max() / np.abs(rhs).max() < 1e-8
 
 
 def test_parseval(ctx, rng):
