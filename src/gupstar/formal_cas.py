@@ -429,7 +429,7 @@ def format_poly(f: FormalPoly) -> str:
 # expression parsing (grammar: rational coefficients, q^a p^b s^c products)
 # ---------------------------------------------------------------------------
 
-#: Largest exponent :func:`parse_poly` accepts; ``x^e`` costs e products.
+#: Largest exponent of :func:`parse_poly` and of a ``SymbolObservable``; ``x^e`` costs e products.
 _MAX_EXPONENT = 64
 
 

@@ -86,6 +86,9 @@ class OperatorKernel:
         object.__setattr__(self, "coef", _frozen(_finite(c, "kernel coefficients", 2)))
         object.__setattr__(self, "mod", _finite_mod(self.mod, "kernel"))
 
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return OperatorKernel, (self.ctx, self.coef, self.mod)
+
     @property
     def n(self) -> int:
         return self.coef.shape[0]

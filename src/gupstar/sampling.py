@@ -703,6 +703,9 @@ class LatticeField:
         object.__setattr__(self, "ms", _frozen(m.astype(int)))
         object.__setattr__(self, "values", _frozen(_all_finite(v, "lattice field values")))
 
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return LatticeField, (self.ctx, self.ms, self.values)
+
     @property
     def n(self) -> int:
         return self.values.shape[1]

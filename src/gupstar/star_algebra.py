@@ -26,6 +26,7 @@ from typing import Union
 import numpy as np
 
 from .beta_arith import BetaContext
+from .formal_cas import _MAX_EXPONENT
 from .operator_rep import (
     _relabel,
     compose_kernels,
@@ -225,7 +226,7 @@ def cstar_norm_estimate(f: AlgebraElement) -> float:
 
 @dataclass(frozen=True)
 class SymbolObservable:
-    """Symbol q^power * phi(p) with phi smooth on the momentum circle."""
+    """Symbol q^power * phi(p) with phi smooth on the momentum circle, power at most 64."""
 
     power: int
     phi: Wavefunction
@@ -234,6 +235,8 @@ class SymbolObservable:
         p = self.power
         if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 0:
             raise ValueError(f"symbol power must be a nonnegative integer, got {p!r}")
+        if p > _MAX_EXPONENT:
+            raise ValueError(f"symbol power {p} exceeds the limit {_MAX_EXPONENT}")
 
     @classmethod
     def position_power(cls, ctx: BetaContext, n: int, power: int = 1) -> "SymbolObservable":

@@ -94,6 +94,16 @@ def _rel(a, b, scale=None) -> float:
     return float(num / scale)
 
 
+def _kernel_samples(k, weighted: bool = False) -> np.ndarray:
+    """Samples K(alpha_a, alpha_b) of a kernel, by the sheared codec at lam = 0.
+
+    ``weighted`` multiplies them by the midpoint weight pi/(n sqrt(beta)): the
+    matrix acting on sample vectors, which no library route builds.
+    """
+    samples = _sheared_values(k.coef, 0.0, k.mod)
+    return np.pi / (k.n * k.ctx.sqrt_beta) * samples if weighted else samples
+
+
 # ---------------------------------------------------------------------------
 # suite: generalized arithmetic
 # ---------------------------------------------------------------------------
@@ -461,12 +471,14 @@ def suite_star_algebra(cfg: RunConfig) -> List[CheckResult]:
             _rel(involution(freal).values, freal.values), 1e-11,
             note="real-valued element is a fixed point when lam = 1/2")
 
+    # S f = conj(f*) on samples, read through the involution's relabeling (S f = f at lam = 1/2)
     s.check("star.s_operator_identity_at_half",
-            _rel(s_operator(fh).values, fh.values), 5e-15)
-    s.check("star.s_operator_trace", abs(trace(s_operator(f)) - trace(f)), 1e-10)
-    sf, sg = s_operator(f), s_operator(g)
+            _rel(s_operator(fh).values, np.conj(involution(fh).values[::-1, :])), 1e-13)
+    s.check("star.s_operator_trace",
+            abs(trace(s_operator(f)) - np.conj(trace(involution(f)))), 1e-10)
     s.check("star.s_operator_ordering_flip",
-            _rel(s_operator(star(f, g)).values, star(sf, sg).values), 1e-9)
+            _rel(s_operator(star(fd, gd)).values,
+                 star_direct(s_operator(fd), s_operator(gd)).values), 1e-9)
 
     s.check("star.inner_vs_trace_form",
             abs(inner(f, g) - trace(star(involution(f), g))), 1e-10)
@@ -592,9 +604,7 @@ def suite_operator(cfg: RunConfig) -> List[CheckResult]:
     s.check("operator.trace_intertwines", abs(trace_op(kf) - trace(f)), 1e-10)
     s.check("operator.hilbert_schmidt_intertwines",
             abs(hilbert_schmidt(kf, kg) - inner(f, g)), 1e-10)
-    # the weighted kernel samples: the matrix acting on sample vectors
-    sampled = np.pi / (n * ctx.sqrt_beta) * _sheared_values(kf.coef, 0.0, kf.mod)
-    sv = np.linalg.svd(sampled, compute_uv=False)[0]
+    sv = np.linalg.svd(_kernel_samples(kf, weighted=True), compute_uv=False)[0]
     s.check("operator.norm_power_iteration_vs_svd",
             abs(operator_norm(kf) - sv) / sv, 1e-7)
 

@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 
 from gupstar.beta_arith import BetaContext
-from gupstar.sampling import _sheared_values
-from gupstar.verify import SUITES
+from gupstar.verify import SUITES, _kernel_samples as kernel_samples  # noqa: F401  (tests import it)
 
 
-def kernel_samples(k, weighted=False):
-    """Samples K(alpha_a, alpha_b) of an OperatorKernel: the sheared codec at lam = 0.
+#: The sample <-> coefficient transforms in ``sampling`` that every codec runs through.
+CODECS = ("_vals_to_coeffs", "_coeffs_to_vals")
 
-    ``weighted`` multiplies them by the contracted slot's midpoint weight
-    pi/(n sqrt(beta)), giving the matrix by which the kernel acts on sample
-    vectors.  The library never builds this table; tests compare against it.
+
+def forbid(mp, message, module, *names):
+    """Replace ``module.<name>`` for each name with a function raising AssertionError(message).
+
+    ``mp`` is a pytest ``MonkeyPatch`` (the fixture or one of its contexts);
+    a structure test forbids a codec or transform this way, then runs the
+    route that must not call it.
     """
-    samples = _sheared_values(k.coef, 0.0, k.mod)
-    return np.pi / (k.n * k.ctx.sqrt_beta) * samples if weighted else samples
+    def forbidden(*_):
+        raise AssertionError(message)
+
+    for name in names:
+        mp.setattr(module, name, forbidden)
 
 
 @pytest.fixture

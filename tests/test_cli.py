@@ -170,6 +170,14 @@ def test_formal_rejects_huge_exponents(capsys):
     assert "terminated: yes" in capsys.readouterr().out
 
 
+def test_star_rejects_huge_symbol_powers(capsys, tmp_path):
+    # the symbol power has the parser's exponent limit: one error line, no file
+    assert run(["star", "q^1100", "bump:1", "--grid", "16", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: symbol power 1100 exceeds the limit 64\n"
+    assert not list(tmp_path.iterdir())
+    assert run(["star", "q^64", "bump:1", "--grid", "16", "--out", str(tmp_path)]) == 0
+
+
 def test_unread_flags_are_usage_errors(capsys, tmp_path):
     # each subcommand accepts only the flags it reads
     assert run(["formal", "--grid", "64", "q", "p"]) == 2

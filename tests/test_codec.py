@@ -12,15 +12,12 @@ from gupstar.sampling import (TorusField, Wavefunction, _coeffs_to_vals, _edge_p
                               _line_coeffs, _line_values, _shear, _shear_phase, _shear_table,
                               _sheared_coeffs, _sheared_values, _vals_to_coeffs, angle_nodes,
                               field_from_coeffs, mode_numbers)
+from gupstar.verify import _rel
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 sizes = st.integers(1, 32).map(lambda k: 2 * k)
 mods = st.floats(-40.0, 40.0)
 seeds = st.integers(0, 2 ** 32 - 1)
-
-
-def _rel(a, b):
-    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
 
 
 def _samples(seed, shape):

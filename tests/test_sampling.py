@@ -15,6 +15,7 @@ from gupstar.sampling import (LatticeField, TorusField, Wavefunction, _line_coef
                               shift_field, synth, synth_grid, torus_to_csv,
                               wavefunction_from_coeffs, wf_inner)
 from gupstar.states import ml_phase_state, position_eigenvector
+from gupstar.verify import _rel
 
 
 def test_grid_layout():
@@ -321,10 +322,6 @@ def test_synth_band_limited_sinc_resampling(ctx, rng):
         assert abs(direct - resampled) < 1e-9
 
 
-def _rel(a, b):
-    return np.abs(a - b).max() / np.abs(b).max()
-
-
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
 def test_fields_hold_sheared_coefficients(lam):
     ctx, mod, n = BetaContext(2.0, 0.7, lam), (0.58, -0.21), 16
@@ -379,6 +376,13 @@ def test_carriers_survive_pickle_and_copy(ctx):
             assert np.array_equal(y.coeffs(), x.coeffs()) and not y.coeffs().flags.writeable
             assert np.array_equal(y.values, x.values)
     assert np.array_equal(copy.deepcopy(carriers[2]).deriv, v[1])
+    kernel, lattice = OperatorKernel(ctx, v, (0.58, -0.21)), LatticeField(ctx, np.arange(-4, 4), v)
+    for x, arrays in ((kernel, ("coef",)), (lattice, ("ms", "values"))):
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(y) is type(x) and y.ctx == x.ctx and getattr(y, "mod", 0) == getattr(x, "mod", 0)
+            for name in arrays:
+                held = getattr(y, name)
+                assert np.array_equal(held, getattr(x, name)) and not held.flags.writeable
 
 
 def _alias_cases(ctx):

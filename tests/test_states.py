@@ -109,11 +109,6 @@ def test_ml_evaluator_against_defining_integral(ctx, rng):
                 assert abs(ev(q, p) - ref) < 5e-9
 
 
-def test_ml_origin_value(ctx):
-    ev = ml_phase_function(ctx, 0.0)
-    assert ev(0.0, 0.0) == pytest.approx(1 + 2 / math.pi, abs=1e-12)
-
-
 def test_ml_sinc_form_on_strip(ctx, rng):
     # the plain three-term sinc expression is exact on the central strip
     ev = ml_phase_function(ctx, 0.0)
@@ -131,15 +126,6 @@ def test_ml_reality_and_parity(ctx):
     ev0 = ml_phase_function(c0, 0.0)
     for q, p in ((0.3, 2.7), (-4.1, 5.0)):
         assert abs(ev0(q, p) - np.conj(ev0(q, -p))) < 1e-13  # Im odd in p
-
-
-def test_ml_lattice_shift_covariance(ctx):
-    n = 128
-    xi = 3 * ctx.q_lattice_step
-    base = ml_phase_function(ctx, 0.0)
-    shifted = ml_phase_function(ctx, xi)
-    for q, p in ((0.0, 0.0), (1.3, 2.0), (-2.0, -7.0)):
-        assert abs(shifted(q + xi, p) - base(q, p)) < 1e-12
 
 
 @pytest.mark.parametrize("beta,hbar,lam", [(1.0, 1.0, 0.5), (2.0, 0.7, 0.3),
