@@ -20,7 +20,7 @@ from .formal_cas import ALT, MAIN, ParseError, formal_star, format_poly, parse_p
 from .sampling import _even_size, lattice_from_field, lattice_to_csv, synth_grid, torus_to_csv
 from .star_algebra import SymbolObservable, star, star_symbol_left, star_symbol_right
 from .states import ml_phase_state, phase_space_csv, position_eigenvector
-from .verify import RunConfig, run_suites
+from .verify import SUITES, RunConfig, run_suites
 
 
 def _grid_size(text: str) -> int:
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suites")
     _add_flags(p, *_CONTEXT, "seed", "json")
-    p.add_argument("--suite", action="append",
+    p.add_argument("--suite", action="append", choices=list(SUITES),
                    help="restrict to a named suite (repeatable)")
     p.set_defaults(fn=cmd_verify)
 

@@ -8,6 +8,8 @@ from .beta_arith import BetaContext
 from .sampling import (
     TorusField,
     Wavefunction,
+    _adopt,
+    _held,
     _line_coeffs,
     _line_values,
     angle_nodes,
@@ -69,7 +71,7 @@ def random_element(ctx: BetaContext, n: int, rng: np.random.Generator,
                    localized: bool = False) -> TorusField:
     """Random band-limited algebra element built from two Wigner pairs.
 
-    The element holds coefficients: the sum of the two pairs' coefficients.
+    The element holds the sum of the two pairs' held kernel coefficients.
     """
     if mmax is None:
         mmax = n // 4 - 1 if localized else n // 8
@@ -79,7 +81,7 @@ def random_element(ctx: BetaContext, n: int, rng: np.random.Generator,
     d = random_state(ctx, n, rng, mmax, parity, localized)
     w1, w2 = wigner(a, b), wigner(c, d)
     z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return field_from_coeffs(ctx, z1 * w1.coeffs() + z2 * w2.coeffs())
+    return _adopt(ctx, z1 * _held(w1) + z2 * _held(w2))
 
 
 def random_qlocalized(ctx: BetaContext, n: int, rng: np.random.Generator) -> TorusField:

@@ -1,12 +1,11 @@
 """Momentum-space operator representation.
 
 Every transformed field corresponds to an integral operator on the circle
-Hilbert space through an index shear of its coefficient grid; the map is a
-bijection of discrete mode lattices, so going back and forth is exact.
-An :class:`OperatorKernel` holds the coefficients of its plain 2-d expansion
-with ``mod = (mu_u, mu_v)``; field -> kernel, kernel -> field, the algebra
-involution and the kernel adjoint are each one unimodular relabeling of that
-lattice (:func:`_relabel`).  Composition and the action on a state contract
+Hilbert space.  An :class:`OperatorKernel` holds the coefficients of its
+plain 2-d expansion with ``mod = (mu_u, mu_v)``; a field holds them times
+2 pi hbar, so field -> kernel and kernel -> field are scales, and the
+kernel adjoint, hence the algebra involution, is one unimodular relabeling
+(``sampling._relabel``).  Composition and the action on a state contract
 the inner slot by the invariant-measure midpoint rule (:func:`_contract`).
 When the contracted modulations differ by an integer that rule is exactly a
 signed pairing of modes, so the result is one gather and one matrix product
@@ -19,7 +18,6 @@ norms and spectra are read from coefficients too: no kernel is ever sampled.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,16 +28,19 @@ from .beta_arith import BetaContext
 from .sampling import (
     TorusField,
     Wavefunction,
+    _adopt,
     _band_reach,
     _check_pair,
     _contraction,
     _finite,
     _finite_mod,
     _frozen,
+    _held,
     _integral,
     _line_values,
+    _relabel,
+    _relabel_index,  # noqa: F401  (tests import it from here)
     angle_nodes,
-    field_from_coeffs,
     mode_numbers,
     wavefunction_from_coeffs,
     wf_inner,
@@ -94,38 +95,18 @@ class OperatorKernel:
         return self.coef.shape[0]
 
 
-@functools.lru_cache(maxsize=16)
-def _relabel_index(n: int, a: int, b: int, c: int, d: int) -> np.ndarray:
-    """Read-only flat index ``((a i + b j) mod n) * n + (c i + d j) mod n``, shape (n, n)."""
-    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
-    return _frozen(((a * i + b * j) % n) * n + (c * i + d * j) % n)
-
-
-def _relabel(coef: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
-    """``out[i, j] = coef[(a i + b j) mod n, (c i + d j) mod n]``.
-
-    A unimodular relabeling of the n-periodic mode lattice (FFT index i stands
-    for every mode congruent to i), so it is a permutation and exact.  One
-    gather through an index built once per (n, a, b, c, d).
-    """
-    return np.take(coef.ravel(), _relabel_index(coef.shape[0], a, b, c, d))
-
-
 def kernel_of(f: TorusField) -> OperatorKernel:
     """Integral kernel of the operator represented by a field.
 
-    In coefficient space the map is the unimodular index shear (c, b) -> (b + c, -c)
-    with the 1/(2 pi hbar) normalization, and ``mod`` passes through; being a
-    permutation of the discrete mode lattice it is exactly invertible.
+    The field holds its kernel's coefficients times 2 pi hbar (``sampling.TorusField``),
+    so the map is the 1/(2 pi hbar) scale, and ``mod`` passes through.
     """
-    kc = _relabel(f.coeffs(), 0, -1, 1, 1) / (2 * np.pi * f.ctx.hbar)
-    return OperatorKernel(f.ctx, kc, f.mod)
+    return OperatorKernel(f.ctx, _held(f) / (2 * np.pi * f.ctx.hbar), f.mod)
 
 
 def element_of(k: OperatorKernel) -> TorusField:
-    """Inverse of :func:`kernel_of`."""
-    coef = _relabel(k.coef, 1, 1, -1, 0) * (2 * np.pi * k.ctx.hbar)
-    return field_from_coeffs(k.ctx, coef, k.mod)
+    """Inverse of :func:`kernel_of`: the field holding ``k.coef * 2 pi hbar``."""
+    return _adopt(k.ctx, k.coef * (2 * np.pi * k.ctx.hbar), k.mod)
 
 
 def _contract(k: OperatorKernel, right: np.ndarray, mu: float) -> np.ndarray:
@@ -157,15 +138,19 @@ def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
     return OperatorKernel(kf.ctx, _contract(kf, kg.coef, kg.mod[0]), (kf.mod[0], kg.mod[1]))
 
 
-def adjoint_kernel(k: OperatorKernel) -> OperatorKernel:
-    """Kernel of the adjoint operator: conj K(b, a) as the mode relabeling (u, v) -> (-v, -u).
+def _adjoint(coef: np.ndarray) -> np.ndarray:
+    """Coefficients of conj K(b, a): the mode relabeling (u, v) -> (-v, -u), conjugated.
 
-    Conjugation makes the Nyquist mode -n/2 mode +n/2, which samples as -1
-    times mode -n/2 on the half-offset grid: that row and column change sign.
+    Conjugation makes the Nyquist mode -n/2 mode +n/2, which samples as -1 times
+    mode -n/2 on the half-offset grid: that row and column change sign.
     """
-    s = np.where(np.arange(k.n) == k.n // 2, -1.0, 1.0)
-    coef = np.conj(_relabel(k.coef, 0, -1, -1, 0)) * s[:, None] * s
-    return OperatorKernel(k.ctx, coef, (-k.mod[1], -k.mod[0]))
+    s = np.where(np.arange(coef.shape[0]) == coef.shape[0] // 2, -1.0, 1.0)
+    return np.conj(_relabel(coef, 0, -1, -1, 0)) * s[:, None] * s
+
+
+def adjoint_kernel(k: OperatorKernel) -> OperatorKernel:
+    """Kernel of the adjoint operator: :func:`_adjoint`, with ``mod`` -> (-mu_v, -mu_u)."""
+    return OperatorKernel(k.ctx, _adjoint(k.coef), (-k.mod[1], -k.mod[0]))
 
 
 def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
@@ -208,7 +193,7 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
     ``psi(a) conj phi(b)``, with ``mod = (psi.mod, -phi.mod)`` on both routes
     and coefficients the outer product of psi's with ``conj c_phi[-v]``.
     When the nonzero modes of the pair fit the band, ``max|m|(psi) + max|m|(phi) <= n/2 - 1`` (exact zeros, no
-    tolerance), the field is that kernel relabeled by :func:`element_of`,
+    tolerance), the field is that kernel scaled by :func:`element_of`,
     built with no FFT and no n x n table.  Every other pair (kinked states
     that fill the band, sampled data with FFT noise) is sampled: row j
     evaluates both states at offsets proportional to alpha'_j (spectral

@@ -9,16 +9,16 @@ which never touches the point at infinity.  The invariant measure is
 ``d mu = d alpha / sqrt(beta)``, so the midpoint rule is the natural (and for
 trigonometric polynomials exact) quadrature.
 
-A :class:`TorusField` carries the position-transformed function f~(p', p)
-as the sheared coefficients below, and a :class:`Wavefunction` a state as
-line coefficients.  Samples (``F[j, k]`` at (alpha'_j, alpha_k)) are derived
-on demand and never cached; a carrier built from samples encodes them once,
-and since each codec is an invertible map on grid arrays its samples come
-back to rounding.  Every carrier constructor copies its input, so a
-carrier never shares memory with its caller.  Transformed fields of algebra
-elements are not plainly pi-periodic in alpha': they obey the glide periodicity
-F(A' + pi, A - lam*pi) = F(A', A).  The carrier therefore expands fields in
-the sheared basis
+A :class:`TorusField` carries the position-transformed function f~(p', p) by
+its kernel's coefficients (the sheared coefficients below, relabeled), and
+a :class:`Wavefunction` a state by line coefficients.  Samples (``F[j, k]`` at
+(alpha'_j, alpha_k)) are derived on demand and never cached; a carrier built
+from samples encodes them once, and since each codec is an invertible map on
+grid arrays its samples come back to rounding.  Every carrier constructor
+copies its input, so a carrier never shares memory with its caller.
+Transformed fields of algebra elements are not plainly pi-periodic in alpha':
+they obey the glide periodicity F(A' + pi, A - lam*pi) = F(A', A).  The carrier
+therefore expands fields in the sheared basis
 
     F(A', A) = phase(A', A) * sum_{b,c} coef[c, b]
                * exp(2i((lam*b + c) A' + b A)),
@@ -272,6 +272,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=16)
+def _relabel_index(n: int, a: int, b: int, c: int, d: int) -> np.ndarray:
+    """Read-only flat index ``((a i + b j) mod n) * n + (c i + d j) mod n``, shape (n, n)."""
+    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+    return _frozen(((a * i + b * j) % n) * n + (c * i + d * j) % n)
+
+
+def _relabel(coef: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
+    """``out[i, j] = coef[(a i + b j) mod n, (c i + d j) mod n]``, exact: a permutation.
+
+    One gather through an index built once per (n, a, b, c, d); unimodular, as
+    FFT index i stands for every mode congruent to i on the n-periodic lattice.
+    """
+    return np.take(coef.ravel(), _relabel_index(coef.shape[0], a, b, c, d))
+
+
+#: ``_relabel`` from sheared coef[c, b] to the held K[u, v] = coef[-v, u + v], and back.
+_KERNEL, _SHEARED = (0, -1, 1, 1), (1, 1, -1, 0)
+
+
 def _finite(a, what: str, ndim: int) -> np.ndarray:
     """Carrier data: a finite, C-ordered complex array of even size, square when 2-d."""
     a = np.ascontiguousarray(a, dtype=complex)
@@ -476,13 +496,13 @@ def wf_inner(phi: Wavefunction, psi: Wavefunction) -> complex:
 # ---------------------------------------------------------------------------
 
 class TorusField:
-    """An n x n field f~(alpha'_j, alpha_k) held by its sheared coefficients.
+    """An n x n field f~(alpha'_j, alpha_k) held by its operator kernel's coefficients.
 
     ``TorusField(ctx, values, mod)`` encodes samples ``F[j, k]`` once through
-    the sheared codec; :func:`field_from_coeffs` copies coefficients
-    ``coef[c, b]`` as given.  ``values`` decodes the samples on every call and
-    nothing is cached, so a field never changes after construction.  The held
-    coefficients and the derived samples are read-only.
+    the sheared codec and :func:`field_from_coeffs` takes coefficients ``coef[c, b]``;
+    both hold ``K[u, v] = coef[-v, u + v]``, ``operator_rep.kernel_of`` times 2 pi hbar.
+    :meth:`coeffs` and ``values`` (decoded on every call) relabel back; nothing
+    is cached, and every array a field holds or returns is read-only.
     """
 
     __slots__ = ("ctx", "mod", "_coef", "__weakref__")
@@ -491,7 +511,7 @@ class TorusField:
                  mod: tuple[float, float] = (0.0, 0.0)):
         mod = _finite_mod(mod, "field")
         coef = _sheared_coeffs(_finite(values, "field samples", 2), ctx.lam, _sheared_mod(mod))
-        self._hold(ctx, coef, mod)
+        self._hold(ctx, _relabel(coef, *_KERNEL), mod)
 
     def _hold(self, ctx, coef, mod) -> None:
         """Check and freeze ``coef``, an array the field now owns."""
@@ -502,8 +522,8 @@ class TorusField:
     def __setattr__(self, *_):
         raise AttributeError("TorusField is immutable")
 
-    def __reduce__(self):  # pickle and copy rebuild from the coefficients
-        return field_from_coeffs, (self.ctx, self._coef, self.mod)
+    def __reduce__(self):  # pickle and copy rebuild from the held array
+        return _adopt, (self.ctx, self._coef, self.mod)
 
     def __repr__(self) -> str:
         return f"TorusField(ctx={self.ctx!r}, n={self.n}, mod={self.mod})"
@@ -511,15 +531,16 @@ class TorusField:
     @property
     def values(self) -> np.ndarray:
         """Samples F[j, k] at (alpha'_j, alpha_k)."""
-        return _frozen(_sheared_values(self._coef, self.ctx.lam, _sheared_mod(self.mod)))
+        coef = _relabel(self._coef, *_SHEARED)
+        return _frozen(_sheared_values(coef, self.ctx.lam, _sheared_mod(self.mod)))
 
     @property
     def n(self) -> int:
         return self._coef.shape[0]
 
     def coeffs(self) -> np.ndarray:
-        """Sheared coefficients coef[c, b] of the demodulated part."""
-        return self._coef
+        """Sheared coefficients coef[c, b] of the demodulated part, a fresh read-only gather."""
+        return _frozen(_relabel(self._coef, *_SHEARED))
 
     def freq_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """Effective (alpha'-frequency, alpha-frequency) arrays, shape (n, n)."""
@@ -535,12 +556,22 @@ class TorusField:
 
 def field_from_coeffs(ctx: BetaContext, coef: np.ndarray,
                       mod: tuple[float, float] = (0.0, 0.0)) -> TorusField:
-    """The field holding a copy of sheared coefficients ``coef[c, b]``.
+    """The field of sheared coefficients ``coef[c, b]``, held relabeled (a gather, not a view).
 
     Inverse of :meth:`TorusField.coeffs`.
     """
+    return _adopt(ctx, _relabel(_finite(coef, "field coefficients", 2), *_KERNEL), mod)
+
+
+def _held(f: TorusField) -> np.ndarray:
+    """The kernel-layout array ``K[u, v]`` a field holds, read-only."""
+    return f._coef
+
+
+def _adopt(ctx: BetaContext, coef: np.ndarray, mod=(0.0, 0.0)) -> TorusField:
+    """The field holding the kernel-layout array ``coef`` itself, which the caller gives up."""
     f = object.__new__(TorusField)
-    f._hold(ctx, np.array(coef, dtype=complex), mod)
+    f._hold(ctx, coef, mod)
     return f
 
 
@@ -642,8 +673,8 @@ def _sinc_sums(f: TorusField, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if on.any():
             mode = -x[on]
             col = np.broadcast_to(cols, on.shape)[on]
-            blk[on] = np.where((mode >= -(n // 2)) & (mode < n // 2),
-                               coef[mode.astype(int) % n, col], 0.0)
+            band = (mode >= -(n // 2)) & (mode < n // 2)  # a mode past the band may overflow int
+            blk[on] = np.where(band, coef[np.where(band, mode, 0).astype(int) % n, col], 0.0)
         out[lo:lo + step] = blk
     return cols, out
 

@@ -2,13 +2,13 @@
 
 Algebra elements are :class:`~gupstar.sampling.TorusField` carriers of their
 position transform.  The product is computed through the operator picture:
-field -> integral kernel (an exact relabeling of the coefficient lattice),
+field -> integral kernel (a scale: fields hold their kernel's coefficients),
 kernel composition by invariant-measure quadrature over the contracted slot
 (a signed mode pairing and one matrix product when the contracted
-modulations differ by an integer), kernel -> field back.  Fields hold
-coefficients, so products, the involution, ``s_operator``, ``trace``,
-``inner``, the kernel maps and the products with unbounded symbols
-``q^P phi(p)`` read and return them without a sample round trip.  On
+modulations differ by an integer), kernel -> field back.  Products, the
+involution (the kernel adjoint's relabeling) and ``s_operator`` work on the
+held kernel layout; ``trace``, ``inner`` and the products with symbols
+``q^P phi(p)`` read sheared coefficients, with no sample round trip.  On
 band-limited carriers the product equals the direct discretization of the
 defining twisted convolution; that discretization is kept as
 :func:`star_direct` so the two routes can check each other.  It shares no
@@ -28,7 +28,7 @@ import numpy as np
 from .beta_arith import BetaContext
 from .formal_cas import _MAX_EXPONENT
 from .operator_rep import (
-    _relabel,
+    _adjoint,
     compose_kernels,
     element_of,
     kernel_of,
@@ -37,9 +37,11 @@ from .operator_rep import (
 from .sampling import (
     TorusField,
     Wavefunction,
+    _adopt,
     _band_convolution,
     _band_layout,
     _check_pair,
+    _held,
     _integral,
     _line_coeffs,
     _line_values,
@@ -73,14 +75,14 @@ AlgebraElement = TorusField
 def star(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """Star product of two elements.
 
-    Kernel-composition route: both kernels are index relabelings of the
-    coefficient grids, composed by :func:`~gupstar.operator_rep.compose_kernels`,
-    and the product kernel is relabeled back.  When the contracted modulations
-    differ by an integer (same-position eigenvector products, Wigner pairs of a
-    common state family, unmodulated fields) the composition is a signed mode
-    pairing and one matrix product, exact for band-limited fields, and the
-    product runs no transform.  Otherwise the contracted slot is sampled and
-    the midpoint rule only converges.
+    Kernel-composition route: both kernels are scales of the held coefficients,
+    composed by :func:`~gupstar.operator_rep.compose_kernels`, and the product
+    kernel is scaled back.  When the contracted modulations differ by an
+    integer (same-position eigenvector products, Wigner pairs of a common
+    state family, unmodulated fields) the composition is a signed mode pairing
+    and one matrix product, exact for band-limited fields, and the product
+    runs no transform.  Otherwise the contracted slot is sampled and the
+    midpoint rule only converges.
     """
     _check_pair(f, g)
     return element_of(compose_kernels(kernel_of(f), kernel_of(g)))
@@ -119,22 +121,11 @@ def star_direct(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
 def involution(f: AlgebraElement) -> AlgebraElement:
     """Algebra adjoint: (f*)~(p', p) = conj f~(-p', p (-) (1-2 lam) o p').
 
-    In sheared coefficients it is the exact relabeling
-    (b, c) -> (-b, b + c) with conjugation; for lam = 1/2 it reduces to complex
-    conjugation of f(q, p).  As in
-    :func:`~gupstar.operator_rep.adjoint_kernel`, conjugation makes the
-    Nyquist mode -n/2 mode +n/2, which samples as -1 times mode -n/2: the
-    coefficients whose kernel row or column is the Nyquist index (c = n/2,
-    or b + c = n/2 mod n) change sign, and the modulation becomes
-    ``(-mu_v, -mu_u)``, so ``kernel_of(involution(f))`` is
-    ``adjoint_kernel(kernel_of(f))``.
+    :func:`~gupstar.operator_rep.adjoint_kernel` on the held coefficients, so
+    ``kernel_of(involution(f))`` is ``adjoint_kernel(kernel_of(f))``; for
+    lam = 1/2 it reduces to complex conjugation of f(q, p).
     """
-    n = f.n
-    coef = _relabel(np.conj(f.coeffs()), 1, 1, 0, -1)
-    i = np.arange(n)
-    coef[n // 2] *= -1
-    coef[i, (n // 2 - i) % n] *= -1
-    return field_from_coeffs(f.ctx, coef, (-f.mod[1], -f.mod[0]))
+    return _adopt(f.ctx, _adjoint(_held(f)), (-f.mod[1], -f.mod[0]))
 
 
 def s_operator(f: AlgebraElement) -> AlgebraElement:
@@ -142,10 +133,11 @@ def s_operator(f: AlgebraElement) -> AlgebraElement:
 
     The coefficients are untouched; the element is re-expanded in the mirrored
     ordering, so the result lives in the context with lam -> 1 - lam.  For the
-    symmetric ordering S is the identity.
+    symmetric ordering S is the identity.  ``1 - (1 - lam)`` can miss lam by
+    one ulp (32 of the lams 0.00, 0.01, ..., 1.00), so ``s_operator(s_operator(f))``
+    may live in another context than f.
     """
-    ctx2 = f.ctx.with_lam(1.0 - f.ctx.lam)
-    return field_from_coeffs(ctx2, f.coeffs(), f.mod)
+    return _adopt(f.ctx.with_lam(1.0 - f.ctx.lam), _held(f), f.mod)
 
 
 def trace(f: AlgebraElement) -> complex:
@@ -183,11 +175,10 @@ def inner(f: AlgebraElement, g: AlgebraElement) -> complex:
     pref = (np.pi / n) ** 2 / (4 * np.pi ** 2 * f.ctx.hbar ** 2 * f.ctx.beta)
     if _integral(*g.mod, -f.mod[0], -f.mod[1]) != 0:
         return complex(pref * np.vdot(f.values, g.values))
-    fc, gc = f.coeffs(), g.coeffs()
     if _integral(f.mod[1], -g.mod[1]) == 0:
-        return complex(pref * n * n * np.vdot(fc, gc))
-    fl = _line_values(fc.T)                      # [b, j]
-    gl = _line_values(gc.T, f.mod[1] - g.mod[1])
+        return complex(pref * n * n * np.vdot(f.coeffs(), g.coeffs()))
+    fl = _line_values(f.coeffs().T)              # [b, j]; one gathered array alive at a time
+    gl = _line_values(g.coeffs().T, f.mod[1] - g.mod[1])
     return complex(pref * n * np.vdot(fl, gl))
 
 

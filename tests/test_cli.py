@@ -46,6 +46,15 @@ def test_verify_single_suite(capsys):
     assert "arith." in out and "star." not in out
 
 
+def test_verify_rejects_unknown_suite(capsys):
+    # a suite name that matches none (or only a prefix) is a usage error, not an empty run
+    for name in ("nope", "star"):
+        assert run(["verify", "--suite", name]) == 2
+        assert "usage:" in capsys.readouterr().err
+    assert run(["verify", "--suite", "star_algebra", "--grid", "32"]) == 0
+    assert "star." in capsys.readouterr().out
+
+
 def test_verify_lambda_endpoints(capsys):
     for lam in ("0.0", "1.0"):
         rc = run(["verify", "--grid", "48", "--lambda", lam, "--suite", "arithmetic",

@@ -8,8 +8,8 @@ import pytest
 from gupstar.beta_arith import INFINITY, BetaContext
 from gupstar.families import random_element, random_state, resolve_family
 from gupstar.operator_rep import OperatorKernel, qhat_apply
-from gupstar.sampling import (LatticeField, TorusField, Wavefunction, _line_coeffs,
-                              _line_values, _sheared_coeffs, _sheared_values, _sinc_sums,
+from gupstar.sampling import (LatticeField, TorusField, Wavefunction, _held, _line_coeffs,
+                              _line_values, _relabel, _sheared_coeffs, _sheared_values, _sinc_sums,
                               _write_csv, analyze, angle_nodes, field_from_coeffs,
                               lattice_from_field, lattice_to_csv, mode_numbers, quad_mu, seminorm,
                               shift_field, synth, synth_grid, torus_to_csv,
@@ -322,6 +322,13 @@ def test_synth_band_limited_sinc_resampling(ctx, rng):
         assert abs(direct - resampled) < 1e-9
 
 
+def test_synth_of_a_far_eigenvector_casts_no_out_of_band_mode(ctx):
+    # at xi = 1e300 every window argument is an integer whose mode lies past the band
+    # and past int64: the guard reads no coefficient there (no cast warning) and gives 0
+    rho = position_eigenvector(ctx, 1e300, 8).rho
+    assert not synth_grid(rho, np.array([0.0, 1.3]), np.array([0.0, -2.0])).any()
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
 def test_fields_hold_sheared_coefficients(lam):
     ctx, mod, n = BetaContext(2.0, 0.7, lam), (0.58, -0.21), 16
@@ -335,7 +342,10 @@ def test_fields_hold_sheared_coefficients(lam):
     assert np.array_equal(g.coeffs(), c)
     assert np.array_equal(g.values, _sheared_values(c, lam, sheared))
     for h in (f, g):
-        assert h.n == n and h.mod == mod and h.coeffs() is h.coeffs()
+        # the held array is the kernel layout K[u, v] = coef[-v, u + v]; coeffs() relabels it back
+        assert _held(h) is _held(h) and not _held(h).flags.writeable
+        assert np.array_equal(h.coeffs(), _relabel(_held(h), 1, 1, -1, 0))
+        assert h.n == n and h.mod == mod
         assert not (h.values.flags.writeable or h.coeffs().flags.writeable)
         with pytest.raises(AttributeError):
             h.mod = (0.0, 0.0)

@@ -8,7 +8,7 @@ from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element, random_state, resolve_family
 from gupstar import operator_rep, sampling, star_algebra
 from gupstar.operator_rep import compose_kernels, element_of, kernel_of, trace_op, wigner
-from gupstar.sampling import (TorusField, Wavefunction, _line_values, angle_nodes,
+from gupstar.sampling import (TorusField, Wavefunction, _line_values, _relabel, angle_nodes,
                               field_from_coeffs, mode_numbers)
 from gupstar.star_algebra import (SymbolObservable, expectation, inner, involution, norm2,
                                   s_operator, star, star_direct, star_symbol_left,
@@ -46,11 +46,6 @@ def test_symmetric_involution_is_conjugation(ctx, rng):
     freal = TorusField(ctx, wigner(a, b).values + wigner(b, a).values)
     # real-valued in phase space: conjugation-symmetric
     assert np.abs(np.conj(freal.values[::-1, :]) - freal.values).max() < 1e-10
-
-
-def test_s_operator(rng):
-    f3 = random_element(BetaContext(1.0, 1.0, 0.3), 48, rng)
-    assert s_operator(f3).ctx.lam == pytest.approx(0.7)
 
 
 def test_symbol_operations(ctx, rng):
@@ -283,6 +278,35 @@ def test_algebra_path_runs_no_sheared_codec(monkeypatch):
     assert abs(tr_bb - inner(bump, bump)) <= 1e-12 * norm2(bump) ** 2 and bb_norm == norm2(bump)
     assert abs(fg_in - _sample_inner(f, g)) <= 1e-13 * norm2(f) * norm2(g)
     assert np.isfinite(bump_rho.coeffs()).all()
+
+
+def test_operator_maps_are_scales_of_the_held_coefficients(monkeypatch):
+    # fields hold their kernel's coefficients: the kernel maps, a product at an integer
+    # contracted difference, the ordering flip, a Wigner pair that fits the band and the
+    # random family built from such pairs relabel no coefficient grid
+    ctx, n = BetaContext(2.0, 0.7, 0.3), 32
+    rng = np.random.default_rng(43)
+    m = np.abs(mode_numbers(n))
+    band = (m[:, None] <= n // 8) & (m[None, :] <= n // 8)
+    f, g = (field_from_coeffs(ctx, band * (rng.standard_normal((n, n))
+                                           + 1j * rng.standard_normal((n, n))), mod)
+            for mod in ((0.58, -0.21), (0.21, 0.16)))  # contracted difference -0.21 + 0.21 = 0
+    phi, psi = random_state(ctx, n, rng), random_state(ctx, n, rng)
+    for module in (sampling, operator_rep):
+        forbid(monkeypatch, "a coefficient grid was relabeled", module, "_relabel")
+    k = kernel_of(f)
+    back, fg, sf = element_of(k), star(f, g), s_operator(f)
+    w, r = wigner(phi, psi), random_element(ctx, n, rng)
+    monkeypatch.undo()
+    scale = 2 * np.pi * ctx.hbar
+    assert np.array_equal(k.coef, _relabel(f.coeffs(), 0, -1, 1, 1) / scale)
+    assert np.array_equal(back.coeffs(), _relabel(k.coef, 1, 1, -1, 0) * scale)
+    ref = star_direct(f, g).values
+    assert fg.mod == (0.58, 0.16) and np.abs(fg.values - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(sf.coeffs(), f.coeffs()) and sf.ctx.lam == pytest.approx(0.7)
+    outer = np.outer(psi.coeffs(), np.conj(phi.coeffs()[-np.arange(n)]))
+    assert np.abs(kernel_of(w).coef - outer).max() <= 1e-15 * np.abs(outer).max()
+    assert r.n == n and np.isfinite(r.values).all()
 
 
 def _sample_inner(f, g):
