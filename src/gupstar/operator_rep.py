@@ -75,7 +75,8 @@ class OperatorKernel:
     ``K(a, b) = exp(2i(mu_u a + mu_v b)) sum_{u,v} coef[u, v] exp(2i(u a + v b))``
     with ``mod = (mu_u, mu_v)``, the same pair as the field's ``mod``.
     ``coef`` is a read-only copy of the constructor's input; NaN or infinite
-    coefficients or modulations are rejected.
+    coefficients or modulations are rejected.  Kernels this module computes
+    hold their fresh arrays with the same checks and no copy (``_kernel``).
     """
 
     ctx: BetaContext
@@ -83,9 +84,13 @@ class OperatorKernel:
     mod: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        c = np.array(self.coef, dtype=complex)  # a copy: no memory shared with the caller
-        object.__setattr__(self, "coef", _frozen(_finite(c, "kernel coefficients", 2)))
-        object.__setattr__(self, "mod", _finite_mod(self.mod, "kernel"))
+        # a copy: no memory shared with the caller
+        self._hold(np.array(self.coef, dtype=complex), self.mod)
+
+    def _hold(self, coef, mod) -> None:
+        """Check and freeze ``coef``, an array the kernel now owns."""
+        object.__setattr__(self, "coef", _frozen(_finite(coef, "kernel coefficients", 2)))
+        object.__setattr__(self, "mod", _finite_mod(mod, "kernel"))
 
     def __reduce__(self):  # pickle and copy rebuild through the constructor
         return OperatorKernel, (self.ctx, self.coef, self.mod)
@@ -95,13 +100,21 @@ class OperatorKernel:
         return self.coef.shape[0]
 
 
+def _kernel(ctx: BetaContext, coef: np.ndarray, mod) -> OperatorKernel:
+    """The kernel holding ``coef`` itself, which the caller gives up."""
+    k = object.__new__(OperatorKernel)
+    object.__setattr__(k, "ctx", ctx)
+    k._hold(coef, mod)
+    return k
+
+
 def kernel_of(f: TorusField) -> OperatorKernel:
     """Integral kernel of the operator represented by a field.
 
     The field holds its kernel's coefficients times 2 pi hbar (``sampling.TorusField``),
     so the map is the 1/(2 pi hbar) scale, and ``mod`` passes through.
     """
-    return OperatorKernel(f.ctx, _held(f) / (2 * np.pi * f.ctx.hbar), f.mod)
+    return _kernel(f.ctx, _held(f) / (2 * np.pi * f.ctx.hbar), f.mod)
 
 
 def element_of(k: OperatorKernel) -> TorusField:
@@ -135,7 +148,7 @@ def _contract(k: OperatorKernel, right: np.ndarray, mu: float) -> np.ndarray:
 def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
     """Kernel of the product: :func:`_contract` over the inner slot, outer slots kept."""
     _check_pair(kf, kg, "kernels")
-    return OperatorKernel(kf.ctx, _contract(kf, kg.coef, kg.mod[0]), (kf.mod[0], kg.mod[1]))
+    return _kernel(kf.ctx, _contract(kf, kg.coef, kg.mod[0]), (kf.mod[0], kg.mod[1]))
 
 
 def _adjoint(coef: np.ndarray) -> np.ndarray:
@@ -150,7 +163,7 @@ def _adjoint(coef: np.ndarray) -> np.ndarray:
 
 def adjoint_kernel(k: OperatorKernel) -> OperatorKernel:
     """Kernel of the adjoint operator: :func:`_adjoint`, with ``mod`` -> (-mu_v, -mu_u)."""
-    return OperatorKernel(k.ctx, _adjoint(k.coef), (-k.mod[1], -k.mod[0]))
+    return _kernel(k.ctx, _adjoint(k.coef), (-k.mod[1], -k.mod[0]))
 
 
 def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
@@ -167,6 +180,13 @@ def trace_op(k: OperatorKernel) -> complex:
     anti-diagonal ``u + v = r (mod n)`` of ``k.coef``, with the wrap sign of
     ``sampling._contraction`` (mode ``r + n`` samples as ``-1`` times mode r),
     so no sample of the kernel is built.
+
+    The entries are read at their in-band FFT mode numbers.  A field's
+    sheared coefficient (c, b) carries the kernel modes (c + b, -c), whose
+    diagonal frequency b is always in the band; where exactly one of them
+    leaves ``[-n/2, n/2)``, the wrap sign flips the coefficient.  So
+    ``trace_op(kernel_of(f))`` equals :func:`~gupstar.star_algebra.trace`
+    only when f has no such coefficient (the difference is stated there).
     """
     mtot = k.mod[0] + k.mod[1]
     n = k.n
@@ -205,7 +225,7 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
     cpsi, cphi = psi.coeffs(), phi.coeffs()
     if _band_reach(cpsi) + _band_reach(cphi) <= n // 2 - 1:
         outer = np.outer(cpsi, np.conj(cphi[-np.arange(n)]))
-        return element_of(OperatorKernel(ctx, outer, (psi.mod, -phi.mod)))
+        return element_of(_kernel(ctx, outer, (psi.mod, -phi.mod)))
     ap = angle_nodes(n)
     ps = _line_values(cpsi, psi.mod, ctx.lam * ap)
     ph = _line_values(cphi, phi.mod, -(1 - ctx.lam) * ap)

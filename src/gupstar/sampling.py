@@ -48,6 +48,20 @@ transformed-pair convolution of ``transforms``, and the band-limited
 coefficients out in n cyclic rows by a cached index layout ``(at, size)``
 (``_band_layout``): row c of length 3n/2 for the left product, row
 s = c + b of length 2n for the right one, whose terms also move in alpha'.
+
+A field holds its kernel's layout ``K[u, v] = coef[-v, u + v]``, and only
+this module knows it: ``_KERNEL``/``_SHEARED`` and ``_relabel_index`` gather
+between it and the sheared ``coef[c, b]``, and ``_held_modes`` gives each
+held entry its sheared mode pair (c, b).  Routes that act mode by mode work
+on the held array: the scales ``shift_field``, ``deriv_p``,
+``deriv_pprime``, ``seminorm`` and ``transforms.mult_by_q``, the symbol
+products (``_band_layout`` composes the relabel into its index) and
+``star_algebra.inner``'s Parseval branch.  Routes that integrate out or
+decode alpha' read the sheared ``coeffs()``: ``values`` and the codec,
+``star_algebra.trace``, ``operator_rep.marginal_momentum``, the synthesis
+(``_sinc_sums``, ``lattice_from_field``), ``inner`` at different mu_v, the
+``transforms`` references and ``verify``.  ``freq_grids``, ``coeffs()`` and
+``field_from_coeffs`` keep their sheared contracts.
 """
 
 from __future__ import annotations
@@ -223,10 +237,12 @@ def _cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _band_layout(n: int, skew: bool) -> tuple[np.ndarray, int]:
-    """Index layout ``(at, size)`` of n x n coefficients in n cyclic rows of length size.
+    """Index layout ``(at, size)`` of a held n x n array in n cyclic rows of length size.
 
-    Coefficient (c, b), FFT ordering, sits at flat index ``at[c * n + b]``
-    (read-only).  Left product: row c, b at b mod 3n/2; sums of two band
+    Held entry (u, v) sits at flat index ``at[u * n + v]`` (read-only), the
+    place of its sheared coefficient (c, b), FFT ordering: the sheared
+    layout composed with ``_relabel_index(n, *_KERNEL)``.  Left product:
+    row c, b at b mod 3n/2; sums of two band
     modes lie in [-n, n - 2], less than 3n/2 from every band mode, so none
     wraps onto one.  Right product (``skew``): the move (c, b) -> (c - mu,
     b + mu) keeps s = c + b, so row s mod n, b at b mod 2n when s >= 0 and
@@ -237,8 +253,10 @@ def _band_layout(n: int, skew: bool) -> tuple[np.ndarray, int]:
     m = mode_numbers(n).astype(int)
     if skew:
         s = m[:, None] + m
-        return _frozen(((s % n) * (2 * n) + (m - n // 2 * (s < 0)) % (2 * n)).ravel()), 2 * n
-    return _frozen((np.arange(n)[:, None] * (3 * n // 2) + m % (3 * n // 2)).ravel()), 3 * n // 2
+        at, size = (s % n) * (2 * n) + (m - n // 2 * (s < 0)) % (2 * n), 2 * n
+    else:
+        at, size = np.arange(n)[:, None] * (3 * n // 2) + m % (3 * n // 2), 3 * n // 2
+    return _frozen(at.ravel()[_relabel_index(n, *_KERNEL)].ravel()), size
 
 
 def _band_convolution(a: np.ndarray, b, layout: tuple[np.ndarray, int]) -> np.ndarray:
@@ -246,7 +264,8 @@ def _band_convolution(a: np.ndarray, b, layout: tuple[np.ndarray, int]) -> np.nd
 
     The symbol products' convolution along the alpha modes of n x n
     coefficients (the first form for the skew layout), summed over k; a[k]
-    holds n modes and ``b`` may be a sequence.  ``layout`` is
+    holds n modes and ``b`` may be a sequence.  (c, b) are sheared modes,
+    read from and written to held arrays through the index.  ``layout`` is
     :func:`_band_layout`'s: laid out and read back through the same index,
     the cyclic rows drop, never wrap, each term whose target leaves
     ``[-n/2, n/2)``.  By FFT, summed in frequency space with one pair of
@@ -292,12 +311,30 @@ def _relabel(coef: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
 _KERNEL, _SHEARED = (0, -1, 1, 1), (1, 1, -1, 0)
 
 
+@functools.lru_cache(maxsize=8)
+def _held_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sheared mode numbers ``(C, B)`` of the held entries K[u, v] = coef[-v, u + v].
+
+    ``C = m[(-v) mod n]`` depends on v alone and is a row, shape (1, n);
+    ``B = m[(u + v) mod n]`` is n x n; m is :func:`mode_numbers`.  Against a
+    held array they broadcast as :meth:`TorusField.freq_grids`' c and b do
+    against the sheared one.
+    """
+    m, v = mode_numbers(n), np.arange(n)
+    return _frozen(m[(-v) % n][None, :]), _frozen(m[(v[:, None] + v) % n])
+
+
 def _finite(a, what: str, ndim: int) -> np.ndarray:
     """Carrier data: a finite, C-ordered complex array of even size, square when 2-d."""
+    return _all_finite(_shaped(a, what, ndim), what)
+
+
+def _shaped(a, what: str, ndim: int) -> np.ndarray:
+    """:func:`_finite` without the scan for NaN and infinite entries."""
     a = np.ascontiguousarray(a, dtype=complex)
     if a.ndim != ndim or a.shape != a.shape[:1] * ndim or a.shape[0] % 2:
         raise ValueError(f"{what} must form a {('1-d', 'square')[ndim - 1]} array of even size")
-    return _all_finite(a, what)
+    return a
 
 
 def _all_finite(a: np.ndarray, what: str) -> np.ndarray:
@@ -530,9 +567,12 @@ class TorusField:
 
     @property
     def values(self) -> np.ndarray:
-        """Samples F[j, k] at (alpha'_j, alpha_k)."""
-        coef = _relabel(self._coef, *_SHEARED)
-        return _frozen(_sheared_values(coef, self.ctx.lam, _sheared_mod(self.mod)))
+        """Samples F[j, k] at (alpha'_j, alpha_k): :func:`_sheared_values` of :meth:`coeffs`."""
+        mod = _sheared_mod(self.mod)
+        # the gather is a temporary of the alpha' decode, freed before the alpha decode
+        cb = _coeffs_to_vals(_relabel(self._coef, *_SHEARED), axis=0)
+        cb *= _shear_phase(self.n, self.ctx.lam, mod, 1)
+        return _frozen(_line_values(cb, mod[1]))
 
     @property
     def n(self) -> int:
@@ -544,11 +584,8 @@ class TorusField:
 
     def freq_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """Effective (alpha'-frequency, alpha-frequency) arrays, shape (n, n)."""
-        n = self.n
-        s0, b0 = _sheared_mod(self.mod)
-        c, b = np.meshgrid(mode_numbers(n), mode_numbers(n), indexing="ij")
-        bt = b0 + b
-        return self.ctx.lam * bt + s0 + c, bt
+        m = mode_numbers(self.n)
+        return _freqs(self, *np.meshgrid(m, m, indexing="ij"))
 
     def with_values(self, values: np.ndarray) -> "TorusField":
         return TorusField(self.ctx, values, self.mod)
@@ -558,9 +595,11 @@ def field_from_coeffs(ctx: BetaContext, coef: np.ndarray,
                       mod: tuple[float, float] = (0.0, 0.0)) -> TorusField:
     """The field of sheared coefficients ``coef[c, b]``, held relabeled (a gather, not a view).
 
-    Inverse of :meth:`TorusField.coeffs`.
+    Inverse of :meth:`TorusField.coeffs`.  The shape is checked before the
+    gather, which relies on it; NaN and infinite entries are found once,
+    on the held copy.
     """
-    return _adopt(ctx, _relabel(_finite(coef, "field coefficients", 2), *_KERNEL), mod)
+    return _adopt(ctx, _relabel(_shaped(coef, "field coefficients", 2), *_KERNEL), mod)
 
 
 def _held(f: TorusField) -> np.ndarray:
@@ -575,6 +614,22 @@ def _adopt(ctx: BetaContext, coef: np.ndarray, mod=(0.0, 0.0)) -> TorusField:
     return f
 
 
+def _freqs(f: TorusField, c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`TorusField.freq_grids` at sheared modes (c, b), arrays that broadcast."""
+    s0, b0 = _sheared_mod(f.mod)
+    bt = b0 + b
+    return f.ctx.lam * bt + s0 + c, bt
+
+
+def _held_freqs(f: TorusField) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`TorusField.freq_grids` at each held entry: the same values, relabeled."""
+    return _freqs(f, *_held_modes(f.n))
+
+
+# The scales below multiply the held array by their multiplier in one expression, as
+# the sheared route did: numpy multiplies a large temporary right operand in place,
+# operands swapped, and a complex product fused with a multiply-add is not
+# commutative in the last bit, so a helper taking the multiplier would move values.
 def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha: float = 0.0) -> TorusField:
     """The field translated by two scalar angles.
 
@@ -583,35 +638,32 @@ def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha: float = 0.0)
     ``exp(2i (nu d_alpha_prime + (b + b0) d_alpha))``.  Exact on band-limited
     fields.
     """
-    nu, bt = f.freq_grids()
+    nu, bt = _held_freqs(f)
     phase = nu * float(d_alpha_prime) + bt * float(d_alpha)
     if not phase.any():
         return f
-    return field_from_coeffs(f.ctx, f.coeffs() * np.exp(2j * phase), f.mod)
+    return _adopt(f.ctx, _held(f) * np.exp(2j * phase), f.mod)
 
 
 def deriv_p(f: TorusField) -> TorusField:
     """Translation generator in the second slot: sqrt(beta) d/d alpha."""
-    _, bt = f.freq_grids()
-    coef = f.coeffs() * (2j * f.ctx.sqrt_beta * bt)
-    return field_from_coeffs(f.ctx, coef, f.mod)
+    _, bt = _held_freqs(f)
+    return _adopt(f.ctx, _held(f) * (2j * f.ctx.sqrt_beta * bt), f.mod)
 
 
 def deriv_pprime(f: TorusField) -> TorusField:
     """Translation generator in the first slot: sqrt(beta) d/d alpha'."""
-    nu, _ = f.freq_grids()
-    coef = f.coeffs() * (2j * f.ctx.sqrt_beta * nu)
-    return field_from_coeffs(f.ctx, coef, f.mod)
+    nu, _ = _held_freqs(f)
+    return _adopt(f.ctx, _held(f) * (2j * f.ctx.sqrt_beta * nu), f.mod)
 
 
 def seminorm(f: TorusField, n_idx: int, m_idx: int) -> float:
     """Sup of |D_{p'}^n D_p^m f~| over the grid (Frechet seminorm)."""
     if n_idx < 0 or m_idx < 0:
         raise ValueError("seminorm orders must be nonnegative")
-    nu, bt = f.freq_grids()
+    nu, bt = _held_freqs(f)
     mult = (2j * f.ctx.sqrt_beta * nu) ** n_idx * (2j * f.ctx.sqrt_beta * bt) ** m_idx
-    g = field_from_coeffs(f.ctx, f.coeffs() * mult, f.mod)
-    return float(np.abs(g.values).max())
+    return float(np.abs(_adopt(f.ctx, _held(f) * mult, f.mod).values).max())
 
 
 #: Elements (float64) of the largest temporary a window evaluation builds: 1 MB.

@@ -7,8 +7,9 @@ kernel composition by invariant-measure quadrature over the contracted slot
 (a signed mode pairing and one matrix product when the contracted
 modulations differ by an integer), kernel -> field back.  Products, the
 involution (the kernel adjoint's relabeling) and ``s_operator`` work on the
-held kernel layout; ``trace``, ``inner`` and the products with symbols
-``q^P phi(p)`` read sheared coefficients, with no sample round trip.  On
+held kernel layout, and so do the products with symbols ``q^P phi(p)`` and
+``inner`` at equal modulations; ``trace`` and ``inner`` at different
+modulations read sheared coefficients, with no sample round trip.  On
 band-limited carriers the product equals the direct discretization of the
 defining twisted convolution; that discretization is kept as
 :func:`star_direct` so the two routes can check each other.  It shares no
@@ -42,11 +43,11 @@ from .sampling import (
     _band_layout,
     _check_pair,
     _held,
+    _held_modes,
     _integral,
     _line_coeffs,
     _line_values,
     angle_nodes,
-    field_from_coeffs,
     mode_numbers,
     shift_field,
 )
@@ -143,7 +144,16 @@ def s_operator(f: AlgebraElement) -> AlgebraElement:
 def trace(f: AlgebraElement) -> complex:
     """Normalized phase-space integral tr(f) = Int f dq dmu / (2 pi hbar).
 
-    A column sum of the sheared coefficients, free of any transform.
+    A column sum of the sheared coefficients, free of any transform: column b
+    is the kernel diagonal's mode b, always in the band.  It equals
+    ``operator_rep.trace_op(kernel_of(f))`` to rounding only when f has no
+    coefficient at a sheared mode (c, b) whose kernel modes (c + b, -c) lie
+    one in ``[-n/2, n/2)`` and one outside, as for Wigner pairs that fit the
+    band and ``ml_phase_state`` fields.  ``trace_op`` reads such a
+    coefficient at in-band mode numbers, with the opposite sign, so the two
+    differ by ``sum_b sinc(b + b0) sum_c coef[c, b] / (hbar sqrt(beta))``
+    over those c, with ``b0 = mu_u + mu_v``.  Which of the two is the paper's trace is left open
+    (ROADMAP items 1 and 3).
     """
     b = mode_numbers(f.n) + (f.mod[0] + f.mod[1])
     colsum = f.coeffs().sum(axis=0)
@@ -176,7 +186,7 @@ def inner(f: AlgebraElement, g: AlgebraElement) -> complex:
     if _integral(*g.mod, -f.mod[0], -f.mod[1]) != 0:
         return complex(pref * np.vdot(f.values, g.values))
     if _integral(f.mod[1], -g.mod[1]) == 0:
-        return complex(pref * n * n * np.vdot(f.coeffs(), g.coeffs()))
+        return complex(pref * n * n * np.vdot(_held(f), _held(g)))
     fl = _line_values(f.coeffs().T)              # [b, j]; one gathered array alive at a time
     gl = _line_values(g.coeffs().T, f.mod[1] - g.mod[1])
     return complex(pref * n * np.vdot(fl, gl))
@@ -246,8 +256,9 @@ def _symbol_product(sym: SymbolObservable, g: AlgebraElement, a, z, mod,
     """Band projection of ``sum_k C(P, k) phi_k g_{P-k}``, P = sym.power, in coefficients.
 
     phi_k has phi's coefficient at mode mu times ``(a (phi.mod + mu))^k`` and
-    g_j has g's sheared coefficients times ``z^j`` (z broadcasts against
-    them), so the (phi mode mu, g mode (c, b)) term carries the multiplier
+    g_j has g's held coefficients times ``z^j`` (z broadcasts against them,
+    written from ``sampling._held_modes``), so the (phi mode mu, g's sheared
+    mode (c, b)) term carries the multiplier
     ``(a (phi.mod + mu) + z)^P``.  It lands on alpha mode ``b + mu``; with
     ``skew`` (the right product) it also moves to alpha' mode ``c - mu``.
     Terms whose alpha mode leaves ``[-n/2, n/2)`` are dropped, so the result
@@ -258,18 +269,18 @@ def _symbol_product(sym: SymbolObservable, g: AlgebraElement, a, z, mod,
     cost is one band-limited FFT convolution over the P + 1 terms, O(P n^2 log n)
     whatever phi's band, and no sample; the right product's FFTs cover 2n^2
     points per term against 3n^2/2 for the left.  ``mod`` is the product's
-    modulation.
+    modulation; the convolution's output is already in the held layout.
     """
     _check_pair(sym.phi, g, "symbol and field")
     n, power, phi = g.n, sym.power, sym.phi
     k = np.arange(power + 1)[:, None, None]
     binom = np.array([math.comb(power, j) for j in range(power + 1)], dtype=float)
     amp = binom[:, None, None] * phi.coeffs() * (a * (phi.mod + mode_numbers(n))) ** k
-    gz = [g.coeffs()]  # g_j: g's coefficients times z^j, j = 0..P
+    gz = [_held(g)]  # g_j: g's coefficients times z^j, j = 0..P
     for _ in range(power):
         gz.append(gz[-1] * z)
     out = _band_convolution(amp, gz[::-1], _band_layout(n, skew))  # phi_k pairs with g_{P-k}
-    return field_from_coeffs(g.ctx, out, mod)
+    return _adopt(g.ctx, out, mod)
 
 
 def star_symbol_left(sym: SymbolObservable, g: AlgebraElement) -> AlgebraElement:
@@ -285,8 +296,8 @@ def star_symbol_left(sym: SymbolObservable, g: AlgebraElement) -> AlgebraElement
     past the band are dropped, never aliased, for the cost of one
     band-limited FFT convolution.  phi.mod adds to ``mod[0]``.
     """
-    hs, m = g.ctx.hbar * g.ctx.sqrt_beta, mode_numbers(g.n)
-    z = -2.0 * hs * (g.mod[0] + m[:, None] + m)
+    hs, (c, b) = g.ctx.hbar * g.ctx.sqrt_beta, _held_modes(g.n)
+    z = -2.0 * hs * (g.mod[0] + c + b)
     mod = (g.mod[0] + sym.phi.mod, g.mod[1])
     return _symbol_product(sym, g, -2.0 * hs * g.ctx.lam, z, mod, skew=False)
 
@@ -304,8 +315,8 @@ def star_symbol_right(g: AlgebraElement, sym: SymbolObservable) -> AlgebraElemen
     leaves the band are dropped, for about 4/3 of the left product's FFT work.
     phi.mod adds to ``mod[1]``.
     """
-    hs, m = g.ctx.hbar * g.ctx.sqrt_beta, mode_numbers(g.n)
-    z = 2.0 * hs * (g.mod[1] - m[:, None])
+    hs, (c, _) = g.ctx.hbar * g.ctx.sqrt_beta, _held_modes(g.n)
+    z = 2.0 * hs * (g.mod[1] - c)
     mod = (g.mod[0], g.mod[1] + sym.phi.mod)
     return _symbol_product(sym, g, 2.0 * hs * (1 - g.ctx.lam), z, mod, skew=True)
 

@@ -15,13 +15,14 @@ import numpy as np
 
 from .sampling import (
     TorusField,
+    _adopt,
     _check_pair,
     _cyclic_convolution,
+    _held,
     _integral,
     _line_coeffs,
     _line_values,
     deriv_pprime,
-    field_from_coeffs,
     mode_numbers,
     shift_field,
 )
@@ -211,4 +212,4 @@ def mult_by_q(f: TorusField) -> TorusField:
     sends a constant field to zero and a pure first-slot phase to its position
     eigenvalue.  A coefficient scale, so it runs no transform.
     """
-    return field_from_coeffs(f.ctx, 1j * f.ctx.hbar * deriv_pprime(f).coeffs(), f.mod)
+    return _adopt(f.ctx, 1j * f.ctx.hbar * _held(deriv_pprime(f)), f.mod)

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from gupstar import sampling
 from gupstar.beta_arith import INFINITY, BetaContext
 from gupstar.families import random_element, random_state, resolve_family
 from gupstar.operator_rep import OperatorKernel, qhat_apply
@@ -451,6 +452,15 @@ def test_field_data_must_be_finite(ctx, bad):
         LatticeField(ctx, [-1, 0, 1], lattice)
     with pytest.raises(ValueError, match="lattice indices ms must form a 1-d array of integers"):
         LatticeField(ctx, [-1, bad, 1], np.ones((3, 4)))
+
+
+def test_field_from_coeffs_scans_for_nan_once(ctx, monkeypatch):
+    # the shape is checked before the relabel gather, the entries once, on the held copy
+    scans = []
+    real = sampling._all_finite
+    monkeypatch.setattr(sampling, "_all_finite", lambda a, what: scans.append(what) or real(a, what))
+    field_from_coeffs(ctx, np.ones((8, 8)))
+    assert scans == ["field coefficients"]
 
 
 def test_modulations_whose_phases_overflow_are_rejected(ctx):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,14 @@ from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element, random_state, resolve_family
 from gupstar import operator_rep, sampling, star_algebra
 from gupstar.operator_rep import compose_kernels, element_of, kernel_of, trace_op, wigner
-from gupstar.sampling import (TorusField, Wavefunction, _line_values, _relabel, angle_nodes,
-                              field_from_coeffs, mode_numbers)
+from gupstar.sampling import (TorusField, Wavefunction, _band_convolution, _line_values, _relabel,
+                              angle_nodes, deriv_p, deriv_pprime, field_from_coeffs, mode_numbers,
+                              seminorm, shift_field, wavefunction_from_coeffs)
 from gupstar.star_algebra import (SymbolObservable, expectation, inner, involution, norm2,
                                   s_operator, star, star_direct, star_symbol_left,
                                   star_symbol_right, trace)
 from gupstar.states import ml_phase_state, position_eigenvector
+from gupstar.transforms import mult_by_q
 
 
 def test_projector_idempotence(ctx):
@@ -282,8 +286,9 @@ def test_algebra_path_runs_no_sheared_codec(monkeypatch):
 
 def test_operator_maps_are_scales_of_the_held_coefficients(monkeypatch):
     # fields hold their kernel's coefficients: the kernel maps, a product at an integer
-    # contracted difference, the ordering flip, a Wigner pair that fits the band and the
-    # random family built from such pairs relabel no coefficient grid
+    # contracted difference, the ordering flip, a Wigner pair that fits the band, the
+    # random family built from such pairs, the coefficient scales, both symbol products
+    # and the Parseval inner product relabel no coefficient grid
     ctx, n = BetaContext(2.0, 0.7, 0.3), 32
     rng = np.random.default_rng(43)
     m = np.abs(mode_numbers(n))
@@ -297,6 +302,11 @@ def test_operator_maps_are_scales_of_the_held_coefficients(monkeypatch):
     k = kernel_of(f)
     back, fg, sf = element_of(k), star(f, g), s_operator(f)
     w, r = wigner(phi, psi), random_element(ctx, n, rng)
+    sym = SymbolObservable(2, phi)
+    for route in (shift_field(f, 0.3, -0.2), deriv_p(f), deriv_pprime(f), mult_by_q(f),
+                  star_symbol_left(sym, g), star_symbol_right(g, sym)):
+        assert route.n == n
+    assert inner(f, f).real > 0
     monkeypatch.undo()
     scale = 2 * np.pi * ctx.hbar
     assert np.array_equal(k.coef, _relabel(f.coeffs(), 0, -1, 1, 1) / scale)
@@ -307,6 +317,71 @@ def test_operator_maps_are_scales_of_the_held_coefficients(monkeypatch):
     outer = np.outer(psi.coeffs(), np.conj(phi.coeffs()[-np.arange(n)]))
     assert np.abs(kernel_of(w).coef - outer).max() <= 1e-15 * np.abs(outer).max()
     assert r.n == n and np.isfinite(r.values).all()
+
+
+def _sheared_band_layout(n, skew):
+    """``sampling._band_layout``'s index for sheared coefficients: (c, b) at ``at[c * n + b]``."""
+    m = mode_numbers(n).astype(int)
+    if skew:
+        s = m[:, None] + m
+        return ((s % n) * (2 * n) + (m - n // 2 * (s < 0)) % (2 * n)).ravel(), 2 * n
+    return (np.arange(n)[:, None] * (3 * n // 2) + m % (3 * n // 2)).ravel(), 3 * n // 2
+
+
+def _sheared_symbol_product(sym, g, a, z, skew):
+    """The symbol product's band convolution on g's sheared coefficients."""
+    n, power, phi = g.n, sym.power, sym.phi
+    k = np.arange(power + 1)[:, None, None]
+    binom = np.array([math.comb(power, j) for j in range(power + 1)], dtype=float)
+    amp = binom[:, None, None] * phi.coeffs() * (a * (phi.mod + mode_numbers(n))) ** k
+    gz = [g.coeffs()]
+    for _ in range(power):
+        gz.append(gz[-1] * z)
+    return _band_convolution(amp, gz[::-1], _sheared_band_layout(n, skew))
+
+
+@pytest.mark.parametrize("mod", [(0.0, 0.0), (0.58, -0.21)])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_held_routes_match_the_sheared_route(n, lam, mod):
+    # the routes that act mode by mode on the held array give the bits of the same
+    # arithmetic on the sheared coefficients; inner sums in another order
+    ctx = BetaContext(2.0, 0.7, lam)
+    rng = np.random.default_rng(n)
+    f, g = (field_from_coeffs(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                              mod) for _ in range(2))
+    phi = wavefunction_from_coeffs(ctx, rng.standard_normal(n) + 1j * rng.standard_normal(n), 0.25)
+    fc, gc, sb = f.coeffs(), g.coeffs(), ctx.sqrt_beta
+    nu, bt = f.freq_grids()
+    # each reference is a statement of its own, as in the library: numpy multiplies a
+    # large temporary right operand in place, operands swapped (pytest's assert rewriting
+    # keeps temporaries alive and would not), and a complex product fused with a
+    # multiply-add is not commutative in the last bit
+    shifted = fc * np.exp(2j * (nu * 0.31 + bt * -0.17))
+    dp = fc * (2j * sb * bt)
+    dpp = fc * (2j * sb * nu)
+    q = 1j * ctx.hbar * dpp
+    mult = (2j * sb * nu) ** 2 * (2j * sb * bt) ** 1
+    semi = float(np.abs(field_from_coeffs(ctx, fc * mult, mod).values).max())
+    assert np.array_equal(shift_field(f, 0.31, -0.17).coeffs(), shifted)
+    assert np.array_equal(deriv_p(f).coeffs(), dp)
+    assert np.array_equal(deriv_pprime(f).coeffs(), dpp)
+    assert np.array_equal(mult_by_q(f).coeffs(), q)
+    assert seminorm(f, 2, 1) == semi
+    hs, m = ctx.hbar * sb, mode_numbers(n)
+    for power in range(4):
+        sym = SymbolObservable(power, phi)
+        left = _sheared_symbol_product(sym, g, -2.0 * hs * lam,
+                                       -2.0 * hs * (g.mod[0] + m[:, None] + m), skew=False)
+        right = _sheared_symbol_product(sym, g, 2.0 * hs * (1 - lam),
+                                        2.0 * hs * (g.mod[1] - m[:, None]), skew=True)
+        assert np.array_equal(star_symbol_left(sym, g).coeffs(), left)
+        assert np.array_equal(star_symbol_right(g, sym).coeffs(), right)
+    # Parseval at equal modulations: one vdot over the n^2 modes, the order changed
+    pref = (np.pi / n) ** 2 / (4 * np.pi ** 2 * ctx.hbar ** 2 * ctx.beta)
+    ref = pref * n * n * np.vdot(fc, gc)
+    bound = n * n * np.finfo(float).eps * pref * n * n * np.linalg.norm(fc) * np.linalg.norm(gc)
+    assert abs(inner(f, g) - ref) <= bound
 
 
 def _sample_inner(f, g):
