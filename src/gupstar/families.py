@@ -8,7 +8,6 @@ from .beta_arith import BetaContext
 from .sampling import (
     TorusField,
     Wavefunction,
-    _adopt,
     _held,
     _line_coeffs,
     _line_values,
@@ -81,7 +80,7 @@ def random_element(ctx: BetaContext, n: int, rng: np.random.Generator,
     d = random_state(ctx, n, rng, mmax, parity, localized)
     w1, w2 = wigner(a, b), wigner(c, d)
     z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return _adopt(ctx, z1 * _held(w1) + z2 * _held(w2))
+    return TorusField._own(ctx, z1 * _held(w1) + z2 * _held(w2), (0.0, 0.0))
 
 
 def random_qlocalized(ctx: BetaContext, n: int, rng: np.random.Generator) -> TorusField:

@@ -475,6 +475,8 @@ def parse_poly(text: str) -> FormalPoly:
     def parse_factor() -> FormalPoly:
         kind, val, at = advance()
         if kind == "num":
+            if int(val.partition("/")[2] or 1) == 0:
+                raise ParseError(f"zero denominator in {val!r}", at)
             return FormalPoly.const(Fraction(val))
         if kind == "name":
             base = FormalPoly.var(val)

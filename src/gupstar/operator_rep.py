@@ -28,18 +28,14 @@ from .beta_arith import BetaContext
 from .sampling import (
     TorusField,
     Wavefunction,
-    _adopt,
+    _Carrier,
     _band_reach,
     _check_pair,
     _contraction,
-    _finite,
-    _finite_mod,
-    _frozen,
     _held,
     _integral,
     _line_values,
     _relabel,
-    _relabel_index,  # noqa: F401  (tests import it from here)
     angle_nodes,
     mode_numbers,
     wavefunction_from_coeffs,
@@ -68,44 +64,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OperatorKernel:
+class OperatorKernel(_Carrier):
     """Integral kernel held by its coefficients, second slot paired with d mu.
 
     ``K(a, b) = exp(2i(mu_u a + mu_v b)) sum_{u,v} coef[u, v] exp(2i(u a + v b))``
     with ``mod = (mu_u, mu_v)``, the same pair as the field's ``mod``.
-    ``coef`` is a read-only copy of the constructor's input; NaN or infinite
-    coefficients or modulations are rejected.  Kernels this module computes
-    hold their fresh arrays with the same checks and no copy (``_kernel``).
+    ``OperatorKernel(ctx, coef, mod)`` holds a read-only copy of ``coef``; NaN
+    or infinite coefficients or modulations are rejected.  Kernels this module
+    computes hold their fresh arrays with the same checks and no copy
+    (``OperatorKernel._own``).  A kernel is a carrier (``sampling._Carrier``),
+    not a dataclass: immutable, and equal and hashed by identity, so two
+    kernels with the same coefficients compare unequal.
     """
 
-    ctx: BetaContext
-    coef: np.ndarray
-    mod: tuple[float, float] = (0.0, 0.0)
+    __slots__ = ()
+    _mod_what, _coef_what, _ndim = "kernel", "kernel coefficients", 2
+    coef = property(_held, doc="The coefficients ``coef[u, v]``, read-only.")
 
-    def __post_init__(self):
+    def __new__(cls, ctx: BetaContext, coef: np.ndarray, mod: tuple[float, float] = (0.0, 0.0)):
         # a copy: no memory shared with the caller
-        self._hold(np.array(self.coef, dtype=complex), self.mod)
-
-    def _hold(self, coef, mod) -> None:
-        """Check and freeze ``coef``, an array the kernel now owns."""
-        object.__setattr__(self, "coef", _frozen(_finite(coef, "kernel coefficients", 2)))
-        object.__setattr__(self, "mod", _finite_mod(mod, "kernel"))
-
-    def __reduce__(self):  # pickle and copy rebuild through the constructor
-        return OperatorKernel, (self.ctx, self.coef, self.mod)
-
-    @property
-    def n(self) -> int:
-        return self.coef.shape[0]
-
-
-def _kernel(ctx: BetaContext, coef: np.ndarray, mod) -> OperatorKernel:
-    """The kernel holding ``coef`` itself, which the caller gives up."""
-    k = object.__new__(OperatorKernel)
-    object.__setattr__(k, "ctx", ctx)
-    k._hold(coef, mod)
-    return k
+        return cls._own(ctx, np.array(coef, dtype=complex), mod)
 
 
 def kernel_of(f: TorusField) -> OperatorKernel:
@@ -114,12 +92,12 @@ def kernel_of(f: TorusField) -> OperatorKernel:
     The field holds its kernel's coefficients times 2 pi hbar (``sampling.TorusField``),
     so the map is the 1/(2 pi hbar) scale, and ``mod`` passes through.
     """
-    return _kernel(f.ctx, _held(f) / (2 * np.pi * f.ctx.hbar), f.mod)
+    return OperatorKernel._own(f.ctx, _held(f) / (2 * np.pi * f.ctx.hbar), f.mod)
 
 
 def element_of(k: OperatorKernel) -> TorusField:
     """Inverse of :func:`kernel_of`: the field holding ``k.coef * 2 pi hbar``."""
-    return _adopt(k.ctx, k.coef * (2 * np.pi * k.ctx.hbar), k.mod)
+    return TorusField._own(k.ctx, k.coef * (2 * np.pi * k.ctx.hbar), k.mod)
 
 
 def _contract(k: OperatorKernel, right: np.ndarray, mu: float) -> np.ndarray:
@@ -148,7 +126,7 @@ def _contract(k: OperatorKernel, right: np.ndarray, mu: float) -> np.ndarray:
 def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
     """Kernel of the product: :func:`_contract` over the inner slot, outer slots kept."""
     _check_pair(kf, kg, "kernels")
-    return _kernel(kf.ctx, _contract(kf, kg.coef, kg.mod[0]), (kf.mod[0], kg.mod[1]))
+    return OperatorKernel._own(kf.ctx, _contract(kf, kg.coef, kg.mod[0]), (kf.mod[0], kg.mod[1]))
 
 
 def _adjoint(coef: np.ndarray) -> np.ndarray:
@@ -163,7 +141,7 @@ def _adjoint(coef: np.ndarray) -> np.ndarray:
 
 def adjoint_kernel(k: OperatorKernel) -> OperatorKernel:
     """Kernel of the adjoint operator: :func:`_adjoint`, with ``mod`` -> (-mu_v, -mu_u)."""
-    return _kernel(k.ctx, _adjoint(k.coef), (-k.mod[1], -k.mod[0]))
+    return OperatorKernel._own(k.ctx, _adjoint(k.coef), (-k.mod[1], -k.mod[0]))
 
 
 def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
@@ -225,7 +203,7 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
     cpsi, cphi = psi.coeffs(), phi.coeffs()
     if _band_reach(cpsi) + _band_reach(cphi) <= n // 2 - 1:
         outer = np.outer(cpsi, np.conj(cphi[-np.arange(n)]))
-        return element_of(_kernel(ctx, outer, (psi.mod, -phi.mod)))
+        return element_of(OperatorKernel._own(ctx, outer, (psi.mod, -phi.mod)))
     ap = angle_nodes(n)
     ps = _line_values(cpsi, psi.mod, ctx.lam * ap)
     ph = _line_values(cphi, phi.mod, -(1 - ctx.lam) * ap)

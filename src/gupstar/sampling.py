@@ -14,8 +14,12 @@ its kernel's coefficients (the sheared coefficients below, relabeled), and
 a :class:`Wavefunction` a state by line coefficients.  Samples (``F[j, k]`` at
 (alpha'_j, alpha_k)) are derived on demand and never cached; a carrier built
 from samples encodes them once, and since each codec is an invertible map on
-grid arrays its samples come back to rounding.  Every carrier constructor
-copies its input, so a carrier never shares memory with its caller.
+grid arrays its samples come back to rounding.  States, fields and
+``operator_rep.OperatorKernel`` keep one ownership rule, written once in the
+private base ``_Carrier``: public constructors copy their input, so a carrier
+never shares memory with its caller; library routes hand a fresh array to
+``_Carrier._own``, which checks and freezes it in place of a copy.  Carriers
+are immutable and compare and hash by identity.
 Transformed fields of algebra elements are not plainly pi-periodic in alpha':
 they obey the glide periodicity F(A' + pi, A - lam*pi) = F(A', A).  The carrier
 therefore expands fields in the sheared basis
@@ -68,6 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -344,6 +349,13 @@ def _all_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
+def _nonnegative_int(k, what: str) -> int:
+    """``k`` as an int, once it is a nonnegative ``numbers.Integral`` that is not a bool."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {k!r}")
+    return int(k)
+
+
 def _check_pair(f, g, what: str = "algebra elements") -> None:
     """Reject two operands (carriers or kernels) from different contexts or grids."""
     if f.ctx != g.ctx:
@@ -412,10 +424,60 @@ def _band_reach(c: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
+# carriers
+# ---------------------------------------------------------------------------
+
+class _Carrier:
+    """The ownership rule every coefficient carrier shares.
+
+    A carrier holds a context ``ctx``, a modulation ``mod`` and one array of
+    coefficients.  Public constructors copy their input; library routes hand
+    a fresh array to :meth:`_own`, which checks and freezes it in place of a
+    copy.  A carrier is immutable, compares and hashes by identity, and
+    pickles and copies through :meth:`_own`.  A subclass sets the names its
+    errors give the modulation and the coefficients (``_mod_what``,
+    ``_coef_what``) and the array's ``_ndim``; its own slots are the extra
+    arguments of its ``_own``, in order.
+    """
+
+    __slots__ = ("ctx", "mod", "_coef", "__weakref__")
+
+    @classmethod
+    def _own(cls, ctx: BetaContext, coef: np.ndarray, mod):
+        """The carrier holding ``coef`` itself, which the caller gives up."""
+        carrier = object.__new__(cls)
+        object.__setattr__(carrier, "ctx", ctx)
+        object.__setattr__(carrier, "mod", _finite_mod(mod, cls._mod_what))
+        object.__setattr__(carrier, "_coef", _frozen(_finite(coef, cls._coef_what, cls._ndim)))
+        return carrier
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy rebuild from the held arrays
+        extra = (getattr(self, name) for name in self.__slots__)
+        return self._own, (self.ctx, self._coef, self.mod, *extra)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(ctx={self.ctx!r}, n={self.n}, mod={self.mod})"
+
+    @property
+    def n(self) -> int:
+        return self._coef.shape[0]
+
+
+def _held(carrier: _Carrier) -> np.ndarray:
+    """The array a carrier holds, read-only: a field's kernel layout ``K[u, v]``."""
+    return carrier._coef
+
+
+# ---------------------------------------------------------------------------
 # wavefunctions
 # ---------------------------------------------------------------------------
 
-class Wavefunction:
+class Wavefunction(_Carrier):
     """Momentum-representation state on the n-point angle grid.
 
     ``psi(alpha) = exp(2i*mod*alpha) * sum_m c_m exp(2i m alpha)`` with a real
@@ -430,44 +492,31 @@ class Wavefunction:
     midpoint quadrature of ``|psi|^2``.  Every held array is read-only.
     """
 
-    __slots__ = ("ctx", "mod", "deriv", "_coef", "__weakref__")
+    __slots__ = ("deriv",)
+    _mod_what, _coef_what, _ndim = "wavefunction", "wavefunction coefficients", 1
 
-    def __init__(self, ctx: BetaContext, values: np.ndarray, mod: float = 0.0,
-                 deriv: Optional[np.ndarray] = None):
+    def __new__(cls, ctx: BetaContext, values: np.ndarray, mod: float = 0.0,
+                deriv: Optional[np.ndarray] = None):
         mod = _finite_mod(mod, "wavefunction")
         coef = _line_coeffs(_finite(values, "wavefunction samples", 1), mod)
         # a copy: the state never shares memory with the caller's arrays
-        self._hold(ctx, coef, mod, None if deriv is None else np.array(deriv, dtype=complex))
+        return cls._own(ctx, coef, mod, None if deriv is None else np.array(deriv, dtype=complex))
 
-    def _hold(self, ctx, coef, mod, deriv=None) -> None:
-        """Check and freeze ``coef`` and ``deriv``, arrays the state now owns."""
-        coef = _finite(coef, "wavefunction coefficients", 1)
+    @classmethod
+    def _own(cls, ctx: BetaContext, coef: np.ndarray, mod: float, deriv=None) -> "Wavefunction":
+        """The state holding ``coef`` and ``deriv`` themselves, which the caller gives up."""
+        psi = super()._own(ctx, coef, mod)
         if deriv is not None:
             deriv = _frozen(_finite(deriv, "wavefunction derivative samples", 1))
-            if deriv.shape != coef.shape:
+            if deriv.shape != psi._coef.shape:
                 raise ValueError("derivative samples must match the value samples")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "mod", _finite_mod(mod, "wavefunction"))
-        object.__setattr__(self, "deriv", deriv)
-        object.__setattr__(self, "_coef", _frozen(coef))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Wavefunction is immutable")
-
-    def __reduce__(self):  # pickle and copy rebuild from the held arrays
-        return _state, (self.ctx, self._coef, self.mod, self.deriv)
-
-    def __repr__(self) -> str:
-        return f"Wavefunction(ctx={self.ctx!r}, n={self.n}, mod={self.mod})"
+        object.__setattr__(psi, "deriv", deriv)
+        return psi
 
     @property
     def values(self) -> np.ndarray:
         """Samples psi(alpha_k) on the angle grid."""
         return _frozen(_line_values(self._coef, self.mod))
-
-    @property
-    def n(self) -> int:
-        return self._coef.size
 
     def coeffs(self) -> np.ndarray:
         """Coefficients of the demodulated part, FFT mode ordering."""
@@ -488,20 +537,13 @@ class Wavefunction:
         nv = self.norm()
         if nv == 0.0:
             raise ValueError("cannot normalize the zero wavefunction")
-        return _state(self.ctx, self._coef / nv, self.mod,
-                      None if self.deriv is None else self.deriv / nv)
-
-
-def _state(ctx: BetaContext, coef: np.ndarray, mod: float, deriv=None) -> Wavefunction:
-    """The state holding ``coef`` and ``deriv`` themselves, which the caller gives up."""
-    psi = object.__new__(Wavefunction)
-    psi._hold(ctx, coef, mod, deriv)
-    return psi
+        return self._own(self.ctx, self._coef / nv, self.mod,
+                         None if self.deriv is None else self.deriv / nv)
 
 
 def wavefunction_from_coeffs(ctx: BetaContext, coef: np.ndarray, mod: float = 0.0) -> Wavefunction:
     """The state holding a copy of the coefficients ``coef``; inverse of :meth:`Wavefunction.coeffs`."""
-    return _state(ctx, np.array(coef, dtype=complex), mod)
+    return Wavefunction._own(ctx, np.array(coef, dtype=complex), mod)
 
 
 def quad_mu(ctx: BetaContext, samples: np.ndarray) -> complex:
@@ -532,7 +574,7 @@ def wf_inner(phi: Wavefunction, psi: Wavefunction) -> complex:
 # torus fields
 # ---------------------------------------------------------------------------
 
-class TorusField:
+class TorusField(_Carrier):
     """An n x n field f~(alpha'_j, alpha_k) held by its operator kernel's coefficients.
 
     ``TorusField(ctx, values, mod)`` encodes samples ``F[j, k]`` once through
@@ -542,28 +584,14 @@ class TorusField:
     is cached, and every array a field holds or returns is read-only.
     """
 
-    __slots__ = ("ctx", "mod", "_coef", "__weakref__")
+    __slots__ = ()
+    _mod_what, _coef_what, _ndim = "field", "field coefficients", 2
 
-    def __init__(self, ctx: BetaContext, values: np.ndarray,
-                 mod: tuple[float, float] = (0.0, 0.0)):
+    def __new__(cls, ctx: BetaContext, values: np.ndarray,
+                mod: tuple[float, float] = (0.0, 0.0)):
         mod = _finite_mod(mod, "field")
         coef = _sheared_coeffs(_finite(values, "field samples", 2), ctx.lam, _sheared_mod(mod))
-        self._hold(ctx, _relabel(coef, *_KERNEL), mod)
-
-    def _hold(self, ctx, coef, mod) -> None:
-        """Check and freeze ``coef``, an array the field now owns."""
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "mod", _finite_mod(mod, "field"))
-        object.__setattr__(self, "_coef", _frozen(_finite(coef, "field coefficients", 2)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("TorusField is immutable")
-
-    def __reduce__(self):  # pickle and copy rebuild from the held array
-        return _adopt, (self.ctx, self._coef, self.mod)
-
-    def __repr__(self) -> str:
-        return f"TorusField(ctx={self.ctx!r}, n={self.n}, mod={self.mod})"
+        return cls._own(ctx, _relabel(coef, *_KERNEL), mod)
 
     @property
     def values(self) -> np.ndarray:
@@ -573,10 +601,6 @@ class TorusField:
         cb = _coeffs_to_vals(_relabel(self._coef, *_SHEARED), axis=0)
         cb *= _shear_phase(self.n, self.ctx.lam, mod, 1)
         return _frozen(_line_values(cb, mod[1]))
-
-    @property
-    def n(self) -> int:
-        return self._coef.shape[0]
 
     def coeffs(self) -> np.ndarray:
         """Sheared coefficients coef[c, b] of the demodulated part, a fresh read-only gather."""
@@ -599,19 +623,7 @@ def field_from_coeffs(ctx: BetaContext, coef: np.ndarray,
     gather, which relies on it; NaN and infinite entries are found once,
     on the held copy.
     """
-    return _adopt(ctx, _relabel(_shaped(coef, "field coefficients", 2), *_KERNEL), mod)
-
-
-def _held(f: TorusField) -> np.ndarray:
-    """The kernel-layout array ``K[u, v]`` a field holds, read-only."""
-    return f._coef
-
-
-def _adopt(ctx: BetaContext, coef: np.ndarray, mod=(0.0, 0.0)) -> TorusField:
-    """The field holding the kernel-layout array ``coef`` itself, which the caller gives up."""
-    f = object.__new__(TorusField)
-    f._hold(ctx, coef, mod)
-    return f
+    return TorusField._own(ctx, _relabel(_shaped(coef, "field coefficients", 2), *_KERNEL), mod)
 
 
 def _freqs(f: TorusField, c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -642,28 +654,27 @@ def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha: float = 0.0)
     phase = nu * float(d_alpha_prime) + bt * float(d_alpha)
     if not phase.any():
         return f
-    return _adopt(f.ctx, _held(f) * np.exp(2j * phase), f.mod)
+    return TorusField._own(f.ctx, _held(f) * np.exp(2j * phase), f.mod)
 
 
 def deriv_p(f: TorusField) -> TorusField:
     """Translation generator in the second slot: sqrt(beta) d/d alpha."""
     _, bt = _held_freqs(f)
-    return _adopt(f.ctx, _held(f) * (2j * f.ctx.sqrt_beta * bt), f.mod)
+    return TorusField._own(f.ctx, _held(f) * (2j * f.ctx.sqrt_beta * bt), f.mod)
 
 
 def deriv_pprime(f: TorusField) -> TorusField:
     """Translation generator in the first slot: sqrt(beta) d/d alpha'."""
     nu, _ = _held_freqs(f)
-    return _adopt(f.ctx, _held(f) * (2j * f.ctx.sqrt_beta * nu), f.mod)
+    return TorusField._own(f.ctx, _held(f) * (2j * f.ctx.sqrt_beta * nu), f.mod)
 
 
 def seminorm(f: TorusField, n_idx: int, m_idx: int) -> float:
     """Sup of |D_{p'}^n D_p^m f~| over the grid (Frechet seminorm)."""
-    if n_idx < 0 or m_idx < 0:
-        raise ValueError("seminorm orders must be nonnegative")
+    n_idx, m_idx = (_nonnegative_int(k, "seminorm order") for k in (n_idx, m_idx))
     nu, bt = _held_freqs(f)
     mult = (2j * f.ctx.sqrt_beta * nu) ** n_idx * (2j * f.ctx.sqrt_beta * bt) ** m_idx
-    return float(np.abs(_adopt(f.ctx, _held(f) * mult, f.mod).values).max())
+    return float(np.abs(TorusField._own(f.ctx, _held(f) * mult, f.mod).values).max())
 
 
 #: Elements (float64) of the largest temporary a window evaluation builds: 1 MB.
@@ -764,7 +775,7 @@ def synth(f: TorusField, q: float, p) -> complex:
 # position-lattice fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeField:
     """Samples f(q_m, p(alpha_k)) on the position lattice q_m = m * q_lattice_step.
 
@@ -812,9 +823,7 @@ def lattice_from_field(f: TorusField, half_width: int) -> LatticeField:
     it with every coefficient column.
     """
     n = f.n
-    M = int(half_width)
-    if M < 0:
-        raise ValueError(f"lattice half width must be nonnegative, got {M}")
+    M = _nonnegative_int(half_width, "lattice half width")
     s0, b0 = _sheared_mod(f.mod)
     d = f.ctx.lam * (mode_numbers(n) + b0) + s0
     k = np.arange(-(n // 2) - M, n // 2 + M)

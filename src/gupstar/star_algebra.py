@@ -20,7 +20,6 @@ code with the kernel route: it is built on ``sampling``'s line codec and
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -38,7 +37,6 @@ from .operator_rep import (
 from .sampling import (
     TorusField,
     Wavefunction,
-    _adopt,
     _band_convolution,
     _band_layout,
     _check_pair,
@@ -47,6 +45,7 @@ from .sampling import (
     _integral,
     _line_coeffs,
     _line_values,
+    _nonnegative_int,
     angle_nodes,
     mode_numbers,
     shift_field,
@@ -126,7 +125,7 @@ def involution(f: AlgebraElement) -> AlgebraElement:
     ``kernel_of(involution(f))`` is ``adjoint_kernel(kernel_of(f))``; for
     lam = 1/2 it reduces to complex conjugation of f(q, p).
     """
-    return _adopt(f.ctx, _adjoint(_held(f)), (-f.mod[1], -f.mod[0]))
+    return TorusField._own(f.ctx, _adjoint(_held(f)), (-f.mod[1], -f.mod[0]))
 
 
 def s_operator(f: AlgebraElement) -> AlgebraElement:
@@ -138,7 +137,7 @@ def s_operator(f: AlgebraElement) -> AlgebraElement:
     one ulp (32 of the lams 0.00, 0.01, ..., 1.00), so ``s_operator(s_operator(f))``
     may live in another context than f.
     """
-    return _adopt(f.ctx.with_lam(1.0 - f.ctx.lam), _held(f), f.mod)
+    return TorusField._own(f.ctx.with_lam(1.0 - f.ctx.lam), _held(f), f.mod)
 
 
 def trace(f: AlgebraElement) -> complex:
@@ -233,9 +232,7 @@ class SymbolObservable:
     phi: Wavefunction
 
     def __post_init__(self):
-        p = self.power
-        if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 0:
-            raise ValueError(f"symbol power must be a nonnegative integer, got {p!r}")
+        p = _nonnegative_int(self.power, "symbol power")
         if p > _MAX_EXPONENT:
             raise ValueError(f"symbol power {p} exceeds the limit {_MAX_EXPONENT}")
 
@@ -280,7 +277,7 @@ def _symbol_product(sym: SymbolObservable, g: AlgebraElement, a, z, mod,
     for _ in range(power):
         gz.append(gz[-1] * z)
     out = _band_convolution(amp, gz[::-1], _band_layout(n, skew))  # phi_k pairs with g_{P-k}
-    return _adopt(g.ctx, out, mod)
+    return TorusField._own(g.ctx, out, mod)
 
 
 def star_symbol_left(sym: SymbolObservable, g: AlgebraElement) -> AlgebraElement:

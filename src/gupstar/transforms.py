@@ -15,7 +15,6 @@ import numpy as np
 
 from .sampling import (
     TorusField,
-    _adopt,
     _check_pair,
     _cyclic_convolution,
     _held,
@@ -212,4 +211,4 @@ def mult_by_q(f: TorusField) -> TorusField:
     sends a constant field to zero and a pure first-slot phase to its position
     eigenvalue.  A coefficient scale, so it runs no transform.
     """
-    return _adopt(f.ctx, 1j * f.ctx.hbar * _held(deriv_pprime(f)), f.mod)
+    return TorusField._own(f.ctx, 1j * f.ctx.hbar * _held(deriv_pprime(f)), f.mod)

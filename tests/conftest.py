@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gupstar.beta_arith import BetaContext
-from gupstar.verify import SUITES, _kernel_samples as kernel_samples  # noqa: F401  (tests import it)
+from gupstar.verify import SUITES
 
 
 #: The sample <-> coefficient transforms in ``sampling`` that every codec runs through.

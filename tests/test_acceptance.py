@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import kernel_samples
 
 from gupstar.beta_arith import BetaContext
 from gupstar.cli import main as cli_main
@@ -28,7 +27,7 @@ from gupstar.operator_rep import (adjoint_kernel, apply_operator, compose_kernel
 from gupstar.sampling import angle_nodes, synth_grid, wf_inner
 from gupstar.star_algebra import inner, involution, norm2, pointwise_trace, star, trace
 from gupstar.states import ml_phase_state, ml_wavefunction
-from gupstar.verify import SUITES, RunConfig
+from gupstar.verify import SUITES, RunConfig, _kernel_samples as kernel_samples
 
 CTX = BetaContext(1.0, 1.0, 0.5)
 

@@ -172,6 +172,13 @@ def test_usage_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_formal_rejects_a_zero_denominator(capsys):
+    # a usage error like any other parse error: exit 2 and one line, no traceback
+    assert run(["formal", "1/0", "q"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("parse error:") and err.count("\n") == 1
+
+
 def test_formal_rejects_huge_exponents(capsys):
     assert run(["formal", "q", "q^99999999"]) == 2
     assert "exceeds the limit 64" in capsys.readouterr().err

@@ -3,21 +3,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import CODECS, forbid, kernel_samples
+from conftest import CODECS, forbid
 
 from gupstar.beta_arith import BetaContext
 from gupstar import operator_rep, sampling
 from gupstar.families import random_element, random_state
 from gupstar.families import resolve_family
-from gupstar.operator_rep import (OperatorKernel, _relabel, _relabel_index, adjoint_kernel,
+from gupstar.operator_rep import (OperatorKernel, adjoint_kernel,
                                   apply_operator, compose_kernels, hilbert_schmidt,
                                   kernel_of, lambda_ordered_operator, marginal_momentum,
                                   operator_norm, phat_apply, qhat_apply, state_check, trace_op,
                                   uncertainty, wigner)
-from gupstar.sampling import (TorusField, Wavefunction, _line_coeffs, _line_values, angle_nodes,
-                              field_from_coeffs, mode_numbers, wavefunction_from_coeffs, wf_inner)
+from gupstar.sampling import (TorusField, Wavefunction, _line_coeffs, _line_values, _relabel,
+                              _relabel_index, angle_nodes, field_from_coeffs, mode_numbers,
+                              wavefunction_from_coeffs, wf_inner)
 from gupstar.star_algebra import SymbolObservable, involution, star
 from gupstar.states import ml_phase_state, position_eigenvector
+from gupstar.verify import _kernel_samples as kernel_samples
 
 
 def test_kernel_of_projector(ctx):
@@ -102,8 +104,8 @@ def test_compose_kernels_matches_sample_route(f, g):
 
 def _quadrature(kf, kg):
     """The midpoint rule over the sampled contracted slot, written out."""
-    left = operator_rep._line_values(kf.coef, kf.mod[1])
-    right = operator_rep._line_values(kg.coef.T, kg.mod[0])
+    left = _line_values(kf.coef, kf.mod[1])
+    right = _line_values(kg.coef.T, kg.mod[0])
     return np.pi / (kf.n * kf.ctx.sqrt_beta) * (left @ right.T)
 
 

@@ -201,8 +201,10 @@ def test_seminorm(ctx, rng):
     a = angle_nodes(n)
     mode = TorusField(ctx, np.exp(2j * a)[:, None] * np.ones((1, n)))
     assert seminorm(mode, 1, 0) == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        seminorm(const, -1, 0)
+    for orders in ((-1, 0), (0.5, 0), (0, 1.0), (True, 0), (0, False)):
+        with pytest.raises(ValueError, match="seminorm order must be a nonnegative integer"):
+            seminorm(const, *orders)
+    assert seminorm(mode, np.int64(1), np.int64(0)) == seminorm(mode, 1, 0)
 
 
 def test_wavefunction_norm_and_modulation(ctx):
@@ -304,8 +306,10 @@ def test_lattice_matches_the_per_q_route(n, lam, family):
 
 def test_lattice_half_width_must_be_nonnegative(ctx, rng):
     f = random_element(ctx, 8, rng)
-    with pytest.raises(ValueError, match="nonnegative"):
-        lattice_from_field(f, -1)
+    for bad in (-1, 2.7, 2.0, True):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            lattice_from_field(f, bad)
+    assert lattice_from_field(f, np.int64(1)).ms.tolist() == [-1, 0, 1]
     assert lattice_from_field(f, 0).values.shape == (1, 8)
 
 
@@ -394,6 +398,16 @@ def test_carriers_survive_pickle_and_copy(ctx):
             for name in arrays:
                 held = getattr(y, name)
                 assert np.array_equal(held, getattr(x, name)) and not held.flags.writeable
+
+
+def test_carriers_compare_and_hash_by_identity(ctx):
+    v = np.ones((8, 8), complex)
+    builds = [lambda: Wavefunction(ctx, v[0]), lambda: TorusField(ctx, v),
+              lambda: OperatorKernel(ctx, v), lambda: LatticeField(ctx, np.arange(-4, 4), v)]
+    for build in builds:
+        a, b = build(), build()
+        assert a == a and not a != a and a != b and not a == b
+        assert hash(a) == hash(a) and {a, b, a} == {a, b} and a in {a} and b not in {a}
 
 
 def _alias_cases(ctx):

@@ -3,14 +3,17 @@ import pytest
 from gupstar.verify import SUITES, RunConfig, run_suites
 
 # the CLI defaults (`gupstar verify`: grid 256, seed 42), a second grid and seed,
-# a context away from beta = hbar = 1 and the symmetric ordering, both ordering
-# endpoints, the unit tests' grid and context (n = 64), and the coarsest grid every
-# suite runs at, where the tightest tolerances have the least headroom
+# a context away from beta = hbar = 1 and the symmetric ordering (seeds 7 and 42),
+# both ordering endpoints, the unit tests' grid and context (n = 64), lam = 1 on
+# that grid, and the coarsest grid every suite runs at, where the tightest
+# tolerances have the least headroom
 CONFIGS = {"defaults": RunConfig(), "n96-seed7": RunConfig(grid_n=96, seed=7),
            "beta2-hbar0.7-lam0.3": RunConfig(beta=2.0, hbar=0.7, lam=0.3, grid_n=96, seed=7),
+           "beta2-hbar0.7-lam0.3-seed42": RunConfig(beta=2.0, hbar=0.7, lam=0.3, grid_n=96),
            "lam0-n96": RunConfig(lam=0.0, grid_n=96, seed=7),
            "lam1-n96": RunConfig(lam=1.0, grid_n=96, seed=7),
-           "n64": RunConfig(grid_n=64), "lam1-n32": RunConfig(lam=1.0, grid_n=32)}
+           "n64": RunConfig(grid_n=64), "lam1-n64": RunConfig(lam=1.0, grid_n=64),
+           "lam1-n32": RunConfig(lam=1.0, grid_n=32)}
 
 
 @pytest.mark.parametrize("suite", list(SUITES))
@@ -35,11 +38,12 @@ def test_insufficient_resolution_skips():
     assert all(c.passed for cs in res.values() for c in cs)
 
 
-@pytest.mark.parametrize("grid", [48, 64])
+@pytest.mark.parametrize("grid", [48])
 def test_star_algebra_suite_passes_at_lambda_one_on_small_grids(grid):
     # the symbol products are band projections, so the odd symbol arctan(sqrt(beta) p)
     # keeps its parity at lam = 1 and star.expectation_odd_symbol_vanishes holds at
-    # every grid, not only from grid 96 (it aliased past the band before)
+    # every grid, not only from grid 96 (it aliased past the band before); CONFIGS
+    # runs grids 32 and 64 at lam = 1
     results = run_suites(RunConfig(lam=1.0, grid_n=grid), ["star_algebra"])["star_algebra"]
     failed = [f"{c.name}: measured {c.measured:.3e} > tolerance {c.tolerance:.1e}"
               for c in results if not c.passed]
