@@ -5,9 +5,10 @@ Hilbert space.  An :class:`OperatorKernel` holds the coefficients of its
 plain 2-d expansion with ``mod = (mu_u, mu_v)``; a field holds them times
 2 pi hbar, so field -> kernel and kernel -> field are scales, and the
 kernel adjoint, hence the algebra involution, is one unimodular relabeling
-(``sampling._relabel``).  Composition and the action on a state contract
-the inner slot by the invariant-measure midpoint rule (:func:`_contract`).
-When the contracted modulations differ by an integer that rule is exactly a
+(``sampling._relabel``).  Composition, the star product and the action on a
+state contract the held arrays' inner slot by the invariant-measure midpoint
+rule (:func:`_contract`, a field's 2 pi hbar folded into its weight).  When
+the contracted modulations differ by an integer that rule is exactly a
 signed pairing of modes, so the result is one gather and one matrix product
 of coefficient arrays; otherwise the contracted slot is sampled.  The rule
 (``_integral``) and the pairing (``_contraction``) live in ``sampling``.  The
@@ -30,6 +31,7 @@ from .sampling import (
     Wavefunction,
     _Carrier,
     _band_reach,
+    _check_kind,
     _check_pair,
     _contraction,
     _held,
@@ -100,27 +102,29 @@ def element_of(k: OperatorKernel) -> TorusField:
     return TorusField._own(k.ctx, k.coef * (2 * np.pi * k.ctx.hbar), k.mod)
 
 
-def _contract(k: OperatorKernel, right: np.ndarray, mu: float) -> np.ndarray:
+def _contract(left: _Carrier, right: np.ndarray, mu: float) -> np.ndarray:
     """Coefficients of ``int K(a, b) R(b, .) d mu(b)`` by the midpoint rule.
 
-    ``right`` holds R's coefficients with the contracted slot first (a 2-d
-    kernel's or a 1-d state's) and ``mu`` that slot's modulation.  When
-    ``d = k.mod[1] + mu`` is an integer, the rule is exactly the signed mode
+    ``left`` holds K, a kernel, or a field (K times 2 pi hbar, divided out of
+    the weight).  ``right`` holds R's coefficients with the contracted slot
+    first (2-d, or a 1-d state's) and ``mu`` that slot's modulation.  When
+    ``d = left.mod[1] + mu`` is an integer, the rule is exactly the signed mode
     pairing ``sampling._contraction``: one gather of ``right``'s rows, one
-    scale of k's columns and one matrix product, with no transform.  For any
+    scale of K's columns and one matrix product, with no transform.  For any
     other ``d`` the contracted slot is sampled (one 1-d codec call per
     operand) and summed; that quadrature only converges, it is not exact.
     ``d`` is read by ``sampling._integral``, so a difference that rounding
     moved off an integer still takes the exact pairing.
     """
-    d = _integral(k.mod[1], mu)
+    hold = 2 * np.pi * left.ctx.hbar if isinstance(left, TorusField) else 1.0
+    d = _integral(left.mod[1], mu)
     if d is not None:
-        perm, sign = _contraction(k.n, d)
-        scale = (np.pi / k.ctx.sqrt_beta) * sign  # n times the weight: the pair sum is n
-        return (k.coef * scale) @ right[perm]
-    left = _line_values(k.coef, k.mod[1])          # [u, b]
-    samples = _line_values(right.T, mu)             # [x, b], or [b] for a state
-    return np.pi / (k.n * k.ctx.sqrt_beta) * (left @ samples.T)
+        perm, sign = _contraction(left.n, d)
+        scale = (np.pi / left.ctx.sqrt_beta / hold) * sign  # n times the weight: the pair sum is n
+        return (_held(left) * scale) @ right[perm]
+    lv = _line_values(_held(left), left.mod[1])   # [u, b]
+    samples = _line_values(right.T, mu)            # [x, b], or [b] for a state
+    return np.pi / (left.n * left.ctx.sqrt_beta) / hold * (lv @ samples.T)
 
 
 def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
@@ -146,9 +150,10 @@ def adjoint_kernel(k: OperatorKernel) -> OperatorKernel:
 
 def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
     """Act with the operator of a field on a state: :func:`_contract` with its coefficients."""
+    _check_kind(TorusField, "the operator", f)
+    _check_kind(Wavefunction, "the state", psi)
     _check_pair(f, psi, "field and wavefunction")
-    k = kernel_of(f)
-    return wavefunction_from_coeffs(psi.ctx, _contract(k, psi.coeffs(), psi.mod), k.mod[0])
+    return Wavefunction._own(psi.ctx, _contract(f, psi.coeffs(), psi.mod), f.mod[0])
 
 
 def trace_op(k: OperatorKernel) -> complex:
@@ -191,8 +196,8 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
     ``psi(a) conj phi(b)``, with ``mod = (psi.mod, -phi.mod)`` on both routes
     and coefficients the outer product of psi's with ``conj c_phi[-v]``.
     When the nonzero modes of the pair fit the band, ``max|m|(psi) + max|m|(phi) <= n/2 - 1`` (exact zeros, no
-    tolerance), the field is that kernel scaled by :func:`element_of`,
-    built with no FFT and no n x n table.  Every other pair (kinked states
+    tolerance), the field holds that kernel times 2 pi hbar, as
+    :func:`element_of` would, with no FFT and no n x n table.  Every other pair (kinked states
     that fill the band, sampled data with FFT noise) is sampled: row j
     evaluates both states at offsets proportional to alpha'_j (spectral
     shifts, exact on band-limited content, with the modulations handled in
@@ -203,7 +208,7 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
     cpsi, cphi = psi.coeffs(), phi.coeffs()
     if _band_reach(cpsi) + _band_reach(cphi) <= n // 2 - 1:
         outer = np.outer(cpsi, np.conj(cphi[-np.arange(n)]))
-        return element_of(OperatorKernel._own(ctx, outer, (psi.mod, -phi.mod)))
+        return TorusField._own(ctx, outer * (2 * np.pi * ctx.hbar), (psi.mod, -phi.mod))
     ap = angle_nodes(n)
     ps = _line_values(cpsi, psi.mod, ctx.lam * ap)
     ph = _line_values(cphi, phi.mod, -(1 - ctx.lam) * ap)

@@ -364,6 +364,13 @@ def _check_pair(f, g, what: str = "algebra elements") -> None:
         raise ValueError(f"{what} live on different grids")
 
 
+def _check_kind(kind: type, what: str, *operands) -> None:
+    """Reject operands that are not ``kind`` carriers: a kernel is no field, a field no state."""
+    for x in operands:
+        if not isinstance(x, kind):
+            raise TypeError(f"{what} must be a {kind.__name__}, got {type(x).__name__}")
+
+
 def _finite_mod(mod, what: str):
     """A real modulation, one float or a pair, whose codec phases are finite.
 
@@ -670,11 +677,29 @@ def deriv_pprime(f: TorusField) -> TorusField:
 
 
 def seminorm(f: TorusField, n_idx: int, m_idx: int) -> float:
-    """Sup of |D_{p'}^n D_p^m f~| over the grid (Frechet seminorm)."""
+    """Sup of |D_{p'}^n D_p^m f~| over the grid (Frechet seminorm).
+
+    The derivatives scale the held coefficients, and the multiplier is built
+    only where a coefficient is nonzero.  Where a factor of a scaled
+    coefficient overflows, the coefficient is the exponential of its summed
+    logarithms; once that overflows too, the result is inf: by Parseval the
+    sup is at least the largest scaled coefficient.
+    """
     n_idx, m_idx = (_nonnegative_int(k, "seminorm order") for k in (n_idx, m_idx))
-    nu, bt = _held_freqs(f)
-    mult = (2j * f.ctx.sqrt_beta * nu) ** n_idx * (2j * f.ctx.sqrt_beta * bt) ** m_idx
-    return float(np.abs(TorusField._own(f.ctx, _held(f) * mult, f.mod).values).max())
+    coef, sb = _held(f), f.ctx.sqrt_beta
+    nz = coef != 0
+    nu, bt = (x[nz] for x in _held_freqs(f))
+    with np.errstate(all="ignore"):
+        mult = (2j * sb * nu) ** n_idx * (2j * sb * bt) ** m_idx
+        terms = coef[nz] * mult
+        big = ~np.isfinite(terms)
+        terms[big] = np.exp(np.log(coef[nz][big]) + sum(
+            k * np.log(2j * sb * x[big]) for x, k in ((nu, n_idx), (bt, m_idx)) if k))
+    if not np.isfinite(terms).all():
+        return math.inf
+    scaled = np.zeros_like(coef)
+    scaled[nz] = terms
+    return float(np.abs(TorusField._own(f.ctx, scaled, f.mod).values).max())
 
 
 #: Elements (float64) of the largest temporary a window evaluation builds: 1 MB.

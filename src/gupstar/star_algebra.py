@@ -2,10 +2,11 @@
 
 Algebra elements are :class:`~gupstar.sampling.TorusField` carriers of their
 position transform.  The product is computed through the operator picture:
-field -> integral kernel (a scale: fields hold their kernel's coefficients),
-kernel composition by invariant-measure quadrature over the contracted slot
-(a signed mode pairing and one matrix product when the contracted
-modulations differ by an integer), kernel -> field back.  Products, the
+fields hold their integral kernels' coefficients (times 2 pi hbar), so the
+product is the kernel composition of the held arrays themselves, an
+invariant-measure quadrature over the contracted slot (a signed mode pairing
+and one matrix product when the contracted modulations differ by an
+integer), with no kernel carrier built on the way.  Products, the
 involution (the kernel adjoint's relabeling) and ``s_operator`` work on the
 held kernel layout, and so do the products with symbols ``q^P phi(p)`` and
 ``inner`` at equal modulations; ``trace`` and ``inner`` at different
@@ -27,18 +28,13 @@ import numpy as np
 
 from .beta_arith import BetaContext
 from .formal_cas import _MAX_EXPONENT
-from .operator_rep import (
-    _adjoint,
-    compose_kernels,
-    element_of,
-    kernel_of,
-    operator_norm,
-)
+from .operator_rep import _adjoint, _contract, kernel_of, operator_norm
 from .sampling import (
     TorusField,
     Wavefunction,
     _band_convolution,
     _band_layout,
+    _check_kind,
     _check_pair,
     _held,
     _held_modes,
@@ -75,17 +71,19 @@ AlgebraElement = TorusField
 def star(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """Star product of two elements.
 
-    Kernel-composition route: both kernels are scales of the held coefficients,
-    composed by :func:`~gupstar.operator_rep.compose_kernels`, and the product
-    kernel is scaled back.  When the contracted modulations differ by an
-    integer (same-position eigenvector products, Wigner pairs of a common
-    state family, unmodulated fields) the composition is a signed mode pairing
-    and one matrix product, exact for band-limited fields, and the product
-    runs no transform.  Otherwise the contracted slot is sampled and the
-    midpoint rule only converges.
+    Kernel-composition route on the held arrays: fields hold their kernels'
+    coefficients, so :func:`~gupstar.operator_rep._contract` pairs f's with
+    g's directly, and the product holds the result with no kernel built.
+    When the contracted modulations differ by an integer (same-position
+    eigenvector products, Wigner pairs of a common state family, unmodulated
+    fields) that is a signed mode pairing: one column scale, one row gather
+    and one matrix product, exact for band-limited fields, with no transform.
+    Otherwise the contracted slot is sampled and the midpoint rule only
+    converges.
     """
+    _check_kind(TorusField, "an algebra element", f, g)
     _check_pair(f, g)
-    return element_of(compose_kernels(kernel_of(f), kernel_of(g)))
+    return TorusField._own(f.ctx, _contract(f, _held(g), g.mod[0]), (f.mod[0], g.mod[1]))
 
 
 def star_direct(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
@@ -125,6 +123,7 @@ def involution(f: AlgebraElement) -> AlgebraElement:
     ``kernel_of(involution(f))`` is ``adjoint_kernel(kernel_of(f))``; for
     lam = 1/2 it reduces to complex conjugation of f(q, p).
     """
+    _check_kind(TorusField, "an algebra element", f)
     return TorusField._own(f.ctx, _adjoint(_held(f)), (-f.mod[1], -f.mod[0]))
 
 
@@ -137,6 +136,7 @@ def s_operator(f: AlgebraElement) -> AlgebraElement:
     one ulp (32 of the lams 0.00, 0.01, ..., 1.00), so ``s_operator(s_operator(f))``
     may live in another context than f.
     """
+    _check_kind(TorusField, "an algebra element", f)
     return TorusField._own(f.ctx.with_lam(1.0 - f.ctx.lam), _held(f), f.mod)
 
 
@@ -179,6 +179,7 @@ def inner(f: AlgebraElement, g: AlgebraElement) -> complex:
     per field, with the phase ``exp(2i (mu_v_f - mu_v_g) alpha'_j)``.  Fields
     with different alpha offsets sum samples.
     """
+    _check_kind(TorusField, "an algebra element", f, g)
     _check_pair(f, g)
     n = f.n
     pref = (np.pi / n) ** 2 / (4 * np.pi ** 2 * f.ctx.hbar ** 2 * f.ctx.beta)
@@ -217,6 +218,7 @@ def cstar_norm_estimate(f: AlgebraElement) -> float:
     coefficients by :func:`operator_norm`; always bounded by the
     Hilbert-algebra norm ``norm2(f)``.
     """
+    _check_kind(TorusField, "an algebra element", f)
     return operator_norm(kernel_of(f))
 
 

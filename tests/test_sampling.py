@@ -205,6 +205,25 @@ def test_seminorm(ctx, rng):
         with pytest.raises(ValueError, match="seminorm order must be a nonnegative integer"):
             seminorm(const, *orders)
     assert seminorm(mode, np.int64(1), np.int64(0)) == seminorm(mode, 1, 0)
+    # high orders scale only the nonzero coefficients, with no warning, and order 50 keeps
+    # the value of the full-array scale.  By Parseval the sup lies between the largest
+    # scaled coefficient and the sum of their sizes, taken here by logarithms; past the
+    # float range it is inf.  At order 257 some multipliers overflow, no scaled coefficient
+    f = random_element(ctx, 64, np.random.default_rng(0))
+    c, (nu, bt) = f.coeffs(), f.freq_grids()
+    mult = (2j * ctx.sqrt_beta * nu) ** 50 * (2j * ctx.sqrt_beta * bt) ** 0
+    scaled = c * mult
+    assert seminorm(f, 50, 0) == float(np.abs(field_from_coeffs(ctx, scaled, f.mod).values).max())
+    nz = c != 0
+    for order in (50, 200, 257, 300):
+        with np.errstate(divide="ignore"):  # nu is 0 on some nonzero coefficients
+            logs = np.log(np.abs(c[nz])) + order * np.log(np.abs(2 * ctx.sqrt_beta * nu[nz]))
+        low, high = logs.max(), logs.max() + math.log(nz.sum())
+        if low > math.log(np.finfo(float).max):
+            assert seminorm(f, order, 0) == math.inf
+        else:
+            assert low - 1e-12 * low <= math.log(seminorm(f, order, 0)) <= high + 1e-12 * high
+    assert 257 * math.log(np.abs(2 * ctx.sqrt_beta * nu[nz]).max()) > math.log(np.finfo(float).max)
 
 
 def test_wavefunction_norm_and_modulation(ctx):

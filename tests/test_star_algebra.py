@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element, random_state, resolve_family
 from gupstar import operator_rep, sampling, star_algebra
-from gupstar.operator_rep import compose_kernels, element_of, kernel_of, trace_op, wigner
-from gupstar.sampling import (TorusField, Wavefunction, _band_convolution, _line_values, _relabel,
-                              angle_nodes, deriv_p, deriv_pprime, field_from_coeffs, mode_numbers,
-                              seminorm, shift_field, wavefunction_from_coeffs)
-from gupstar.star_algebra import (SymbolObservable, expectation, inner, involution, norm2,
-                                  s_operator, star, star_direct, star_symbol_left,
-                                  star_symbol_right, trace)
+from gupstar.operator_rep import (apply_operator, compose_kernels, element_of, kernel_of,
+                                  trace_op, wigner)
+from gupstar.sampling import (TorusField, Wavefunction, _band_convolution, _band_reach,
+                              _line_values, _relabel, angle_nodes, deriv_p, deriv_pprime,
+                              field_from_coeffs, mode_numbers, seminorm, shift_field,
+                              wavefunction_from_coeffs)
+from gupstar.star_algebra import (SymbolObservable, cstar_norm_estimate, expectation, inner,
+                                  involution, norm2, s_operator, star, star_direct,
+                                  star_symbol_left, star_symbol_right, trace)
 from gupstar.states import ml_phase_state, position_eigenvector
 from gupstar.transforms import mult_by_q
 
@@ -233,14 +235,27 @@ def test_expectation(ctx, rng):
     assert expectation(f, ml.rho) == pytest.approx(trace(star(f, ml.rho)))
 
 
-def test_context_mismatch_raises(ctx, rng):
+@pytest.mark.parametrize("case", ["contexts-and-grids", "star-of-kernels", "star-with-a-kernel",
+                                  "involution-of-a-kernel", "inner-of-kernels",
+                                  "ordering-flip-of-a-kernel", "cstar-norm-of-a-kernel",
+                                  "operator-on-a-field"])
+def test_mismatched_operands_raise(ctx, rng, case):
     f = random_element(ctx, 16, rng)
     g = random_element(BetaContext(2.0, 1.0, 0.5), 16, rng)
-    with pytest.raises(ValueError):
-        star(f, g)
-    h = random_element(ctx, 32, rng)
-    with pytest.raises(ValueError):
-        inner(f, h)
+    h, k = random_element(ctx, 32, rng), kernel_of(f)
+    # a kernel holds no algebra element and a field no state, though each has a ctx and an n
+    checks = {"contexts-and-grids": [(ValueError, "different contexts", star, f, g),
+                                     (ValueError, "different grids", inner, f, h)],
+              "star-of-kernels": [(TypeError, "TorusField", star, k, k)],
+              "star-with-a-kernel": [(TypeError, "TorusField", star, f, k)],
+              "involution-of-a-kernel": [(TypeError, "TorusField", involution, k)],
+              "inner-of-kernels": [(TypeError, "TorusField", inner, k, k)],
+              "ordering-flip-of-a-kernel": [(TypeError, "TorusField", s_operator, k)],
+              "cstar-norm-of-a-kernel": [(TypeError, "TorusField", cstar_norm_estimate, k)],
+              "operator-on-a-field": [(TypeError, "Wavefunction", apply_operator, f, f)]}
+    for error, match, route, *operands in checks[case]:
+        with pytest.raises(error, match=match):
+            route(*operands)
 
 
 def test_algebra_path_runs_no_sheared_codec(monkeypatch):
@@ -265,7 +280,9 @@ def test_algebra_path_runs_no_sheared_codec(monkeypatch):
     fi = involution(f)
     tr = trace(star(fi, g))
     sf = s_operator(f)
-    back = element_of(compose_kernels(kernel_of(f), kernel_of(g)))
+    kf, kg = kernel_of(f), kernel_of(g)
+    kfg = compose_kernels(kf, kg)
+    back = element_of(kfg)
     rho2, rho_i = star(rho, rho), involution(rho)
     tr_rho, tr_bb = trace(rho), trace(star(involution(bump), bump))
     tr_op = trace_op(kernel_of(rho))
@@ -275,7 +292,19 @@ def test_algebra_path_runs_no_sheared_codec(monkeypatch):
     assert np.abs(lv - star(f, star(g, h)).values).max() <= 1e-12 * np.abs(lv).max()
     assert abs(tr - inner(f, g)) <= 1e-12 * norm2(f) * norm2(g)
     assert np.array_equal(sf.coeffs(), f.coeffs()) and sf.ctx.lam == pytest.approx(0.7)
-    assert np.array_equal(back.coeffs(), star(f, g).coeffs())
+    # the kernel route scales both operands by 1/(2 pi hbar) and the product back, star
+    # folds both scales into the contraction weight.  Each route sums the same n products,
+    # and rounds each term at most n + 10 times (the n - 1 additions, the complex product,
+    # the scales and their constants), so by Higham's bound each is within
+    # sqrt(2) gamma_(n+10) S of the exact sum, S the sum of the terms' sizes
+    fg = star(f, g)
+    perm, _ = sampling._contraction(n, 0)
+    weight = np.pi / ctx.sqrt_beta / (2 * np.pi * ctx.hbar)
+    size = weight * (np.abs(sampling._held(f)) @ np.abs(sampling._held(g))[perm])
+    u = np.finfo(float).eps / 2
+    gamma = (n + 10) * u / (1 - (n + 10) * u)
+    gap = np.abs(sampling._held(back) - sampling._held(fg))
+    assert (gap <= 2 * math.sqrt(2) * gamma * size).all()
     assert abs(tr_rho - 1.0) <= 1e-13 and abs(tr_op - 1.0) <= 1e-13
     assert np.abs(rho2.values - rho.values).max() <= 1e-12 * np.abs(rho.values).max()
     assert np.abs(rho_i.values - rho.values).max() <= 1e-12 * np.abs(rho.values).max()
@@ -285,10 +314,12 @@ def test_algebra_path_runs_no_sheared_codec(monkeypatch):
 
 
 def test_operator_maps_are_scales_of_the_held_coefficients(monkeypatch):
-    # fields hold their kernel's coefficients: the kernel maps, a product at an integer
-    # contracted difference, the ordering flip, a Wigner pair that fits the band, the
-    # random family built from such pairs, the coefficient scales, both symbol products
-    # and the Parseval inner product relabel no coefficient grid
+    # fields hold their kernel's coefficients: the kernel maps, products at an integer
+    # and a non-integer contracted difference, the ordering flip, a Wigner pair that fits
+    # the band, the random family built from such pairs, the action on a state, the
+    # coefficient scales, both symbol products and the Parseval inner product relabel no
+    # coefficient grid; the products, the action and the Wigner pair build no kernel, and
+    # a product builds one carrier, its own
     ctx, n = BetaContext(2.0, 0.7, 0.3), 32
     rng = np.random.default_rng(43)
     m = np.abs(mode_numbers(n))
@@ -300,8 +331,18 @@ def test_operator_maps_are_scales_of_the_held_coefficients(monkeypatch):
     for module in (sampling, operator_rep):
         forbid(monkeypatch, "a coefficient grid was relabeled", module, "_relabel")
     k = kernel_of(f)
-    back, fg, sf = element_of(k), star(f, g), s_operator(f)
-    w, r = wigner(phi, psi), random_element(ctx, n, rng)
+    back = element_of(k)
+    built, own = [], sampling._Carrier._own.__func__
+    monkeypatch.setattr(sampling._Carrier, "_own",
+                        classmethod(lambda cls, *args: built.append(cls) or own(cls, *args)))
+    forbid(monkeypatch, "a kernel was built", operator_rep.OperatorKernel, "_own")
+    fg = star(f, g)
+    assert built == [TorusField]
+    gf = star(g, f)  # contracted difference 0.16 + 0.58, sampled
+    assert built == [TorusField] * 2
+    w, phi_f = wigner(phi, psi), apply_operator(f, phi)
+    assert _band_reach(phi.coeffs()) + _band_reach(psi.coeffs()) <= n // 2 - 1
+    sf, r = s_operator(f), random_element(ctx, n, rng)
     sym = SymbolObservable(2, phi)
     for route in (shift_field(f, 0.3, -0.2), deriv_p(f), deriv_pprime(f), mult_by_q(f),
                   star_symbol_left(sym, g), star_symbol_right(g, sym)):
@@ -313,6 +354,10 @@ def test_operator_maps_are_scales_of_the_held_coefficients(monkeypatch):
     assert np.array_equal(back.coeffs(), _relabel(k.coef, 1, 1, -1, 0) * scale)
     ref = star_direct(f, g).values
     assert fg.mod == (0.58, 0.16) and np.abs(fg.values - ref).max() <= 1e-12 * np.abs(ref).max()
+    ref = compose_kernels(kernel_of(g), k).coef
+    assert np.abs(kernel_of(gf).coef - ref).max() <= 1e-13 * np.abs(ref).max()
+    ref = apply_operator(element_of(k), phi).coeffs()
+    assert phi_f.mod == 0.58 and np.abs(phi_f.coeffs() - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.array_equal(sf.coeffs(), f.coeffs()) and sf.ctx.lam == pytest.approx(0.7)
     outer = np.outer(psi.coeffs(), np.conj(phi.coeffs()[-np.arange(n)]))
     assert np.abs(kernel_of(w).coef - outer).max() <= 1e-15 * np.abs(outer).max()
