@@ -5,14 +5,15 @@ Hilbert space.  An :class:`OperatorKernel` holds the coefficients of its
 plain 2-d expansion with ``mod = (mu_u, mu_v)``; a field holds them times
 2 pi hbar, so field -> kernel and kernel -> field are scales, and the
 kernel adjoint, hence the algebra involution, is one unimodular relabeling
-(``sampling._relabel``).  Composition, the star product and the action on a
+(``sampling._adjoint``).  Composition, the star product and the action on a
 state contract the held arrays' inner slot by the invariant-measure midpoint
 rule (:func:`_contract`, a field's 2 pi hbar folded into its weight).  When
 the contracted modulations differ by an integer that rule is exactly a
 signed pairing of modes, so the result is one gather and one matrix product
 of coefficient arrays; otherwise the contracted slot is sampled.  The rule
-(``_integral``) and the pairing (``_contraction``) live in ``sampling``.  The
-trace reads the kernel diagonal's line coefficients from the same pairing.
+(``_integral``), the pairing (``_contraction``) and the wrap sign (``_wrap``)
+live in ``sampling``; the trace reads the diagonal with the same sign.  A map
+given a kernel for a field, or the reverse, raises ``TypeError``.
 The sample basis ``exp(2i(u + mu) alpha_a)`` is sqrt(n) times a unitary, so
 norms and spectra are read from coefficients too: no kernel is ever sampled.
 """
@@ -30,6 +31,7 @@ from .sampling import (
     TorusField,
     Wavefunction,
     _Carrier,
+    _adjoint,
     _band_reach,
     _check_kind,
     _check_pair,
@@ -38,9 +40,9 @@ from .sampling import (
     _integral,
     _line_values,
     _relabel,
+    _wrap,
     angle_nodes,
     mode_numbers,
-    wavefunction_from_coeffs,
     wf_inner,
 )
 
@@ -94,11 +96,13 @@ def kernel_of(f: TorusField) -> OperatorKernel:
     The field holds its kernel's coefficients times 2 pi hbar (``sampling.TorusField``),
     so the map is the 1/(2 pi hbar) scale, and ``mod`` passes through.
     """
+    _check_kind(TorusField, "the field", f)
     return OperatorKernel._own(f.ctx, _held(f) / (2 * np.pi * f.ctx.hbar), f.mod)
 
 
 def element_of(k: OperatorKernel) -> TorusField:
     """Inverse of :func:`kernel_of`: the field holding ``k.coef * 2 pi hbar``."""
+    _check_kind(OperatorKernel, "the kernel", k)
     return TorusField._own(k.ctx, k.coef * (2 * np.pi * k.ctx.hbar), k.mod)
 
 
@@ -129,22 +133,14 @@ def _contract(left: _Carrier, right: np.ndarray, mu: float) -> np.ndarray:
 
 def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
     """Kernel of the product: :func:`_contract` over the inner slot, outer slots kept."""
+    _check_kind(OperatorKernel, "a kernel", kf, kg)
     _check_pair(kf, kg, "kernels")
     return OperatorKernel._own(kf.ctx, _contract(kf, kg.coef, kg.mod[0]), (kf.mod[0], kg.mod[1]))
 
 
-def _adjoint(coef: np.ndarray) -> np.ndarray:
-    """Coefficients of conj K(b, a): the mode relabeling (u, v) -> (-v, -u), conjugated.
-
-    Conjugation makes the Nyquist mode -n/2 mode +n/2, which samples as -1 times
-    mode -n/2 on the half-offset grid: that row and column change sign.
-    """
-    s = np.where(np.arange(coef.shape[0]) == coef.shape[0] // 2, -1.0, 1.0)
-    return np.conj(_relabel(coef, 0, -1, -1, 0)) * s[:, None] * s
-
-
 def adjoint_kernel(k: OperatorKernel) -> OperatorKernel:
-    """Kernel of the adjoint operator: :func:`_adjoint`, with ``mod`` -> (-mu_v, -mu_u)."""
+    """Kernel of the adjoint operator: ``sampling._adjoint``, with ``mod`` -> (-mu_v, -mu_u)."""
+    _check_kind(OperatorKernel, "the kernel", k)
     return OperatorKernel._own(k.ctx, _adjoint(k.coef), (-k.mod[1], -k.mod[0]))
 
 
@@ -159,10 +155,9 @@ def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
 def trace_op(k: OperatorKernel) -> complex:
     """Operator trace: invariant-measure integral of the kernel diagonal.
 
-    The diagonal's line coefficient at mode r is the signed sum of the
-    anti-diagonal ``u + v = r (mod n)`` of ``k.coef``, with the wrap sign of
-    ``sampling._contraction`` (mode ``r + n`` samples as ``-1`` times mode r),
-    so no sample of the kernel is built.
+    The diagonal's line coefficient at mode r sums the anti-diagonal
+    ``u + v = r (mod n)`` of ``k.coef``, each entry with the wrap sign of its
+    mode u + v (``sampling._wrap``): no sample of the kernel is built.
 
     The entries are read at their in-band FFT mode numbers.  A field's
     sheared coefficient (c, b) carries the kernel modes (c + b, -c), whose
@@ -171,11 +166,12 @@ def trace_op(k: OperatorKernel) -> complex:
     ``trace_op(kernel_of(f))`` equals :func:`~gupstar.star_algebra.trace`
     only when f has no such coefficient (the difference is stated there).
     """
+    _check_kind(OperatorKernel, "the kernel", k)
     mtot = k.mod[0] + k.mod[1]
     n = k.n
     m = mode_numbers(n)
-    sign = np.where(np.abs(m[:, None] + m + 0.5) < n / 2, 1.0, -1.0)  # -1: u + v leaves the band
-    dm = _relabel(k.coef * sign, 1, 0, -1, 1).sum(axis=0)  # column r: u + v = r (mod n)
+    _, sign = _wrap(np.arange(-n, n - 1), n)  # at each sum u + v of two band modes, from -n
+    dm = _relabel(k.coef * sign[(m[:, None] + (m + n)).astype(int)], 1, 0, -1, 1).sum(axis=0)
     return complex(np.pi / k.ctx.sqrt_beta * (dm * np.sinc(mtot + m)).sum())
 
 
@@ -218,6 +214,7 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
 
 def marginal_momentum(rho: TorusField) -> np.ndarray:
     """Momentum probability density on the grid: f~(0, alpha)/(2 pi hbar)."""
+    _check_kind(TorusField, "the density", rho)
     col = rho.coeffs().sum(axis=0)  # alpha' = 0 kills every first-slot phase
     return (_line_values(col, rho.mod[0] + rho.mod[1]) / (2 * np.pi * rho.ctx.hbar)).real
 
@@ -239,7 +236,7 @@ def qhat_apply(psi: Wavefunction) -> Wavefunction:
     m = mode_numbers(psi.n)
     m[psi.n // 2] = 0.0
     scale = -2.0 * psi.ctx.hbar * psi.ctx.sqrt_beta * (m + psi.mod)
-    return wavefunction_from_coeffs(psi.ctx, psi.coeffs() * scale, psi.mod)
+    return Wavefunction._own(psi.ctx, psi.coeffs() * scale, psi.mod)
 
 
 def phat_apply(psi: Wavefunction) -> Wavefunction:
@@ -272,7 +269,7 @@ def lambda_ordered_operator(sym) -> Callable[[Wavefunction], Wavefunction]:
             for _ in range(l):
                 cur = qhat_apply(cur)
             acc = acc + w * cur.coeffs()
-        return wavefunction_from_coeffs(psi.ctx, acc, phi.mod + psi.mod)
+        return Wavefunction._own(psi.ctx, acc, phi.mod + psi.mod)
 
     return op
 
@@ -288,6 +285,7 @@ def operator_norm(k: OperatorKernel) -> float:
     ``U`` and ``V`` (the sample bases over sqrt(n)), so its spectral norm is
     that of the coefficients.
     """
+    _check_kind(OperatorKernel, "the kernel", k)
     return float(np.pi / k.ctx.sqrt_beta * np.linalg.norm(k.coef, 2))
 
 
@@ -331,7 +329,7 @@ def state_check(rho: TorusField, herm_tol: float = 1e-8,
     above ``eig_tol`` (slightly negative to absorb roundoff on exact
     rank-deficient states).  The trace must be one to within 1e-8.
     """
-    k = kernel_of(rho)
+    k = kernel_of(rho)  # a TypeError for any carrier but a field
     tr = trace_op(k)
     d = _integral(*rho.mod)
     hermitian, herm_res, min_eig = False, math.inf, math.nan

@@ -39,12 +39,13 @@ Every conversion between grid samples and mode coefficients in the package
 goes through the two codecs of this module: the 1-d codec
 ``_line_coeffs``/``_line_values`` along the last axis (real modulation,
 optional scalar or per-row offset) and the 2-d sheared codec
-``_sheared_coeffs``/``_sheared_values`` parameterised by ``lam`` and ``mod``.
+``_sheared_coeffs``/``_sheared_values``, writing and reading a held array.
 Operator kernels are never sampled: the operator layer works on their
 coefficients and samples only a contracted slot with a non-integer offset.
 Whether an offset is an integer is decided here for every layer, by
-``_integral`` (a sum snapped where rounding explains the miss), as is the
-signed mode pairing ``_contraction`` of the exact route.
+``_integral`` (a sum snapped where rounding explains the miss), and so is
+the grid's wrap sign ``_wrap`` that the exact routes read: the pairing
+``_contraction``, ``_adjoint``, ``trace_op`` and ``twisted_conv``.
 The module also holds the package's FFT convolutions: the cyclic
 ``_cyclic_convolution``, shared by the lattice synthesis and the
 transformed-pair convolution of ``transforms``, and the band-limited
@@ -60,8 +61,8 @@ held entry its sheared mode pair (c, b).  Routes that act mode by mode work
 on the held array: the scales ``shift_field``, ``deriv_p``,
 ``deriv_pprime``, ``seminorm`` and ``transforms.mult_by_q``, the symbol
 products (``_band_layout`` composes the relabel into its index) and
-``star_algebra.inner``'s Parseval branch.  Routes that integrate out or
-decode alpha' read the sheared ``coeffs()``: ``values`` and the codec,
+``star_algebra.inner``'s Parseval branch.  Routes that integrate out
+alpha' read the sheared ``coeffs()``:
 ``star_algebra.trace``, ``operator_rep.marginal_momentum``, the synthesis
 (``_sinc_sums``, ``lattice_from_field``), ``inner`` at different mu_v, the
 ``transforms`` references and ``verify``.  ``freq_grids``, ``coeffs()`` and
@@ -120,6 +121,15 @@ def angle_nodes(n: int) -> np.ndarray:
 def mode_numbers(n: int) -> np.ndarray:
     """Integer mode numbers in FFT ordering: 0..n/2-1, -n/2..-1."""
     return np.fft.fftfreq(n, 1.0 / n)
+
+
+def _wrap(modes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """FFT index and sign of integer modes: the grid's wrap rule.
+
+    Mode ``r + k n``, r in ``[-n/2, n/2)``, samples as ``(-1)^k`` times mode r, FFT index
+    ``r mod n``: ``exp(2i k n alpha_j) = exp(i k pi (2j + 1 - n)) = (-1)^k`` for even n.
+    """
+    return modes % n, 1.0 - 2.0 * (((modes + n // 2) // n) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +226,24 @@ def _shear_phase(n: int, lam: float, mod: tuple[float, float], sign: int) -> np.
 
 
 def _sheared_coeffs(v: np.ndarray, lam: float, mod: tuple[float, float]) -> np.ndarray:
-    """Sheared coefficients coef[c, b] of n x n samples, basis as in the module doc.
+    """The held array of the field with n x n samples ``v`` and modulation ``mod``.
 
-    The shear phase comes from :func:`_shear_phase`: at lam > 0 one n x n
-    table per ``(n, lam, mod, sign)``, at most two kept.
+    Sheared coefficients (module doc) relabeled by ``_KERNEL``; the shear phase
+    is :func:`_shear_phase`'s, at lam > 0 one n x n table, at most two kept.
     """
-    cb = _line_coeffs(v, mod[1]) * _shear_phase(v.shape[0], lam, mod, -1)
-    return _vals_to_coeffs(cb, axis=0)
+    off = _sheared_mod(mod)
+    cb = _line_coeffs(v, off[1]) * _shear_phase(v.shape[0], lam, off, -1)
+    del v  # with cb rebound, a temporary input and the alpha pass are freed before the gather
+    cb = _vals_to_coeffs(cb, axis=0)
+    return _relabel(cb, *_KERNEL)
 
 
-def _sheared_values(coef: np.ndarray, lam: float, mod: tuple[float, float]) -> np.ndarray:
-    """Inverse of :func:`_sheared_coeffs`, with the same cached shear phase."""
-    cb = _coeffs_to_vals(coef, axis=0) * _shear_phase(coef.shape[0], lam, mod, 1)
-    return _line_values(cb, mod[1])
+def _sheared_values(held: np.ndarray, lam: float, mod: tuple[float, float]) -> np.ndarray:
+    """Inverse of :func:`_sheared_coeffs`; the gather lives only through the alpha' decode."""
+    off = _sheared_mod(mod)
+    cb = _coeffs_to_vals(_relabel(held, *_SHEARED), axis=0)
+    cb *= _shear_phase(held.shape[0], lam, off, 1)
+    return _line_values(cb, off[1])
 
 
 def _cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -316,6 +331,12 @@ def _relabel(coef: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
 _KERNEL, _SHEARED = (0, -1, 1, 1), (1, 1, -1, 0)
 
 
+def _adjoint(coef: np.ndarray) -> np.ndarray:
+    """Coefficients of conj K(b, a): (u, v) -> (-v, -u), conjugated and wrapped (:func:`_wrap`)."""
+    _, s = _wrap(-mode_numbers(coef.shape[0]).astype(int), coef.shape[0])
+    return np.conj(_relabel(coef, 0, -1, -1, 0)) * s[:, None] * s
+
+
 @functools.lru_cache(maxsize=8)
 def _held_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only sheared mode numbers ``(C, B)`` of the held entries K[u, v] = coef[-v, u + v].
@@ -366,9 +387,10 @@ def _check_pair(f, g, what: str = "algebra elements") -> None:
 
 def _check_kind(kind: type, what: str, *operands) -> None:
     """Reject operands that are not ``kind`` carriers: a kernel is no field, a field no state."""
+    article = "an" if kind.__name__[0] in "AEIOU" else "a"
     for x in operands:
         if not isinstance(x, kind):
-            raise TypeError(f"{what} must be a {kind.__name__}, got {type(x).__name__}")
+            raise TypeError(f"{what} must be {article} {kind.__name__}, got {type(x).__name__}")
 
 
 def _finite_mod(mod, what: str):
@@ -411,17 +433,13 @@ def _sheared_mod(mod: tuple[float, float]) -> tuple[float, float]:
 def _contraction(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``(perm, sign)`` of the midpoint rule at integer modulation offset d.
 
-    On the half-offset grid ``sum_b exp(2i M alpha_b)`` is ``(-1)^(M/n) n`` for
-    ``M = 0 (mod n)`` and 0 otherwise.  So mode v of one slot pairs with the
-    one mode ``x = -v - d (mod n)`` of the other, whose FFT index is
-    ``perm[v]``, with the wrap sign ``sign[v] = (-1)^k`` where ``v + x + d = k n``
-    in mode numbers.
+    ``sum_b exp(2i M alpha_b)`` is n for ``M = 0`` and 0 at every other mode of
+    the band, so mode v of one slot pairs with mode ``-v - d`` of the other,
+    read at FFT index ``perm[v]`` with the sign of :func:`_wrap`.
     """
     q, r = divmod(d, n)  # a huge d only flips the sign by the parity of q
-    v = np.arange(n)
-    x = (-v - r) % n
-    k = (np.where(v < n // 2, v, v - n) + np.where(x < n // 2, x, x - n) + r) // n + q
-    return _frozen(x), _frozen(1.0 - 2.0 * (k % 2))
+    perm, sign = _wrap(-mode_numbers(n).astype(int) - r, n)
+    return _frozen(perm), _frozen(sign * (1 - 2 * (q % 2)))
 
 
 def _band_reach(c: np.ndarray) -> int:
@@ -597,17 +615,13 @@ class TorusField(_Carrier):
     def __new__(cls, ctx: BetaContext, values: np.ndarray,
                 mod: tuple[float, float] = (0.0, 0.0)):
         mod = _finite_mod(mod, "field")
-        coef = _sheared_coeffs(_finite(values, "field samples", 2), ctx.lam, _sheared_mod(mod))
-        return cls._own(ctx, _relabel(coef, *_KERNEL), mod)
+        coef = _sheared_coeffs(_finite(values, "field samples", 2), ctx.lam, mod)
+        return cls._own(ctx, coef, mod)
 
     @property
     def values(self) -> np.ndarray:
-        """Samples F[j, k] at (alpha'_j, alpha_k): :func:`_sheared_values` of :meth:`coeffs`."""
-        mod = _sheared_mod(self.mod)
-        # the gather is a temporary of the alpha' decode, freed before the alpha decode
-        cb = _coeffs_to_vals(_relabel(self._coef, *_SHEARED), axis=0)
-        cb *= _shear_phase(self.n, self.ctx.lam, mod, 1)
-        return _frozen(_line_values(cb, mod[1]))
+        """Samples F[j, k] at (alpha'_j, alpha_k): :func:`_sheared_values` of the held array."""
+        return _frozen(_sheared_values(self._coef, self.ctx.lam, self.mod))
 
     def coeffs(self) -> np.ndarray:
         """Sheared coefficients coef[c, b] of the demodulated part, a fresh read-only gather."""
@@ -699,7 +713,7 @@ def seminorm(f: TorusField, n_idx: int, m_idx: int) -> float:
         return math.inf
     scaled = np.zeros_like(coef)
     scaled[nz] = terms
-    return float(np.abs(TorusField._own(f.ctx, scaled, f.mod).values).max())
+    return float(np.abs(_sheared_values(scaled, f.ctx.lam, f.mod)).max())
 
 
 #: Elements (float64) of the largest temporary a window evaluation builds: 1 MB.

@@ -28,10 +28,11 @@ import numpy as np
 
 from .beta_arith import BetaContext
 from .formal_cas import _MAX_EXPONENT
-from .operator_rep import _adjoint, _contract, kernel_of, operator_norm
+from .operator_rep import _contract, kernel_of, operator_norm
 from .sampling import (
     TorusField,
     Wavefunction,
+    _adjoint,
     _band_convolution,
     _band_layout,
     _check_kind,

@@ -18,10 +18,11 @@ from .sampling import (
     _check_pair,
     _cyclic_convolution,
     _held,
+    _held_freqs,
     _integral,
     _line_coeffs,
     _line_values,
-    deriv_pprime,
+    _wrap,
     mode_numbers,
     shift_field,
 )
@@ -165,14 +166,13 @@ def twisted_conv(u: SymplecticPair, v: SymplecticPair) -> SymplecticPair:
 
     Per lattice index m2, u's row at lattice index m' enters the alpha sum
     with its modes moved by the integer m2 - m' (its phase
-    ``-lam m' + (1 - lam)(m2 - m')`` against the sum's ``-lam m2``), a mode
-    that wraps past the band taking the grid's sign -1: a signed gather of
-    u's coefficients, no transform.  One decode at the modulations -lam m2
-    gives the lattice rows, and one more in reverse row order (index -r as
-    mode r, the Nyquist row negated: mode +n/2 samples as -1 times mode
-    -n/2) the angle grid.  The route stays independent of :func:`star`: it
-    uses no kernel relabel and no mode pairing, only the lattice sums of
-    the defining integral.  Cost O(n^3); meant for verification-scale grids.
+    ``-lam m' + (1 - lam)(m2 - m')`` against the sum's ``-lam m2``): a gather
+    of u's coefficients signed by ``sampling._wrap``, no transform.  One
+    decode at the modulations -lam m2 gives the lattice rows, and one more
+    in reverse row order (lattice index -r as mode r, wrapped) the angle
+    grid.  The route stays independent of :func:`star`: it uses no kernel
+    relabel and no mode pairing, only the lattice sums of the defining
+    integral.  Cost O(n^3); meant for verification-scale grids.
     """
     if not (isinstance(u, SymplecticPair) and isinstance(v, SymplecticPair)):
         raise TypeError("twisted_conv expects two SymplecticPair operands")
@@ -185,21 +185,21 @@ def twisted_conv(u: SymplecticPair, v: SymplecticPair) -> SymplecticPair:
     ctx, n = F.ctx, F.n
     lam, hs = ctx.lam, ctx.hbar * ctx.sqrt_beta
     m = mode_numbers(n).astype(int)
+    neg, neg_sign = _wrap(-m, n)
     # row i: u's (UC) and v's (VC) source column at lattice index m_i
-    UC = F.coeffs().T[(-m) % n] / (2 * hs)
-    VC = G.coeffs().T[(-m) % n] / (2 * hs)
+    UC = F.coeffs().T[neg] / (2 * hs)
+    VC = G.coeffs().T[neg] / (2 * hs)
     src = m[None, :] + m[:, None]  # [m', b]: b + m', the source mode of b less m2
     T = np.empty((n, n), dtype=complex)
     for i2, m2 in enumerate(m):
         # v rows at lattice index m2 - m', zero outside the mode range
         d = m2 - m
         VCg = np.where(((d >= -(n // 2)) & (d < n // 2))[:, None], VC[d % n], 0)
-        k = src - m2
-        sign = 1 - 2 * ((k + n // 2) // n % 2)  # -1 per wrap of the moved mode
-        T[i2] = n * (VCg * sign * np.take_along_axis(UC, k % n, axis=1)).sum(axis=0)
+        at, sign = _wrap(src - m2, n)
+        T[i2] = n * (VCg * sign * np.take_along_axis(UC, at, axis=1)).sum(axis=0)
     O = (2 * np.pi * ctx.hbar / n) * _line_values(T, -lam * m[:, None])
-    R = O[(-np.arange(n)) % n]  # row of mode r: lattice index -r
-    R[n // 2] *= -1
+    R = O[neg]  # row of mode r: lattice index -r
+    R *= neg_sign[:, None]
     return SymplecticPair(TorusField(ctx, 2 * hs * _line_values(R.T)), transformed=True)
 
 
@@ -211,4 +211,6 @@ def mult_by_q(f: TorusField) -> TorusField:
     sends a constant field to zero and a pure first-slot phase to its position
     eigenvalue.  A coefficient scale, so it runs no transform.
     """
-    return TorusField._own(f.ctx, 1j * f.ctx.hbar * _held(deriv_pprime(f)), f.mod)
+    # deriv_pprime's product, named (see sampling.shift_field); no frequency grid outlives it
+    d = _held(f) * (2j * f.ctx.sqrt_beta * _held_freqs(f)[0])
+    return TorusField._own(f.ctx, 1j * f.ctx.hbar * d, f.mod)

@@ -24,7 +24,7 @@ from .operator_rep import (adjoint_kernel, apply_operator, compose_kernels,
                            element_of, hilbert_schmidt, kernel_of, lambda_ordered_operator,
                            marginal_momentum, operator_norm, phat_apply, qhat_apply,
                            state_check, trace_op, uncertainty, wigner)
-from .sampling import (TorusField, Wavefunction, _sheared_values,
+from .sampling import (TorusField, Wavefunction, _line_values,
                        analyze, angle_nodes, deriv_p, deriv_pprime, field_from_coeffs,
                        lattice_from_field, mode_numbers, quad_mu, seminorm, shift_field,
                        synth, synth_grid, wf_inner)
@@ -95,12 +95,12 @@ def _rel(a, b, scale=None) -> float:
 
 
 def _kernel_samples(k, weighted: bool = False) -> np.ndarray:
-    """Samples K(alpha_a, alpha_b) of a kernel, by the sheared codec at lam = 0.
+    """Samples K(alpha_a, alpha_b) of a kernel, by the line codec once per slot.
 
     ``weighted`` multiplies them by the midpoint weight pi/(n sqrt(beta)): the
     matrix acting on sample vectors, which no library route builds.
     """
-    samples = _sheared_values(k.coef, 0.0, k.mod)
+    samples = _line_values(_line_values(k.coef.T, k.mod[0]).T, k.mod[1])
     return np.pi / (k.n * k.ctx.sqrt_beta) * samples if weighted else samples
 
 

@@ -4,14 +4,21 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
+from conftest import forbid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gupstar import operator_rep, sampling, transforms
 from gupstar.beta_arith import BetaContext
+from gupstar.families import random_element
+from gupstar.operator_rep import adjoint_kernel, kernel_of, trace_op
 from gupstar.sampling import (TorusField, Wavefunction, _coeffs_to_vals, _edge_phase,
                               _line_coeffs, _line_values, _shear, _shear_phase, _shear_table,
                               _sheared_coeffs, _sheared_values, _vals_to_coeffs, angle_nodes,
                               field_from_coeffs, mode_numbers)
+from gupstar.star_algebra import involution, star
+from gupstar.transforms import symplectic_fourier, twisted_conv
 from gupstar.verify import _rel
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -34,12 +41,13 @@ def test_line_codec_round_trip(n, mod, rows, seed):
 
 
 @PROPERTY
-@given(n=sizes, lam=st.floats(0.0, 1.0), s0=mods, b0=mods, seed=seeds)
-def test_sheared_codec_round_trip(n, lam, s0, b0, seed):
-    v = _samples(seed, (n, n))
-    for lam_ in (lam, 0.0):  # kernels use the codec at lam = 0
-        assert _rel(_sheared_values(_sheared_coeffs(v, lam_, (s0, b0)), lam_, (s0, b0)), v) <= 1e-12
-        assert _rel(_sheared_coeffs(_sheared_values(v, lam_, (s0, b0)), lam_, (s0, b0)), v) <= 1e-12
+@given(n=sizes, lam=st.floats(0.0, 1.0), mu_u=mods, mu_v=mods, seed=seeds)
+def test_sheared_codec_round_trip(n, lam, mu_u, mu_v, seed):
+    # samples <-> held array at a field's mod; at lam = 0 the codec builds no shear table
+    v, mod = _samples(seed, (n, n)), (mu_u, mu_v)
+    for lam_ in (lam, 0.0):
+        assert _rel(_sheared_values(_sheared_coeffs(v, lam_, mod), lam_, mod), v) <= 1e-12
+        assert _rel(_sheared_coeffs(_sheared_values(v, lam_, mod), lam_, mod), v) <= 1e-12
 
 
 @PROPERTY
@@ -118,6 +126,47 @@ def test_exact_route_rule_lives_in_sampling_only():
     offenders = _lines_outside_sampling(
         r"\.is_integer\(\)|\bmod(\[[01]\])?\s*[!=]=\s*\w+\.mod\b")
     assert not offenders, offenders
+
+
+@pytest.mark.parametrize("n", [2, 8, 48])
+def test_wrap_is_the_grid_aliasing_rule(n):
+    # mode r + k n samples on the half-offset grid as (-1)^k times mode r
+    modes = np.arange(-3 * n, 3 * n)
+    at, sign = sampling._wrap(modes, n)
+    alpha = angle_nodes(n)
+    assert ((at >= 0) & (at < n)).all() and set(np.unique(sign)) <= {-1.0, 1.0}
+    lhs = np.exp(2j * modes[:, None] * alpha)
+    rhs = sign[:, None] * np.exp(2j * mode_numbers(n)[at][:, None] * alpha)
+    assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+def test_pairing_reads_only_the_parity_of_a_huge_offset():
+    # d + n flips the pairing's sign and d + 2n keeps it; a d past int64, as between
+    # position eigenvectors at 0 and 1e300, only changes the parity
+    for n in (2, 8, 48):
+        for d in (0, 3, -5):
+            perm, sign = sampling._contraction(n, d)
+            for shift, flip in ((n, -1.0), (2 * n * 10 ** 300, 1.0), (n * (10 ** 300 + 1), -1.0)):
+                moved = sampling._contraction(n, d + shift)
+                assert np.array_equal(moved[0], perm) and np.array_equal(moved[1], flip * sign)
+
+
+def test_wrap_sign_lives_in_sampling_only(monkeypatch):
+    # every exact route that moves a mode past the band reads its sign from sampling._wrap
+    ctx, n = BetaContext(2.0, 0.7, 0.3), 16
+    rng = np.random.default_rng(4)
+    f, g = (random_element(ctx, n, rng) for _ in range(2))
+    k = kernel_of(f)
+    routes = {"involution": lambda: involution(f), "adjoint_kernel": lambda: adjoint_kernel(k),
+              "trace_op": lambda: trace_op(k), "star": lambda: star(f, g),  # d = 0: the pairing
+              "twisted_conv": lambda: twisted_conv(symplectic_fourier(f), symplectic_fourier(g))}
+    sampling._contraction.cache_clear()  # a cached pairing would not read the sign again
+    message = "a wrap sign was taken outside sampling._wrap"
+    for module in (sampling, operator_rep, transforms):
+        forbid(monkeypatch, message, module, "_wrap")
+    for route in routes.values():
+        with pytest.raises(AssertionError, match=message):
+            route()
 
 
 def test_carrier_representation_lives_in_sampling_only():

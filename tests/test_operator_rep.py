@@ -10,7 +10,7 @@ from gupstar import operator_rep, sampling
 from gupstar.families import random_element, random_state
 from gupstar.families import resolve_family
 from gupstar.operator_rep import (OperatorKernel, adjoint_kernel,
-                                  apply_operator, compose_kernels, hilbert_schmidt,
+                                  apply_operator, compose_kernels, element_of, hilbert_schmidt,
                                   kernel_of, lambda_ordered_operator, marginal_momentum,
                                   operator_norm, phat_apply, qhat_apply, state_check, trace_op,
                                   uncertainty, wigner)
@@ -446,3 +446,27 @@ def test_operands_from_different_contexts_are_rejected(name):
                 SymbolObservable.position_power(c1, 16, 1))(s2)}[name]
     with pytest.raises(ValueError, match="different contexts"):
         call()
+
+
+@pytest.mark.parametrize("name", ["kernel_of", "state_check", "marginal_momentum", "element_of",
+                                  "adjoint_kernel", "trace_op", "operator_norm", "hilbert_schmidt",
+                                  "compose_kernels-field-left", "compose_kernels-field-right"])
+def test_operator_maps_reject_the_wrong_carrier_kind(name):
+    # a kernel holds its coefficients without the field's 2 pi hbar: read as the other
+    # kind it would be scaled wrongly, so each map names the carrier it takes
+    ctx = BetaContext(2.0, 0.7, 0.5)
+    f = random_element(ctx, 16, np.random.default_rng(3))
+    k = kernel_of(f)
+    kind, route, *operands = {
+        "kernel_of": ("TorusField", kernel_of, k),
+        "state_check": ("TorusField", state_check, k),
+        "marginal_momentum": ("TorusField", marginal_momentum, k),
+        "element_of": ("OperatorKernel", element_of, f),
+        "adjoint_kernel": ("OperatorKernel", adjoint_kernel, f),
+        "trace_op": ("OperatorKernel", trace_op, f),
+        "operator_norm": ("OperatorKernel", operator_norm, f),
+        "hilbert_schmidt": ("OperatorKernel", hilbert_schmidt, f, f),
+        "compose_kernels-field-left": ("OperatorKernel", compose_kernels, f, k),
+        "compose_kernels-field-right": ("OperatorKernel", compose_kernels, k, f)}[name]
+    with pytest.raises(TypeError, match=f"must be an? {kind}, got "):
+        route(*operands)

@@ -356,15 +356,15 @@ def test_synth_of_a_far_eigenvector_casts_no_out_of_band_mode(ctx):
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
 def test_fields_hold_sheared_coefficients(lam):
     ctx, mod, n = BetaContext(2.0, 0.7, lam), (0.58, -0.21), 16
-    sheared = (-mod[1], mod[0] + mod[1])  # the codec's (s0, b0)
     rng = np.random.default_rng(17)
     v, c = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
     f, g = TorusField(ctx, v.copy(), mod), field_from_coeffs(ctx, c.copy(), mod)
-    # samples are encoded once through the sheared codec and decoded on every read
-    assert np.array_equal(f.coeffs(), _sheared_coeffs(v, lam, sheared))
+    # samples are encoded once through the sheared codec, which writes and reads the
+    # held array at the field's mod, and decoded on every read
+    assert np.array_equal(_held(f), _sheared_coeffs(v, lam, mod))
     assert _rel(f.values, v) <= 1e-12
     assert np.array_equal(g.coeffs(), c)
-    assert np.array_equal(g.values, _sheared_values(c, lam, sheared))
+    assert np.array_equal(g.values, _sheared_values(_held(g), lam, mod))
     for h in (f, g):
         # the held array is the kernel layout K[u, v] = coef[-v, u + v]; coeffs() relabels it back
         assert _held(h) is _held(h) and not _held(h).flags.writeable
