@@ -10,10 +10,12 @@ state contract the held arrays' inner slot by the invariant-measure midpoint
 rule (:func:`_contract`, a field's 2 pi hbar folded into its weight).  When
 the contracted modulations differ by an integer that rule is exactly a
 signed pairing of modes, so the result is one gather and one matrix product
-of coefficient arrays; otherwise the contracted slot is sampled.  The rule
-(``_integral``), the pairing (``_contraction``) and the wrap sign (``_wrap``)
-live in ``sampling``; the trace reads the diagonal with the same sign.  A map
-given a kernel for a field, or the reverse, raises ``TypeError``.
+of coefficient arrays; otherwise the contracted slot is sampled.  Either
+way only the operands' occupied block is contracted (exact zeros skipped).
+The rule (``_integral``), the pairing (``_contraction``), the wrap sign
+(``_wrap``) and the occupancy (``_occupied``) live in ``sampling``; the
+trace reads the diagonal with the same sign.  A map given a kernel for a
+field, or the reverse, raises ``TypeError``.
 The sample basis ``exp(2i(u + mu) alpha_a)`` is sqrt(n) times a unitary, so
 norms and spectra are read from coefficients too: no kernel is ever sampled.
 """
@@ -39,6 +41,7 @@ from .sampling import (
     _held,
     _integral,
     _line_values,
+    _occupied,
     _relabel,
     _wrap,
     angle_nodes,
@@ -119,20 +122,53 @@ def _contract(left: _Carrier, right: np.ndarray, mu: float) -> np.ndarray:
     operand) and summed; that quadrature only converges, it is not exact.
     ``d`` is read by ``sampling._integral``, so a difference that rounding
     moved off an integer still takes the exact pairing.
+
+    Either route runs on the occupied block only (``sampling._occupied``,
+    exact zeros): K's occupied rows, ``right``'s occupied columns and, when
+    paired, the inner modes where both K's column and its paired row of
+    ``right`` hold a nonzero; the sampled route decodes only those rows and
+    columns.  The product costs k_rows * k_inner * k_cols multiply-adds, and
+    the rest of the result is 0.  Carriers are finite, so every skipped term
+    is a signed zero and only the summation order can move a value.  An
+    axis with every index occupied is indexed by a slice, so a full-band
+    product makes no copy beyond the scaled K, the gathered rows and the
+    product.
     """
     hold = 2 * np.pi * left.ctx.hbar if isinstance(left, TorusField) else 1.0
+    held, n = _held(left), left.n
+    (rows, inner), (right_rows, *cols) = _occupied(held), _occupied(right)
     d = _integral(left.mod[1], mu)
     if d is not None:
-        perm, sign = _contraction(left.n, d)
-        scale = (np.pi / left.ctx.sqrt_beta / hold) * sign  # n times the weight: the pair sum is n
-        return (_held(left) * scale) @ right[perm]
-    lv = _line_values(_held(left), left.mod[1])   # [u, b]
-    samples = _line_values(right.T, mu)            # [x, b], or [b] for a state
-    return np.pi / (left.n * left.ctx.sqrt_beta) / hold * (lv @ samples.T)
+        perm, sign = _contraction(n, d)
+        if not isinstance(right_rows, slice):  # K's column v meets right's row perm[v]
+            inner = right_rows[perm] if isinstance(inner, slice) else inner & right_rows[perm]
+        # n times the weight: the pair sum is n
+        scale = (np.pi / left.ctx.sqrt_beta / hold) * sign[inner]
+        block = (held[_ix(rows, inner)] * scale) @ right[_ix(perm[inner], *cols)]
+    else:
+        lv = _line_values(held[rows], left.mod[1])        # [u, b]
+        samples = _line_values(right.T[tuple(cols)], mu)  # [x, b], or [b] for a state
+        block = np.pi / (n * left.ctx.sqrt_beta) / hold * (lv @ samples.T)
+    if block.shape == right.shape:  # every row and column occupied
+        return block
+    out = np.zeros_like(right)
+    out[_ix(rows, *cols)] = block
+    return out
+
+
+def _ix(*index):
+    """Index of the block ``index[0] x index[1] x ...``; whole axes (slices) stay views."""
+    if len(index) == 2 and not isinstance(index[0], slice) and not isinstance(index[1], slice):
+        return np.ix_(*index)
+    return index
 
 
 def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
-    """Kernel of the product: :func:`_contract` over the inner slot, outer slots kept."""
+    """Kernel of the product: :func:`_contract` over the inner slot, outer slots kept.
+
+    The cost is k_rows * k_inner * k_cols over the occupied modes: kf's
+    rows, kg's columns and the paired inner modes where both hold a nonzero.
+    """
     _check_kind(OperatorKernel, "a kernel", kf, kg)
     _check_pair(kf, kg, "kernels")
     return OperatorKernel._own(kf.ctx, _contract(kf, kg.coef, kg.mod[0]), (kf.mod[0], kg.mod[1]))

@@ -45,7 +45,9 @@ coefficients and samples only a contracted slot with a non-integer offset.
 Whether an offset is an integer is decided here for every layer, by
 ``_integral`` (a sum snapped where rounding explains the miss), and so is
 the grid's wrap sign ``_wrap`` that the exact routes read: the pairing
-``_contraction``, ``_adjoint``, ``trace_op`` and ``twisted_conv``.
+``_contraction``, ``_adjoint``, ``trace_op`` and ``twisted_conv``.  So is
+which modes an array occupies, by exact zeros (``_occupied``): the
+contraction and the synthesis ``_sinc_sums`` work on that block only.
 The module also holds the package's FFT convolutions: the cyclic
 ``_cyclic_convolution``, shared by the lattice synthesis and the
 transformed-pair convolution of ``transforms``, and the band-limited
@@ -442,8 +444,32 @@ def _contraction(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(perm), _frozen(sign * (1 - 2 * (q % 2)))
 
 
+def _occupied(a: np.ndarray) -> tuple:
+    """One index per axis of ``a``, selecting the slices that hold a nonzero entry.
+
+    Exact zeros only: an entry of any size, however small, occupies its
+    slice.  An axis whose every slice is occupied gets ``slice(None)``, so
+    indexing with it is a view; any other axis gets a bool mask.  A 2-d
+    array's column 0 and row 0 are probed first: a probe with no zero
+    answers its axis, with no scan of ``a``.
+    """
+    if a.ndim == 1:
+        return (_whole_or(a != 0),)
+    return (slice(None) if np.count_nonzero(a[:, 0]) == a.shape[0] else _whole_or(a.any(axis=1)),
+            slice(None) if np.count_nonzero(a[0]) == a.shape[1] else _whole_or(a.any(axis=0)))
+
+
+def _whole_or(mask: np.ndarray):
+    """``slice(None)`` when ``mask`` is all True, else ``mask`` itself."""
+    return slice(None) if mask.all() else mask
+
+
 def _band_reach(c: np.ndarray) -> int:
-    """Largest |mode| with a nonzero coefficient (exact zeros only), 0 if none."""
+    """Largest |mode| with a nonzero coefficient, 0 if none.
+
+    Exact zeros only, the rule of :func:`_occupied`: a coefficient of any
+    size, however small, counts.
+    """
     k = np.flatnonzero(c)  # FFT index k is mode k or k - n, whichever is smaller in size
     return int(np.minimum(k, c.size - k).max()) if k.size else 0
 
@@ -630,7 +656,8 @@ class TorusField(_Carrier):
     def freq_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """Effective (alpha'-frequency, alpha-frequency) arrays, shape (n, n)."""
         m = mode_numbers(self.n)
-        return _freqs(self, *np.meshgrid(m, m, indexing="ij"))
+        c, b = np.meshgrid(m, m, indexing="ij")
+        return _freq(self, c, b, 0), _freq(self, c, b, 1)
 
     def with_values(self, values: np.ndarray) -> "TorusField":
         return TorusField(self.ctx, values, self.mod)
@@ -647,16 +674,19 @@ def field_from_coeffs(ctx: BetaContext, coef: np.ndarray,
     return TorusField._own(ctx, _relabel(_shaped(coef, "field coefficients", 2), *_KERNEL), mod)
 
 
-def _freqs(f: TorusField, c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`TorusField.freq_grids` at sheared modes (c, b), arrays that broadcast."""
+def _freq(f: TorusField, c: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """Array ``axis`` of :meth:`TorusField.freq_grids` at sheared modes (c, b), which broadcast.
+
+    Axis 0 is the alpha'-frequency ``lam (b + b0) + s0 + c``, axis 1 the
+    alpha-frequency ``b + b0``; only the one asked for is built.
+    """
     s0, b0 = _sheared_mod(f.mod)
-    bt = b0 + b
-    return f.ctx.lam * bt + s0 + c, bt
+    return f.ctx.lam * (b0 + b) + s0 + c if axis == 0 else b0 + b
 
 
-def _held_freqs(f: TorusField) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`TorusField.freq_grids` at each held entry: the same values, relabeled."""
-    return _freqs(f, *_held_modes(f.n))
+def _held_freq(f: TorusField, axis: int) -> np.ndarray:
+    """:func:`_freq` at each held entry: ``f.freq_grids()[axis]``, relabeled."""
+    return _freq(f, *_held_modes(f.n), axis)
 
 
 # The scales below multiply the held array by their multiplier in one expression, as
@@ -671,7 +701,7 @@ def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha: float = 0.0)
     ``exp(2i (nu d_alpha_prime + (b + b0) d_alpha))``.  Exact on band-limited
     fields.
     """
-    nu, bt = _held_freqs(f)
+    nu, bt = _held_freq(f, 0), _held_freq(f, 1)
     phase = nu * float(d_alpha_prime) + bt * float(d_alpha)
     if not phase.any():
         return f
@@ -680,14 +710,12 @@ def shift_field(f: TorusField, d_alpha_prime: float = 0.0, d_alpha: float = 0.0)
 
 def deriv_p(f: TorusField) -> TorusField:
     """Translation generator in the second slot: sqrt(beta) d/d alpha."""
-    _, bt = _held_freqs(f)
-    return TorusField._own(f.ctx, _held(f) * (2j * f.ctx.sqrt_beta * bt), f.mod)
+    return TorusField._own(f.ctx, _held(f) * (2j * f.ctx.sqrt_beta * _held_freq(f, 1)), f.mod)
 
 
 def deriv_pprime(f: TorusField) -> TorusField:
     """Translation generator in the first slot: sqrt(beta) d/d alpha'."""
-    nu, _ = _held_freqs(f)
-    return TorusField._own(f.ctx, _held(f) * (2j * f.ctx.sqrt_beta * nu), f.mod)
+    return TorusField._own(f.ctx, _held(f) * (2j * f.ctx.sqrt_beta * _held_freq(f, 0)), f.mod)
 
 
 def seminorm(f: TorusField, n_idx: int, m_idx: int) -> float:
@@ -702,7 +730,7 @@ def seminorm(f: TorusField, n_idx: int, m_idx: int) -> float:
     n_idx, m_idx = (_nonnegative_int(k, "seminorm order") for k in (n_idx, m_idx))
     coef, sb = _held(f), f.ctx.sqrt_beta
     nz = coef != 0
-    nu, bt = (x[nz] for x in _held_freqs(f))
+    nu, bt = (_held_freq(f, axis)[nz] for axis in (0, 1))
     with np.errstate(all="ignore"):
         mult = (2j * sb * nu) ** n_idx * (2j * sb * bt) ** m_idx
         terms = coef[nz] * mult
@@ -754,8 +782,7 @@ def _sinc_sums(f: TorusField, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     coef, n = f.coeffs(), f.n
     s0, b0 = _sheared_mod(f.mod)
     m = mode_numbers(n)
-    rows = np.flatnonzero(coef.any(axis=1))
-    cols = np.flatnonzero(coef.any(axis=0))
+    rows, cols = (np.arange(n)[k] for k in _occupied(coef))
     c = m[rows]
     a = coef[np.ix_(rows, cols)].T * (1 - 2 * (c % 2))  # [b, c]: (-1)^c coef[c, b]
     a_re, a_im = np.ascontiguousarray(a.real), np.ascontiguousarray(a.imag)

@@ -80,7 +80,10 @@ def star(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     fields) that is a signed mode pairing: one column scale, one row gather
     and one matrix product, exact for band-limited fields, with no transform.
     Otherwise the contracted slot is sampled and the midpoint rule only
-    converges.
+    converges.  Either way only the occupied modes are contracted (exact
+    zeros are skipped), so the cost is k_rows * k_inner * k_cols: a position
+    eigenvector's one mode, a Wigner pair's block, the full band only for
+    fields that fill it.
     """
     _check_kind(TorusField, "an algebra element", f, g)
     _check_pair(f, g)

@@ -18,7 +18,7 @@ from .sampling import (
     _check_pair,
     _cyclic_convolution,
     _held,
-    _held_freqs,
+    _held_freq,
     _integral,
     _line_coeffs,
     _line_values,
@@ -212,5 +212,5 @@ def mult_by_q(f: TorusField) -> TorusField:
     eigenvalue.  A coefficient scale, so it runs no transform.
     """
     # deriv_pprime's product, named (see sampling.shift_field); no frequency grid outlives it
-    d = _held(f) * (2j * f.ctx.sqrt_beta * _held_freqs(f)[0])
+    d = _held(f) * (2j * f.ctx.sqrt_beta * _held_freq(f, 0))
     return TorusField._own(f.ctx, 1j * f.ctx.hbar * d, f.mod)

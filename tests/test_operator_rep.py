@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,101 @@ def test_kernel_maps_commute_with_involution(f, g):
         assert np.abs(lhs.coef - rhs.coef).max() <= 1e-13 * np.abs(rhs.coef).max()
         sampled = kernel_samples(kernel_of(h)).conj().T
         assert np.abs(kernel_samples(rhs) - sampled).max() <= 1e-12 * np.abs(sampled).max()
+
+
+def _full_contraction(left, right, mu):
+    """``operator_rep._contract`` over the full arrays, and the sizes of its sums.
+
+    Returns ``(ref, size)``: ``ref`` multiplies every n x n entry, and
+    ``size`` is the same sum of the terms' absolute values.
+    """
+    held = sampling._held(left)
+    hold = 2 * np.pi * left.ctx.hbar if isinstance(left, TorusField) else 1.0
+    d = sampling._integral(left.mod[1], mu)
+    if d is not None:
+        perm, sign = sampling._contraction(left.n, d)
+        a = held * ((np.pi / left.ctx.sqrt_beta / hold) * sign)
+        b = right[perm]
+    else:
+        a = np.pi / (left.n * left.ctx.sqrt_beta) / hold * _line_values(held, left.mod[1])
+        b = _line_values(right.T, mu).T
+    return a @ b, np.abs(a) @ np.abs(b)
+
+
+def _assert_occupied_block(out, left, right, mu):
+    """``out`` is 0 off the occupied rows x columns and the full product on them.
+
+    Both routes sum the same n terms, the block route skipping exact zeros,
+    so by Higham's bound, as in ``test_algebra_path_runs_no_sheared_codec``,
+    each is within sqrt(2) gamma_(n+10) S of the exact sum.
+    """
+    ref, size = _full_contraction(left, right, mu)
+    block = sampling._held(left).any(axis=1)
+    if right.ndim == 2:
+        block = block[:, None] & right.any(axis=0)
+    assert (out[~block] == 0).all()
+    u = np.finfo(float).eps / 2
+    gamma = (left.n + 10) * u / (1 - (left.n + 10) * u)
+    assert (np.abs(out - ref) <= 2 * math.sqrt(2) * gamma * size).all()
+
+
+BLOCK_PAIRS = [("rho:0.37", "rho:0.37"),  # one mode each
+               ("bump:3", "bump:5"),      # half the band
+               ("ml:0.3", "ml:0.3"),      # the full band
+               ("ml:0.3", "rho:0.3"),     # full rows, one inner mode and one column
+               ("rho:0.37", "rho:1.0"),   # a non-integer d: the sampled slot
+               ("ml:0.3", "rho:1.0")]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("left,right", BLOCK_PAIRS, ids="*".join)
+def test_products_contract_only_the_occupied_block(lam, left, right):
+    ctx, n = BetaContext(2.0, 0.7, lam), 32
+    f, g = resolve_family(left, ctx, n), resolve_family(right, ctx, n)
+    _assert_occupied_block(sampling._held(star(f, g)), f, sampling._held(g), g.mod[0])
+    kf, kg = kernel_of(f), kernel_of(g)
+    _assert_occupied_block(compose_kernels(kf, kg).coef, kf, kg.coef, kg.mod[0])
+    rng = np.random.default_rng(3)
+    for psi in (_band_state(ctx, n, rng, 3, g.mod[0]), random_state(ctx, n, rng)):
+        _assert_occupied_block(apply_operator(f, psi).coeffs(), f, psi.coeffs(), psi.mod)
+
+
+def test_disjoint_inner_modes_contract_to_exactly_zero():
+    # K's columns hold modes 1..3 and R's rows modes 1..3, but at d = 0 column mode v
+    # pairs with row mode -v, so every term of the product is skipped
+    ctx, n = BetaContext(1.0, 1.0, 0.5), 16
+    rng = np.random.default_rng(5)
+    m = mode_numbers(n)
+    part = (m >= 1) & (m <= 3)
+    full = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    kf, kg = OperatorKernel(ctx, full * part), OperatorKernel(ctx, full * part[:, None])
+    psi = wavefunction_from_coeffs(ctx, np.where(part, 1.0 + 2.0j, 0))
+    assert not compose_kernels(kf, kg).coef.any()
+    assert not sampling._held(star(element_of(kf), element_of(kg))).any()
+    assert not apply_operator(element_of(kf), psi).coeffs().any()
+    assert hilbert_schmidt(adjoint_kernel(kf), kg) == 0
+    # the mirrored rows, modes -3..-1, pair with every occupied column
+    mirrored = OperatorKernel(ctx, full * part[(-np.arange(n)) % n, None])
+    out = compose_kernels(kf, mirrored).coef
+    assert out.all()
+    _assert_occupied_block(out, kf, mirrored.coef, 0.0)
+
+
+def test_full_band_star_makes_no_copy_beyond_the_product():
+    # scaled left operand, gathered right operand, their product: three n x n complex
+    # arrays, as before the block route; the masks and indices are O(n), and the slack
+    # is far below one more n x n array (1 MiB)
+    ctx, n = BetaContext(1.0, 1.0, 0.5), 256
+    f = resolve_family("ml:0.3", ctx, n)
+    assert sampling._held(f).all()
+    star(f, f)  # the pairing's cache
+    tracemalloc.start()
+    try:
+        star(f, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * n * n + 64 * 1024
 
 
 def test_apply_operator(ctx):
