@@ -12,10 +12,11 @@ the contracted modulations differ by an integer that rule is exactly a
 signed pairing of modes, so the result is one gather and one matrix product
 of coefficient arrays; otherwise the contracted slot is sampled.  Either
 way only the operands' occupied block is contracted (exact zeros skipped).
-The rule (``_integral``), the pairing (``_contraction``), the wrap sign
-(``_wrap``) and the occupancy (``_occupied``) live in ``sampling``; the
-trace reads the diagonal with the same sign.  A map given a kernel for a
-field, or the reverse, raises ``TypeError``.
+The rule (``_integral``), the pairing (``_contraction``), the kernel
+diagonal (``_diagonal``) and the occupancy (``_occupied``) live in
+``sampling``, which alone spells the grid's wrap sign: every map here reads
+kernel modes, the algebra side of ``sampling``'s rule.  A map given a
+kernel for a field, or the reverse, raises ``TypeError``.
 The sample basis ``exp(2i(u + mu) alpha_a)`` is sqrt(n) times a unitary, so
 norms and spectra are read from coefficients too: no kernel is ever sampled.
 """
@@ -38,12 +39,11 @@ from .sampling import (
     _check_kind,
     _check_pair,
     _contraction,
+    _diagonal,
     _held,
     _integral,
     _line_values,
     _occupied,
-    _relabel,
-    _wrap,
     angle_nodes,
     mode_numbers,
     wf_inner,
@@ -191,24 +191,17 @@ def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
 def trace_op(k: OperatorKernel) -> complex:
     """Operator trace: invariant-measure integral of the kernel diagonal.
 
-    The diagonal's line coefficient at mode r sums the anti-diagonal
-    ``u + v = r (mod n)`` of ``k.coef``, each entry with the wrap sign of its
-    mode u + v (``sampling._wrap``): no sample of the kernel is built.
-
-    The entries are read at their in-band FFT mode numbers.  A field's
-    sheared coefficient (c, b) carries the kernel modes (c + b, -c), whose
-    diagonal frequency b is always in the band; where exactly one of them
-    leaves ``[-n/2, n/2)``, the wrap sign flips the coefficient.  So
-    ``trace_op(kernel_of(f))`` equals :func:`~gupstar.star_algebra.trace`
-    only when f has no such coefficient (the difference is stated there).
+    ``sampling._diagonal`` reads the diagonal's line coefficients from
+    ``k.coef`` at kernel modes (signed anti-diagonal sums), so no sample of
+    the kernel is built; the midpoint rule weighs mode r by
+    ``(pi/sqrt(beta)) sinc(r + mu_u + mu_v)``.  ``trace_op(kernel_of(f))`` is
+    :func:`~gupstar.star_algebra.trace` of f to rounding: the same sum, with
+    the field's 2 pi hbar in the weight.
     """
     _check_kind(OperatorKernel, "the kernel", k)
     mtot = k.mod[0] + k.mod[1]
-    n = k.n
-    m = mode_numbers(n)
-    _, sign = _wrap(np.arange(-n, n - 1), n)  # at each sum u + v of two band modes, from -n
-    dm = _relabel(k.coef * sign[(m[:, None] + (m + n)).astype(int)], 1, 0, -1, 1).sum(axis=0)
-    return complex(np.pi / k.ctx.sqrt_beta * (dm * np.sinc(mtot + m)).sum())
+    dm = _diagonal(k.coef)
+    return complex(np.pi / k.ctx.sqrt_beta * (dm * np.sinc(mtot + mode_numbers(k.n))).sum())
 
 
 def hilbert_schmidt(kf: OperatorKernel, kg: OperatorKernel) -> complex:
@@ -249,10 +242,17 @@ def wigner(phi: Wavefunction, psi: Wavefunction) -> TorusField:
 
 
 def marginal_momentum(rho: TorusField) -> np.ndarray:
-    """Momentum probability density on the grid: f~(0, alpha)/(2 pi hbar)."""
+    """Momentum probability density on the grid: the kernel diagonal K(alpha, alpha).
+
+    ``sampling._diagonal`` of the held array, decoded on the grid and divided
+    by 2 pi hbar: the diagonal :func:`trace_op` integrates, read at kernel
+    modes like every algebra route.  It equals the sheared reading
+    ``f~(0, alpha)/(2 pi hbar)`` when rho holds nothing in ``sampling``'s
+    mismatch set M.
+    """
     _check_kind(TorusField, "the density", rho)
-    col = rho.coeffs().sum(axis=0)  # alpha' = 0 kills every first-slot phase
-    return (_line_values(col, rho.mod[0] + rho.mod[1]) / (2 * np.pi * rho.ctx.hbar)).real
+    diag = _line_values(_diagonal(_held(rho)), rho.mod[0] + rho.mod[1])
+    return (diag / (2 * np.pi * rho.ctx.hbar)).real
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,9 @@ def state_check(rho: TorusField, herm_tol: float = 1e-8,
     ``d`` cannot be self-adjoint and reports an infinite residual.
     Positivity asks that the smallest eigenvalue of ``(A + A^dagger)/2`` stay
     above ``eig_tol`` (slightly negative to absorb roundoff on exact
-    rank-deficient states).  The trace must be one to within 1e-8.
+    rank-deficient states).  The trace, :func:`trace_op` of the kernel, must
+    be one to within 1e-8; it is ``star_algebra.trace(rho)`` to rounding, as
+    both read the kernel diagonal (``sampling._diagonal``).
     """
     k = kernel_of(rho)  # a TypeError for any carrier but a field
     tr = trace_op(k)

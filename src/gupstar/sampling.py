@@ -45,7 +45,8 @@ coefficients and samples only a contracted slot with a non-integer offset.
 Whether an offset is an integer is decided here for every layer, by
 ``_integral`` (a sum snapped where rounding explains the miss), and so is
 the grid's wrap sign ``_wrap`` that the exact routes read: the pairing
-``_contraction``, ``_adjoint``, ``trace_op`` and ``twisted_conv``.  So is
+``_contraction``, ``_adjoint``, the kernel diagonal ``_diagonal`` and
+``twisted_conv``.  So is
 which modes an array occupies, by exact zeros (``_occupied``): the
 contraction and the synthesis ``_sinc_sums`` work on that block only.
 The module also holds the package's FFT convolutions: the cyclic
@@ -59,16 +60,25 @@ s = c + b of length 2n for the right one, whose terms also move in alpha'.
 A field holds its kernel's layout ``K[u, v] = coef[-v, u + v]``, and only
 this module knows it: ``_KERNEL``/``_SHEARED`` and ``_relabel_index`` gather
 between it and the sheared ``coef[c, b]``, and ``_held_modes`` gives each
-held entry its sheared mode pair (c, b).  Routes that act mode by mode work
-on the held array: the scales ``shift_field``, ``deriv_p``,
-``deriv_pprime``, ``seminorm`` and ``transforms.mult_by_q``, the symbol
-products (``_band_layout`` composes the relabel into its index) and
-``star_algebra.inner``'s Parseval branch.  Routes that integrate out
-alpha' read the sheared ``coeffs()``:
-``star_algebra.trace``, ``operator_rep.marginal_momentum``, the synthesis
-(``_sinc_sums``, ``lattice_from_field``), ``inner`` at different mu_v, the
-``transforms`` references and ``verify``.  ``freq_grids``, ``coeffs()`` and
-``field_from_coeffs`` keep their sheared contracts.
+held entry its sheared mode pair (c, b).  A held entry has two readings,
+and each route takes one.  The algebra side reads kernel modes (u, v) in
+the band: the contraction, ``_adjoint`` and the kernel diagonal
+``_diagonal``, which ``star_algebra.trace``, ``operator_rep.trace_op`` and
+``operator_rep.marginal_momentum`` weigh.  The sample side reads sheared
+modes (c, b) in the band: the codec, the scales ``shift_field``,
+``deriv_p``, ``deriv_pprime``, ``seminorm`` and ``transforms.mult_by_q``,
+the symbol products (``_band_layout`` composes the relabel into its
+index), ``star_algebra.inner``, the synthesis (``_sinc_sums``,
+``lattice_from_field``), the ``transforms`` references and ``verify``.
+The readings differ only on the mismatch set M, the entries whose kernel
+modes (c + b, -c) lie one inside ``[-n/2, n/2)`` and one outside, where
+the wrap sign flips the entry; when a field holds nothing in M they
+agree.  The band-fitting Wigner families (``bump``, ``rho``,
+``random_element``) hold nothing there, ``ml`` holds only rounding at
+lam = 1/2 and its kink aliasing at other orderings (an energy share near
+5e-12 at n = 128), and a field encoded from arbitrary samples can hold
+O(1).  ``freq_grids``, ``coeffs()`` and ``field_from_coeffs`` keep their
+sheared contracts.
 """
 
 from __future__ import annotations
@@ -340,6 +350,36 @@ def _adjoint(coef: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
+def _diagonal_flip(n: int) -> np.ndarray:
+    """Read-only n x n bool mask of :func:`_diagonal`'s gather: True where the wrap sign is -1.
+
+    Gathered entry [u, r] is held entry (u, r - u), of modes m_u and
+    m_v = m_r - m_u folded into the band.  Their sum is m_r itself, sign +1,
+    exactly when m_r - m_u needs no fold, and m_r + n or m_r - n otherwise,
+    so its :func:`_wrap` sign is that of the mode difference m_r - m_u.  In
+    sorted mode order that difference is constant along diagonals: the mask
+    is a window over the 2n - 1 signs, rolled to FFT order, one byte per
+    entry and no n x n index.
+    """
+    _, sign = _wrap(np.arange(1 - n, n), n)  # at the differences 1 - n .. n - 1
+    by_mode = np.lib.stride_tricks.sliding_window_view(sign < 0, n)[::-1]  # [u, r]: r - u
+    return _frozen(np.roll(by_mode, n // 2, axis=(0, 1)))
+
+
+def _diagonal(held: np.ndarray) -> np.ndarray:
+    """Line coefficients of the diagonal K(a, a) of the kernel held in ``held``, FFT order.
+
+    Mode r sums the held entries with ``u + v = r (mod n)``, each signed by
+    the :func:`_wrap` sign of its mode sum m_u + m_v: one row gather and one
+    sign flip in place (:func:`_diagonal_flip`).  The algebra side's trace
+    and momentum marginal are this times their weights.
+    """
+    diag = _relabel(held, 1, 0, -1, 1)  # [u, r]: held[u, r - u]
+    np.negative(diag, out=diag, where=_diagonal_flip(held.shape[0]))
+    return diag.sum(axis=0)
+
+
+@functools.lru_cache(maxsize=8)
 def _held_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only sheared mode numbers ``(C, B)`` of the held entries K[u, v] = coef[-v, u + v].
 
@@ -380,8 +420,12 @@ def _nonnegative_int(k, what: str) -> int:
 
 
 def _check_pair(f, g, what: str = "algebra elements") -> None:
-    """Reject two operands (carriers or kernels) from different contexts or grids."""
-    if f.ctx != g.ctx:
+    """Reject two operands (carriers or kernels) from different contexts or grids.
+
+    beta and hbar must be equal; the orderings are compared by :func:`_same_lam`.
+    """
+    a, b = f.ctx, g.ctx
+    if (a.beta, a.hbar) != (b.beta, b.hbar) or not _same_lam(a.lam, b.lam):
         raise ValueError(f"{what} live in different contexts")
     if f.n != g.n:
         raise ValueError(f"{what} live on different grids")
@@ -424,6 +468,19 @@ def _integral(*terms: float) -> Optional[int]:
     total = sum(terms)
     k = round(total)
     return k if abs(total - k) <= 0.5 * sum(map(math.ulp, terms)) else None
+
+
+def _same_lam(a: float, b: float) -> bool:
+    """Whether two orderings are one: equal, or one is the other flipped twice.
+
+    The ordering flip ``lam -> 1 - lam`` rounds ``1 - lam`` when lam < 1/2, so
+    ``1 - (1 - lam)`` can miss lam (0.07 comes back as 0.07000000000000006,
+    one of 32 such lams among 0.00, 0.01, ..., 1.00).  Flipped twice again it
+    returns the same float, so any even number of flips lands on lam or on
+    its double flip.  Any other difference, one ulp included, is another
+    ordering.
+    """
+    return a == b or 1.0 - (1.0 - a) == b or 1.0 - (1.0 - b) == a
 
 
 def _sheared_mod(mod: tuple[float, float]) -> tuple[float, float]:

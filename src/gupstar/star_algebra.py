@@ -7,10 +7,11 @@ product is the kernel composition of the held arrays themselves, an
 invariant-measure quadrature over the contracted slot (a signed mode pairing
 and one matrix product when the contracted modulations differ by an
 integer), with no kernel carrier built on the way.  Products, the
-involution (the kernel adjoint's relabeling) and ``s_operator`` work on the
-held kernel layout, and so do the products with symbols ``q^P phi(p)`` and
-``inner`` at equal modulations; ``trace`` and ``inner`` at different
-modulations read sheared coefficients, with no sample round trip.  On
+involution (the kernel adjoint's relabeling), ``s_operator`` and ``trace``
+(the kernel diagonal, ``sampling._diagonal``) read the held array at its
+kernel modes, the algebra side of ``sampling``'s rule; the products with
+symbols ``q^P phi(p)`` and ``inner`` read it at its sheared modes, the
+sample side, and only ``inner`` at different alpha offsets sums samples.  On
 band-limited carriers the product equals the direct discretization of the
 defining twisted convolution; that discretization is kept as
 :func:`star_direct` so the two routes can check each other.  It shares no
@@ -37,6 +38,7 @@ from .sampling import (
     _band_layout,
     _check_kind,
     _check_pair,
+    _diagonal,
     _held,
     _held_modes,
     _integral,
@@ -136,9 +138,9 @@ def s_operator(f: AlgebraElement) -> AlgebraElement:
 
     The coefficients are untouched; the element is re-expanded in the mirrored
     ordering, so the result lives in the context with lam -> 1 - lam.  For the
-    symmetric ordering S is the identity.  ``1 - (1 - lam)`` can miss lam by
-    one ulp (32 of the lams 0.00, 0.01, ..., 1.00), so ``s_operator(s_operator(f))``
-    may live in another context than f.
+    symmetric ordering S is the identity.  ``s_operator(s_operator(f))`` pairs
+    with f although ``1 - (1 - lam)`` can round off lam: operands compare
+    orderings by ``sampling._same_lam``.
     """
     _check_kind(TorusField, "an algebra element", f)
     return TorusField._own(f.ctx.with_lam(1.0 - f.ctx.lam), _held(f), f.mod)
@@ -147,20 +149,18 @@ def s_operator(f: AlgebraElement) -> AlgebraElement:
 def trace(f: AlgebraElement) -> complex:
     """Normalized phase-space integral tr(f) = Int f dq dmu / (2 pi hbar).
 
-    A column sum of the sheared coefficients, free of any transform: column b
-    is the kernel diagonal's mode b, always in the band.  It equals
-    ``operator_rep.trace_op(kernel_of(f))`` to rounding only when f has no
-    coefficient at a sheared mode (c, b) whose kernel modes (c + b, -c) lie
-    one in ``[-n/2, n/2)`` and one outside, as for Wigner pairs that fit the
-    band and ``ml_phase_state`` fields.  ``trace_op`` reads such a
-    coefficient at in-band mode numbers, with the opposite sign, so the two
-    differ by ``sum_b sinc(b + b0) sum_c coef[c, b] / (hbar sqrt(beta))``
-    over those c, with ``b0 = mu_u + mu_v``.  Which of the two is the paper's trace is left open
-    (ROADMAP items 1 and 3).
+    The operator trace of f's kernel: ``sampling._diagonal`` of the held
+    array, mode b weighed by ``sinc(b + mu_u + mu_v) / (2 hbar sqrt(beta))``,
+    free of any transform.  So it equals ``operator_rep.trace_op(kernel_of(f))``
+    to rounding on every field, and tr(f star g) = tr(g star f) and
+    (f, g) = tr(f* star g) hold to rounding when the modulations pair.  Like
+    every algebra route it reads kernel modes; a field holding coefficients
+    in ``sampling``'s mismatch set M, as one encoded from arbitrary samples
+    can, has a sample-side integral that differs from this trace.
     """
+    _check_kind(TorusField, "an algebra element", f)
     b = mode_numbers(f.n) + (f.mod[0] + f.mod[1])
-    colsum = f.coeffs().sum(axis=0)
-    return complex((colsum * np.sinc(b)).sum() / (2 * f.ctx.hbar * f.ctx.sqrt_beta))
+    return complex((_diagonal(_held(f)) * np.sinc(b)).sum() / (2 * f.ctx.hbar * f.ctx.sqrt_beta))
 
 
 def inner(f: AlgebraElement, g: AlgebraElement) -> complex:

@@ -780,7 +780,7 @@ def suite_states(cfg: RunConfig) -> List[CheckResult]:
     p_grid = np.tan(angle_nodes(n)) / ctx.sqrt_beta
     ref_m = (2 * ctx.sqrt_beta / math.pi) / (1 + ctx.beta * p_grid ** 2)
     s.check("states.ml_marginal", np.abs(marg - ref_m).max(), _kink_tol(n, 2e-6),
-            note="sampled construction; exact at the symmetric ordering")
+            note="sampled construction; exact at lam = 1/2 and lam = 1")
 
     xi_l = 2 * ctx.q_lattice_step
     mls = ml_phase_state(ctx, xi_l, n)

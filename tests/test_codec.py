@@ -9,7 +9,7 @@ from conftest import forbid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gupstar import operator_rep, sampling, transforms
+from gupstar import sampling, transforms
 from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element
 from gupstar.operator_rep import adjoint_kernel, kernel_of, trace_op
@@ -160,9 +160,10 @@ def test_wrap_sign_lives_in_sampling_only(monkeypatch):
     routes = {"involution": lambda: involution(f), "adjoint_kernel": lambda: adjoint_kernel(k),
               "trace_op": lambda: trace_op(k), "star": lambda: star(f, g),  # d = 0: the pairing
               "twisted_conv": lambda: twisted_conv(symplectic_fourier(f), symplectic_fourier(g))}
-    sampling._contraction.cache_clear()  # a cached pairing would not read the sign again
+    sampling._contraction.cache_clear()  # a cached pairing or mask would not read the sign again
+    sampling._diagonal_flip.cache_clear()
     message = "a wrap sign was taken outside sampling._wrap"
-    for module in (sampling, operator_rep, transforms):
+    for module in (sampling, transforms):
         forbid(monkeypatch, message, module, "_wrap")
     for route in routes.values():
         with pytest.raises(AssertionError, match=message):

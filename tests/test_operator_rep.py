@@ -7,7 +7,7 @@ import pytest
 from conftest import CODECS, forbid
 
 from gupstar.beta_arith import BetaContext
-from gupstar import operator_rep, sampling
+from gupstar import operator_rep, sampling, star_algebra
 from gupstar.families import random_element, random_state
 from gupstar.families import resolve_family
 from gupstar.operator_rep import (OperatorKernel, adjoint_kernel,
@@ -18,7 +18,7 @@ from gupstar.operator_rep import (OperatorKernel, adjoint_kernel,
 from gupstar.sampling import (TorusField, Wavefunction, _line_coeffs, _line_values, _relabel,
                               _relabel_index, angle_nodes, field_from_coeffs, mode_numbers,
                               wavefunction_from_coeffs, wf_inner)
-from gupstar.star_algebra import SymbolObservable, involution, star
+from gupstar.star_algebra import SymbolObservable, expectation, inner, involution, star, trace
 from gupstar.states import ml_phase_state, position_eigenvector
 from gupstar.verify import _kernel_samples as kernel_samples
 
@@ -298,6 +298,57 @@ def test_trace_op(ctx, rng):
         mk, mh = kernel_samples(k, weighted=True), kernel_samples(kh, weighted=True)
         hs_scale = np.linalg.norm(mk) * np.linalg.norm(mh)
         assert abs(hilbert_schmidt(k, kh) - np.vdot(mk, mh)) <= 1e-13 * hs_scale
+
+
+def _gamma(k):
+    """Higham's gamma_k: the relative error bound of a k-step product or sum chain."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("mod", [(0.0, 0.0), (0.25, -0.25), (-0.5, 0.5), (0.3, 0.375)])
+def test_one_trace_on_fields_from_raw_samples(lam, mod):
+    # raw samples put coefficients where the sheared and the kernel readings of the held
+    # array differ; the trace, its identities and the momentum marginal read the kernel
+    # diagonal alone.  Each bound is gamma_k times the sum of the sizes of the terms,
+    # for each of the two routes compared: a trace sums the n^2 held entries with its
+    # weights (|sinc| <= 1) in chains of at most 2n + 10 roundings, a product entry sums
+    # n terms, and a sample sums the n^2 entries through two FFT passes
+    ctx, n = BetaContext(2.0, 0.7, lam), 16
+    rng = np.random.default_rng(29)
+    f, g = (TorusField(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), mod)
+            for _ in range(2))
+    k, hs = kernel_of(f), ctx.hbar * ctx.sqrt_beta
+    size_f, size_g = (np.abs(sampling._held(x)).sum() for x in (f, g))
+    tr, bound = trace(f), 2 * _gamma(2 * n + 10) * size_f / (2 * hs)
+    assert abs(tr) > 1e3 * bound  # the bounds are not vacuous
+    assert abs(tr - trace_op(k)) <= bound and abs(state_check(f).trace - tr) <= bound
+    diagonal = np.diagonal(kernel_samples(k)).real
+    bound = 2 * _gamma(2 * n + 20) * np.abs(k.coef).sum()
+    assert np.abs(marginal_momentum(f) - diagonal).max() <= bound
+    if sampling._integral(*mod) is None:  # no exact pairing: the product identities are quadratures
+        return
+    bound = 2 * _gamma(3 * n + 20) * size_f * size_g / (2 * np.pi * ctx.hbar) / (2 * hs) ** 2
+    assert abs(trace(star(f, g)) - trace(star(g, f))) <= bound
+    assert abs(inner(f, g) - trace(star(involution(f), g))) <= bound
+
+
+def test_the_kernel_diagonal_is_read_once(monkeypatch):
+    # trace, trace_op, the momentum marginal, the state check and expectations all read
+    # the diagonal through sampling._diagonal; none has a reading of its own
+    ctx, n = BetaContext(2.0, 0.7, 0.3), 16
+    rng = np.random.default_rng(6)
+    f, rho = random_element(ctx, n, rng), resolve_family("rho:0.37", ctx, n)
+    k, sym = kernel_of(f), SymbolObservable.position_power(ctx, n, 1)
+    message = "the kernel diagonal was read outside sampling._diagonal"
+    for module in (sampling, operator_rep, star_algebra):
+        forbid(monkeypatch, message, module, "_diagonal")
+    routes = (lambda: trace(f), lambda: trace_op(k), lambda: marginal_momentum(rho),
+              lambda: state_check(rho), lambda: expectation(f, rho), lambda: expectation(sym, rho))
+    for route in routes:
+        with pytest.raises(AssertionError, match=message):
+            route()
 
 
 def test_operator_norm(ctx, rng):

@@ -238,7 +238,7 @@ def test_expectation(ctx, rng):
 @pytest.mark.parametrize("case", ["contexts-and-grids", "star-of-kernels", "star-with-a-kernel",
                                   "involution-of-a-kernel", "inner-of-kernels",
                                   "ordering-flip-of-a-kernel", "cstar-norm-of-a-kernel",
-                                  "operator-on-a-field"])
+                                  "trace-of-a-kernel", "operator-on-a-field"])
 def test_mismatched_operands_raise(ctx, rng, case):
     f = random_element(ctx, 16, rng)
     g = random_element(BetaContext(2.0, 1.0, 0.5), 16, rng)
@@ -252,10 +252,41 @@ def test_mismatched_operands_raise(ctx, rng, case):
               "inner-of-kernels": [(TypeError, "TorusField", inner, k, k)],
               "ordering-flip-of-a-kernel": [(TypeError, "TorusField", s_operator, k)],
               "cstar-norm-of-a-kernel": [(TypeError, "TorusField", cstar_norm_estimate, k)],
+              "trace-of-a-kernel": [(TypeError, "TorusField", trace, k)],
               "operator-on-a-field": [(TypeError, "Wavefunction", apply_operator, f, f)]}
     for error, match, route, *operands in checks[case]:
         with pytest.raises(error, match=match):
             route(*operands)
+
+
+def test_double_ordering_flip_pairs_with_the_original():
+    # 1 - (1 - lam) rounds off lam at 32 of these lams; the flipped-back element still
+    # pairs with f, and its held array is f's, so the product is f's own bit for bit
+    rng = np.random.default_rng(22)
+    moved = 0
+    for lam in (k / 100 for k in range(101)):
+        ctx = BetaContext(2.0, 0.7, lam)
+        f = random_element(ctx, 4, rng)
+        back = s_operator(s_operator(f))
+        moved += back.ctx != ctx
+        assert np.array_equal(sampling._held(star(back, f)), sampling._held(star(f, f)))
+        assert abs(inner(back, f) - inner(f, f)) == 0.0
+    assert moved == 32
+
+
+@pytest.mark.parametrize("lam", [0.07, 0.3, 0.75])
+def test_orderings_two_ulps_apart_do_not_pair(lam):
+    rng = np.random.default_rng(23)
+    near = np.nextafter(np.nextafter(lam, 1.0), 1.0)
+    f, g = (random_element(BetaContext(2.0, 0.7, x), 4, rng) for x in (lam, near))
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ValueError, match="different contexts"):
+            star(a, b)
+    # beta and hbar compare exactly
+    for beta, hbar in ((np.nextafter(2.0, 3.0), 0.7), (2.0, np.nextafter(0.7, 1.0))):
+        h = random_element(BetaContext(beta, hbar, lam), 4, rng)
+        with pytest.raises(ValueError, match="different contexts"):
+            star(f, h)
 
 
 def test_algebra_path_runs_no_sheared_codec(monkeypatch):
@@ -328,8 +359,7 @@ def test_operator_maps_are_scales_of_the_held_coefficients(monkeypatch):
                                            + 1j * rng.standard_normal((n, n))), mod)
             for mod in ((0.58, -0.21), (0.21, 0.16)))  # contracted difference -0.21 + 0.21 = 0
     phi, psi = random_state(ctx, n, rng), random_state(ctx, n, rng)
-    for module in (sampling, operator_rep):
-        forbid(monkeypatch, "a coefficient grid was relabeled", module, "_relabel")
+    forbid(monkeypatch, "a coefficient grid was relabeled", sampling, "_relabel")
     k = kernel_of(f)
     back = element_of(k)
     built, own = [], sampling._Carrier._own.__func__
