@@ -4,8 +4,8 @@ Every transformed field corresponds to an integral operator on the circle
 Hilbert space.  An :class:`OperatorKernel` holds the coefficients of its
 plain 2-d expansion with ``mod = (mu_u, mu_v)``; a field holds them times
 2 pi hbar, so field -> kernel and kernel -> field are scales, and the
-kernel adjoint, hence the algebra involution, is one unimodular relabeling
-(``sampling._adjoint``).  Composition, the star product and the action on a
+kernel adjoint, hence the algebra involution, is a transpose and a mode
+reversal of the occupied block (``sampling._adjoint``).  Composition, the star product and the action on a
 state contract the held arrays' inner slot by the invariant-measure midpoint
 rule (:func:`_contract`, a field's 2 pi hbar folded into its weight).  When
 the contracted modulations differ by an integer that rule is exactly a
@@ -42,6 +42,7 @@ from .sampling import (
     _diagonal,
     _held,
     _integral,
+    _ix,
     _line_values,
     _occupied,
     angle_nodes,
@@ -154,13 +155,6 @@ def _contract(left: _Carrier, right: np.ndarray, mu: float) -> np.ndarray:
     out = np.zeros_like(right)
     out[_ix(rows, *cols)] = block
     return out
-
-
-def _ix(*index):
-    """Index of the block ``index[0] x index[1] x ...``; whole axes (slices) stay views."""
-    if len(index) == 2 and not isinstance(index[0], slice) and not isinstance(index[1], slice):
-        return np.ix_(*index)
-    return index
 
 
 def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:

@@ -47,8 +47,11 @@ Whether an offset is an integer is decided here for every layer, by
 the grid's wrap sign ``_wrap`` that the exact routes read: the pairing
 ``_contraction``, ``_adjoint``, the kernel diagonal ``_diagonal`` and
 ``twisted_conv``.  So is
-which modes an array occupies, by exact zeros (``_occupied``): the
-contraction and the synthesis ``_sinc_sums`` work on that block only.
+which modes an array occupies, by exact zeros (``_occupied``), and each
+route on a held array costs that block only: the contraction, the adjoint
+``_adjoint``, the kernel diagonal ``_diagonal`` (its occupied rows), the
+synthesis ``_sinc_sums`` and ``star_algebra.inner``'s alpha'-sampled
+branch (the alpha modes both fields occupy, ``_alpha_modes``).
 The module also holds the package's FFT convolutions: the cyclic
 ``_cyclic_convolution``, shared by the lattice synthesis and the
 transformed-pair convolution of ``transforms``, and the band-limited
@@ -84,6 +87,7 @@ sheared contracts.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import os
@@ -335,8 +339,10 @@ def _relabel(coef: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
 
     One gather through an index built once per (n, a, b, c, d); unimodular, as
     FFT index i stands for every mode congruent to i on the n-periodic lattice.
+    Indexing reads the cached index in place (``np.take`` copied it, read-only
+    as it is, on every call).
     """
-    return np.take(coef.ravel(), _relabel_index(coef.shape[0], a, b, c, d))
+    return coef.ravel()[_relabel_index(coef.shape[0], a, b, c, d)]
 
 
 #: ``_relabel`` from sheared coef[c, b] to the held K[u, v] = coef[-v, u + v], and back.
@@ -344,9 +350,37 @@ _KERNEL, _SHEARED = (0, -1, 1, 1), (1, 1, -1, 0)
 
 
 def _adjoint(coef: np.ndarray) -> np.ndarray:
-    """Coefficients of conj K(b, a): (u, v) -> (-v, -u), conjugated and wrapped (:func:`_wrap`)."""
-    _, s = _wrap(-mode_numbers(coef.shape[0]).astype(int), coef.shape[0])
-    return np.conj(_relabel(coef, 0, -1, -1, 0)) * s[:, None] * s
+    """Coefficients of conj K(b, a): ``out[i, j] = conj(coef[-j, -i]) s_i s_j``, s :func:`_wrap`'s.
+
+    A transpose and a mode reversal ``-i mod n`` on each axis, with no n x n
+    index.  Only the occupied block (:func:`_occupied`) is read: rows R and
+    columns C of ``coef`` give the result's rows -C and columns -R.  In
+    ascending order the reversal keeps a selected index 0 first and reverses
+    the rest, so the block is written by at most four conjugating slice
+    copies.  The sign of -m is -1 at the Nyquist index alone: one row and one
+    column negated.  A whole axis stays a slice, a block that fills the
+    array is the result, and any other block lands in zeros.
+    """
+    n = coef.shape[0]
+    rev, sign = _wrap(-mode_numbers(n).astype(int), n)  # rev[i] = -i mod n
+    rows, cols = _occupied(coef)
+    at = [k if isinstance(k, slice) else k[rev] for k in (cols, rows)]  # the result's rows, columns
+    back = coef[_ix(rows, cols)].T[::-1, ::-1]  # the block transposed, both axes descending
+    out = np.empty(back.shape, dtype=complex)
+    splits = []  # per axis, (block part, part of back): the targets past index 0, then index 0
+    for k, m in zip((cols, rows), back.shape):
+        z = int(isinstance(k, slice) or k[0])  # 1 when index 0 is selected: it comes last in back
+        splits.append(((slice(z, None), slice(None, m - z)), (slice(None, z), slice(m - z, None))))
+    for (o0, i0), (o1, i1) in itertools.product(*splits):
+        np.conjugate(back[i0, i1], out=out[o0, o1])
+    flip_rows, flip_cols = (sign[k] < 0 for k in at)
+    out[flip_rows] = -out[flip_rows]
+    out[:, flip_cols] = -out[:, flip_cols]
+    if out.shape == coef.shape:  # every row and column occupied
+        return out
+    full = np.zeros_like(coef)
+    full[_ix(*at)] = out
+    return full
 
 
 @functools.lru_cache(maxsize=8)
@@ -371,11 +405,15 @@ def _diagonal(held: np.ndarray) -> np.ndarray:
 
     Mode r sums the held entries with ``u + v = r (mod n)``, each signed by
     the :func:`_wrap` sign of its mode sum m_u + m_v: one row gather and one
-    sign flip in place (:func:`_diagonal_flip`).  The algebra side's trace
-    and momentum marginal are this times their weights.
+    sign flip in place (:func:`_diagonal_flip`).  Only the occupied rows u
+    (:func:`_occupied`) are gathered, through the same rows of the cached
+    index and mask; when every row is occupied they are indexed by a slice,
+    so no index is copied.  The algebra side's trace and momentum marginal
+    are this times their weights.
     """
-    diag = _relabel(held, 1, 0, -1, 1)  # [u, r]: held[u, r - u]
-    np.negative(diag, out=diag, where=_diagonal_flip(held.shape[0]))
+    n, u = held.shape[0], _occupied(held)[0]
+    diag = held.ravel()[_relabel_index(n, 1, 0, -1, 1)[u]]  # [u, r]: held[u, r - u]
+    np.negative(diag, out=diag, where=_diagonal_flip(n)[u])
     return diag.sum(axis=0)
 
 
@@ -390,6 +428,31 @@ def _held_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     m, v = mode_numbers(n), np.arange(n)
     return _frozen(m[(-v) % n][None, :]), _frozen(m[(v[:, None] + v) % n])
+
+
+def _alpha_modes(*held: np.ndarray):
+    """The sheared alpha modes b every held array can occupy: a bool mask, or ``slice(None)``.
+
+    Held entry (u, v) has alpha mode ``b = u + v (mod n)``, so an array's b
+    range over the sums of its occupied rows and columns (:func:`_occupied`):
+    a superset of the occupied columns of ``coeffs()``, found with no n x n
+    scan.  A whole axis next to any occupied index reaches every b.
+    """
+    n = held[0].shape[0]
+    common = np.ones(n, dtype=bool)
+    for a in held:
+        rows, cols = _occupied(a)
+        if isinstance(rows, slice) or isinstance(cols, slice):
+            continue
+        hit = np.zeros(n, dtype=bool)
+        hit[np.add.outer(np.flatnonzero(rows), np.flatnonzero(cols)) % n] = True
+        common &= hit
+    return _whole_or(common)
+
+
+def _sheared_columns(held: np.ndarray, b) -> np.ndarray:
+    """Columns ``coef[:, b]`` of the sheared coefficients, b a slice or mask: one gather."""
+    return held.ravel()[_relabel_index(held.shape[0], *_SHEARED)[:, b]]
 
 
 def _finite(a, what: str, ndim: int) -> np.ndarray:
@@ -514,6 +577,13 @@ def _occupied(a: np.ndarray) -> tuple:
         return (_whole_or(a != 0),)
     return (slice(None) if np.count_nonzero(a[:, 0]) == a.shape[0] else _whole_or(a.any(axis=1)),
             slice(None) if np.count_nonzero(a[0]) == a.shape[1] else _whole_or(a.any(axis=0)))
+
+
+def _ix(*index):
+    """Index of the block ``index[0] x index[1] x ...``; whole axes (slices) stay views."""
+    if len(index) == 2 and not isinstance(index[0], slice) and not isinstance(index[1], slice):
+        return np.ix_(*index)
+    return index
 
 
 def _whole_or(mask: np.ndarray):

@@ -11,7 +11,9 @@ involution (the kernel adjoint's relabeling), ``s_operator`` and ``trace``
 (the kernel diagonal, ``sampling._diagonal``) read the held array at its
 kernel modes, the algebra side of ``sampling``'s rule; the products with
 symbols ``q^P phi(p)`` and ``inner`` read it at its sheared modes, the
-sample side, and only ``inner`` at different alpha offsets sums samples.  On
+sample side, and only ``inner`` at different alpha offsets sums samples.
+The products, the involution, the trace and ``inner``'s alpha'-sampled
+branch read only the operands' occupied block (exact zeros).  On
 band-limited carriers the product equals the direct discretization of the
 defining twisted convolution; that discretization is kept as
 :func:`star_direct` so the two routes can check each other.  It shares no
@@ -34,6 +36,7 @@ from .sampling import (
     TorusField,
     Wavefunction,
     _adjoint,
+    _alpha_modes,
     _band_convolution,
     _band_layout,
     _check_kind,
@@ -45,6 +48,7 @@ from .sampling import (
     _line_coeffs,
     _line_values,
     _nonnegative_int,
+    _sheared_columns,
     angle_nodes,
     mode_numbers,
     shift_field,
@@ -127,7 +131,9 @@ def involution(f: AlgebraElement) -> AlgebraElement:
 
     :func:`~gupstar.operator_rep.adjoint_kernel` on the held coefficients, so
     ``kernel_of(involution(f))`` is ``adjoint_kernel(kernel_of(f))``; for
-    lam = 1/2 it reduces to complex conjugation of f(q, p).
+    lam = 1/2 it reduces to complex conjugation of f(q, p).  ``sampling._adjoint``
+    reads only the occupied block: a position eigenvector costs one mode and
+    the zero fill of its result, a full-band field four slice copies.
     """
     _check_kind(TorusField, "an algebra element", f)
     return TorusField._own(f.ctx, _adjoint(_held(f)), (-f.mod[1], -f.mod[0]))
@@ -151,7 +157,7 @@ def trace(f: AlgebraElement) -> complex:
 
     The operator trace of f's kernel: ``sampling._diagonal`` of the held
     array, mode b weighed by ``sinc(b + mu_u + mu_v) / (2 hbar sqrt(beta))``,
-    free of any transform.  So it equals ``operator_rep.trace_op(kernel_of(f))``
+    free of any transform; the diagonal gathers only the occupied rows.  So it equals ``operator_rep.trace_op(kernel_of(f))``
     to rounding on every field, and tr(f star g) = tr(g star f) and
     (f, g) = tr(f* star g) hold to rounding when the modulations pair.  Like
     every algebra route it reads kernel modes; a field holding coefficients
@@ -179,9 +185,13 @@ def inner(f: AlgebraElement, g: AlgebraElement) -> complex:
     When the fields share the alpha offset ``mu_u + mu_v``, the alpha sum is
     exactly n times the coefficient sum over each alpha mode, and so is the
     alpha' sum when ``mu_v`` is shared too (Parseval, no transform); with
-    different ``mu_v`` only the alpha' slot is sampled, one 1-d codec call
-    per field, with the phase ``exp(2i (mu_v_f - mu_v_g) alpha'_j)``.  Fields
-    with different alpha offsets sum samples.
+    different ``mu_v`` only the alpha' slot is sampled, over the alpha modes
+    both occupy (``sampling._alpha_modes``, exact zeros): one gather and one
+    1-d codec call per field for those columns, with the phase
+    ``exp(2i (mu_v_f - mu_v_g) alpha'_j)``.  Every other alpha mode adds an
+    exact zero, so skipping it changes only the summation order; a pair
+    with no alpha mode in common gives exactly 0.  Fields with different
+    alpha offsets sum samples.
     """
     _check_kind(TorusField, "an algebra element", f, g)
     _check_pair(f, g)
@@ -191,8 +201,9 @@ def inner(f: AlgebraElement, g: AlgebraElement) -> complex:
         return complex(pref * np.vdot(f.values, g.values))
     if _integral(f.mod[1], -g.mod[1]) == 0:
         return complex(pref * n * n * np.vdot(_held(f), _held(g)))
-    fl = _line_values(f.coeffs().T)              # [b, j]; one gathered array alive at a time
-    gl = _line_values(g.coeffs().T, f.mod[1] - g.mod[1])
+    b = _alpha_modes(_held(f), _held(g))
+    fl = _line_values(_sheared_columns(_held(f), b).T)  # [b, j]; one gathered array alive at a time
+    gl = _line_values(_sheared_columns(_held(g), b).T, f.mod[1] - g.mod[1])
     return complex(pref * n * np.vdot(fl, gl))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -551,3 +552,129 @@ def test_double_involution_keeps_the_exact_inner_route(monkeypatch):
     ref = inner(f, f)
     forbid(monkeypatch, "inner ran a codec", sampling, *CODECS)
     assert inner(involution(involution(f)), f) == ref
+
+
+# ---------------------------------------------------------------------------
+# the involution, the kernel diagonal and inner read the occupied block only
+# ---------------------------------------------------------------------------
+
+MODS = [(0.0, 0.0), (0.25, -0.25), (0.37, 0.18)]  # unmodulated, same position, non-integer
+
+
+def _block_fields(ctx, n, mod):
+    """A one-mode ``rho``, a quarter-band ``bump``, a full-band ``ml`` and raw samples at ``mod``."""
+    fields = [field_from_coeffs(ctx, resolve_family(label, ctx, n).coeffs(), mod)
+              for label in ("rho:0.4", "bump:3", "ml:0.4")]
+    return fields + [TorusField(ctx, _raw_samples(n), mod)]
+
+
+def _raw_samples(n, seed=5):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("mod", MODS)
+def test_involution_is_the_signed_reflection(lam, mod):
+    # conj(K[-v, -u]) s_u s_v with s = -1 at the Nyquist index alone (its -m leaves the
+    # band); == allows the block route's +0 where the dense product wrote -0
+    ctx, n = BetaContext(1.0, 1.0, lam), 32
+    rev = -np.arange(n) % n
+    s = np.where(mode_numbers(n) == -n // 2, -1.0, 1.0)
+    fields = _block_fields(ctx, n, mod)
+    assert [np.count_nonzero(sampling._held(f)) for f in fields[:3]] == [1, 15 * 15, n * n]
+    for f in fields:
+        for held, out in ((sampling._held(f), lambda: sampling._held(involution(f))),
+                          (kernel_of(f).coef, lambda: operator_rep.adjoint_kernel(kernel_of(f)).coef)):
+            reflected = np.conj(held[rev][:, rev].T)
+            ref = reflected * s[:, None]
+            ref = ref * s[None, :]
+            assert np.array_equal(out(), ref)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("mod", MODS)
+def test_diagonal_is_the_full_gather_sum(lam, mod):
+    # every row u gathered, held[u, r - u] signed by the wrap sign of the mode sum, summed
+    ctx, n = BetaContext(1.0, 1.0, lam), 32
+    m, u, r = mode_numbers(n), np.arange(n)[:, None], np.arange(n)
+    msum = m[u] + m[(r - u) % n]
+    sign = np.where((msum < -n // 2) | (msum >= n // 2), -1.0, 1.0)
+    for f in _block_fields(ctx, n, mod):
+        held = sampling._held(f)
+        terms = held[u, (r - u) % n] * sign
+        ref = terms.sum(axis=0)
+        assert np.array_equal(sampling._diagonal(held), ref)
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    ku = k * np.finfo(float).eps / 2
+    return ku / (1 - ku)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("mod", MODS)
+def test_alpha_sampled_inner_matches_the_dense_decode(lam, mod):
+    # a shared alpha offset and mu_v apart by 1/4: the alpha' slot is sampled, over the
+    # alpha modes both fields occupy; the dense decode samples every mode
+    ctx, n = BetaContext(1.0, 1.0, lam), 32
+    pref = (np.pi / n) ** 2 / (4 * np.pi ** 2 * ctx.hbar ** 2 * ctx.beta)
+    moved = (mod[0] + 0.25, mod[1] - 0.25)
+    for f in _block_fields(ctx, n, mod):
+        for g in _block_fields(ctx, n, moved):
+            fl = _line_values(f.coeffs().T)
+            gl = _line_values(g.coeffs().T, f.mod[1] - g.mod[1])
+            ref = pref * n * np.vdot(fl, gl)
+            # both sums are within gamma of the exact one: complex terms, 2 n^2 real ones
+            size = pref * n * (np.abs(fl) * np.abs(gl)).sum()
+            assert abs(inner(f, g) - ref) <= 2 * _gamma(2 * n * n) * size
+
+
+@pytest.mark.parametrize("mod", MODS)
+def test_zero_and_disjoint_alpha_bands_give_exactly_zero(mod):
+    ctx, n = BetaContext(2.0, 0.7, 0.3), 32
+    zero = field_from_coeffs(ctx, np.zeros((n, n)), mod)
+    assert not sampling._held(involution(zero)).any() and trace(zero) == 0
+    moved, apart = (mod[0] + 0.25, mod[1] - 0.25), (mod[0] + 0.25, mod[1])
+    for g in _block_fields(ctx, n, mod) + _block_fields(ctx, n, moved) + _block_fields(ctx, n, apart):
+        assert inner(zero, g) == 0 and inner(g, zero) == 0
+    # alpha modes 1 and 3, several alpha' modes each: their held rows and columns reach
+    # common sums, which decode to exact zeros
+    cf, cg = np.zeros((n, n), complex), np.zeros((n, n), complex)
+    cf[[0, 2, 5], 1], cg[[0, 1, 7], 3] = [1.0, 2j, -0.5], [0.3, 1.0 - 1j, 2.0]
+    for gmod in (mod, moved):
+        f, g = field_from_coeffs(ctx, cf, mod), field_from_coeffs(ctx, cg, gmod)
+        assert inner(f, g) == 0 and inner(g, f) == 0
+    one_f, one_g = np.zeros((n, n), complex), np.zeros((n, n), complex)
+    one_f[2, 1], one_g[2, 3] = 1.0, 1.0  # one entry each: no alpha mode in common
+    assert inner(field_from_coeffs(ctx, one_f, mod), field_from_coeffs(ctx, one_g, moved)) == 0
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation of ``fn()``, after one call that fills every cache."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_PEAK_N = 256  # an n x n complex array is 1 MiB here, its int64 index 0.5 MiB
+
+
+@pytest.mark.parametrize("route,bound", [
+    ("relabel", 16 * _PEAK_N ** 2 + 64 * 1024),  # the output, no copy of the cached index
+    ("involution", 1.25 * 16 * _PEAK_N ** 2),  # the zero-filled result, its finite scan
+    ("trace", 0.25e6),
+    ("inner", 0.25e6),  # rho:-0.5 and rho:1.3: mu_v 0.9 apart, the alpha' slot sampled
+])
+def test_block_routes_allocate_what_the_block_needs(route, bound):
+    ctx, n = BetaContext(1.0, 1.0, 0.5), _PEAK_N
+    x, y = resolve_family("rho:-0.5", ctx, n), resolve_family("rho:1.3", ctx, n)
+    held = sampling._held(resolve_family("ml:0.3", ctx, n))
+    run = {"relabel": lambda: _relabel(held, 1, 1, -1, 0), "involution": lambda: involution(x),
+           "trace": lambda: trace(x), "inner": lambda: inner(x, y)}[route]
+    assert _peak_bytes(run) <= bound
