@@ -5,9 +5,10 @@ Hilbert space.  An :class:`OperatorKernel` holds the coefficients of its
 plain 2-d expansion with ``mod = (mu_u, mu_v)``; a field holds them times
 2 pi hbar, so field -> kernel and kernel -> field are scales, and the
 kernel adjoint, hence the algebra involution, is a transpose and a mode
-reversal of the occupied block (``sampling._adjoint``).  Composition, the star product and the action on a
-state contract the held arrays' inner slot by the invariant-measure midpoint
-rule (:func:`_contract`, a field's 2 pi hbar folded into its weight).  When
+reversal of the occupied block (``sampling._adjoint``).  Composition, the
+star product and the action on a state contract the held arrays' inner slot
+by the invariant-measure midpoint rule (:func:`_contract`, a field's 2 pi
+hbar folded into its weight).  When
 the contracted modulations differ by an integer that rule is exactly a
 signed pairing of modes, so the result is one gather and one matrix product
 of coefficient arrays; otherwise the contracted slot is sampled.  Either

@@ -339,8 +339,8 @@ def _relabel(coef: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
 
     One gather through an index built once per (n, a, b, c, d); unimodular, as
     FFT index i stands for every mode congruent to i on the n-periodic lattice.
-    Indexing reads the cached index in place (``np.take`` copied it, read-only
-    as it is, on every call).
+    Plain indexing, not ``np.take``, which copies a read-only index on every
+    call.
     """
     return coef.ravel()[_relabel_index(coef.shape[0], a, b, c, d)]
 
@@ -433,10 +433,11 @@ def _held_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _alpha_modes(*held: np.ndarray):
     """The sheared alpha modes b every held array can occupy: a bool mask, or ``slice(None)``.
 
-    Held entry (u, v) has alpha mode ``b = u + v (mod n)``, so an array's b
-    range over the sums of its occupied rows and columns (:func:`_occupied`):
-    a superset of the occupied columns of ``coeffs()``, found with no n x n
-    scan.  A whole axis next to any occupied index reaches every b.
+    Held entry (u, v) has alpha mode ``b = u + v (mod n)``, so an array's
+    alpha modes lie among the sums of its occupied rows and columns
+    (:func:`_occupied`): a superset of the occupied columns of ``coeffs()``,
+    found with no n x n scan.  A whole axis next to any occupied index
+    reaches every b.
     """
     n = held[0].shape[0]
     common = np.ones(n, dtype=bool)

@@ -157,8 +157,9 @@ def trace(f: AlgebraElement) -> complex:
 
     The operator trace of f's kernel: ``sampling._diagonal`` of the held
     array, mode b weighed by ``sinc(b + mu_u + mu_v) / (2 hbar sqrt(beta))``,
-    free of any transform; the diagonal gathers only the occupied rows.  So it equals ``operator_rep.trace_op(kernel_of(f))``
-    to rounding on every field, and tr(f star g) = tr(g star f) and
+    free of any transform; the diagonal gathers only the occupied rows.  So
+    it equals ``operator_rep.trace_op(kernel_of(f))`` to rounding on every
+    field, and tr(f star g) = tr(g star f) and
     (f, g) = tr(f* star g) hold to rounding when the modulations pair.  Like
     every algebra route it reads kernel modes; a field holding coefficients
     in ``sampling``'s mismatch set M, as one encoded from arbitrary samples

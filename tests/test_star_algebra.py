@@ -562,15 +562,12 @@ MODS = [(0.0, 0.0), (0.25, -0.25), (0.37, 0.18)]  # unmodulated, same position, 
 
 
 def _block_fields(ctx, n, mod):
-    """A one-mode ``rho``, a quarter-band ``bump``, a full-band ``ml`` and raw samples at ``mod``."""
+    """One-mode ``rho``, quarter-band ``bump``, full-band ``ml`` and raw samples, at ``mod``."""
     fields = [field_from_coeffs(ctx, resolve_family(label, ctx, n).coeffs(), mod)
               for label in ("rho:0.4", "bump:3", "ml:0.4")]
-    return fields + [TorusField(ctx, _raw_samples(n), mod)]
-
-
-def _raw_samples(n, seed=5):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return fields + [TorusField(ctx, raw, mod)]
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
@@ -584,8 +581,9 @@ def test_involution_is_the_signed_reflection(lam, mod):
     fields = _block_fields(ctx, n, mod)
     assert [np.count_nonzero(sampling._held(f)) for f in fields[:3]] == [1, 15 * 15, n * n]
     for f in fields:
+        k = kernel_of(f)
         for held, out in ((sampling._held(f), lambda: sampling._held(involution(f))),
-                          (kernel_of(f).coef, lambda: operator_rep.adjoint_kernel(kernel_of(f)).coef)):
+                          (k.coef, lambda: operator_rep.adjoint_kernel(k).coef)):
             reflected = np.conj(held[rev][:, rev].T)
             ref = reflected * s[:, None]
             ref = ref * s[None, :]
@@ -637,8 +635,9 @@ def test_zero_and_disjoint_alpha_bands_give_exactly_zero(mod):
     zero = field_from_coeffs(ctx, np.zeros((n, n)), mod)
     assert not sampling._held(involution(zero)).any() and trace(zero) == 0
     moved, apart = (mod[0] + 0.25, mod[1] - 0.25), (mod[0] + 0.25, mod[1])
-    for g in _block_fields(ctx, n, mod) + _block_fields(ctx, n, moved) + _block_fields(ctx, n, apart):
-        assert inner(zero, g) == 0 and inner(g, zero) == 0
+    for gmod in (mod, moved, apart):
+        for g in _block_fields(ctx, n, gmod):
+            assert inner(zero, g) == 0 and inner(g, zero) == 0
     # alpha modes 1 and 3, several alpha' modes each: their held rows and columns reach
     # common sums, which decode to exact zeros
     cf, cg = np.zeros((n, n), complex), np.zeros((n, n), complex)
