@@ -46,6 +46,7 @@ from .sampling import (
     _ix,
     _line_values,
     _occupied,
+    _placed,
     angle_nodes,
     mode_numbers,
     wf_inner,
@@ -151,11 +152,7 @@ def _contract(left: _Carrier, right: np.ndarray, mu: float) -> np.ndarray:
         lv = _line_values(held[rows], left.mod[1])        # [u, b]
         samples = _line_values(right.T[tuple(cols)], mu)  # [x, b], or [b] for a state
         block = np.pi / (n * left.ctx.sqrt_beta) / hold * (lv @ samples.T)
-    if block.shape == right.shape:  # every row and column occupied
-        return block
-    out = np.zeros_like(right)
-    out[_ix(rows, *cols)] = block
-    return out
+    return _placed(block, right, (rows, *cols))
 
 
 def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:

@@ -87,7 +87,6 @@ sheared contracts.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import os
@@ -352,35 +351,23 @@ _KERNEL, _SHEARED = (0, -1, 1, 1), (1, 1, -1, 0)
 def _adjoint(coef: np.ndarray) -> np.ndarray:
     """Coefficients of conj K(b, a): ``out[i, j] = conj(coef[-j, -i]) s_i s_j``, s :func:`_wrap`'s.
 
-    A transpose and a mode reversal ``-i mod n`` on each axis, with no n x n
-    index.  Only the occupied block (:func:`_occupied`) is read: rows R and
-    columns C of ``coef`` give the result's rows -C and columns -R.  In
-    ascending order the reversal keeps a selected index 0 first and reverses
-    the rest, so the block is written by at most four conjugating slice
-    copies.  The sign of -m is -1 at the Nyquist index alone: one row and one
-    column negated.  A whole axis stays a slice, a block that fills the
-    array is the result, and any other block lands in zeros.
+    A transpose and a mode reversal ``rev = -i mod n`` on each axis: one
+    conjugating gather of the occupied block (:func:`_occupied`), with no
+    n x n index.  A whole axis is read in the order rev, a partial one at its
+    occupied indices, so the block ``coef.T[c x r]`` on rows r and columns c
+    is the result's rows rev[c] x columns rev[r]; a whole axis lands in
+    order.  The sign of -m is -1 at the Nyquist index alone: the block's
+    Nyquist row and column are negated before :func:`_placed` places it.
     """
-    n = coef.shape[0]
-    rev, sign = _wrap(-mode_numbers(n).astype(int), n)  # rev[i] = -i mod n
-    rows, cols = _occupied(coef)
-    at = [k if isinstance(k, slice) else k[rev] for k in (cols, rows)]  # the result's rows, columns
-    back = coef[_ix(rows, cols)].T[::-1, ::-1]  # the block transposed, both axes descending
-    out = np.empty(back.shape, dtype=complex)
-    splits = []  # per axis, (block part, part of back): the targets past index 0, then index 0
-    for k, m in zip((cols, rows), back.shape):
-        z = int(isinstance(k, slice) or k[0])  # 1 when index 0 is selected: it comes last in back
-        splits.append(((slice(z, None), slice(None, m - z)), (slice(None, z), slice(m - z, None))))
-    for (o0, i0), (o1, i1) in itertools.product(*splits):
-        np.conjugate(back[i0, i1], out=out[o0, o1])
+    rev, sign = _wrap(-mode_numbers(coef.shape[0]).astype(int), coef.shape[0])
+    r, c = (rev if isinstance(k, slice) else np.flatnonzero(k) for k in _occupied(coef))
+    out = coef.T[np.ix_(c, r)]
+    np.conjugate(out, out=out)
+    at = rev[c], rev[r]  # the result's rows and columns
     flip_rows, flip_cols = (sign[k] < 0 for k in at)
     out[flip_rows] = -out[flip_rows]
     out[:, flip_cols] = -out[:, flip_cols]
-    if out.shape == coef.shape:  # every row and column occupied
-        return out
-    full = np.zeros_like(coef)
-    full[_ix(*at)] = out
-    return full
+    return _placed(out, coef, at)
 
 
 @functools.lru_cache(maxsize=8)
@@ -592,14 +579,18 @@ def _whole_or(mask: np.ndarray):
     return slice(None) if mask.all() else mask
 
 
-def _band_reach(c: np.ndarray) -> int:
-    """Largest |mode| with a nonzero coefficient, 0 if none.
+def _placed(block: np.ndarray, like: np.ndarray, index) -> np.ndarray:
+    """``block`` when it fills an array shaped ``like``, else ``block`` at ``index`` in zeros."""
+    if block.shape == like.shape:
+        return block
+    out = np.zeros_like(like)
+    out[_ix(*index)] = block
+    return out
 
-    Exact zeros only, the rule of :func:`_occupied`: a coefficient of any
-    size, however small, counts.
-    """
-    k = np.flatnonzero(c)  # FFT index k is mode k or k - n, whichever is smaller in size
-    return int(np.minimum(k, c.size - k).max()) if k.size else 0
+
+def _band_reach(c: np.ndarray) -> int:
+    """Largest |mode| with a nonzero coefficient (:func:`_occupied`'s exact zeros), 0 if none."""
+    return int(np.abs(mode_numbers(c.size)[_occupied(c)]).max(initial=0))
 
 
 # ---------------------------------------------------------------------------

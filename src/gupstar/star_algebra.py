@@ -132,8 +132,9 @@ def involution(f: AlgebraElement) -> AlgebraElement:
     :func:`~gupstar.operator_rep.adjoint_kernel` on the held coefficients, so
     ``kernel_of(involution(f))`` is ``adjoint_kernel(kernel_of(f))``; for
     lam = 1/2 it reduces to complex conjugation of f(q, p).  ``sampling._adjoint``
-    reads only the occupied block: a position eigenvector costs one mode and
-    the zero fill of its result, a full-band field four slice copies.
+    is one conjugating gather of the occupied block: a position eigenvector
+    costs one mode and the zero fill of its result, a full-band field one
+    n x n gather and no fill.
     """
     _check_kind(TorusField, "an algebra element", f)
     return TorusField._own(f.ctx, _adjoint(_held(f)), (-f.mod[1], -f.mod[0]))
