@@ -96,8 +96,12 @@ def eigenvector_flags(ctx: BetaContext, xi: float) -> dict:
     modulation-blind treatment sees) has a second position moment that grows
     with resolution for off-lattice positions (grids of 128, 256 and 512
     nodes).  Returns the exact carrier's measured spread ``dq`` (on 128
-    nodes) with the flag ``dq < min_dq``, and the log-log growth slope of that
-    divergent moment.
+    nodes) with the flag ``dq < min_dq``, and the growth slope of that
+    divergent moment: ``log2`` of the ratio of its increments 128 -> 256 and
+    256 -> 512.  The increments read the growing part alone, so the slope
+    does not depend on hbar sqrt(beta), where a log-log slope of the moment
+    itself is flattened by its constant xi^2.  It is near 1 off the lattice,
+    and 0 when an increment is not positive, as on the lattice.
     """
     dq = uncertainty(position_eigenvector(ctx, xi, 128).psi).dq
     sizes = (128, 256, 512)
@@ -113,10 +117,8 @@ def eigenvector_flags(ctx: BetaContext, xi: float) -> dict:
         q2 = (ctx.hbar * ctx.sqrt_beta) ** 2 * np.pi / ctx.sqrt_beta * float(
             (4 * m ** 2 * np.abs(c) ** 2).sum()) / norm
         moments.append(q2)
-    if moments[0] > 0 and moments[-1] > 0:
-        slope = math.log(moments[-1] / moments[0]) / math.log(sizes[-1] / sizes[0])
-    else:
-        slope = 0.0
+    rises = np.diff(moments)  # the moment's growing part, grid by grid
+    slope = math.log2(rises[1] / rises[0]) if (rises > 0).all() else 0.0
     return {
         "dq": dq,
         "dq_below_min": dq < ctx.min_dq,

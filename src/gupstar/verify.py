@@ -5,6 +5,21 @@ residual, and the tolerance it was held to.  Heavy cross-checks that need an
 independent slow code path run on reduced internal grids (their names say so);
 checks that need spectral margins are skipped with an explicit marker when the
 configured grid is too coarse to carry them.
+
+The battery is meant to hold at every context (beta, hbar, lam), so a check
+that compares against a fixed number reads a quantity free of the scales:
+``arith.pairing_bilinear`` takes its gap modulo the pairing's period
+2 pi / sqrt(beta); ``states.eigen_not_a_state`` reads the growing part of
+the regularized moment, free of hbar sqrt(beta); ``formal.truncation_slope``
+fixes hbar sqrt(beta) and its window of angles; ``states.ml_vanishes_at_infinity``
+reads psi / beta^(1/4) and ``states.ml_marginal`` the density over sqrt(beta),
+their scales under d mu = d alpha / sqrt(beta).  Every check passes on
+(beta, hbar) in {(0.01, 1), (0.1, 1), (1, 1), (10, 1), (100, 1), (1e4, 1e-3),
+(1, 0.01), (1, 50), (0.05, 3)} at lam in {0, 0.3, 1/2, 1} and grid in
+{32, 96, 128, 256}, and at beta = 4.1.  One exception is known:
+``states.ml_wigner_matches_evaluator`` fails near the ordering endpoints but
+not at them (lam = 0.99 on grid 256, lam = 0.001 and 0.999 on grid 512),
+where the kink of the ``ml`` field limits the Wigner route's convergence.
 """
 
 from __future__ import annotations
@@ -176,9 +191,10 @@ def suite_arithmetic(cfg: RunConfig) -> List[CheckResult]:
     s.check("arith.half_point_identity", worst, 1e-12)
 
     p1 = 1.0 / ctx.sqrt_beta
-    s.check("arith.pairing_bilinear",
-            abs(ba.pairing(ctx, 2.0, ba.oplus(ctx, p1, 0.5))
-                - ba.pairing(ctx, 2.0, p1) - ba.pairing(ctx, 2.0, 0.5)), 1e-12)
+    period = 2.0 * math.pi / ctx.sqrt_beta  # pairing(q, .) is additive modulo q pi / sqrt(beta)
+    gap = abs(ba.pairing(ctx, 2.0, ba.oplus(ctx, p1, 0.5))
+              - ba.pairing(ctx, 2.0, p1) - ba.pairing(ctx, 2.0, 0.5)) % period
+    s.check("arith.pairing_bilinear", min(gap, period - gap), 1e-12)
     s.check_true("arith.angle_round_trip",
                  ba.is_infinite(ba.momentum_of(ctx, ba.angle_of(ctx, INFINITY)))
                  and abs(ba.momentum_of(ctx, ba.angle_of(ctx, 1.25)) - 1.25) < 1e-12)
@@ -744,10 +760,11 @@ def suite_states(cfg: RunConfig) -> List[CheckResult]:
             max(_rel(psi.coeffs(), closed) for psi in (ml.psi, ml37.psi)), 1e-13,
             note="encoded samples against their aliased closed form, xi = 0 and 3.7")
 
-    if ctx.lam == 0.5 and ctx.beta == 1.0 and ctx.hbar == 1.0:
+    if ctx.lam == 0.5:  # 1 + 2/pi at every (beta, hbar)
         s.check("states.ml_origin_value",
                 abs(ml.evaluate(0.0, 0.0) - (1 + 2 / math.pi)), 1e-12)
-    edge = np.abs(ml.psi.values[[0, n - 1]]).max()
+    # psi scales as beta^(1/4) under d mu = d alpha / sqrt(beta): the edge reads sqrt(2/pi) sin(pi/2n)
+    edge = np.abs(ml.psi.values[[0, n - 1]]).max() / math.sqrt(ctx.sqrt_beta)
     s.check("states.ml_vanishes_at_infinity", edge, 5.0 / n)
 
     # evaluator vs sampled Wigner construction over a window
@@ -779,7 +796,7 @@ def suite_states(cfg: RunConfig) -> List[CheckResult]:
     marg = marginal_momentum(ml.rho)
     p_grid = np.tan(angle_nodes(n)) / ctx.sqrt_beta
     ref_m = (2 * ctx.sqrt_beta / math.pi) / (1 + ctx.beta * p_grid ** 2)
-    s.check("states.ml_marginal", np.abs(marg - ref_m).max(), _kink_tol(n, 2e-6),
+    s.check("states.ml_marginal", np.abs(marg - ref_m).max() / ctx.sqrt_beta, _kink_tol(n, 2e-6),
             note="sampled construction; exact at lam = 1/2 and lam = 1")
 
     xi_l = 2 * ctx.q_lattice_step
@@ -853,7 +870,7 @@ def suite_formal(cfg: RunConfig) -> List[CheckResult]:
     else:
         slope = _truncation_slope(cfg)
         s.check("formal.truncation_slope", abs(slope - 3.0), 0.3,
-                note=f"measured log-log slope {slope:.3f} over hbar = 0.1, 0.05, 0.025")
+                note=f"measured log-log slope {slope:.3f} over hbar sqrt(beta) = 0.1, 0.05, 0.025")
     return s.out
 
 
@@ -869,7 +886,8 @@ def _truncation_slope(cfg: RunConfig) -> float:
     n = min(max(cfg.grid_n, 256), 256)
     order = 2  # the series is truncated after hbar^2, so the error slope is near 3
     errs = []
-    hbars = (0.1, 0.05, 0.025)
+    sqrt_beta = math.sqrt(cfg.beta)  # fixed hbar sqrt(beta) and window of angles: scale-free
+    hbars = tuple(hb / sqrt_beta for hb in (0.1, 0.05, 0.025))
     from .formal_cas import _main_dp
     phi_ring = FormalPoly.const(1).times_s_inverse().times_s_inverse()  # 1/(1 + beta p^2)
     use_right = cfg.lam < 0.5
@@ -910,10 +928,10 @@ def _truncation_slope(cfg: RunConfig) -> float:
         sym = SymbolObservable(1, Wavefunction(ctx, phi_vals[0].astype(complex)))
         exact = star_symbol_right(g, sym) if use_right else star_symbol_left(sym, g)
         diff = field_from_coeffs(ctx, exact.coeffs() - series)  # every field here is unmodulated
-        # measure on a fixed phase-space window so the hbar-dependent carrier
-        # normalizations cannot contaminate the scaling
+        # measure on a fixed window of positions and angles so the hbar-dependent
+        # carrier normalizations cannot contaminate the scaling
         qs = np.linspace(-2, 2, 9)
-        ps = np.linspace(-2, 2, 9)
+        ps = np.linspace(-2, 2, 9) / sqrt_beta
         errs.append(float(np.abs(synth_grid(diff, qs, ps)).max()))
     return (math.log(errs[0]) - math.log(errs[-1])) / (math.log(hbars[0]) - math.log(hbars[-1]))
 

@@ -7,9 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gupstar.beta_arith import BetaContext
 from gupstar.cli import main
+from gupstar.families import resolve_family
+from gupstar.star_algebra import star_symbol_right
 
 
 def run(args):
@@ -122,6 +126,19 @@ def test_star_families(tmp_path, capsys):
               "--lattice-halfwidth", "4"])
     capsys.readouterr()
     assert rc == 0
+
+
+def test_star_with_a_symbol_on_the_right(tmp_path, capsys):
+    # `star <field> q` takes cmd_star's star_symbol_right branch
+    rc = run(["star", "bump:3", "q", "--grid", "32", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    field = np.loadtxt(tmp_path / "star_field.csv", delimiter=",", skiprows=1)
+    lattice = np.loadtxt(tmp_path / "star_lattice.csv", delimiter=",", skiprows=1)
+    assert field.shape == (32 * 32, 4) and lattice.shape == ((2 * 64 + 1) * 32, 4)
+    ctx = BetaContext(1.0, 1.0, 0.5)
+    ref = star_symbol_right(resolve_family("bump:3", ctx, 32), resolve_family("q", ctx, 32))
+    assert np.array_equal(field[:, 2] + 1j * field[:, 3], ref.values.ravel())
 
 
 def test_star_ordering_dependence(tmp_path, capsys):

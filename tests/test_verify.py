@@ -5,15 +5,20 @@ from gupstar.verify import SUITES, RunConfig, run_suites
 # the CLI defaults (`gupstar verify`: grid 256, seed 42), a second grid and seed,
 # a context away from beta = hbar = 1 and the symmetric ordering (seeds 7 and 42),
 # both ordering endpoints, the unit tests' grid and context (n = 64), lam = 1 on
-# that grid, and the coarsest grid every suite runs at, where the tightest
-# tolerances have the least headroom
+# that grid, the coarsest grid every suite runs at, where the tightest
+# tolerances have the least headroom, and three contexts far from beta = 1:
+# beta = 0.01, beta = 100 on grid 128 (where formal.truncation_slope runs) and
+# hbar sqrt(beta) = 0.1
 CONFIGS = {"defaults": RunConfig(), "n96-seed7": RunConfig(grid_n=96, seed=7),
            "beta2-hbar0.7-lam0.3": RunConfig(beta=2.0, hbar=0.7, lam=0.3, grid_n=96, seed=7),
            "beta2-hbar0.7-lam0.3-seed42": RunConfig(beta=2.0, hbar=0.7, lam=0.3, grid_n=96),
            "lam0-n96": RunConfig(lam=0.0, grid_n=96, seed=7),
            "lam1-n96": RunConfig(lam=1.0, grid_n=96, seed=7),
            "n64": RunConfig(grid_n=64), "lam1-n64": RunConfig(lam=1.0, grid_n=64),
-           "lam1-n32": RunConfig(lam=1.0, grid_n=32)}
+           "lam1-n32": RunConfig(lam=1.0, grid_n=32),
+           "beta0.01-n96": RunConfig(beta=0.01, grid_n=96, seed=7),
+           "beta100-lam0.3-n128": RunConfig(beta=100.0, lam=0.3, grid_n=128, seed=7),
+           "beta1e4-hbar1e-3-lam0-n96": RunConfig(beta=1e4, hbar=1e-3, lam=0.0, grid_n=96, seed=7)}
 
 
 @pytest.mark.parametrize("suite", list(SUITES))
