@@ -359,7 +359,8 @@ def _adjoint(coef: np.ndarray) -> np.ndarray:
     order.  The sign of -m is -1 at the Nyquist index alone: the block's
     Nyquist row and column are negated before :func:`_placed` places it.
     """
-    rev, sign = _wrap(-mode_numbers(coef.shape[0]).astype(int), coef.shape[0])
+    n = coef.shape[0]
+    rev, sign = _wrap(-mode_numbers(n).astype(int), n)  # rev[i] = -i mod n
     r, c = (rev if isinstance(k, slice) else np.flatnonzero(k) for k in _occupied(coef))
     out = coef.T[np.ix_(c, r)]
     np.conjugate(out, out=out)
