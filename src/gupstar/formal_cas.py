@@ -272,21 +272,22 @@ def _derivative_table(pair: DerivationPair, f: FormalPoly, K: int):
     return tuple(table)
 
 
-def _star_order(tf, tg, k: int) -> FormalPoly:
-    """Order-k bidifferential term of the product.
+def _order_weights(k: int):
+    """[(l, w_kl)]: the weights (i hbar)^k / k! C(k, l) (1 - lam)^l (-lam)^(k - l) of order k,
+    with (1 - lam)^l expanded in lam and i^k = (-1)^(k // 2) i^(k % 2)."""
+    return [(l, FormalPoly({(0, 0, 0, 0, k, k - l + j, 0, k % 2): Fraction(
+        (-1) ** (k // 2 + k - l + j) * math.comb(k, l) * math.comb(l, j), math.factorial(k))
+        for j in range(l + 1)}, _canonical=True)) for l in range(k + 1)]
 
-    (i hbar)^k / k! sum_l C(k, l) (1 - lam)^l (-lam)^(k - l) tf[l][k-l] tg[k-l][l],
-    with (1 - lam)^l expanded in lam and i^k = (-1)^(k // 2) i^(k % 2).
-    """
+
+def _star_order(tf, tg, k: int) -> FormalPoly:
+    """Order-k bidifferential term of the product: sum_l w_kl tf[l][k-l] tg[k-l][l]."""
     out: Dict[Key, Fraction] = {}
-    for l in range(k + 1):
+    for l, weight in _order_weights(k):
         fi = tf[l][k - l]
         gi = tg[k - l][l]
         if fi.is_zero() or gi.is_zero():
             continue
-        weight = FormalPoly({(0, 0, 0, 0, k, k - l + j, 0, k % 2): Fraction(
-            (-1) ** (k // 2 + k - l + j) * math.comb(k, l) * math.comb(l, j), math.factorial(k))
-            for j in range(l + 1)}, _canonical=True)
         for key, c in (weight * (fi * gi)).terms.items():
             _acc(out, key, c)
     return FormalPoly(out)

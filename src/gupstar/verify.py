@@ -20,6 +20,10 @@ their scales under d mu = d alpha / sqrt(beta).  Every check passes on
 ``states.ml_wigner_matches_evaluator`` fails near the ordering endpoints but
 not at them (lam = 0.99 on grid 256, lam = 0.001 and 0.999 on grid 512),
 where the kink of the ``ml`` field limits the Wigner route's convergence.
+
+``formal.truncation_slope`` and ``formal.lam0_left_series_exact`` compare an integral
+symbol product with the formal engine's own series, the terms of ``formal_star`` (from
+``formal_cas._derivative_table`` and ``_order_weights``) evaluated on spectral fields.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import beta_arith as ba
+from . import formal_cas
 from .beta_arith import INFINITY, BetaContext
 from .families import random_element, random_qlocalized, random_state
 from .formal_cas import (ALT, MAIN, FormalPoly, classical_limit, formal_commutator,
@@ -871,68 +876,66 @@ def suite_formal(cfg: RunConfig) -> List[CheckResult]:
         slope = _truncation_slope(cfg)
         s.check("formal.truncation_slope", abs(slope - 3.0), 0.3,
                 note=f"measured log-log slope {slope:.3f} over hbar sqrt(beta) = 0.1, 0.05, 0.025")
+    gap, scale = _series_gap(BetaContext(cfg.beta, cfg.hbar, 0.0), 1, right=False)
+    s.check("formal.lam0_left_series_exact", gap / scale, 1e-13,
+            note="at lam = 0 the left series of q/(1 + beta p^2) ends after hbar^1")
     return s.out
 
 
-def _truncation_slope(cfg: RunConfig) -> float:
-    """Log-log slope of |integral product - truncated series| in hbar.
+def _series_gap(ctx: BetaContext, order: int, right: bool):
+    """(max |exact - series|, max |exact|) over a fixed (q, p) window.
 
-    Test pair: the position symbol q/(1 + beta p^2) against a Gaussian-in-q
-    element.  For small ordering parameters the left product's expansion
-    terminates (every surviving term needs a position derivative on the
-    symbol), so the product is taken on the side whose series has an infinite
-    tail.
+    exact is the integral product of sym = q/(1 + beta p^2) with a Gaussian-in-q g, sym on
+    the ``right`` or the left; series is formal_star's after hbar^order: the symbol's MAIN
+    derivative table and ``formal_cas._order_weights`` at ctx against D_q^i D_p^j g, built
+    where the symbol's term is nonzero.  The fixed window keeps the hbar-dependent carrier
+    normalizations out of the errors.
     """
-    n = min(max(cfg.grid_n, 256), 256)
-    order = 2  # the series is truncated after hbar^2, so the error slope is near 3
-    errs = []
-    sqrt_beta = math.sqrt(cfg.beta)  # fixed hbar sqrt(beta) and window of angles: scale-free
-    hbars = tuple(hb / sqrt_beta for hb in (0.1, 0.05, 0.025))
-    from .formal_cas import _main_dp
-    phi_ring = FormalPoly.const(1).times_s_inverse().times_s_inverse()  # 1/(1 + beta p^2)
-    use_right = cfg.lam < 0.5
+    # 256 nodes at every --grid: the checks measure a truncation error, and 256
+    # nodes resolve the narrowest g, at hbar sqrt(beta) = 0.025
+    a = angle_nodes(256)
+    p_grid = np.tan(a) / ctx.sqrt_beta
+    saw = a[:, None] * (1j / (ctx.hbar * ctx.sqrt_beta))
+    gs = 0.5 * math.sqrt(2 * math.pi) * np.exp(
+        -(a[:, None] * 0.5 / (ctx.hbar * ctx.sqrt_beta)) ** 2 / 2.0) * (np.cos(a) ** 2)[None, :]
+    phi = FormalPoly.const(1).times_s_inverse().times_s_inverse()  # 1/(1 + beta p^2)
+    table = formal_cas._derivative_table(MAIN, FormalPoly.var("q") * phi, order)
+    by_degree = {}  # q-degree e -> samples of the terms carrying q^e: q acts once per degree
+    for k in range(order + 1):
+        for l, weight in formal_cas._order_weights(k):
+            term, i, j = (table[k - l][l], l, k - l) if right else (table[l][k - l], k - l, l)
+            if term.is_zero():
+                continue
+            dg = gs * saw ** i  # samples of D_q^i D_p^j g; D_q is the alpha' sawtooth on them
+            for _ in range(j):
+                dg = deriv_p(TorusField(ctx, dg)).values
+            for e in {key[0] for key in term.terms}:
+                part = FormalPoly({key: c for key, c in term.terms.items() if key[0] == e})
+                w = complex(formal_eval(weight, ctx, 0, 0)) * formal_eval(part, ctx, 1.0, p_grid)
+                by_degree[e] = by_degree.get(e, 0) + w * dg
+    series = 0
+    for e, samples in by_degree.items():
+        f = TorusField(ctx, samples)
+        for _ in range(e):
+            f = mult_by_q(f)
+        series = series + f.coeffs()
+    sym = SymbolObservable(1, Wavefunction(ctx, formal_eval(phi, ctx, 0.0, p_grid)))
+    g = TorusField(ctx, gs)
+    exact = star_symbol_right(g, sym) if right else star_symbol_left(sym, g)
+    qs = np.linspace(-2, 2, 9)
+    return tuple(np.abs(synth_grid(f, qs, qs / ctx.sqrt_beta)).max()  # every field is unmodulated
+                 for f in (field_from_coeffs(ctx, exact.coeffs() - series), exact))
 
-    for hb in hbars:
-        ctx = BetaContext(cfg.beta, hb, cfg.lam)
-        lam = ctx.lam
-        a = angle_nodes(n)
-        cos2 = np.cos(a) ** 2
-        s_width = 0.5
-        ap = angle_nodes(n)[:, None]
-        prof = s_width * math.sqrt(2 * math.pi) * np.exp(
-            -(ap * s_width / (ctx.hbar * ctx.sqrt_beta)) ** 2 / 2.0)
-        gs = prof * cos2[None, :]
-        g = TorusField(ctx, gs)
 
-        p_grid = np.tan(a) / ctx.sqrt_beta
-        phi_tab = [phi_ring]
-        for _ in range(order):
-            phi_tab.append(_main_dp(phi_tab[-1]))
-        phi_vals = [formal_eval(t, ctx, 0.0, p_grid) for t in phi_tab]
+def _truncation_slope(cfg: RunConfig) -> float:
+    """Log-log slope of |integral product - truncated series| in hbar at fixed hbar sqrt(beta).
 
-        saw = angle_nodes(n)[:, None] * (1j / (ctx.hbar * ctx.sqrt_beta))
-        dq = [gs]  # samples of g times the position sawtooth k times
-        for _ in range(order):
-            dq.append(dq[-1] * saw)
-
-        # the symbol on the right mirrors the left series: -lam <-> 1 - lam
-        w, w_mirror = (1 - lam, -lam) if use_right else (-lam, 1 - lam)
-        c = [(1j * ctx.hbar) ** k / math.factorial(k) for k in range(order + 1)]
-        # term k: c_k (w^k q(phi_k D_q^k g) + k w_mirror w^(k-1) phi_(k-1) D_p D_q^(k-1) g);
-        # multiplication by q is linear, so one field carries all of its terms
-        qpart = sum(c[k] * w ** k * phi_vals[k] * dq[k] for k in range(order + 1))
-        ppart = sum(c[k] * k * w_mirror * w ** (k - 1) * phi_vals[k - 1]
-                    * deriv_p(TorusField(ctx, dq[k - 1])).values for k in range(1, order + 1))
-        series = mult_by_q(TorusField(ctx, qpart)).coeffs() + TorusField(ctx, ppart).coeffs()
-
-        sym = SymbolObservable(1, Wavefunction(ctx, phi_vals[0].astype(complex)))
-        exact = star_symbol_right(g, sym) if use_right else star_symbol_left(sym, g)
-        diff = field_from_coeffs(ctx, exact.coeffs() - series)  # every field here is unmodulated
-        # measure on a fixed window of positions and angles so the hbar-dependent
-        # carrier normalizations cannot contaminate the scaling
-        qs = np.linspace(-2, 2, 9)
-        ps = np.linspace(-2, 2, 9) / sqrt_beta
-        errs.append(float(np.abs(synth_grid(diff, qs, ps)).max()))
+    The series is the formal engine's (:func:`_series_gap`) after hbar^2, so the slope is
+    near 3.  For small ordering parameters the left series terminates (every surviving term
+    needs a position derivative on the symbol), so the side with an infinite tail is taken.
+    """
+    hbars = tuple(hb / math.sqrt(cfg.beta) for hb in (0.1, 0.05, 0.025))
+    errs = [_series_gap(BetaContext(cfg.beta, hb, cfg.lam), 2, cfg.lam < 0.5)[0] for hb in hbars]
     return (math.log(errs[0]) - math.log(errs[-1])) / (math.log(hbars[0]) - math.log(hbars[-1]))
 
 

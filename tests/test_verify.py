@@ -1,5 +1,8 @@
 import pytest
+from conftest import forbid
 
+from gupstar import formal_cas, verify
+from gupstar.beta_arith import BetaContext
 from gupstar.verify import SUITES, RunConfig, run_suites
 
 # the CLI defaults (`gupstar verify`: grid 256, seed 42), a second grid and seed,
@@ -53,3 +56,23 @@ def test_star_algebra_suite_passes_at_lambda_one_on_small_grids(grid):
     failed = [f"{c.name}: measured {c.measured:.3e} > tolerance {c.tolerance:.1e}"
               for c in results if not c.passed]
     assert not failed, "failed checks:\n" + "\n".join(failed)
+
+
+def test_lam0_series_check_fails_at_an_interior_ordering(suite_results):
+    # away from lam = 0 the left series of q/(1 + beta p^2) has an infinite tail,
+    # so the order-1 truncation that formal.lam0_left_series_exact compares with misses it
+    tol = next(c.tolerance for c in suite_results(CONFIGS["defaults"], "formal")
+               if c.name == "formal.lam0_left_series_exact")
+    gap, scale = verify._series_gap(BetaContext(1.0, 1.0, 0.3), 1, right=False)
+    assert gap / scale > tol
+
+
+def test_series_checks_take_the_engine_weights(monkeypatch):
+    # formal.truncation_slope and formal.lam0_left_series_exact sum formal_star's
+    # own weights, so neither computes without formal_cas._order_weights
+    message = "the engine's series weights were read"
+    forbid(monkeypatch, message, formal_cas, "_order_weights")
+    with pytest.raises(AssertionError, match=message):
+        verify._truncation_slope(RunConfig(grid_n=128))
+    with pytest.raises(AssertionError, match=message):
+        verify._series_gap(BetaContext(1.0, 1.0, 0.0), 1, right=False)
