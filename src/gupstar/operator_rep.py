@@ -112,25 +112,28 @@ def element_of(k: OperatorKernel) -> TorusField:
     return TorusField._own(k.ctx, k.coef * (2 * np.pi * k.ctx.hbar), k.mod)
 
 
-def _contract(left: _Carrier, right: np.ndarray, mu: float) -> np.ndarray:
+def _contract(left: _Carrier, right: _Carrier, mu: float) -> tuple:
     """Coefficients of ``int K(a, b) R(b, .) d mu(b)`` by the midpoint rule.
 
     ``left`` holds K, a kernel, or a field (K times 2 pi hbar, divided out of
-    the weight).  ``right`` holds R's coefficients with the contracted slot
-    first (2-d, or a 1-d state's) and ``mu`` that slot's modulation.  When
-    ``d = left.mod[1] + mu`` is an integer, the rule is exactly the signed mode
-    pairing ``sampling._contraction``: one gather of ``right``'s rows, one
-    scale of K's columns and one matrix product, with no transform.  For any
+    the weight).  ``right`` is a carrier holding R's coefficients with the
+    contracted slot first (a kernel's or a field's 2-d array, or a state's)
+    and ``mu`` that slot's modulation.  Returns ``sampling._placed``'s
+    ``(out, written)``, the coefficients and the block written, which the
+    caller hands to ``_own``.  When ``d = left.mod[1] + mu`` is an integer,
+    the rule is exactly the signed mode pairing ``sampling._contraction``:
+    one gather of ``right``'s rows, one scale of K's columns and one matrix
+    product, with no transform.  For any
     other ``d`` the contracted slot is sampled (one 1-d codec call per
     operand) and summed; that quadrature only converges, it is not exact.
     ``d`` is read by ``sampling._integral``, so a difference that rounding
     moved off an integer still takes the exact pairing.
 
-    Either route runs on the occupied block only (``sampling._occupied``,
-    exact zeros): K's occupied rows, ``right``'s occupied columns and, when
-    paired, the inner modes where both K's column and its paired row of
-    ``right`` hold a nonzero; the sampled route decodes only those rows and
-    columns.  The product costs k_rows * k_inner * k_cols multiply-adds, and
+    Either route runs on the occupied block only, which the carriers record
+    (``sampling._occupied``, exact zeros): K's occupied rows, ``right``'s
+    occupied columns and, when paired, the inner modes where both K's column
+    and its paired row of ``right`` hold a nonzero; the sampled route decodes
+    only those rows and columns.  The product costs k_rows * k_inner * k_cols multiply-adds, and
     the rest of the result is 0.  Carriers are finite, so every skipped term
     is a signed zero and only the summation order can move a value.  An
     axis with every index occupied is indexed by a slice, so a full-band
@@ -138,8 +141,8 @@ def _contract(left: _Carrier, right: np.ndarray, mu: float) -> np.ndarray:
     product.
     """
     hold = 2 * np.pi * left.ctx.hbar if isinstance(left, TorusField) else 1.0
-    held, n = _held(left), left.n
-    (rows, inner), (right_rows, *cols) = _occupied(held), _occupied(right)
+    held, rhs, n = _held(left), _held(right), left.n
+    (rows, inner), (right_rows, *cols) = _occupied(left), _occupied(right)
     d = _integral(left.mod[1], mu)
     if d is not None:
         perm, sign = _contraction(n, d)
@@ -147,12 +150,12 @@ def _contract(left: _Carrier, right: np.ndarray, mu: float) -> np.ndarray:
             inner = right_rows[perm] if isinstance(inner, slice) else inner & right_rows[perm]
         # n times the weight: the pair sum is n
         scale = (np.pi / left.ctx.sqrt_beta / hold) * sign[inner]
-        block = (held[_ix(rows, inner)] * scale) @ right[_ix(perm[inner], *cols)]
+        block = (held[_ix(rows, inner)] * scale) @ rhs[_ix(perm[inner], *cols)]
     else:
         lv = _line_values(held[rows], left.mod[1])        # [u, b]
-        samples = _line_values(right.T[tuple(cols)], mu)  # [x, b], or [b] for a state
+        samples = _line_values(rhs.T[tuple(cols)], mu)  # [x, b], or [b] for a state
         block = np.pi / (n * left.ctx.sqrt_beta) / hold * (lv @ samples.T)
-    return _placed(block, right, (rows, *cols))
+    return _placed(block, rhs, (rows, *cols))
 
 
 def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
@@ -163,13 +166,15 @@ def compose_kernels(kf: OperatorKernel, kg: OperatorKernel) -> OperatorKernel:
     """
     _check_kind(OperatorKernel, "a kernel", kf, kg)
     _check_pair(kf, kg, "kernels")
-    return OperatorKernel._own(kf.ctx, _contract(kf, kg.coef, kg.mod[0]), (kf.mod[0], kg.mod[1]))
+    out, written = _contract(kf, kg, kg.mod[0])
+    return OperatorKernel._own(kf.ctx, out, (kf.mod[0], kg.mod[1]), written=written)
 
 
 def adjoint_kernel(k: OperatorKernel) -> OperatorKernel:
     """Kernel of the adjoint operator: ``sampling._adjoint``, with ``mod`` -> (-mu_v, -mu_u)."""
     _check_kind(OperatorKernel, "the kernel", k)
-    return OperatorKernel._own(k.ctx, _adjoint(k.coef), (-k.mod[1], -k.mod[0]))
+    out, written = _adjoint(k)
+    return OperatorKernel._own(k.ctx, out, (-k.mod[1], -k.mod[0]), written=written)
 
 
 def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
@@ -177,22 +182,23 @@ def apply_operator(f: TorusField, psi: Wavefunction) -> Wavefunction:
     _check_kind(TorusField, "the operator", f)
     _check_kind(Wavefunction, "the state", psi)
     _check_pair(f, psi, "field and wavefunction")
-    return Wavefunction._own(psi.ctx, _contract(f, psi.coeffs(), psi.mod), f.mod[0])
+    out, written = _contract(f, psi, psi.mod)
+    return Wavefunction._own(psi.ctx, out, f.mod[0], written=written)
 
 
 def trace_op(k: OperatorKernel) -> complex:
     """Operator trace: invariant-measure integral of the kernel diagonal.
 
     ``sampling._diagonal`` reads the diagonal's line coefficients from
-    ``k.coef`` at kernel modes (signed anti-diagonal sums), so no sample of
-    the kernel is built; the midpoint rule weighs mode r by
+    ``k.coef`` at kernel modes over the rows k records (signed anti-diagonal
+    sums), so no sample of the kernel is built; the midpoint rule weighs mode r by
     ``(pi/sqrt(beta)) sinc(r + mu_u + mu_v)``.  ``trace_op(kernel_of(f))`` is
     :func:`~gupstar.star_algebra.trace` of f to rounding: the same sum, with
     the field's 2 pi hbar in the weight.
     """
     _check_kind(OperatorKernel, "the kernel", k)
     mtot = k.mod[0] + k.mod[1]
-    dm = _diagonal(k.coef)
+    dm = _diagonal(k)
     return complex(np.pi / k.ctx.sqrt_beta * (dm * np.sinc(mtot + mode_numbers(k.n))).sum())
 
 
@@ -243,7 +249,7 @@ def marginal_momentum(rho: TorusField) -> np.ndarray:
     mismatch set M.
     """
     _check_kind(TorusField, "the density", rho)
-    diag = _line_values(_diagonal(_held(rho)), rho.mod[0] + rho.mod[1])
+    diag = _line_values(_diagonal(rho), rho.mod[0] + rho.mod[1])
     return (diag / (2 * np.pi * rho.ctx.hbar)).real
 
 

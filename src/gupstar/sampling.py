@@ -51,7 +51,12 @@ which modes an array occupies, by exact zeros (``_occupied``), and each
 route on a held array costs that block only: the contraction, the adjoint
 ``_adjoint``, the kernel diagonal ``_diagonal`` (its occupied rows), the
 synthesis ``_sinc_sums`` and ``star_algebra.inner``'s alpha'-sampled
-branch (the alpha modes both fields occupy, ``_alpha_modes``).
+branch (the alpha modes both fields occupy, ``_alpha_modes``).  Every
+carrier records its block in a slot, and the algebra routes read it
+there.  A route that writes a result records it: it hands ``_Carrier._own``
+the block it wrote and where it landed (``_placed``), and ``_own`` scans
+that block alone.  Any other carrier is scanned the first time
+``_occupied`` reads it.
 The module also holds the package's FFT convolutions: the cyclic
 ``_cyclic_convolution``, shared by the lattice synthesis and the
 transformed-pair convolution of ``transforms``, and the band-limited
@@ -348,24 +353,34 @@ def _relabel(coef: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
 _KERNEL, _SHEARED = (0, -1, 1, 1), (1, 1, -1, 0)
 
 
-def _adjoint(coef: np.ndarray) -> np.ndarray:
+def _adjoint(k: "_Carrier") -> tuple:
     """Coefficients of conj K(b, a): ``out[i, j] = conj(coef[-j, -i]) s_i s_j``, s :func:`_wrap`'s.
 
-    A transpose and a mode reversal ``rev = -i mod n`` on each axis: one
-    conjugating gather of the occupied block (:func:`_occupied`), with no
-    n x n index.  A whole axis is read in the order rev, a partial one at its
+    ``coef`` is the array carrier ``k`` holds.  A transpose and a mode
+    reversal ``rev = -i mod n`` on each axis, over the occupied block that
+    ``k`` records (:func:`_occupied`), with no n x n index.  When every row
+    and column is occupied, the reversal keeps index 0 and reverses the rest,
+    so the result is four slice copies of ``coef.T`` (index 0, then
+    ``[:0:-1]`` on each axis) and no gather.  Any other block is one
+    gather: a whole axis is read in the order rev, a partial one at its
     occupied indices, so the block ``coef.T[c x r]`` on rows r and columns c
-    is the result's rows rev[c] x columns rev[r]; a whole axis lands in
-    order.  The sign of -m is -1 at the Nyquist index alone: the block's
+    is the result's rows rev[c] x columns rev[r].  The block is conjugated
+    in place.  The sign of -m is -1 at the Nyquist index alone: the block's
     Nyquist row and column are negated before :func:`_placed` places it.
     """
+    coef = _held(k)
     n = coef.shape[0]
     rev, sign = _wrap(-mode_numbers(n).astype(int), n)  # rev[i] = -i mod n
-    r, c = (rev if isinstance(k, slice) else np.flatnonzero(k) for k in _occupied(coef))
-    out = coef.T[np.ix_(c, r)]
+    rows, cols = _occupied(k)
+    if isinstance(rows, slice) and isinstance(cols, slice):
+        out, t, at = np.empty_like(coef), coef.T, (rows, cols)
+        out[0, 0], out[0, 1:] = t[0, 0], t[0, :0:-1]
+        out[1:, 0], out[1:, 1:] = t[:0:-1, 0], t[:0:-1, :0:-1]
+    else:
+        r, c = (rev if isinstance(x, slice) else np.flatnonzero(x) for x in (rows, cols))
+        out, at = coef.T[np.ix_(c, r)], (rev[c], rev[r])  # the result's rows and columns
     np.conjugate(out, out=out)
-    at = rev[c], rev[r]  # the result's rows and columns
-    flip_rows, flip_cols = (sign[k] < 0 for k in at)
+    flip_rows, flip_cols = (sign[x] < 0 for x in at)
     out[flip_rows] = -out[flip_rows]
     out[:, flip_cols] = -out[:, flip_cols]
     return _placed(out, coef, at)
@@ -388,18 +403,19 @@ def _diagonal_flip(n: int) -> np.ndarray:
     return _frozen(np.roll(by_mode, n // 2, axis=(0, 1)))
 
 
-def _diagonal(held: np.ndarray) -> np.ndarray:
-    """Line coefficients of the diagonal K(a, a) of the kernel held in ``held``, FFT order.
+def _diagonal(k: "_Carrier") -> np.ndarray:
+    """Line coefficients of the diagonal K(a, a) of the kernel carrier ``k`` holds, FFT order.
 
     Mode r sums the held entries with ``u + v = r (mod n)``, each signed by
     the :func:`_wrap` sign of its mode sum m_u + m_v: one row gather and one
     sign flip in place (:func:`_diagonal_flip`).  Only the occupied rows u
-    (:func:`_occupied`) are gathered, through the same rows of the cached
-    index and mask; when every row is occupied they are indexed by a slice,
-    so no index is copied.  The algebra side's trace and momentum marginal
+    that ``k`` records (:func:`_occupied`) are gathered, through the same
+    rows of the cached index and mask; when every row is occupied they are
+    indexed by a slice, so no index is copied.  The algebra side's trace and momentum marginal
     are this times their weights.
     """
-    n, u = held.shape[0], _occupied(held)[0]
+    held, u = _held(k), _occupied(k)[0]
+    n = held.shape[0]
     diag = held.ravel()[_relabel_index(n, 1, 0, -1, 1)[u]]  # [u, r]: held[u, r - u]
     np.negative(diag, out=diag, where=_diagonal_flip(n)[u])
     return diag.sum(axis=0)
@@ -418,19 +434,19 @@ def _held_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(m[(-v) % n][None, :]), _frozen(m[(v[:, None] + v) % n])
 
 
-def _alpha_modes(*held: np.ndarray):
-    """The sheared alpha modes b every held array can occupy: a bool mask, or ``slice(None)``.
+def _alpha_modes(*fields: "_Carrier"):
+    """The sheared alpha modes b every field can occupy: a bool mask, or ``slice(None)``.
 
     Held entry (u, v) has alpha mode ``b = u + v (mod n)``, so an array's
-    alpha modes lie among the sums of its occupied rows and columns
-    (:func:`_occupied`): a superset of the occupied columns of ``coeffs()``,
-    found with no n x n scan.  A whole axis next to any occupied index
-    reaches every b.
+    alpha modes lie among the sums of its occupied rows and columns, which
+    the field records (:func:`_occupied`): a superset of the occupied columns
+    of ``coeffs()``, found with no n x n scan.  A whole axis next to any
+    occupied index reaches every b.
     """
-    n = held[0].shape[0]
+    n = fields[0].n
     common = np.ones(n, dtype=bool)
-    for a in held:
-        rows, cols = _occupied(a)
+    for f in fields:
+        rows, cols = _occupied(f)
         if isinstance(rows, slice) or isinstance(cols, slice):
             continue
         hit = np.zeros(n, dtype=bool)
@@ -553,7 +569,7 @@ def _contraction(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(perm), _frozen(sign * (1 - 2 * (q % 2)))
 
 
-def _occupied(a: np.ndarray) -> tuple:
+def _occupied(a) -> tuple:
     """One index per axis of ``a``, selecting the slices that hold a nonzero entry.
 
     Exact zeros only: an entry of any size, however small, occupies its
@@ -561,11 +577,22 @@ def _occupied(a: np.ndarray) -> tuple:
     indexing with it is a view; any other axis gets a bool mask.  A 2-d
     array's column 0 and row 0 are probed first: a probe with no zero
     answers its axis, with no scan of ``a``.
+
+    ``a`` is an array or a carrier.  A carrier's pair, that of its held
+    array, is recorded in its ``_block`` slot: by the algebra route that
+    wrote the array, which hands :meth:`_Carrier._own` the block it wrote
+    (:func:`_placed`, :func:`_landed`), or else here, the first time the
+    carrier is read.  Either way it is this rule's pair for the whole array.
     """
+    if isinstance(a, _Carrier):
+        if a._block is None:
+            object.__setattr__(a, "_block", _occupied(_held(a)))
+        return a._block
     if a.ndim == 1:
         return (_whole_or(a != 0),)
-    return (slice(None) if np.count_nonzero(a[:, 0]) == a.shape[0] else _whole_or(a.any(axis=1)),
-            slice(None) if np.count_nonzero(a[0]) == a.shape[1] else _whole_or(a.any(axis=0)))
+    rows, cols = a.shape  # a probe needs the other axis to be nonempty
+    return (slice(None) if cols and np.count_nonzero(a[:, 0]) == rows else _whole_or(a.any(axis=1)),
+            slice(None) if rows and np.count_nonzero(a[0]) == cols else _whole_or(a.any(axis=0)))
 
 
 def _ix(*index):
@@ -576,17 +603,48 @@ def _ix(*index):
 
 
 def _whole_or(mask: np.ndarray):
-    """``slice(None)`` when ``mask`` is all True, else ``mask`` itself."""
-    return slice(None) if mask.all() else mask
+    """``slice(None)`` when ``mask`` is all True, else ``mask`` itself, made read-only.
+
+    Read-only because a carrier keeps the masks of its block (:func:`_occupied`).
+    """
+    return slice(None) if mask.all() else _frozen(mask)
 
 
-def _placed(block: np.ndarray, like: np.ndarray, index) -> np.ndarray:
-    """``block`` when it fills an array shaped ``like``, else ``block`` at ``index`` in zeros."""
+def _placed(block: np.ndarray, like: np.ndarray, index) -> tuple:
+    """``(out, (block, index))``: ``block`` at ``index`` in an array shaped ``like``.
+
+    ``out`` is ``block`` itself when it fills the shape, else ``block`` written
+    into fresh zeros (``np.zeros``, which the allocator may hand out as
+    untouched zero pages).  ``index`` holds one entry per axis: ``slice(None)``,
+    a bool mask or integer positions.  The pair ``(block, index)`` is what a
+    route hands :meth:`_Carrier._own` as ``written``.
+    """
     if block.shape == like.shape:
-        return block
-    out = np.zeros_like(like)
+        return block, (block, index)
+    out = np.zeros(like.shape, like.dtype)
     out[_ix(*index)] = block
-    return out
+    return out, (block, index)
+
+
+def _landed(block: np.ndarray, index, n: int, what: str) -> tuple:
+    """:func:`_occupied` of an array that is ``block`` at ``index`` and 0 elsewhere.
+
+    ``block`` is checked finite (the zeros around it are), and its own
+    occupancy is lifted to the array's indices: a whole axis of the array
+    keeps the block's index, any other axis gets the positions ``index``
+    names that hold a nonzero, as a mask (``slice(None)`` when that is every
+    index).  So the pair is exactly what a scan of the array would find, for
+    the cost of a scan of the block.
+    """
+    _all_finite(block, what)
+    lifted = []
+    for k, at in zip(_occupied(block), index):
+        if not isinstance(at, slice):
+            hit = np.zeros(n, dtype=bool)
+            hit[np.arange(n)[at][k]] = True
+            k = _whole_or(hit)
+        lifted.append(k)
+    return tuple(lifted)
 
 
 def _band_reach(c: np.ndarray) -> int:
@@ -604,22 +662,38 @@ class _Carrier:
     A carrier holds a context ``ctx``, a modulation ``mod`` and one array of
     coefficients.  Public constructors copy their input; library routes hand
     a fresh array to :meth:`_own`, which checks and freezes it in place of a
-    copy.  A carrier is immutable, compares and hashes by identity, and
-    pickles and copies through :meth:`_own`.  A subclass sets the names its
-    errors give the modulation and the coefficients (``_mod_what``,
-    ``_coef_what``) and the array's ``_ndim``; its own slots are the extra
-    arguments of its ``_own``, in order.
+    copy.  A carrier also holds its occupied block (:func:`_occupied`), two
+    indices of at most n bools each, in the ``_block`` slot.  A carrier is
+    immutable, compares and hashes by identity, and pickles and copies
+    through :meth:`_own`, which leaves the block to be found again.  A
+    subclass sets the names its errors give the modulation and the
+    coefficients (``_mod_what``, ``_coef_what``) and the array's ``_ndim``;
+    its own slots are the extra arguments of its ``_own``, in order.
     """
 
-    __slots__ = ("ctx", "mod", "_coef", "__weakref__")
+    __slots__ = ("ctx", "mod", "_coef", "_block", "__weakref__")
 
     @classmethod
-    def _own(cls, ctx: BetaContext, coef: np.ndarray, mod):
-        """The carrier holding ``coef`` itself, which the caller gives up."""
+    def _own(cls, ctx: BetaContext, coef: np.ndarray, mod, written=None):
+        """The carrier holding ``coef`` itself, which the caller gives up.
+
+        An algebra route that wrote ``coef`` passes ``written``, the
+        ``(block, index)`` of :func:`_placed`: ``coef`` is 0 off the block, so
+        only the block is scanned, for NaN and infinite entries and for the
+        occupancy the carrier records (:func:`_landed`).  Without it the whole
+        array is checked finite, and the occupancy waits for the first
+        :func:`_occupied` of the carrier.
+        """
         carrier = object.__new__(cls)
         object.__setattr__(carrier, "ctx", ctx)
         object.__setattr__(carrier, "mod", _finite_mod(mod, cls._mod_what))
-        object.__setattr__(carrier, "_coef", _frozen(_finite(coef, cls._coef_what, cls._ndim)))
+        if written is None:
+            coef, block = _finite(coef, cls._coef_what, cls._ndim), None
+        else:
+            coef = _shaped(coef, cls._coef_what, cls._ndim)
+            block = _landed(*written, coef.shape[0], cls._coef_what)
+        object.__setattr__(carrier, "_coef", _frozen(coef))
+        object.__setattr__(carrier, "_block", block)
         return carrier
 
     def __setattr__(self, *_):
@@ -674,9 +748,10 @@ class Wavefunction(_Carrier):
         return cls._own(ctx, coef, mod, None if deriv is None else np.array(deriv, dtype=complex))
 
     @classmethod
-    def _own(cls, ctx: BetaContext, coef: np.ndarray, mod: float, deriv=None) -> "Wavefunction":
+    def _own(cls, ctx: BetaContext, coef: np.ndarray, mod: float, deriv=None,
+             written=None) -> "Wavefunction":
         """The state holding ``coef`` and ``deriv`` themselves, which the caller gives up."""
-        psi = super()._own(ctx, coef, mod)
+        psi = super()._own(ctx, coef, mod, written=written)
         if deriv is not None:
             deriv = _frozen(_finite(deriv, "wavefunction derivative samples", 1))
             if deriv.shape != psi._coef.shape:

@@ -93,7 +93,8 @@ def star(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """
     _check_kind(TorusField, "an algebra element", f, g)
     _check_pair(f, g)
-    return TorusField._own(f.ctx, _contract(f, _held(g), g.mod[0]), (f.mod[0], g.mod[1]))
+    out, written = _contract(f, g, g.mod[0])
+    return TorusField._own(f.ctx, out, (f.mod[0], g.mod[1]), written=written)
 
 
 def star_direct(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
@@ -132,12 +133,13 @@ def involution(f: AlgebraElement) -> AlgebraElement:
     :func:`~gupstar.operator_rep.adjoint_kernel` on the held coefficients, so
     ``kernel_of(involution(f))`` is ``adjoint_kernel(kernel_of(f))``; for
     lam = 1/2 it reduces to complex conjugation of f(q, p).  ``sampling._adjoint``
-    is one conjugating gather of the occupied block: a position eigenvector
-    costs one mode and the zero fill of its result, a full-band field one
-    n x n gather and no fill.
+    reads the occupied block f records: a position eigenvector costs one mode
+    and the zero fill of its result, a full-band field four slice copies and
+    no fill.  The result records the block it was written with.
     """
     _check_kind(TorusField, "an algebra element", f)
-    return TorusField._own(f.ctx, _adjoint(_held(f)), (-f.mod[1], -f.mod[0]))
+    out, written = _adjoint(f)
+    return TorusField._own(f.ctx, out, (-f.mod[1], -f.mod[0]), written=written)
 
 
 def s_operator(f: AlgebraElement) -> AlgebraElement:
@@ -168,7 +170,7 @@ def trace(f: AlgebraElement) -> complex:
     """
     _check_kind(TorusField, "an algebra element", f)
     b = mode_numbers(f.n) + (f.mod[0] + f.mod[1])
-    return complex((_diagonal(_held(f)) * np.sinc(b)).sum() / (2 * f.ctx.hbar * f.ctx.sqrt_beta))
+    return complex((_diagonal(f) * np.sinc(b)).sum() / (2 * f.ctx.hbar * f.ctx.sqrt_beta))
 
 
 def inner(f: AlgebraElement, g: AlgebraElement) -> complex:
@@ -203,7 +205,7 @@ def inner(f: AlgebraElement, g: AlgebraElement) -> complex:
         return complex(pref * np.vdot(f.values, g.values))
     if _integral(f.mod[1], -g.mod[1]) == 0:
         return complex(pref * n * n * np.vdot(_held(f), _held(g)))
-    b = _alpha_modes(_held(f), _held(g))
+    b = _alpha_modes(f, g)
     fl = _line_values(_sheared_columns(_held(f), b).T)  # [b, j]; one gathered array alive at a time
     gl = _line_values(_sheared_columns(_held(g), b).T, f.mod[1] - g.mod[1])
     return complex(pref * n * np.vdot(fl, gl))

@@ -876,20 +876,20 @@ def suite_formal(cfg: RunConfig) -> List[CheckResult]:
         slope = _truncation_slope(cfg)
         s.check("formal.truncation_slope", abs(slope - 3.0), 0.3,
                 note=f"measured log-log slope {slope:.3f} over hbar sqrt(beta) = 0.1, 0.05, 0.025")
-    gap, scale = _series_gap(BetaContext(cfg.beta, cfg.hbar, 0.0), 1, right=False)
+    ctx0 = BetaContext(cfg.beta, cfg.hbar, 0.0)
+    gap, scale = (_window_max(ctx0, f) for f in _series_gap(ctx0, 1, right=False))
     s.check("formal.lam0_left_series_exact", gap / scale, 1e-13,
             note="at lam = 0 the left series of q/(1 + beta p^2) ends after hbar^1")
     return s.out
 
 
 def _series_gap(ctx: BetaContext, order: int, right: bool):
-    """(max |exact - series|, max |exact|) over a fixed (q, p) window.
+    """The fields ``(exact - series, exact)``; :func:`_window_max` reads either.
 
     exact is the integral product of sym = q/(1 + beta p^2) with a Gaussian-in-q g, sym on
     the ``right`` or the left; series is formal_star's after hbar^order: the symbol's MAIN
     derivative table and ``formal_cas._order_weights`` at ctx against D_q^i D_p^j g, built
-    where the symbol's term is nonzero.  The fixed window keeps the hbar-dependent carrier
-    normalizations out of the errors.
+    where the symbol's term is nonzero.  Each caller synthesizes only the fields it reads.
     """
     # 256 nodes at every --grid: the checks measure a truncation error, and 256
     # nodes resolve the narrowest g, at hbar sqrt(beta) = 0.025
@@ -922,9 +922,16 @@ def _series_gap(ctx: BetaContext, order: int, right: bool):
     sym = SymbolObservable(1, Wavefunction(ctx, formal_eval(phi, ctx, 0.0, p_grid)))
     g = TorusField(ctx, gs)
     exact = star_symbol_right(g, sym) if right else star_symbol_left(sym, g)
+    return field_from_coeffs(ctx, exact.coeffs() - series), exact
+
+
+def _window_max(ctx: BetaContext, f: TorusField) -> float:
+    """max |f(q, p)| over the fixed window of :func:`_series_gap`'s checks, f unmodulated.
+
+    The fixed window keeps the hbar-dependent carrier normalizations out of the errors.
+    """
     qs = np.linspace(-2, 2, 9)
-    return tuple(np.abs(synth_grid(f, qs, qs / ctx.sqrt_beta)).max()  # every field is unmodulated
-                 for f in (field_from_coeffs(ctx, exact.coeffs() - series), exact))
+    return float(np.abs(synth_grid(f, qs, qs / ctx.sqrt_beta)).max())
 
 
 def _truncation_slope(cfg: RunConfig) -> float:
@@ -935,7 +942,8 @@ def _truncation_slope(cfg: RunConfig) -> float:
     needs a position derivative on the symbol), so the side with an infinite tail is taken.
     """
     hbars = tuple(hb / math.sqrt(cfg.beta) for hb in (0.1, 0.05, 0.025))
-    errs = [_series_gap(BetaContext(cfg.beta, hb, cfg.lam), 2, cfg.lam < 0.5)[0] for hb in hbars]
+    ctxs = [BetaContext(cfg.beta, hb, cfg.lam) for hb in hbars]
+    errs = [_window_max(c, _series_gap(c, 2, cfg.lam < 0.5)[0]) for c in ctxs]
     return (math.log(errs[0]) - math.log(errs[-1])) / (math.log(hbars[0]) - math.log(hbars[-1]))
 
 

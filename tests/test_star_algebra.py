@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 from gupstar.beta_arith import BetaContext
 from gupstar.families import random_element, random_state, resolve_family
 from gupstar import operator_rep, sampling, star_algebra
-from gupstar.operator_rep import (apply_operator, compose_kernels, element_of, kernel_of,
-                                  trace_op, wigner)
+from gupstar.operator_rep import (OperatorKernel, adjoint_kernel, apply_operator, compose_kernels,
+                                  element_of, kernel_of, trace_op, wigner)
 from gupstar.sampling import (TorusField, Wavefunction, _band_convolution, _band_reach,
                               _line_values, _relabel, angle_nodes, deriv_p, deriv_pprime,
                               field_from_coeffs, mode_numbers, seminorm, shift_field,
@@ -364,8 +366,8 @@ def test_operator_maps_are_scales_of_the_held_coefficients(monkeypatch):
     k = kernel_of(f)
     back = element_of(k)
     built, own = [], sampling._Carrier._own.__func__
-    monkeypatch.setattr(sampling._Carrier, "_own",
-                        classmethod(lambda cls, *args: built.append(cls) or own(cls, *args)))
+    monkeypatch.setattr(sampling._Carrier, "_own", classmethod(
+        lambda cls, *args, **kw: built.append(cls) or own(cls, *args, **kw)))
     forbid(monkeypatch, "a kernel was built", operator_rep.OperatorKernel, "_own")
     fg = star(f, g)
     assert built == [TorusField]
@@ -602,7 +604,7 @@ def test_diagonal_is_the_full_gather_sum(lam, mod):
         held = sampling._held(f)
         terms = held[u, (r - u) % n] * sign
         ref = terms.sum(axis=0)
-        assert np.array_equal(sampling._diagonal(held), ref)
+        assert np.array_equal(sampling._diagonal(f), ref)
 
 
 def _gamma(k):
@@ -666,7 +668,7 @@ _PEAK_N = 256  # an n x n complex array is 1 MiB here, its int64 index 0.5 MiB
 
 @pytest.mark.parametrize("route,bound", [
     ("relabel", 16 * _PEAK_N ** 2 + 64 * 1024),  # the output, no copy of the cached index
-    ("involution", 1.25 * 16 * _PEAK_N ** 2),  # the zero-filled result, its finite scan
+    ("involution", 1.25 * 16 * _PEAK_N ** 2),  # the zero-filled result
     ("trace", 0.25e6),
     ("inner", 0.25e6),  # rho:-0.5 and rho:1.3: mu_v 0.9 apart, the alpha' slot sampled
 ])
@@ -677,3 +679,118 @@ def test_block_routes_allocate_what_the_block_needs(route, bound):
     run = {"relabel": lambda: _relabel(held, 1, 1, -1, 0), "involution": lambda: involution(x),
            "trace": lambda: trace(x), "inner": lambda: inner(x, y)}[route]
     assert _peak_bytes(run) <= bound
+
+
+def _same_block(a, b):
+    """Two pairs of ``sampling._occupied`` are one: slices where both are, equal masks elsewhere."""
+    return len(a) == len(b) and all(
+        isinstance(x, slice) and isinstance(y, slice)
+        or not isinstance(x, slice) and not isinstance(y, slice) and np.array_equal(x, y)
+        for x, y in zip(a, b))
+
+
+def _assert_records_its_block(carrier):
+    # written by an algebra route: the block is recorded at construction, and it is
+    # exactly what a scan of the held array finds
+    assert carrier._block is not None
+    assert _same_block(carrier._block, sampling._occupied(sampling._held(carrier)))
+    assert all(isinstance(k, slice) or not k.flags.writeable for k in carrier._block)
+
+
+def _block_pairs(ctx, n):
+    """Operand pairs: the full band, one mode each (paired and sampled), empty paired inner
+    modes, the zero field, and the full band times one mode."""
+    full, one = (resolve_family(label, ctx, n) for label in ("ml:0.3", "rho:0.3"))
+    m = mode_numbers(n)
+    part = (m >= 1) & (m <= 3)  # column modes 1..3 pair with row modes -3..-1, none held
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    disjoint = (element_of(OperatorKernel(ctx, raw * part)),
+                element_of(OperatorKernel(ctx, raw * part[:, None])))
+    zero = field_from_coeffs(ctx, np.zeros((n, n)))
+    sampled = (one, resolve_family("rho:1.0", ctx, n))  # contracted d = 0.15 - 0.5
+    return {"full": (full, full), "one_mode": (one, one), "sampled": sampled,
+            "empty_inner": disjoint, "zero": (zero, zero), "full_one": (full, one)}
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("pair", ["full", "one_mode", "sampled", "empty_inner", "zero", "full_one"])
+def test_algebra_routes_record_the_block_they_wrote(lam, pair):
+    ctx, n = BetaContext(2.0, 0.7, lam), 32
+    f, g = _block_pairs(ctx, n)[pair]
+    kf, kg = kernel_of(f), kernel_of(g)
+    psi = wavefunction_from_coeffs(ctx, sampling._held(g)[:, 1], g.mod[0])  # g's column 1
+    products = [star(f, g), compose_kernels(kf, kg), apply_operator(f, psi)]
+    for out in products + [involution(f), involution(g), adjoint_kernel(kf), adjoint_kernel(kg)]:
+        _assert_records_its_block(out)
+    if pair in ("empty_inner", "zero"):
+        assert not any(sampling._held(out).any() for out in products)
+    # a product of products reads the recorded blocks and records its own
+    _assert_records_its_block(star(products[0], involution(products[0])))
+
+
+def test_a_non_finite_entry_inside_a_written_block_is_rejected():
+    # one-mode operands whose product overflows: only the 1 x 1 block is scanned, and
+    # the overflow in it is still caught
+    ctx, n = BetaContext(1.0, 1.0, 0.5), 32
+    coef = np.zeros((n, n), complex)
+    coef[0, 0] = 1e300
+    k, psi = OperatorKernel(ctx, coef), wavefunction_from_coeffs(ctx, coef[:, 0])
+    f = element_of(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="kernel coefficients must be finite"):
+            compose_kernels(k, k)
+        with pytest.raises(ValueError, match="field coefficients must be finite"):
+            star(f, f)
+        with pytest.raises(ValueError, match="wavefunction coefficients must be finite"):
+            apply_operator(f, psi)
+
+
+def test_carriers_built_elsewhere_find_their_block_on_first_read():
+    # constructors, codecs and families scan for no block; the first read fills the slot,
+    # and copies and pickles rebuild with an empty slot that refills to the same block
+    ctx, n = BetaContext(1.0, 1.0, 0.5), 32
+    built = [resolve_family(label, ctx, n) for label in ("rho:0.3", "bump:3", "ml:0.3")]
+    built += [OperatorKernel(ctx, np.eye(n)), wavefunction_from_coeffs(ctx, np.eye(n)[1])]
+    for c in built:
+        assert c._block is None
+        first = sampling._occupied(c)
+        assert sampling._occupied(c) is first and c._block is first
+        assert _same_block(first, sampling._occupied(sampling._held(c)))
+    product = star(built[0], built[1])
+    for c in built + [product]:
+        block = sampling._occupied(c)
+        for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert twin._block is None
+            assert _same_block(sampling._occupied(twin), block)
+
+
+def _scans_no_full_array(mp, n):
+    """Patch ``_occupied`` and ``_all_finite`` to raise when handed an n x n array."""
+    def guarded(real):
+        def scan(a, *rest):
+            if isinstance(a, np.ndarray) and a.shape == (n, n):
+                raise AssertionError("an n x n array was scanned")
+            return real(a, *rest)
+        return scan
+
+    for module in (sampling, operator_rep):
+        mp.setattr(module, "_occupied", guarded(sampling._occupied))
+    mp.setattr(sampling, "_all_finite", guarded(sampling._all_finite))
+
+
+def test_products_on_filled_blocks_scan_no_full_array(monkeypatch):
+    # at n = 512 the one-mode product and involution read their operands' recorded blocks
+    # and scan only the block they write; an operand whose block is not yet filled would
+    # be scanned whole, which the same guard catches
+    ctx, n = BetaContext(1.0, 1.0, 0.5), 512
+    rho, fresh = (resolve_family("rho:0.3", ctx, n) for _ in range(2))
+    sampling._occupied(rho)
+    with monkeypatch.context() as mp:
+        _scans_no_full_array(mp, n)
+        prod, inv = star(rho, rho), involution(rho)
+        _, again = star(prod, rho), involution(inv)
+        with pytest.raises(AssertionError, match="an n x n array was scanned"):
+            star(fresh, fresh)
+    assert np.array_equal(sampling._held(prod), sampling._held(star(fresh, fresh)))
+    assert np.array_equal(sampling._held(again), sampling._held(rho))
